@@ -1,5 +1,5 @@
-"""Branch-and-bound engine speed: vectorized frontier vs scalar reference,
-tracked as ``BENCH_bnb.json``.
+"""Branch-and-bound engine speed: vectorized frontier vs the scalar reference
+(:mod:`repro.reference.bnb`), tracked as ``BENCH_bnb.json``.
 
 Three hard verification queries are timed under both engines:
 
@@ -38,6 +38,7 @@ from repro.certificates import Box, BranchAndBoundVerifier
 from repro.envs import make_environment
 from repro.lang import AffineProgram
 from repro.polynomials import Polynomial
+from repro.reference import ScalarBranchAndBoundVerifier
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_bnb.json"
 
@@ -101,8 +102,8 @@ def _bad_gain_query():
     }
 
 
-def _timed_prove(query, frontier: bool):
-    verifier = BranchAndBoundVerifier(frontier=frontier, **query["kwargs"])
+def _timed_prove(query, engine):
+    verifier = engine(**query["kwargs"])
     start = time.perf_counter()
     result = verifier.prove_nonpositive(
         query["target"], query["boxes"], query["constraints"]
@@ -114,8 +115,8 @@ def measure() -> tuple:
     rows: dict = {"min_speedup_required": MIN_SPEEDUP, "queries": {}}
     results = {}
     for query in (_platoon_query(), _condition_ten_query(), _bad_gain_query()):
-        scalar, scalar_seconds = _timed_prove(query, frontier=False)
-        frontier, frontier_seconds = _timed_prove(query, frontier=True)
+        scalar, scalar_seconds = _timed_prove(query, ScalarBranchAndBoundVerifier)
+        frontier, frontier_seconds = _timed_prove(query, BranchAndBoundVerifier)
         results[query["label"]] = (scalar, frontier)
         counterexample = frontier.counterexample
         rows["queries"][query["label"]] = {

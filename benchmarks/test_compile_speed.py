@@ -6,7 +6,8 @@ polynomials through ``np.power`` tables, and crossed the policy → shield → e
 dispatch boundary with a double dynamics evaluation.  The compiled execution
 layer (``repro.compile``) lowers those artifacts once and fuses the whole
 closed-loop step; this benchmark runs the same 100-episode × 250-step
-*shielded* campaign through both engines and records the wall-clock ratio.
+*shielded* campaign through both engines (the interpreted one from
+:mod:`repro.reference.campaigns`) and records the wall-clock ratio.
 
 The acceptance bar is ≥ 3x on the high-dimensional benchmarks (4/8-car
 platoon, oscillator), where the interpreted path's per-step overhead dominates
@@ -29,11 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compile import kernel_cache_stats, set_compilation
+from repro.compile import kernel_cache_stats
 from repro.core import Shield
 from repro.envs import make_environment
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import evaluate_policy_interpreted
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
 from repro.runtime import EvaluationProtocol, evaluate_policy
@@ -67,27 +69,23 @@ def _make_shield(env, seed: int = 0) -> Shield:
     )
 
 
-def _run(env, protocol, compiled: bool):
-    """One shielded campaign through the chosen engine; best of two runs."""
-    set_compilation(compiled)
-    try:
-        best = float("inf")
-        metrics = None
-        for _ in range(2):
-            shield = _make_shield(env)
-            start = time.perf_counter()
-            metrics = evaluate_policy(env, shield, protocol, shield=shield)
-            best = min(best, time.perf_counter() - start)
-        return best, metrics
-    finally:
-        set_compilation(None)
+def _run(env, protocol, evaluate):
+    """One shielded campaign through ``evaluate``; best of two runs."""
+    best = float("inf")
+    metrics = None
+    for _ in range(2):
+        shield = _make_shield(env)
+        start = time.perf_counter()
+        metrics = evaluate(env, shield, protocol, shield=shield)
+        best = min(best, time.perf_counter() - start)
+    return best, metrics
 
 
 def measure_compile_speedup(env_name: str, episodes: int = EPISODES, steps: int = STEPS) -> dict:
     env = make_environment(env_name)
     protocol = EvaluationProtocol(episodes=episodes, steps=steps, seed=0)
-    interpreted_seconds, interpreted_metrics = _run(env, protocol, compiled=False)
-    compiled_seconds, compiled_metrics = _run(env, protocol, compiled=True)
+    interpreted_seconds, interpreted_metrics = _run(env, protocol, evaluate_policy_interpreted)
+    compiled_seconds, compiled_metrics = _run(env, protocol, evaluate_policy)
     unsafe_interpreted = sum(e.unsafe_steps for e in interpreted_metrics.episodes)
     unsafe_compiled = sum(e.unsafe_steps for e in compiled_metrics.episodes)
     return {

@@ -4,7 +4,8 @@ Fleet monitoring adds bookkeeping on top of the rollout spine — executed-actio
 prediction verdicts, invariant-excursion checks, barrier values, residual
 accumulation for the disturbance estimate — so its speedup is pinned separately
 from the bare rollout benchmark: the same 100-episode x 250-step monitored
-campaign runs through the sequential :func:`monitor_episode` reference and the
+campaign runs through the sequential :func:`repro.reference.monitor_episode`
+reference and the
 :class:`MonitoredBatchedCampaign` lockstep engine, and the measured speedup is
 recorded at the repository root.
 
@@ -24,8 +25,9 @@ from repro.core import Shield
 from repro.envs import make_environment
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import monitor_episode
 from repro.rl import train_oracle
-from repro.runtime import monitor_episode, monitor_fleet
+from repro.runtime import monitor_fleet
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_monitor.json"
 ENVIRONMENTS = ("pendulum", "satellite")

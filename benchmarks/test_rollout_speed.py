@@ -22,8 +22,9 @@ from repro.core import Shield
 from repro.envs import make_environment
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import evaluate_policy_scalar
 from repro.rl import train_oracle
-from repro.runtime import EvaluationProtocol, evaluate_policy, evaluate_policy_scalar
+from repro.runtime import EvaluationProtocol, evaluate_policy
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_rollout.json"
 ENVIRONMENTS = ("pendulum", "satellite")

@@ -15,15 +15,11 @@ import time
 import numpy as np
 
 from repro import make_environment
-from repro.compile import (
-    compiled_program_for,
-    interpreted,
-    kernel_cache_stats,
-    lower_program,
-)
+from repro.compile import compiled_program_for, kernel_cache_stats, lower_program
 from repro.core import Shield
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import evaluate_policy_interpreted
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
 from repro.runtime import EvaluationProtocol, evaluate_policy
@@ -52,14 +48,14 @@ def main():
     env = make_environment("8_car_platoon")
     protocol = EvaluationProtocol(episodes=100, steps=250, seed=0)
 
-    # 1. The interpreted reference: tree-walking programs and barrier tables.
+    # 1. The interpreted reference (repro.reference): the lockstep loop over
+    #    tree-walking programs and barrier tables.
     shield = make_shield(env)
     start = time.perf_counter()
-    with interpreted():
-        slow = evaluate_policy(env, shield, protocol, shield=shield)
+    slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
     interpreted_seconds = time.perf_counter() - start
 
-    # 2. The compiled engine (the default): one fused kernel per step.
+    # 2. The compiled engine (the product path): one fused kernel per step.
     shield = make_shield(env)
     start = time.perf_counter()
     fast = evaluate_policy(env, shield, protocol, shield=shield)
@@ -85,7 +81,6 @@ def main():
     # 4. The process-wide kernel cache: compiled once, reused everywhere.
     compiled_program_for(shield.program)  # second lookup -> pure cache hit
     print(f"\nkernel cache:           {kernel_cache_stats()}")
-    print("disable everywhere with REPRO_NO_COMPILE=1 (or repro --no-compile ...).")
 
 
 if __name__ == "__main__":

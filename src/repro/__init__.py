@@ -18,12 +18,7 @@ Typical usage::
 """
 
 from .certificates import audit_invariant, audit_shield
-from .compile import (
-    compilation_enabled,
-    interpreted,
-    kernel_cache_stats,
-    set_compilation,
-)
+from .compile import kernel_cache_stats
 from .core import (
     CEGISConfig,
     CEGISResult,
@@ -58,7 +53,6 @@ from .runtime import (
     RuntimeMonitor,
     compare_shielded,
     evaluate_policy,
-    monitor_episode,
 )
 from .shard import ShardPool, monitor_fleet_sharded, run_sharded_campaign
 
@@ -101,10 +95,6 @@ __all__ = [
     "evaluate_policy",
     "compare_shielded",
     "RuntimeMonitor",
-    "monitor_episode",
-    "compilation_enabled",
-    "set_compilation",
-    "interpreted",
     "kernel_cache_stats",
     "ShardPool",
     "run_sharded_campaign",

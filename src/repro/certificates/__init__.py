@@ -48,7 +48,6 @@ from .smt import (
     BranchAndBoundVerifier,
     CheckResult,
     find_uncovered_point,
-    frontier_enabled,
     prove_nonpositive,
     prove_positive,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "prove_nonpositive",
     "prove_positive",
     "find_uncovered_point",
-    "frontier_enabled",
     # batched interval kernels
     "IntervalTable",
     "lower_interval",

@@ -344,7 +344,6 @@ class BarrierBackend:
             tolerance=config.verifier_tolerance,
             max_boxes=config.verifier_max_boxes,
             min_width=min_width,
-            frontier=getattr(config, "bnb_frontier", None),
         )
         barrier_config = config.barrier
         if deadline is not None:

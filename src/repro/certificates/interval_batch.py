@@ -25,7 +25,7 @@ one rule: **per-row results are independent of the batch size**.  That means
 
 Evaluating one box through :func:`range_boxes` therefore yields the same
 floats as evaluating it in the middle of a 10,000-box frontier, which is what
-lets ``BranchAndBoundVerifier(frontier=False)`` serve as a differential
+lets the scalar engine of :mod:`repro.reference.bnb` serve as a differential
 reference for the batched engine.
 
 Lowered tables are memoized on the :class:`~repro.polynomials.Polynomial`

@@ -24,17 +24,13 @@ own CEGIS loop.
 
 Frontier engine and determinism contract
 ----------------------------------------
-Two engines answer every query:
-
-* the **frontier engine** (default) advances the whole frontier of open boxes
-  per round as ``(n_boxes, dim)`` endpoint arrays — constraint pruning, target
-  bounding, centre/corner falsification, resolution-limit handling, and
-  splitting are all batched array operations over lowered monomial tables
-  (:mod:`repro.certificates.interval_batch`);
-* the **scalar engine** walks the same queue one box at a time.  It is the
-  differential reference, selected with ``BranchAndBoundVerifier(frontier=
-  False)`` or the ``REPRO_NO_BATCH_BNB=1`` environment flag (checked at query
-  time, like ``REPRO_NO_COMPILE``).
+The verifier advances the whole frontier of open boxes per round as
+``(n_boxes, dim)`` endpoint arrays — constraint pruning, target bounding,
+centre/corner falsification, resolution-limit handling, and splitting are all
+batched array operations over lowered monomial tables
+(:mod:`repro.certificates.interval_batch`).  Its differential oracle, the
+scalar engine in :mod:`repro.reference.bnb`, walks the same queue one box at
+a time.
 
 Both engines explore the canonical frontier order — breadth-first: the initial
 boxes in the order given, then each surviving box's lower/upper children in
@@ -54,10 +50,8 @@ verifier answered before, and identical across the two engines.
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,19 +65,7 @@ __all__ = [
     "prove_nonpositive",
     "prove_positive",
     "find_uncovered_point",
-    "frontier_enabled",
 ]
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def frontier_enabled() -> bool:
-    """Whether the batched frontier engine is the process default.
-
-    ``REPRO_NO_BATCH_BNB=1`` falls back to the scalar reference engine; an
-    explicit ``BranchAndBoundVerifier(frontier=...)`` overrides the flag.
-    """
-    return os.environ.get("REPRO_NO_BATCH_BNB", "").strip().lower() not in _TRUTHY
 
 
 @dataclass
@@ -195,6 +177,38 @@ def _split_batch(
     return new_low, new_high
 
 
+def _lower_query(
+    polynomial: Polynomial,
+    boxes: Sequence[Box],
+    constraints: Sequence[Polynomial],
+    sense: str,
+) -> Optional[Tuple[IntervalTable, List[IntervalTable], np.ndarray, np.ndarray, str, int]]:
+    """A proof query as ``(target, constraint tables, low, high, sense,
+    digest)``; ``None`` when there is no box to search."""
+    target = lower_interval(polynomial)
+    ctables = [lower_interval(c) for c in constraints]
+    boxes = list(boxes)
+    if not boxes:
+        return None
+    low = np.array([b.low for b in boxes], dtype=float)
+    high = np.array([b.high for b in boxes], dtype=float)
+    digest = _query_digest(sense, [target, *ctables], low, high)
+    return target, ctables, low, high, sense, digest
+
+
+def _lower_cover(
+    box: Box, barriers: Sequence[Polynomial], margins: Sequence[float] | None
+) -> Tuple[List[IntervalTable], List[float], np.ndarray, np.ndarray]:
+    """A cover query as ``(tables, margins, low, high)``."""
+    if margins is None:
+        margins = [0.0] * len(barriers)
+    tables = [lower_interval(b) for b in barriers]
+    margins = [float(m) for m in margins]
+    low = np.asarray(box.low, dtype=float)[None, :]
+    high = np.asarray(box.high, dtype=float)[None, :]
+    return tables, margins, low, high
+
+
 @dataclass
 class BranchAndBoundVerifier:
     """Configurable branch-and-bound engine.
@@ -209,9 +223,6 @@ class BranchAndBoundVerifier:
     min_width:
         Boxes whose widest side is below this width are resolved by sampling
         their centre point; this bounds the recursion depth.
-    frontier:
-        ``True``/``False`` force the batched frontier engine or the scalar
-        reference; ``None`` (default) follows :func:`frontier_enabled`.
     """
 
     tolerance: float = 1e-6
@@ -220,16 +231,10 @@ class BranchAndBoundVerifier:
     resolution_limit_policy: str = "sample"  # "sample" | "reject"
     resolution_samples: int = 32
     seed: int = 0
-    frontier: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.resolution_limit_policy not in ("sample", "reject"):
             raise ValueError("resolution_limit_policy must be 'sample' or 'reject'")
-
-    def _use_frontier(self) -> bool:
-        if self.frontier is not None:
-            return bool(self.frontier)
-        return frontier_enabled()
 
     # ------------------------------------------------------------------ core
     def prove_nonpositive(
@@ -263,105 +268,10 @@ class BranchAndBoundVerifier:
         constraints: Sequence[Polynomial],
         sense: str,
     ) -> CheckResult:
-        target = lower_interval(polynomial)
-        ctables = [lower_interval(c) for c in constraints]
-        boxes = list(boxes)
-        if not boxes:
+        query = _lower_query(polynomial, boxes, constraints, sense)
+        if query is None:
             return CheckResult(True, boxes_explored=0)
-        low = np.array([b.low for b in boxes], dtype=float)
-        high = np.array([b.high for b in boxes], dtype=float)
-        digest = _query_digest(sense, [target, *ctables], low, high)
-        if self._use_frontier():
-            return self._prove_frontier(target, ctables, low, high, sense, digest)
-        return self._prove_scalar(target, ctables, low, high, sense, digest)
-
-    # -------------------------------------------------------- scalar engine
-    def _prove_scalar(
-        self,
-        target: IntervalTable,
-        ctables: Sequence[IntervalTable],
-        low: np.ndarray,
-        high: np.ndarray,
-        sense: str,
-        digest: int,
-    ) -> CheckResult:
-        queue: Deque[Tuple[np.ndarray, np.ndarray]] = deque(
-            (low[i], high[i]) for i in range(low.shape[0])
-        )
-        explored = 0
-        limit_ordinal = 0
-        while queue:
-            if explored >= self.max_boxes:
-                head_low, head_high = queue[0]
-                return CheckResult(
-                    False,
-                    counterexample=0.5 * (head_low + head_high),
-                    boxes_explored=explored,
-                    max_depth_reached=True,
-                )
-            box_low, box_high = queue.popleft()
-            explored += 1
-            row_low = box_low[None, :]
-            row_high = box_high[None, :]
-
-            # Prune boxes that provably lie outside the constrained domain.
-            outside = False
-            for table in ctables:
-                bound_low, _ = range_boxes(table, row_low, row_high)
-                if bound_low[0] > self.tolerance:
-                    outside = True
-                    break
-            if outside:
-                continue
-
-            bound_low, bound_high = range_boxes(target, row_low, row_high)
-            if sense == "<=" and bound_high[0] <= self.tolerance:
-                continue
-            if sense == ">" and bound_low[0] > -self.tolerance:
-                continue
-
-            # Try to exhibit a concrete counterexample at the centre/corners.
-            candidates = _candidate_points(row_low, row_high)[0]
-            witness = self._first_violation(target, ctables, candidates, sense)
-            if witness is not None:
-                return CheckResult(False, counterexample=witness, boxes_explored=explored)
-
-            widths = box_high - box_low
-            if float(np.max(widths)) <= self.min_width:
-                # Resolution limit: the interval bound is inconclusive and no
-                # violating point was found among the centre/corners.  Under the
-                # default "sample" policy we densely sample the box and accept it
-                # when no violation appears (documented δ-completeness trade-off:
-                # the property is proven everywhere except possibly inside
-                # resolution-limit boxes that passed dense sampling).  Under
-                # "reject" the box is reported as a potential counterexample.
-                if self.resolution_limit_policy == "sample":
-                    rng = _box_rng(self.seed, digest, limit_ordinal)
-                    limit_ordinal += 1
-                    samples = rng.uniform(
-                        box_low, box_high, (self.resolution_samples, box_low.shape[0])
-                    )
-                    witness = self._first_violation(target, ctables, samples, sense)
-                    if witness is not None:
-                        return CheckResult(
-                            False, counterexample=witness, boxes_explored=explored
-                        )
-                    continue
-                center = 0.5 * (box_low + box_high)
-                if self._feasible_mask(ctables, center[None, :])[0]:
-                    return CheckResult(
-                        False,
-                        counterexample=center,
-                        boxes_explored=explored,
-                        max_depth_reached=True,
-                    )
-                continue
-
-            child_low, child_high = _split_batch(row_low, row_high)
-            queue.append((child_low[0], child_high[0]))
-            queue.append((child_low[1], child_high[1]))
-
-        return CheckResult(True, boxes_explored=explored)
+        return self._prove_frontier(*query)
 
     # ------------------------------------------------------ frontier engine
     def _prove_frontier(
@@ -543,61 +453,9 @@ class BranchAndBoundVerifier:
 
         This is the CEGIS driver query of Algorithm 2 (line 3-4).
         """
-        if margins is None:
-            margins = [0.0] * len(barriers)
         if not barriers:
             return box.center.copy()
-        tables = [lower_interval(b) for b in barriers]
-        margins = [float(m) for m in margins]
-        low = np.asarray(box.low, dtype=float)[None, :]
-        high = np.asarray(box.high, dtype=float)[None, :]
-        if self._use_frontier():
-            return self._uncovered_frontier(tables, margins, low, high)
-        return self._uncovered_scalar(tables, margins, low, high)
-
-    def _uncovered_scalar(
-        self,
-        tables: Sequence[IntervalTable],
-        margins: Sequence[float],
-        low: np.ndarray,
-        high: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        queue: Deque[Tuple[np.ndarray, np.ndarray]] = deque([(low[0], high[0])])
-        explored = 0
-        while queue:
-            if explored >= self.max_boxes:
-                # Budget exhausted: fall back to the centre of an unresolved box.
-                head_low, head_high = queue[0]
-                candidate = 0.5 * (head_low + head_high)
-                if not self._covered_mask(tables, margins, candidate[None, :])[0]:
-                    return candidate
-                return None
-            box_low, box_high = queue.popleft()
-            explored += 1
-            row_low = box_low[None, :]
-            row_high = box_high[None, :]
-
-            covered = False
-            for table, margin in zip(tables, margins):
-                _, bound_high = range_boxes(table, row_low, row_high)
-                if bound_high[0] <= margin + self.tolerance:
-                    covered = True
-                    break
-            if covered:
-                continue
-
-            center = 0.5 * (box_low + box_high)
-            if not self._covered_mask(tables, margins, center[None, :])[0]:
-                return center
-
-            if float(np.max(box_high - box_low)) <= self.min_width:
-                # Centre covered and resolution limit hit: accept as covered.
-                continue
-
-            child_low, child_high = _split_batch(row_low, row_high)
-            queue.append((child_low[0], child_high[0]))
-            queue.append((child_low[1], child_high[1]))
-        return None
+        return self._uncovered_frontier(*_lower_cover(box, barriers, margins))
 
     def _uncovered_frontier(
         self,

@@ -239,7 +239,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         backend=args.backend,
         invariant_degree=args.degree,
         backend_time_budget_seconds=args.backend_budget,
-        bnb_frontier=False if args.scalar_bnb else None,
     )
     try:
         all_ok, outcomes, artifact = service.verify_stored(
@@ -666,12 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Verifiable reinforcement learning via inductive program synthesis (PLDI 2019 reproduction)",
     )
-    parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="run every campaign/evaluation on the interpreted reference paths "
-        "instead of the compiled execution layer (same as REPRO_NO_COMPILE=1)",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_parser = subparsers.add_parser("list", help="list the registered benchmarks")
@@ -755,13 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-backend wall-clock budget in seconds (portfolio dispatch)",
-    )
-    verify_cmd.add_argument(
-        "--scalar-bnb",
-        action="store_true",
-        help="use the scalar branch-and-bound reference engine instead of the "
-        "batched frontier engine (same verdicts/counterexamples, slower; "
-        "equivalent to REPRO_NO_BATCH_BNB=1)",
     )
     verify_cmd.add_argument(
         "--no-cache", action="store_true", help="bypass the store-backed verdict cache"
@@ -1046,8 +1032,4 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_compile:
-        from .compile import set_compilation
-
-        set_compilation(False)
     return args.handler(args)

@@ -10,10 +10,10 @@ process-wide cache keyed by program fingerprint compiles each artifact once
 ``(episodes, state_dim)`` fleets one step per call with a single dynamics
 evaluation (:mod:`~repro.compile.stepper`).
 
-The interpreted tree-walking paths remain the semantic reference; disable
-compilation everywhere with ``REPRO_NO_COMPILE=1``,
-:func:`~repro.compile.config.set_compilation`, or the
-:func:`~repro.compile.config.interpreted` context manager.
+The kernels are always on.  Their semantic references are the pure tree walks
+(``Expr.evaluate_interpreted``, ``GuardedProgram.act_interpreted``) and the
+interpreted campaign loops of :mod:`repro.reference.campaigns`, which the
+differential tests hold them to.
 """
 
 from .cache import (
@@ -26,7 +26,6 @@ from .cache import (
     kernel_cache_stats,
     warm_kernel_cache,
 )
-from .config import compilation_enabled, interpreted, set_compilation
 from .kernels import (
     CompiledDynamics,
     CompiledGuardedProgram,
@@ -57,20 +56,17 @@ __all__ = [
     "PolyBlock",
     "RolloutWorkspace",
     "clear_kernel_cache",
-    "compilation_enabled",
     "compile_stepper",
     "compiled_batch_policy",
     "compiled_dynamics_for",
     "compiled_guards_for",
     "compiled_program_for",
     "fused_policy_returns",
-    "interpreted",
     "kernel_cache_stats",
     "lower_dynamics",
     "lower_exprs",
     "lower_guards",
     "lower_polynomials",
     "lower_program",
-    "set_compilation",
     "warm_kernel_cache",
 ]

@@ -18,11 +18,12 @@ chain for one ``(policy, shield, env)`` triple into straight-line NumPy:
 Scratch arrays live in an explicit :class:`RolloutWorkspace` so a campaign of
 thousands of steps reallocates nothing in its hot loop.
 
-Semantics are pinned to the interpreted engines: the same RNG stream order,
-the same reward convention (pre-clip executed action in campaigns, clipped in
-``simulate_batch``-style rollouts), the same counter attribution.  The
-differential tests in ``tests/test_compile.py`` hold the two paths to
-identical counters and near-identical (1e-9) trajectories across the registry.
+Semantics are pinned to the interpreted loops of :mod:`repro.reference.campaigns`:
+the same RNG stream order, the same reward convention (pre-clip executed
+action in campaigns, clipped in ``simulate_batch``-style rollouts), the same
+counter attribution.  The differential tests in ``tests/test_compile.py`` hold
+the two paths to identical counters and near-identical (1e-9) trajectories
+across the registry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .cache import compiled_dynamics_for, compiled_guards_for, compiled_program_for
-from .config import compilation_enabled
 
 __all__ = [
     "RolloutWorkspace",
@@ -105,7 +105,7 @@ def _batch_action_fn(policy, action_dim: int, workspace: RolloutWorkspace, tag: 
     """
     from ..lang.program import PolicyProgram
 
-    if isinstance(policy, PolicyProgram) and compilation_enabled():
+    if isinstance(policy, PolicyProgram):
         kernel = compiled_program_for(policy)
         if kernel is not None:
             return lambda states: kernel.act(
@@ -247,8 +247,9 @@ def _reward_fn(env):
 class CompiledStepper:
     """A fused closed-loop kernel for one (policy, shield, environment) triple.
 
-    Build through :func:`compile_stepper`; ``None`` from that factory means
-    some piece refused to lower and the caller should stay interpreted.
+    Build through :func:`compile_stepper`.  A piece that refuses to lower (a
+    foreign policy, a non-polynomial invariant or dynamics) keeps its
+    interpreted batch method inside the fused step.
     """
 
     def __init__(self, env, policy, shield, dtype=None) -> None:
@@ -467,37 +468,27 @@ class CompiledStepper:
         return self._guard_holds(states)
 
 
-def compile_stepper(env, policy=None, shield=None, dtype=None) -> Optional[CompiledStepper]:
-    """Build the fused stepper for a campaign, or ``None`` to stay interpreted.
+def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledStepper:
+    """Build the fused stepper for a campaign.
 
-    ``None`` means compilation is disabled, or a kernel component raised
-    :class:`~repro.compile.lowering.LoweringError` during assembly.  Each
-    component factory already degrades to its interpreted counterpart on its
-    own (native ``rate_batch``, ``as_batch_policy``, ``holds_batch``), so in
-    practice construction succeeds; the guard keeps the contract for future
-    lowering stages.
+    Every component factory degrades to its interpreted counterpart on its own
+    (native ``rate_batch``, ``as_batch_policy``, ``holds_batch``), so assembly
+    never refuses a deployment.
     """
-    if not compilation_enabled():
-        return None
-    from .lowering import LoweringError
-
-    try:
-        return CompiledStepper(env, policy, shield, dtype=dtype)
-    except LoweringError:
-        return None
+    return CompiledStepper(env, policy, shield, dtype=dtype)
 
 
 # ----------------------------------------------------------- auxiliary kernels
 def fused_policy_returns(
     env, policy, episodes: int, steps: int, rng, workers=None, shards=None
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """Per-episode returns of an unshielded rollout, without trajectory storage.
 
     The fused twin of ``env.simulate_batch(...).total_rewards`` for callers —
     ARS training above all — that only consume the return: same initial-state
     and disturbance streams, same clipped-action reward convention, but no
     ``(episodes, steps, ...)`` trajectory allocation and no per-step Python
-    dispatch.  Returns ``None`` when compilation is disabled.
+    dispatch.
 
     ``workers`` (sharded mode, see :mod:`repro.shard`) splits the fleet into
     contiguous episode shards with independent per-shard seed streams derived
@@ -505,8 +496,6 @@ def fused_policy_returns(
     the same returns, but a sharded run differs from ``workers=None`` (one
     global stream).
     """
-    if not compilation_enabled():
-        return None
     if workers is not None:
         from ..shard import ShardPool
 
@@ -522,10 +511,10 @@ def compiled_batch_policy(program, action_dim: int) -> Optional[Callable]:
 
     Used by hot loops (counterexample replay above all) that currently adapt
     programs through ``as_batch_policy``; unlike the stepper paths this one
-    coerces its input, so it is a drop-in replacement.
+    coerces its input, so it is a drop-in replacement.  ``None`` means the
+    program cannot be lowered and the caller adapts it through
+    ``as_batch_policy``.
     """
-    if not compilation_enabled():
-        return None
     kernel = compiled_program_for(program)
     if kernel is None:
         return None

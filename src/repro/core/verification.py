@@ -44,7 +44,6 @@ from ..certificates.backend import (
     backend_names,
     get_backend,
     is_disturbed,
-    is_linear_closed_loop,
 )
 from ..certificates.barrier import BarrierSynthesisConfig
 from ..certificates.regions import Box
@@ -57,9 +56,6 @@ __all__ = [
     "VerificationKernel",
     "verify_program",
 ]
-
-# Backwards-compatible alias (the predicate moved next to the backends).
-_is_linear_closed_loop = is_linear_closed_loop
 
 
 @dataclass
@@ -81,9 +77,6 @@ class VerificationConfig:
     verifier_tolerance: float = 1e-6
     verifier_max_boxes: int = 120_000
     verifier_min_width: float | None = None  # None: domain width / 200
-    # Branch-and-bound engine selection: True forces the batched frontier
-    # engine, False the scalar reference, None follows REPRO_NO_BATCH_BNB.
-    bnb_frontier: bool | None = None
     timeout_seconds: float = float("inf")
     backend_time_budget_seconds: Optional[float] = None
     portfolio: Optional[Tuple[str, ...]] = None

@@ -163,7 +163,9 @@ def format_table(rows: Sequence[Row], columns: Sequence[str] | None = None) -> s
     if not rows:
         return "(no rows)"
     if columns is None:
-        columns = list(rows[0].keys())
+        # Union of every row's keys in first-seen order, so a failed row's
+        # ``error`` shows next to the successful rows' columns.
+        columns = list(dict.fromkeys(key for row in rows for key in row))
     rendered: List[List[str]] = [[_format_cell(row.get(col, "")) for col in columns] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in rendered)) for i, col in enumerate(columns)

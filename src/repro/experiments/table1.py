@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
-from ..compile import compilation_enabled, kernel_cache_stats
+from ..compile import kernel_cache_stats
 from ..envs.registry import BENCHMARKS, get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
@@ -77,9 +77,9 @@ def run_benchmark_row(
         env, oracle, config=config, environment=name, extra_metadata={"experiment": "table1"}
     )
     recheck_columns = _recheck_columns(env, shield_result, config, service)
-    # The three campaigns run on the compiled execution layer (unless
-    # disabled); the kernel-cache hit delta shows the shield compiling at most
-    # once per process — the service already warmed the cache on store hits.
+    # The three campaigns run on the compiled execution layer; the kernel-cache
+    # hit delta shows the shield compiling at most once per process — the
+    # service already warmed the cache on store hits.
     kernel_hits_before = kernel_cache_stats()["hits"]
     comparison = compare_shielded(env, oracle, shield_result.shield, scale.protocol())
     campaign_seconds = (
@@ -104,7 +104,6 @@ def run_benchmark_row(
         "from_store": shield_result.from_store,
         "overhead_pct": round(100.0 * comparison.overhead, 2),
         "campaign_s": round(campaign_seconds, 3),
-        "compiled": compilation_enabled(),
         "kernel_cache_hits": kernel_cache_stats()["hits"] - kernel_hits_before,
         "interventions": comparison.shielded.interventions,
         "shielded_failures": comparison.shielded.failures,

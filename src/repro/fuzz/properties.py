@@ -8,7 +8,8 @@ what makes shrinking and corpus replay possible.
 The equivalence claims are scoped exactly as the codebase defines them:
 
 * ``compiled`` — campaign *counters* (unsafe steps, interventions, steps to
-  steady) are bit-identical between the interpreted and compiled engines;
+  steady) are bit-identical between the interpreted (``repro.reference``)
+  and compiled engines;
   rewards agree to tight relative tolerance (matmul vs per-term summation
   reassociates floating-point adds).
 * ``fold`` — ``fold_constants`` output equals raw tree-walk evaluation on
@@ -24,7 +25,8 @@ The equivalence claims are scoped exactly as the codebase defines them:
   carry a failure reason.  Each payload also carries a random
   polynomial/box/constraint query on which the vectorized frontier
   branch-and-bound engine must be bit-identical (verdict, counterexample,
-  ``boxes_explored``, ``max_depth_reached``) to the scalar reference engine.
+  ``boxes_explored``, ``max_depth_reached``) to the scalar reference engine
+  (``repro.reference.ScalarBranchAndBoundVerifier``).
 * ``shard`` — ``workers=1`` and ``workers=N`` campaigns over the same shard
   plan produce bit-identical per-episode arrays (and monitored fleets
   bit-identical counters and disturbance estimates).
@@ -128,7 +130,7 @@ def _magnitude_bound(polynomial, state) -> float:
 
 
 def _check_fold(payload: Dict[str, Any]) -> Optional[str]:
-    from ..compile import LoweringError, interpreted, lower_exprs
+    from ..compile import LoweringError, lower_exprs
     from ..lang import fold_constants
 
     expr = gen.expr_from_payload(payload["expr"])
@@ -139,37 +141,35 @@ def _check_fold(payload: Dict[str, Any]) -> Optional[str]:
     if not _same_expr(fold_constants(folded), folded):
         return "fold_constants is not idempotent"
 
-    with interpreted():
-        for state in states:
-            raw = expr.evaluate(state)
-            via_fold = folded.evaluate(state)
-            if not _values_agree(raw, via_fold, rel=1e-9, abs_tol=1e-12):
-                return (
-                    f"fold_constants diverges from raw evaluation at {state}: "
-                    f"raw={raw!r} folded={via_fold!r}"
-                )
+    for state in states:
+        raw = expr.evaluate_interpreted(state)
+        via_fold = folded.evaluate_interpreted(state)
+        if not _values_agree(raw, via_fold, rel=1e-9, abs_tol=1e-12):
+            return (
+                f"fold_constants diverges from raw evaluation at {state}: "
+                f"raw={raw!r} folded={via_fold!r}"
+            )
 
     try:
         block = lower_exprs([expr], num_vars)
     except LoweringError:
         return None  # non-lowerable (e.g. non-finite constants) stays interpreted
     polynomial = fold_constants(expr).to_polynomial(num_vars)
-    with interpreted():
-        for state in states:
-            if not all(math.isfinite(v) for v in state):
-                continue  # kernels are only claimed equivalent on finite states
-            raw = expr.evaluate(state)
-            lowered = float(block.evaluate_single(state)[0])
-            bound = _magnitude_bound(polynomial, state)
-            if bound > 1e100:
-                continue  # overflow regime: expansion is reassociation-sensitive
-            if math.isnan(raw) and math.isnan(lowered):
-                continue
-            if not abs(raw - lowered) <= 1e-9 * bound + 1e-12:
-                return (
-                    f"lowered kernel diverges from raw evaluation at {state}: "
-                    f"raw={raw!r} lowered={lowered!r} (bound {bound:.3g})"
-                )
+    for state in states:
+        if not all(math.isfinite(v) for v in state):
+            continue  # kernels are only claimed equivalent on finite states
+        raw = expr.evaluate_interpreted(state)
+        lowered = float(block.evaluate_single(state)[0])
+        bound = _magnitude_bound(polynomial, state)
+        if bound > 1e100:
+            continue  # overflow regime: expansion is reassociation-sensitive
+        if math.isnan(raw) and math.isnan(lowered):
+            continue
+        if not abs(raw - lowered) <= 1e-9 * bound + 1e-12:
+            return (
+                f"lowered kernel diverges from raw evaluation at {state}: "
+                f"raw={raw!r} lowered={lowered!r} (bound {bound:.3g})"
+            )
     return None
 
 
@@ -397,10 +397,10 @@ def _campaign_signature(metrics):
 
 
 def _check_compiled(payload: Dict[str, Any]) -> Optional[str]:
-    from ..compile import interpreted
+    from ..reference import evaluate_policy_interpreted
     from ..runtime.simulation import EvaluationProtocol, evaluate_policy
 
-    def run(compiled: bool):
+    def run(evaluate):
         env = gen.env_from_payload(payload["env"])
         shield = gen.shield_from_payload(env, payload["shield"])
         protocol = EvaluationProtocol(
@@ -408,15 +408,11 @@ def _check_compiled(payload: Dict[str, Any]) -> Optional[str]:
             steps=int(payload["steps"]),
             seed=int(payload["campaign_seed"]),
         )
-        if compiled:
-            metrics = evaluate_policy(env, shield, protocol, shield=shield)
-        else:
-            with interpreted():
-                metrics = evaluate_policy(env, shield, protocol, shield=shield)
+        metrics = evaluate(env, shield, protocol, shield=shield)
         return metrics, shield.statistics
 
-    slow, slow_stats = run(compiled=False)
-    fast, fast_stats = run(compiled=True)
+    slow, slow_stats = run(evaluate_policy_interpreted)
+    fast, fast_stats = run(evaluate_policy)
     if _campaign_signature(slow) != _campaign_signature(fast):
         return (
             "compiled campaign counters diverge from interpreted: "
@@ -525,7 +521,9 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
     from ..certificates import Box, BranchAndBoundVerifier
     from ..polynomials import Polynomial
     from ..polynomials.monomial import Monomial
+    from ..reference import ScalarBranchAndBoundVerifier
 
+    engines = (ScalarBranchAndBoundVerifier, BranchAndBoundVerifier)
     dim = len(query["low"])
 
     def build(terms: list) -> Polynomial:
@@ -546,8 +544,8 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
     )
     for sense in ("nonpositive", "positive"):
         results = []
-        for frontier in (False, True):
-            verifier = BranchAndBoundVerifier(frontier=frontier, **kwargs)
+        for engine in engines:
+            verifier = engine(**kwargs)
             prove = (
                 verifier.prove_nonpositive
                 if sense == "nonpositive"
@@ -576,10 +574,8 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
                 f"scalar={cex_s} frontier={cex_f}"
             )
     uncovered = [
-        BranchAndBoundVerifier(frontier=frontier, **kwargs).find_uncovered_point(
-            boxes[0], constraints, [0.0] * len(constraints)
-        )
-        for frontier in (False, True)
+        engine(**kwargs).find_uncovered_point(boxes[0], constraints, [0.0] * len(constraints))
+        for engine in engines
     ]
     if (uncovered[0] is None) != (uncovered[1] is None) or (
         uncovered[0] is not None and not np.array_equal(uncovered[0], uncovered[1])

@@ -30,6 +30,14 @@ class Expr:
     def evaluate(self, state: Sequence[float]) -> float:
         raise NotImplementedError
 
+    def evaluate_interpreted(self, state: Sequence[float]) -> float:
+        """The pure tree walk: :meth:`evaluate` without compiled kernels.
+
+        Leaves have nothing to compile, so for them this is :meth:`evaluate`;
+        composites walk their operands the same way.
+        """
+        return self.evaluate(state)
+
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         """Vectorised evaluation over rows of ``states``; shape ``(episodes,)``."""
         raise NotImplementedError
@@ -76,17 +84,15 @@ def _as_expr(value: "Expr | float | int") -> Expr:
 def _compiled_scalar(expr: Expr, state: Sequence[float]) -> "float | None":
     """Evaluate a composite expression through its compiled kernel.
 
-    Returns ``None`` when compilation is disabled or the expression cannot be
-    lowered, in which case the caller walks the tree (the pure interpreter,
-    kept as the differential reference).  The lowered block is cached on the
-    expression instance per variable count, so repeated scalar evaluation —
-    ``repro monitor`` and the sequential reference paths — stops paying the
-    per-call tree walk.
+    Returns ``None`` when the expression cannot be lowered, in which case the
+    caller walks the tree (:meth:`Expr.evaluate_interpreted`, also the
+    differential reference).  The lowered block is cached on the expression
+    instance per variable count, so repeated scalar evaluation — ``repro
+    monitor`` and the sequential reference paths — stops paying the per-call
+    tree walk.
     """
-    from ..compile import LoweringError, compilation_enabled, lower_exprs
+    from ..compile import LoweringError, lower_exprs
 
-    if not compilation_enabled():
-        return None
     if not all(math.isfinite(v) for v in state):
         # The polynomial normal form annihilates terms (0*x, x + (-x)) that
         # the tree walk would still evaluate, so kernels are only equivalent
@@ -177,7 +183,10 @@ class Add(Expr):
         compiled = _compiled_scalar(self, state)
         if compiled is not None:
             return compiled
-        return float(sum(op.evaluate(state) for op in self.operands))
+        return self.evaluate_interpreted(state)
+
+    def evaluate_interpreted(self, state: Sequence[float]) -> float:
+        return float(sum(op.evaluate_interpreted(state) for op in self.operands))
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:
         result = self.operands[0].evaluate_batch(states)
@@ -213,9 +222,12 @@ class Mul(Expr):
         compiled = _compiled_scalar(self, state)
         if compiled is not None:
             return compiled
+        return self.evaluate_interpreted(state)
+
+    def evaluate_interpreted(self, state: Sequence[float]) -> float:
         result = 1.0
         for op in self.operands:
-            result *= op.evaluate(state)
+            result *= op.evaluate_interpreted(state)
         return float(result)
 
     def evaluate_batch(self, states: np.ndarray) -> np.ndarray:

@@ -254,13 +254,11 @@ class GuardedProgram(PolicyProgram):
         """The cached compiled kernel serving single-state :meth:`act` calls.
 
         Recompiled if the branch list grew (CEGIS assembles programs
-        incrementally); ``None`` routes back to the interpreter — when
-        compilation is disabled or a branch refuses to lower.
+        incrementally); ``None`` routes back to the interpreter when a branch
+        refuses to lower.
         """
-        from ..compile import compilation_enabled, compiled_program_for
+        from ..compile import compiled_program_for
 
-        if not compilation_enabled():
-            return None
         cached = self.__dict__.get("_scalar_kernel_entry")
         if cached is not None and cached[0] == len(self.branches):
             return cached[1]

@@ -1,0 +1,34 @@
+"""Reference engines: the slow, obvious implementations the product engines match.
+
+Every job in ``repro`` has exactly one product engine.  The engines here exist
+only as differential oracles: the tests, the benchmarks, the examples and
+``repro fuzz`` hold the product engines to them, and nothing else imports this
+package (``tests/test_reference_boundary.py`` enforces that), so no product
+code path and no flag can reach them.
+
+* :mod:`repro.reference.bnb` — :class:`ScalarBranchAndBoundVerifier`, the
+  one-box-at-a-time walk that the batched frontier engine of
+  :class:`~repro.certificates.smt.BranchAndBoundVerifier` must match bit for
+  bit;
+* :mod:`repro.reference.campaigns` — :class:`InterpretedStepper`, the
+  interpreted lockstep campaign loops behind the compiled stepper's interface,
+  with :func:`evaluate_policy_interpreted` and
+  :func:`monitor_fleet_interpreted`;
+* :mod:`repro.reference.scalar` — :func:`run_episode_scalar`,
+  :func:`evaluate_policy_scalar` and :func:`monitor_episode`, one state at a
+  time.
+"""
+
+from .bnb import ScalarBranchAndBoundVerifier
+from .campaigns import InterpretedStepper, evaluate_policy_interpreted, monitor_fleet_interpreted
+from .scalar import evaluate_policy_scalar, monitor_episode, run_episode_scalar
+
+__all__ = [
+    "ScalarBranchAndBoundVerifier",
+    "InterpretedStepper",
+    "evaluate_policy_interpreted",
+    "monitor_fleet_interpreted",
+    "run_episode_scalar",
+    "evaluate_policy_scalar",
+    "monitor_episode",
+]

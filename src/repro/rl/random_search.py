@@ -128,10 +128,7 @@ def _environment_return(
     from ..compile import fused_policy_returns
 
     returns = fused_policy_returns(env, policy, rollouts, steps, rng, workers=workers, shards=shards)
-    if returns is not None:
-        return float(np.mean(returns))
-    trajectories = env.simulate_batch(policy, episodes=rollouts, steps=steps, rng=rng)
-    return float(np.mean(trajectories.total_rewards))
+    return float(np.mean(returns))
 
 
 def train_linear_policy(

@@ -3,16 +3,14 @@
 from .adaptation import AdaptationOutcome, adapt_shield, recheck_certificate
 from .batched import BatchedCampaign, as_batch_policy
 from .metrics import DeploymentMetrics, EpisodeMetrics
-from .monitor import MonitorRecord, MonitorReport, RuntimeMonitor, monitor_episode
+from .monitor import MonitorRecord, MonitorReport, RuntimeMonitor
 from .monitored import FleetMonitorReport, MonitoredBatchedCampaign, monitor_fleet
 from .simulation import (
     EvaluationProtocol,
     ShieldComparison,
     compare_shielded,
     evaluate_policy,
-    evaluate_policy_scalar,
     run_episode,
-    run_episode_scalar,
 )
 
 __all__ = [
@@ -22,15 +20,12 @@ __all__ = [
     "BatchedCampaign",
     "as_batch_policy",
     "run_episode",
-    "run_episode_scalar",
     "evaluate_policy",
-    "evaluate_policy_scalar",
     "compare_shielded",
     "ShieldComparison",
     "MonitorRecord",
     "MonitorReport",
     "RuntimeMonitor",
-    "monitor_episode",
     "FleetMonitorReport",
     "MonitoredBatchedCampaign",
     "monitor_fleet",

@@ -17,24 +17,22 @@ reference under the same seed.  With bounded disturbances the per-step draws
 are batched, which reorders the stream across episodes; within a single
 episode the draws remain identical.
 
-By default the hot loop runs through the **compiled execution layer**
+The hot loop runs through the **compiled execution layer**
 (:mod:`repro.compile`): programs, invariants, and — where no hand-vectorised
 override exists — the symbolic dynamics are lowered once into fused NumPy
 kernels, and the whole policy → shield → environment step executes as one
-straight-line kernel with preallocated workspace buffers.  The loop below is
-the interpreted reference; ``REPRO_NO_COMPILE=1`` (or
-:func:`repro.compile.set_compilation`) routes every campaign back through it.
+straight-line kernel with preallocated workspace buffers.  The interpreted
+lockstep loop it is held to lives in :mod:`repro.reference.campaigns`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..compile import compilation_enabled, compile_stepper
+from ..compile import compile_stepper
 from ..core.shield import Shield
 from ..envs.base import EnvironmentContext, as_batch_policy
 from .metrics import DeploymentMetrics, EpisodeMetrics
@@ -50,9 +48,8 @@ class BatchedCampaign:
     come from the shield's batched decision mask, reproducing the scalar
     convention (interventions are attributed to the episode whose state
     triggered them).  Passing a shield that is *not* the acting policy is
-    rejected: only the sequential reference (``run_episode_scalar``) can
-    attribute another callable's interventions via the shield's global
-    counters.
+    rejected: another callable's decisions cannot be attributed to the
+    shield.
     """
 
     env: EnvironmentContext
@@ -103,8 +100,7 @@ class BatchedCampaign:
         if self.shield is not None and self.policy is not self.shield:
             raise ValueError(
                 "shield interventions can only be attributed when the shield is "
-                "the acting policy; use evaluate_policy/run_episode (which fall "
-                "back to the scalar reference) for other callables"
+                "the acting policy"
             )
 
     def run_arrays(
@@ -119,8 +115,7 @@ class BatchedCampaign:
 
         Shard workers call this once per contiguous episode shard, passing
         their cached compiled ``stepper`` so repeated shards reuse one
-        workspace; ``stepper=None`` resolves the compiled-or-interpreted route
-        exactly as :meth:`run` always has.
+        workspace; ``stepper=None`` compiles one for this call.
         """
         self._check_shield()
         env = self.env
@@ -133,42 +128,14 @@ class BatchedCampaign:
         else:
             states = env.sample_initial_states(rng, episodes)
 
-        use_shield = self.shield is not None and self.policy is self.shield
-
-        if stepper is None and compilation_enabled():
+        if stepper is None:
             stepper = compile_stepper(
                 env,
-                policy=None if use_shield else self.policy,
-                shield=self.shield if use_shield else None,
+                policy=None if self.shield is not None else self.policy,
+                shield=self.shield,
                 dtype=self.dtype,
             )
-        if stepper is not None:
-            return stepper.run_campaign(states, self.steps, rng)
-
-        batch_policy = (
-            None if use_shield else as_batch_policy(self.policy, env.action_dim)
-        )
-
-        unsafe_counts = np.zeros(episodes, dtype=int)
-        interventions = np.zeros(episodes, dtype=int)
-        steady_at = np.full(episodes, -1, dtype=int)
-        total_rewards = np.zeros(episodes)
-
-        start = time.perf_counter()
-        for step_index in range(self.steps):
-            if use_shield:
-                actions, intervened = self.shield.decide_batch(states)
-                interventions += intervened
-            else:
-                actions = batch_policy(states)
-            total_rewards += env.reward_batch(states, actions)
-            states = env.step_batch(states, actions, rng)
-            unsafe_counts += env.is_unsafe_batch(states)
-            newly_steady = (steady_at < 0) & env.is_steady_batch(states)
-            steady_at[newly_steady] = step_index + 1
-        elapsed = time.perf_counter() - start
-
-        return total_rewards, unsafe_counts, interventions, steady_at, elapsed
+        return stepper.run_campaign(states, self.steps, rng)
 
     def _package(
         self,

@@ -13,7 +13,8 @@ system additionally needs to watch what actually happens:
 * the wall-clock overhead attributable to shielding.
 
 :class:`RuntimeMonitor` collects those quantities step by step;
-:func:`monitor_episode` drives a full monitored episode through an environment.
+:class:`~repro.runtime.monitored.MonitoredBatchedCampaign` does the same for
+whole fleets.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..core.shield import Shield
 from ..envs.base import EnvironmentContext
 from ..envs.disturbance import DisturbanceEstimate, DisturbanceEstimator
 
-__all__ = ["MonitorRecord", "MonitorReport", "RuntimeMonitor", "monitor_episode"]
+__all__ = ["MonitorRecord", "MonitorReport", "RuntimeMonitor"]
 
 
 @dataclass
@@ -120,8 +121,7 @@ class RuntimeMonitor:
 
     The monitor is itself a policy (callable ``state → action``) so it can be
     passed to :meth:`EnvironmentContext.simulate`; observed successors are fed
-    back with :meth:`observe_transition` (done automatically by
-    :func:`monitor_episode`).
+    back with :meth:`observe_transition`.
     """
 
     def __init__(
@@ -227,38 +227,3 @@ class RuntimeMonitor:
         self._pending_expected_next = None
         if self._estimator is not None:
             self._estimator.reset()
-
-
-def monitor_episode(
-    shield: Shield,
-    steps: int = 250,
-    rng: Optional[np.random.Generator] = None,
-    initial_state: Optional[np.ndarray] = None,
-    estimate_disturbance: bool = True,
-    disturbance=None,
-) -> MonitorReport:
-    """Run one fully monitored episode of the shielded system and return the report.
-
-    With ``disturbance`` (a :class:`~repro.envs.disturbance.DisturbanceModel`)
-    the model's samples are injected into every Euler transition in place of the
-    environment's built-in disturbance — the sequential reference for monitored
-    deployments under disturbance classes the shield was not synthesized for.
-    """
-    env = shield.env
-    rng = rng or np.random.default_rng()
-    monitor = RuntimeMonitor(shield, estimate_disturbance=estimate_disturbance)
-    state = (
-        np.asarray(initial_state, dtype=float)
-        if initial_state is not None
-        else env.sample_initial_state(rng)
-    )
-    for step in range(steps):
-        action = monitor.act(state)
-        if disturbance is None:
-            state = env.step(state, action, rng)
-        else:
-            clipped = env.clip_action(action)
-            rate = env.rate_numeric(state, clipped) + disturbance.sample(rng, step)
-            state = state + env.dt * rate
-        monitor.observe_transition(state)
-    return monitor.report()

@@ -17,7 +17,8 @@ advances all episodes as one ``(episodes, state_dim)`` block through
   :class:`~repro.envs.disturbance.DisturbanceEstimator` (the paper's runtime
   multivariate-normal estimate, fitted over the whole fleet at once).
 
-The per-episode counters reproduce the scalar :func:`monitor_episode` counts
+The per-episode counters reproduce the scalar
+:func:`repro.reference.monitor_episode` counts
 bit-for-bit under the same seed for disturbance-free environments (same
 initial-state stream, same decision logic, same verdicts), which
 ``tests/test_monitored_batched.py`` property-tests across the registry.
@@ -25,15 +26,13 @@ initial-state stream, same decision logic, same verdicts), which
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..compile import compilation_enabled, compile_stepper
+from ..compile import compile_stepper
 from ..core.shield import Shield
-from ..envs.base import EnvironmentContext
 from ..envs.disturbance import DisturbanceEstimate, DisturbanceEstimator, DisturbanceModel
 
 __all__ = ["FleetMonitorReport", "MonitoredBatchedCampaign", "monitor_fleet"]
@@ -164,22 +163,24 @@ class MonitoredBatchedCampaign:
                     initial_states=initial_states,
                 )
 
-        estimator = (
-            DisturbanceEstimator(
-                self.shield.env.state_dim, confidence_sigmas=self.confidence_sigmas
-            )
-            if self.estimate_disturbance
-            else None
+        estimator = self._estimator()
+        arrays = self.run_arrays(
+            episodes, rng, initial_states=initial_states, estimator=estimator
         )
-        (
-            interventions,
-            mismatches,
-            excursions,
-            unsafe,
-            barrier_peak,
-            states,
-            elapsed,
-        ) = self.run_arrays(episodes, rng, initial_states=initial_states, estimator=estimator)
+        return self._report(episodes, arrays, estimator)
+
+    def _estimator(self) -> Optional[DisturbanceEstimator]:
+        if not self.estimate_disturbance:
+            return None
+        return DisturbanceEstimator(
+            self.shield.env.state_dim, confidence_sigmas=self.confidence_sigmas
+        )
+
+    def _report(
+        self, episodes: int, arrays: tuple, estimator: Optional[DisturbanceEstimator]
+    ) -> FleetMonitorReport:
+        """The fleet report over :meth:`run_arrays`' output."""
+        interventions, mismatches, excursions, unsafe, barrier_peak, states, elapsed = arrays
         estimate = None
         if estimator is not None and len(estimator) >= 2:
             estimate = estimator.estimate()
@@ -209,11 +210,9 @@ class MonitoredBatchedCampaign:
 
         Shard workers call this per contiguous episode shard with their own
         ``estimator`` (shard-local residual moments) and cached compiled
-        ``stepper``; ``stepper=None`` resolves the compiled-or-interpreted
-        route exactly as :meth:`run` always has.
+        ``stepper``; ``stepper=None`` compiles one for this call.
         """
         env = self.shield.env
-        invariant = self.shield.invariant
         if initial_states is not None:
             states = np.atleast_2d(np.asarray(initial_states, dtype=float))
             if states.shape != (episodes, env.state_dim):
@@ -226,66 +225,15 @@ class MonitoredBatchedCampaign:
         if self.disturbance is not None:
             self.disturbance.reset()
 
-        if stepper is None and compilation_enabled():
+        if stepper is None:
             stepper = compile_stepper(env, shield=self.shield, dtype=self.dtype)
-        if stepper is not None:
-            return stepper.run_monitored(
-                states,
-                self.steps,
-                rng,
-                disturbance=self.disturbance,
-                estimator=estimator,
-            )
-
-        interventions = np.zeros(episodes, dtype=int)
-        mismatches = np.zeros(episodes, dtype=int)
-        excursions = np.zeros(episodes, dtype=int)
-        unsafe = np.zeros(episodes, dtype=int)
-        barrier_peak = np.full(episodes, -np.inf)
-
-        start = time.perf_counter()
-        for step_index in range(self.steps):
-            barrier_peak = np.maximum(barrier_peak, self._barrier_batch(states))
-            # decide_batch_predicted also yields the *executed* actions'
-            # predicted successors (reusing the safety-check predictions on
-            # non-intervened rows) — the verdict model_mismatch needs.
-            actions, intervened, expected = self.shield.decide_batch_predicted(states)
-            interventions += intervened
-            predicted_ok = invariant.holds_batch(expected)
-            states = self._step_batch(env, states, actions, rng, step_index, episodes)
-            observed_ok = invariant.holds_batch(states)
-            mismatches += predicted_ok & ~observed_ok
-            excursions += ~observed_ok
-            unsafe += env.is_unsafe_batch(states)
-            if estimator is not None:
-                estimator.observe_batch((states - expected) / env.dt)
-        elapsed = time.perf_counter() - start
-
-        return interventions, mismatches, excursions, unsafe, barrier_peak, states, elapsed
-
-    # ------------------------------------------------------------- internals
-    def _barrier_batch(self, states: np.ndarray) -> np.ndarray:
-        """Minimum barrier value over the invariant union (≤ 0 inside φ), per row."""
-        invariant = self.shield.invariant
-        members = getattr(invariant, "members", None) or [invariant]
-        values = np.stack([member.value_batch(states) for member in members], axis=0)
-        return np.min(values, axis=0)
-
-    def _step_batch(
-        self,
-        env: EnvironmentContext,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rng: np.random.Generator,
-        step_index: int,
-        episodes: int,
-    ) -> np.ndarray:
-        if self.disturbance is None:
-            return env.step_batch(states, actions, rng)
-        clipped = env.clip_action_batch(actions)
-        rates = env.rate_batch(states, clipped)
-        draws = self.disturbance.sample_batch(rng, step_index, episodes)
-        return states + env.dt * (rates + draws)
+        return stepper.run_monitored(
+            states,
+            self.steps,
+            rng,
+            disturbance=self.disturbance,
+            estimator=estimator,
+        )
 
 
 def monitor_fleet(

@@ -9,15 +9,12 @@ campaigns while the full protocol remains a single call away
 Campaigns are executed by the batched engine in :mod:`repro.runtime.batched`:
 all episodes advance in lockstep as ``(episodes, state_dim)`` arrays, which
 makes the full paper protocol tractable in pure NumPy.  The original
-one-state-at-a-time loop is kept as ``run_episode_scalar`` /
-``evaluate_policy_scalar`` — it is the semantic reference the batched engine
-is property-tested against, and the baseline the rollout speed benchmark
-measures speedups from.
+one-state-at-a-time loop lives on in :mod:`repro.reference.scalar` as the
+semantic reference the batched engine is property-tested against.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,9 +28,7 @@ from .metrics import DeploymentMetrics, EpisodeMetrics
 __all__ = [
     "EvaluationProtocol",
     "run_episode",
-    "run_episode_scalar",
     "evaluate_policy",
-    "evaluate_policy_scalar",
     "compare_shielded",
 ]
 
@@ -61,53 +56,6 @@ class EvaluationProtocol:
         return cls(episodes=1000, steps=5000)
 
 
-def run_episode_scalar(
-    env: EnvironmentContext,
-    policy: Callable[[np.ndarray], np.ndarray],
-    steps: int,
-    rng: np.random.Generator,
-    shield: Optional[Shield] = None,
-    initial_state: Optional[np.ndarray] = None,
-) -> EpisodeMetrics:
-    """Reference implementation: simulate one episode state-by-state.
-
-    This is the original sequential rollout the batched engine is checked
-    against; production campaigns go through :func:`evaluate_policy` instead.
-    When ``policy`` *is* a shield the intervention counter is read from it;
-    otherwise interventions are zero.
-    """
-    state = (
-        np.asarray(initial_state, dtype=float)
-        if initial_state is not None
-        else env.sample_initial_state(rng)
-    )
-    interventions_before = shield.statistics.interventions if shield is not None else 0
-    unsafe_steps = 0
-    steps_to_steady: Optional[int] = None
-    total_reward = 0.0
-    start = time.perf_counter()
-    for step_index in range(steps):
-        action = np.asarray(policy(state), dtype=float).reshape(env.action_dim)
-        total_reward += env.reward(state, action)
-        state = env.step(state, action, rng)
-        if env.is_unsafe(state):
-            unsafe_steps += 1
-        if steps_to_steady is None and env.is_steady(state):
-            steps_to_steady = step_index + 1
-    elapsed = time.perf_counter() - start
-    interventions = (
-        shield.statistics.interventions - interventions_before if shield is not None else 0
-    )
-    return EpisodeMetrics(
-        steps=steps,
-        unsafe_steps=unsafe_steps,
-        interventions=interventions,
-        steps_to_steady=steps_to_steady,
-        total_reward=total_reward,
-        wall_clock_seconds=elapsed,
-    )
-
-
 def run_episode(
     env: EnvironmentContext,
     policy: Callable[[np.ndarray], np.ndarray],
@@ -121,13 +69,6 @@ def run_episode(
     When ``policy`` *is* a shield the intervention counter comes from the
     shield's per-decision mask; otherwise interventions are zero.
     """
-    if shield is not None and policy is not shield:
-        # Legacy convention: interventions are read off the shield's global
-        # counters while some *other* callable acts.  Only the sequential
-        # reference can attribute those correctly.
-        return run_episode_scalar(
-            env, policy, steps=steps, rng=rng, shield=shield, initial_state=initial_state
-        )
     initial_states = (
         np.asarray(initial_state, dtype=float).reshape(1, env.state_dim)
         if initial_state is not None
@@ -138,22 +79,6 @@ def run_episode(
     return metrics.episodes[0]
 
 
-def evaluate_policy_scalar(
-    env: EnvironmentContext,
-    policy: Callable[[np.ndarray], np.ndarray],
-    protocol: EvaluationProtocol,
-    shield: Optional[Shield] = None,
-) -> DeploymentMetrics:
-    """Reference implementation: run the campaign one episode at a time."""
-    rng = np.random.default_rng(protocol.seed)
-    metrics = DeploymentMetrics()
-    for _ in range(protocol.episodes):
-        metrics.add(
-            run_episode_scalar(env, policy, steps=protocol.steps, rng=rng, shield=shield)
-        )
-    return metrics
-
-
 def evaluate_policy(
     env: EnvironmentContext,
     policy: Callable[[np.ndarray], np.ndarray],
@@ -161,8 +86,6 @@ def evaluate_policy(
     shield: Optional[Shield] = None,
 ) -> DeploymentMetrics:
     """Run a full campaign of episodes for one policy (all episodes in lockstep)."""
-    if shield is not None and policy is not shield:
-        return evaluate_policy_scalar(env, policy, protocol, shield=shield)
     rng = np.random.default_rng(protocol.seed)
     campaign = BatchedCampaign(
         env=env,

@@ -72,8 +72,6 @@ __all__ = ["ShardPool"]
 # stepper) through this module global instead of pickling — see core/cegis.py.
 _POOL_JOB: Optional["ShardPool"] = None
 
-_UNSET = object()
-
 
 @dataclass
 class _ShardTask:
@@ -160,13 +158,7 @@ def _execute_shard(job: "ShardPool", task: _ShardTask, arena: ShardArena, inline
     elif task.mode == "returns":
         if initial is None:
             initial = job.env.sample_initial_states(rng, count)
-        stepper = job._stepper()
-        if stepper is not None:
-            rewards = stepper.run_returns(initial, task.steps, rng)
-        else:
-            rewards = job.env.simulate_batch(
-                job.policy, episodes=count, steps=task.steps, rng=rng, initial_states=initial
-            ).total_rewards
+        rewards = job._stepper().run_returns(initial, task.steps, rng)
         arena.view("total_rewards")[window] = rewards
     else:  # pragma: no cover - modes are fixed by the pool API
         raise ValueError(f"unknown shard mode {task.mode!r}")
@@ -285,7 +277,7 @@ class ShardPool:
         self.dtype = None if dtype is None else np.dtype(dtype)
         self.retry = retry if retry is not None else RetryPolicy()
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._stepper_obj = _UNSET
+        self._stepper_obj = None
         self._closed = False
         self._fault_log = FaultLog()
         self._last_executions: Optional[np.ndarray] = None
@@ -451,19 +443,16 @@ class ShardPool:
         return plan_shards(episodes, self.shards, root)
 
     def _stepper(self):
-        """The deployment's compiled stepper, built once (``None`` = interpreted)."""
-        if self._stepper_obj is _UNSET:
-            from ..compile import compilation_enabled, compile_stepper
+        """The deployment's compiled stepper, built once."""
+        if self._stepper_obj is None:
+            from ..compile import compile_stepper
 
-            if compilation_enabled():
-                self._stepper_obj = compile_stepper(
-                    self.env,
-                    policy=self.policy if self.shield is None else None,
-                    shield=self.shield,
-                    dtype=self.dtype,
-                )
-            else:
-                self._stepper_obj = None
+            self._stepper_obj = compile_stepper(
+                self.env,
+                policy=self.policy if self.shield is None else None,
+                shield=self.shield,
+                dtype=self.dtype,
+            )
         return self._stepper_obj
 
     def _campaign(self, steps: int):

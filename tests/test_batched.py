@@ -17,13 +17,9 @@ from repro.envs import make_environment
 from repro.envs.registry import BENCHMARKS
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import evaluate_policy_scalar, run_episode_scalar
 from repro.rl.policies import LinearPolicy
-from repro.runtime import (
-    EvaluationProtocol,
-    evaluate_policy,
-    evaluate_policy_scalar,
-    run_episode_scalar,
-)
+from repro.runtime import EvaluationProtocol, evaluate_policy
 
 EQUIVALENCE_ENVS = ("satellite", "pendulum")
 

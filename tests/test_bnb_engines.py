@@ -1,5 +1,6 @@
 """Differential suite: the batched frontier branch-and-bound engine must be
-bit-identical to the scalar reference engine.
+bit-identical to the scalar reference engine
+(``repro.reference.ScalarBranchAndBoundVerifier``).
 
 Both engines share the same batch-size-independent numeric kernels
 (`repro.certificates.interval_batch`) and the same canonical breadth-first
@@ -27,12 +28,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_lqr_policy
-from repro.certificates import Box, BranchAndBoundVerifier, frontier_enabled
+from repro.certificates import Box, BranchAndBoundVerifier
 from repro.certificates.interval_batch import eval_points, lower_interval, range_boxes
 from repro.envs import make_environment
 from repro.lang import AffineProgram
 from repro.polynomials import Polynomial, polynomial_range
 from repro.polynomials.monomial import Monomial
+from repro.reference import ScalarBranchAndBoundVerifier
+
+ENGINES = (ScalarBranchAndBoundVerifier, BranchAndBoundVerifier)
 
 
 def _assert_identical(result_a, result_b, context=""):
@@ -46,8 +50,8 @@ def _assert_identical(result_a, result_b, context=""):
 
 
 def _both(query, **verifier_kwargs):
-    scalar = query(BranchAndBoundVerifier(frontier=False, **verifier_kwargs))
-    frontier = query(BranchAndBoundVerifier(frontier=True, **verifier_kwargs))
+    scalar = query(ScalarBranchAndBoundVerifier(**verifier_kwargs))
+    frontier = query(BranchAndBoundVerifier(**verifier_kwargs))
     _assert_identical(scalar, frontier, context=repr(verifier_kwargs))
     return frontier
 
@@ -260,10 +264,10 @@ def test_find_uncovered_point_identical():
             max_boxes=int(rng.integers(3, 2_000)),
             min_width=float(rng.uniform(1e-3, 0.2)),
         )
-        scalar = BranchAndBoundVerifier(frontier=False, **kwargs).find_uncovered_point(
+        scalar = ScalarBranchAndBoundVerifier(**kwargs).find_uncovered_point(
             box, barriers, margins
         )
-        frontier = BranchAndBoundVerifier(frontier=True, **kwargs).find_uncovered_point(
+        frontier = BranchAndBoundVerifier(**kwargs).find_uncovered_point(
             box, barriers, margins
         )
         assert (scalar is None) == (frontier is None)
@@ -273,8 +277,8 @@ def test_find_uncovered_point_identical():
 
 def test_find_uncovered_point_empty_barriers():
     box = Box((-1.0, 0.0), (1.0, 2.0))
-    for flag in (False, True):
-        point = BranchAndBoundVerifier(frontier=flag).find_uncovered_point(box, [])
+    for engine in ENGINES:
+        point = engine().find_uncovered_point(box, [])
         assert np.array_equal(point, box.center)
 
 
@@ -330,16 +334,16 @@ def test_resolution_sampling_independent_of_call_history():
     box = Box((-1.0,), (1.0,))
     other = Polynomial.quadratic_form(np.eye(1)) - 5.0
     kwargs = dict(max_boxes=50_000, min_width=2.5, seed=3)
-    for flag in (False, True):
-        fresh = BranchAndBoundVerifier(frontier=flag, **kwargs)
+    for engine in ENGINES:
+        fresh = engine(**kwargs)
         baseline = fresh.prove_nonpositive(target, [box])
         assert not baseline.verified  # found by sampling the limit box
-        warmed = BranchAndBoundVerifier(frontier=flag, **kwargs)
+        warmed = engine(**kwargs)
         for _ in range(3):  # burn unrelated sampling queries first
             warmed.prove_nonpositive(_band_poly(), [Box((-1.0,), (-0.7,))])
             warmed.prove_positive(other, [box])
         repeat = warmed.prove_nonpositive(target, [box])
-        _assert_identical(baseline, repeat, context=f"frontier={flag}")
+        _assert_identical(baseline, repeat, context=engine.__name__)
         # and re-running the same query on the same verifier is idempotent
         _assert_identical(baseline, warmed.prove_nonpositive(target, [box]))
 
@@ -355,16 +359,3 @@ def test_resolution_sampling_differs_across_seeds():
     ]
     assert results[0] is not None and results[1] is not None
     assert not np.array_equal(results[0], results[1])
-
-
-# ------------------------------------------------------------- engine toggle
-def test_environment_flag_selects_scalar_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_BATCH_BNB", "1")
-    assert not frontier_enabled()
-    assert not BranchAndBoundVerifier()._use_frontier()
-    # An explicit constructor choice overrides the environment flag.
-    assert BranchAndBoundVerifier(frontier=True)._use_frontier()
-    monkeypatch.delenv("REPRO_NO_BATCH_BNB")
-    assert frontier_enabled()
-    assert BranchAndBoundVerifier()._use_frontier()
-    assert not BranchAndBoundVerifier(frontier=False)._use_frontier()

@@ -7,12 +7,14 @@ the interpreted reference everywhere the toolchain routes through them:
 * compiled programs agree with ``act``/``act_batch`` over random sketch
   instantiations (the ``test_serialize`` generators) and hand-built guarded
   programs exercising fallback / lenient / strict dispatch,
-* compiled shielded campaigns reproduce the interpreted engine's intervention,
-  unsafe, and steady counters *identically* — with matching rewards — across
-  every registry benchmark, multiple seeds, and disturbed fleets,
+* compiled shielded campaigns reproduce the interpreted engine's
+  (``repro.reference``) intervention, unsafe, and steady counters
+  *identically* — with matching rewards — across every registry benchmark,
+  multiple seeds, and disturbed fleets,
 * the fused monitored campaign reproduces every fleet-report counter,
 * the scalar fast paths (``Expr.evaluate``, ``GuardedProgram.act``) agree with
-  the pure interpreter kept under ``repro.compile.interpreted()``,
+  the pure tree walks ``Expr.evaluate_interpreted`` and
+  ``GuardedProgram.act_interpreted``,
 * the kernel cache compiles a stored shield once per process: the second
   campaign over the same artifact is a pure cache hit.
 """
@@ -25,12 +27,9 @@ from repro.compile import (
     KernelCache,
     PolyBlock,
     clear_kernel_cache,
-    compilation_enabled,
     compiled_program_for,
-    interpreted,
     kernel_cache_stats,
     lower_program,
-    set_compilation,
 )
 from repro.compile.lowering import LoweringError
 from repro.core import Shield
@@ -49,6 +48,7 @@ from repro.lang import (
     UnreachableBranchError,
 )
 from repro.polynomials import Monomial, Polynomial
+from repro.reference import evaluate_policy_interpreted, monitor_fleet_interpreted
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
 from repro.runtime import EvaluationProtocol, evaluate_policy
@@ -85,6 +85,14 @@ def _random_program(rng):
             state_dim=state_dim, action_dim=action_dim, degree=int(rng.integers(1, 4))
         )
     return sketch.instantiate(rng.normal(scale=2.5, size=sketch.num_parameters))
+
+
+def _act_interpreted(program, state):
+    """``program.act`` by pure tree walk (affine programs have no tree to walk)."""
+    exprs = getattr(program, "exprs", None)
+    if exprs is None:
+        return program.act(state)
+    return np.array([expr.evaluate_interpreted(state) for expr in exprs])
 
 
 def _make_shield(env, seed=0, measure_time=False):
@@ -174,12 +182,10 @@ class TestCompiledPrograms:
             program = _random_program(rng)
             kernel = lower_program(program)
             states = rng.normal(scale=1.5, size=(30, program.state_dim))
-            with interpreted():
-                expected = program.act_batch(states)
+            expected = program.act_batch(states)
             np.testing.assert_allclose(kernel.act(np.array(states)), expected, rtol=1e-9, atol=1e-11)
             # Scalar path agrees row by row as well.
-            with interpreted():
-                row = program.act(states[0])
+            row = _act_interpreted(program, states[0])
             np.testing.assert_allclose(kernel.act(states[:1])[0], row, rtol=1e-9, atol=1e-11)
 
     def test_guarded_dispatch_matches_interpreter(self):
@@ -194,15 +200,13 @@ class TestCompiledPrograms:
         )
         kernel = lower_program(program)
         states = rng.normal(scale=0.8, size=(200, 2))
-        with interpreted():
-            expected = program.act_batch(states)
+        expected = program.act_batch(states)
         np.testing.assert_allclose(kernel.act(np.array(states)), expected, rtol=1e-12)
         # Rows outside both invariants exercise the lenient closest-branch rule.
         far = rng.normal(scale=4.0, size=(50, 2))
         far = far[~outer.holds_batch(far)]
         assert far.shape[0] > 0
-        with interpreted():
-            expected_far = program.act_batch(far)
+        expected_far = program.act_batch(far)
         np.testing.assert_allclose(kernel.act(np.array(far)), expected_far, rtol=1e-12)
 
     def test_guarded_fallback_true_invariant_and_strict(self):
@@ -218,8 +222,7 @@ class TestCompiledPrograms:
         )
         states = np.array([[0.1, 0.1], [3.0, 3.0]])
         kernel = lower_program(with_fallback)
-        with interpreted():
-            expected = with_fallback.act_batch(states)
+        expected = with_fallback.act_batch(states)
         np.testing.assert_allclose(kernel.act(states.copy()), expected, rtol=1e-12)
 
         with_true = GuardedProgram(
@@ -232,8 +235,7 @@ class TestCompiledPrograms:
             ],
         )
         kernel = lower_program(with_true)
-        with interpreted():
-            expected = with_true.act_batch(states)
+        expected = with_true.act_batch(states)
         np.testing.assert_allclose(kernel.act(states.copy()), expected, rtol=1e-12)
 
         strict = GuardedProgram(
@@ -284,21 +286,8 @@ class TestScalarFastPaths:
             expr = expr_from_polynomial(_random_polynomial(rng, num_vars))
             state = rng.normal(size=num_vars)
             fast = expr.evaluate(state)
-            with interpreted():
-                slow = expr.evaluate(state)
+            slow = expr.evaluate_interpreted(state)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-11)
-
-    def test_interpreted_context_and_env_flag_disable_compilation(self, monkeypatch):
-        assert compilation_enabled()
-        with interpreted():
-            assert not compilation_enabled()
-        assert compilation_enabled()
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert not compilation_enabled()
-        set_compilation(True)
-        assert compilation_enabled()
-        set_compilation(None)
-        assert not compilation_enabled()
 
 
 def _random_program_with_dims(rng, state_dim, action_dim):
@@ -324,15 +313,10 @@ class TestCompiledDynamics:
 
     def test_generic_fallback_env_gets_compiled_dynamics(self):
         env = _CustomRowwiseEnv()
-        rng = np.random.default_rng(12)
         shield = _make_shield(env, seed=3)
         protocol = EvaluationProtocol(episodes=12, steps=40, seed=4)
-        set_compilation(False)
-        try:
-            shield.reset_statistics()
-            slow = evaluate_policy(env, shield, protocol, shield=shield)
-        finally:
-            set_compilation(None)
+        shield.reset_statistics()
+        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
         shield.reset_statistics()
         fast = evaluate_policy(env, shield, protocol, shield=shield)
         assert [e.interventions for e in slow.episodes] == [
@@ -376,11 +360,7 @@ class TestCampaignEquivalence:
         protocol = EvaluationProtocol(episodes=20, steps=60, seed=0)
 
         shield = _make_shield(env, seed=0)
-        set_compilation(False)
-        try:
-            slow = evaluate_policy(env, shield, protocol, shield=shield)
-        finally:
-            set_compilation(None)
+        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
         slow_stats = (shield.statistics.decisions, shield.statistics.interventions)
 
         shield = _make_shield(env, seed=0)
@@ -401,11 +381,7 @@ class TestCampaignEquivalence:
         env = make_environment(name)
         protocol = EvaluationProtocol(episodes=15, steps=50, seed=seed)
         shield = _make_shield(env, seed=seed)
-        set_compilation(False)
-        try:
-            slow = evaluate_policy(env, shield, protocol, shield=shield)
-        finally:
-            set_compilation(None)
+        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
         shield = _make_shield(env, seed=seed)
         fast = evaluate_policy(env, shield, protocol, shield=shield)
         assert _campaign_signature(slow) == _campaign_signature(fast)
@@ -417,11 +393,7 @@ class TestCampaignEquivalence:
         assert env.disturbance_bound is not None
         protocol = EvaluationProtocol(episodes=18, steps=60, seed=3)
         shield = _make_shield(env, seed=3)
-        set_compilation(False)
-        try:
-            slow = evaluate_policy(env, shield, protocol, shield=shield)
-        finally:
-            set_compilation(None)
+        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
         shield = _make_shield(env, seed=3)
         fast = evaluate_policy(env, shield, protocol, shield=shield)
         assert _campaign_signature(slow) == _campaign_signature(fast)
@@ -437,11 +409,7 @@ class TestCampaignEquivalence:
         policy = NeuralPolicy(
             MLP(env.state_dim, (16, 12), env.action_dim, output_scale=env.action_high, seed=2)
         )
-        set_compilation(False)
-        try:
-            slow = evaluate_policy(env, policy, protocol)
-        finally:
-            set_compilation(None)
+        slow = evaluate_policy_interpreted(env, policy, protocol)
         fast = evaluate_policy(env, policy, protocol)
         assert _campaign_signature(slow) == _campaign_signature(fast)
         np.testing.assert_allclose(
@@ -454,11 +422,7 @@ class TestCampaignEquivalence:
         env = make_environment("pendulum")
         protocol = EvaluationProtocol(episodes=16, steps=60, seed=5)
         program = _make_shield(env, seed=5).program
-        set_compilation(False)
-        try:
-            slow = evaluate_policy(env, program, protocol)
-        finally:
-            set_compilation(None)
+        slow = evaluate_policy_interpreted(env, program, protocol)
         fast = evaluate_policy(env, program, protocol)
         assert _campaign_signature(slow) == _campaign_signature(fast)
 
@@ -469,13 +433,9 @@ class TestMonitoredEquivalence:
     def test_monitored_fleet_report_identical(self, name):
         env = make_environment(name)
         shield = _make_shield(env, seed=1)
-        set_compilation(False)
-        try:
-            slow = monitor_fleet(
-                shield, episodes=15, steps=50, rng=np.random.default_rng(9)
-            )
-        finally:
-            set_compilation(None)
+        slow = monitor_fleet_interpreted(
+            shield, episodes=15, steps=50, rng=np.random.default_rng(9)
+        )
         shield = _make_shield(env, seed=1)
         fast = monitor_fleet(shield, episodes=15, steps=50, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(slow.interventions, fast.interventions)
@@ -499,17 +459,13 @@ class TestMonitoredEquivalence:
         disturbance = SinusoidalDisturbance(
             amplitude=np.array([0.05, 0.05]), period=40.0, jitter=0.01
         )
-        set_compilation(False)
-        try:
-            slow = monitor_fleet(
-                shield,
-                episodes=12,
-                steps=40,
-                rng=np.random.default_rng(3),
-                disturbance=disturbance,
-            )
-        finally:
-            set_compilation(None)
+        slow = monitor_fleet_interpreted(
+            shield,
+            episodes=12,
+            steps=40,
+            rng=np.random.default_rng(3),
+            disturbance=disturbance,
+        )
         shield = _make_shield(env, seed=2)
         fast = monitor_fleet(
             shield,
@@ -537,11 +493,10 @@ class TestAuxiliaryKernels:
             action_low=env.action_low,
             action_high=env.action_high,
         )
-        set_compilation(False)
-        try:
-            slow = _environment_return(env, policy, 6, 40, np.random.default_rng(4))
-        finally:
-            set_compilation(None)
+        trajectories = env.simulate_batch(
+            policy, episodes=6, steps=40, rng=np.random.default_rng(4)
+        )
+        slow = float(np.mean(trajectories.total_rewards))
         fast = _environment_return(env, policy, 6, 40, np.random.default_rng(4))
         assert slow == pytest.approx(fast, rel=1e-10)
 
@@ -550,13 +505,16 @@ class TestAuxiliaryKernels:
 
         env = make_environment("pendulum")
         program = _make_shield(env, seed=6).program
+
+        class Unlowerable:
+            """No fingerprint, so replay adapts it through ``as_batch_policy``."""
+
+            def act_batch(self, states):
+                return program.act_batch(states)
+
         rng = np.random.default_rng(6)
         states = env.domain.sample(rng, 40)
-        set_compilation(False)
-        try:
-            slow = batch_reaches_unsafe(env, program, states, horizon=60)
-        finally:
-            set_compilation(None)
+        slow = batch_reaches_unsafe(env, Unlowerable(), states, horizon=60)
         fast = batch_reaches_unsafe(env, program, states, horizon=60)
         np.testing.assert_array_equal(slow, fast)
 

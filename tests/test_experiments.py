@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import (
     ExperimentScale,
+    format_table,
     run_benchmark_row,
     run_environment_change,
     run_robustness,
@@ -25,6 +26,18 @@ TINY = ExperimentScale(
     max_counterexamples=3,
     oracle_hidden=(24, 16),
 )
+
+
+@pytest.mark.parametrize("failed_first", [False, True])
+def test_format_table_renders_every_rows_columns(failed_first):
+    ok = {"benchmark": "satellite", "program_size": 1, "interventions": 3}
+    failed = {"benchmark": "cartpole", "error": "CEGIS failed: no program"}
+    rows = [failed, ok] if failed_first else [ok, failed]
+    lines = format_table(rows).splitlines()
+    assert set(lines[0].split()) == {"benchmark", "program_size", "interventions", "error"}
+    assert any("CEGIS failed: no program" in line for line in lines[2:])
+    ok_line = next(line for line in lines[2:] if line.startswith("satellite"))
+    assert ok_line.split() == ["satellite", "1", "3"]
 
 
 def test_table1_benchmark_list_matches_paper():

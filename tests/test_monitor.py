@@ -10,7 +10,8 @@ from repro.core import Shield
 from repro.envs import BoundedUniformDisturbance, simulate_with_disturbance
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
-from repro.runtime import RuntimeMonitor, monitor_episode
+from repro.reference import monitor_episode
+from repro.runtime import RuntimeMonitor
 
 
 def _pendulum_shield(neural_gain, invariant_level=0.25):

@@ -32,11 +32,11 @@ from repro.envs import (
 )
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
+from repro.reference import monitor_episode
 from repro.rl.policies import LinearPolicy
 from repro.runtime import (
     MonitoredBatchedCampaign,
     adapt_shield,
-    monitor_episode,
     monitor_fleet,
     recheck_certificate,
 )

@@ -224,26 +224,6 @@ class TestWorkerCountInvariance:
         with pytest.raises(ValueError, match="10 episodes"):
             monitor_fleet_sharded(shield, episodes=12, steps=5, seed=0, disturbance=model)
 
-    def test_interpreted_mode_matches_itself_across_workers(self):
-        # With compilation off, shards fall back to the interpreted engine —
-        # worker-count invariance must hold there too.
-        from repro.compile import set_compilation
-
-        env = make_environment("satellite")
-        policy = _linear_policy(env)
-        set_compilation(False)
-        try:
-            a = run_sharded_campaign(
-                env, policy=policy, episodes=9, steps=10, seed=2, workers=1, shards=3
-            )
-            b = run_sharded_campaign(
-                env, policy=policy, episodes=9, steps=10, seed=2, workers=2, shards=3
-            )
-        finally:
-            set_compilation(True)
-        for field in CAMPAIGN_FIELDS:
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-
     def test_returns_identical_across_worker_counts(self):
         env = make_environment("dcmotor")
         policy = _linear_policy(env)
