@@ -13,11 +13,14 @@ Two service-layer features sit on top of the paper's algorithm:
 
 * ``workers=N`` runs a round-based parallel driver: each round picks up to
   ``N`` spread-out uncovered initial states and synthesizes + verifies a
-  branch for each concurrently (forked worker processes sharing the parent's
-  environment/oracle by memory inheritance, falling back to in-process
-  execution where ``fork`` is unavailable).  Verified branches are merged into
-  the invariant union in deterministic slot order, skipping branches whose
-  seed counterexample an earlier-accepted branch already covers.
+  branch for each concurrently on a :class:`~repro.faults.runner.ForkRunner`
+  (the shard pool's runner: forked workers share the parent's
+  environment/oracle by memory inheritance, failed slots are retried per slot,
+  and slots run in-process where ``fork`` is unavailable).  Each round closes
+  its runner, so the next round's workers fork from the current loop state.
+  Verified branches are merged into the invariant union in deterministic slot
+  order, skipping branches whose seed counterexample an earlier-accepted
+  branch already covers.
 * a :class:`~repro.core.replay.CounterexampleCache` replays previously found
   unsafe-trajectory witnesses (batched, disturbance-free) against every new
   candidate *before* the expensive certificate search runs; a replay hit is a
@@ -28,18 +31,15 @@ Two service-layer features sit on top of the paper's algorithm:
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.refute import statically_refuted
-from ..faults import FaultLog, RetryPolicy, active_plan, fault_site
+from ..faults import FaultLog, RetryPolicy, fault_site
+from ..faults.runner import ForkRunner
 from ..certificates.regions import Box
 from ..certificates.smt import BranchAndBoundVerifier
 from ..envs.base import EnvironmentContext
@@ -162,46 +162,8 @@ class CEGISResult:
         return self.covered and bool(self.branches)
 
 
-# Parallel rounds fork worker processes, which inherit the parent's memory —
-# the loop object (environment, oracle, sketch, replay cache) crosses into the
-# workers through this module global instead of pickling, so arbitrary oracle
-# callables (closures, lambdas, networks) all work.
-_FORKED_LOOP: Optional["CEGISLoop"] = None
-
-#: One parallel work unit:
-#: (slot, counterexample point, global round index, recovery attempt).
-_BranchTask = Tuple[int, np.ndarray, int, int]
-
-
-def _parallel_branch_task(task: _BranchTask):
-    slot, point, round_index, attempt = task
-    fault_site("cegis.worker", index=slot, attempt=attempt)
-    loop = _FORKED_LOOP
-    cache = loop.replay_cache
-    verdicts = loop.verdict_cache
-    records_before = len(cache.records) if cache is not None else 0
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
-    verdict_before = (verdicts.hits, verdicts.misses) if verdicts is not None else (0, 0)
-    pruned_before = loop._pruned
-    branch = loop._synthesize_branch(point, round_index)
-    verdict_delta = (
-        (verdicts.hits - verdict_before[0], verdicts.misses - verdict_before[1])
-        if verdicts is not None
-        else (0, 0)
-    )
-    pruned_delta = loop._pruned - pruned_before
-    if cache is None:
-        return slot, branch, [], 0, 0, verdict_delta, pruned_delta
-    return (
-        slot,
-        branch,
-        list(cache.records[records_before:]),
-        cache.hits - hits_before,
-        cache.misses - misses_before,
-        verdict_delta,
-        pruned_delta,
-    )
+#: One parallel work unit: (slot, counterexample point, global round index).
+_BranchTask = Tuple[int, np.ndarray, int]
 
 
 class CEGISLoop:
@@ -267,9 +229,6 @@ class CEGISLoop:
         self._pruned = 0
         self._fault_log = FaultLog()
         self._started_at = time.perf_counter()
-        # Adopt any env-var fault plan before the first fork so workers
-        # inherit it with this (parent) pid pinned as crash-exempt.
-        active_plan()
         if self.replay_cache is not None:
             self._cache_hits_at_start = self.replay_cache.hits
             self._cache_misses_at_start = self.replay_cache.misses
@@ -347,19 +306,20 @@ class CEGISLoop:
             outcomes = self._run_round(points, first_round_index=used)
             used += len(points)
             any_verified = False
-            for _slot, branch, records, hits, misses, verdict_delta, pruned in outcomes:
-                if self.replay_cache is not None:
-                    self.replay_cache.absorb(records, emit=True)
-                    self.replay_cache.hits += hits
-                    self.replay_cache.misses += misses
-                if self.verdict_cache is not None:
-                    # Forked workers wrote their verdict entries to disk but
-                    # their in-memory counters died with the fork; fold them in.
-                    self.verdict_cache.hits += verdict_delta[0]
-                    self.verdict_cache.misses += verdict_delta[1]
-                # Forked workers counted their prunes in their own copy of the
-                # loop; fold the deltas in (inline tasks report zero).
-                self._pruned += pruned
+            for lane, (branch, records, hits, misses, verdict_delta, pruned) in outcomes:
+                if lane == "fork":
+                    # A forked worker counted in its own copy of the loop and
+                    # caches (its verdict entries reached the disk store, its
+                    # counters died with it); fold its deltas in.  Inline
+                    # slots already counted here.
+                    if self.replay_cache is not None:
+                        self.replay_cache.absorb(records, emit=True)
+                        self.replay_cache.hits += hits
+                        self.replay_cache.misses += misses
+                    if self.verdict_cache is not None:
+                        self.verdict_cache.hits += verdict_delta[0]
+                        self.verdict_cache.misses += verdict_delta[1]
+                    self._pruned += pruned
                 if branch is None:
                     continue
                 any_verified = True
@@ -396,118 +356,57 @@ class CEGISLoop:
     def _run_round(self, points: Sequence[np.ndarray], first_round_index: int):
         """Synthesize one branch per point, concurrently where possible.
 
-        Failures are recovered **per slot** under :attr:`retry_policy`: a
-        crashed/erroring/hung worker fails only its own slot, which is
-        re-submitted to a fresh fork pool with deterministic backoff and —
-        once attempts are exhausted — re-run in-process (branch synthesis is
-        idempotent per task, so the recovered round is bit-identical).
-        Completed slots are never re-executed.
+        Returns ``(lane, outcome)`` per slot in slot order.  The runner
+        recovers failed slots under :attr:`retry_policy` (branch synthesis is
+        idempotent per task, so a recovered round is bit-identical).  It is
+        closed after the round: the next round's workers must fork from the
+        loop state this round's merge produces.
         """
-        if len(points) == 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return [
-                self._run_task_inline(
-                    (slot, np.asarray(point, dtype=float), first_round_index + slot, 0)
-                )
-                for slot, point in enumerate(points)
-            ]
-        global _FORKED_LOOP
-        _FORKED_LOOP = self
-        policy = self.retry_policy
-        outcomes: Dict[int, tuple] = {}
-        pending: Dict[int, list] = {
-            slot: [np.asarray(point, dtype=float), first_round_index + slot, 0]
+        runner = ForkRunner(
+            self._branch_task,
+            site="cegis.worker",
+            workers=len(points),
+            retry=self.retry_policy,
+            label="parallel CEGIS",
+            unit="slot",
+        )
+        tasks = {
+            slot: (slot, np.asarray(point, dtype=float), first_round_index + slot)
             for slot, point in enumerate(points)
         }
         try:
-            while pending:
-                batch: List[_BranchTask] = [
-                    (slot, point, round_index, attempt)
-                    for slot, (point, round_index, attempt) in sorted(pending.items())
-                ]
-                executor = None
-                failed = []
-                try:
-                    context = multiprocessing.get_context("fork")
-                    executor = ProcessPoolExecutor(
-                        max_workers=len(batch), mp_context=context
-                    )
-                    futures = {
-                        executor.submit(_parallel_branch_task, task): task
-                        for task in batch
-                    }
-                    timeout = policy.wave_timeout(len(batch), len(batch))
-                    done, not_done = wait(set(futures), timeout=timeout)
-                    for future in done:
-                        task = futures[future]
-                        try:
-                            outcome = future.result()
-                        except (BrokenProcessPool, OSError) as error:
-                            failed.append((task, f"{type(error).__name__}: {error}"))
-                            continue
-                        outcomes[task[0]] = outcome
-                        pending.pop(task[0], None)
-                    for future in not_done:
-                        failed.append(
-                            (
-                                futures[future],
-                                f"no result within the {timeout:.3g}s watchdog deadline",
-                            )
-                        )
-                except OSError as error:
-                    failed = [
-                        (task, f"could not fork round workers: {error}")
-                        for task in batch
-                    ]
-                finally:
-                    if executor is not None:
-                        # Never wait on a possibly-hung worker; the pool is
-                        # per-wave, so retiring it is free.
-                        executor.shutdown(wait=False, cancel_futures=True)
-                if not failed:
-                    continue
-                wave_backoff = 0.0
-                for task, reason in failed:
-                    slot, point, round_index, attempt = task
-                    if attempt + 1 < policy.max_attempts:
-                        backoff = policy.backoff_for("cegis.worker", slot, attempt + 1)
-                        wave_backoff = max(wave_backoff, backoff)
-                        self._note_fault(slot, attempt, "retry", reason, backoff)
-                        pending[slot][2] = attempt + 1
-                    else:
-                        self._note_fault(slot, attempt, "recovered-inline", reason)
-                        outcomes[slot] = self._run_task_inline(
-                            (slot, point, round_index, attempt)
-                        )
-                        pending.pop(slot, None)
-                if wave_backoff > 0.0:
-                    time.sleep(wave_backoff)
+            done = runner.run(tasks, self._fault_log, self._started_at)
         finally:
-            _FORKED_LOOP = None
-        return [outcomes[slot] for slot in sorted(outcomes)]
+            runner.close()
+        return [done[slot] for slot in sorted(done)]
 
-    def _run_task_inline(self, task: _BranchTask):
-        # In-process execution mutates self.replay_cache directly, so report
-        # zero deltas — the merge step must not double-count them.  Fault
-        # injection is disabled on this lane: it is the guaranteed fallback.
-        slot, point, round_index, attempt = task
-        fault_site("cegis.worker", index=slot, attempt=attempt, inline=True)
-        return slot, self._synthesize_branch(point, round_index), [], 0, 0, (0, 0), 0
-
-    def _note_fault(self, slot, attempt, outcome, detail, backoff_seconds=0.0) -> None:
-        self._fault_log.record(
-            site="cegis.worker",
-            index=slot,
-            attempt=attempt,
-            outcome=outcome,
-            detail=detail,
-            backoff_seconds=backoff_seconds,
-            at_seconds=time.perf_counter() - self._started_at,
+    def _branch_task(self, task: _BranchTask, attempt: int, inline: bool):
+        """The runner's work unit: one branch plus the counter deltas it caused."""
+        slot, point, round_index = task
+        fault_site("cegis.worker", index=slot, attempt=attempt, inline=inline)
+        cache = self.replay_cache
+        verdicts = self.verdict_cache
+        records_before = len(cache.records) if cache is not None else 0
+        hits_before = cache.hits if cache is not None else 0
+        misses_before = cache.misses if cache is not None else 0
+        verdict_before = (verdicts.hits, verdicts.misses) if verdicts is not None else (0, 0)
+        pruned_before = self._pruned
+        branch = self._synthesize_branch(point, round_index)
+        verdict_delta = (
+            (verdicts.hits - verdict_before[0], verdicts.misses - verdict_before[1])
+            if verdicts is not None
+            else (0, 0)
         )
-        warnings.warn(
-            f"parallel CEGIS recovery: slot {slot} failed on attempt {attempt + 1}/"
-            f"{self.retry_policy.max_attempts} ({detail}); {outcome}",
-            RuntimeWarning,
-            stacklevel=3,
+        pruned_delta = self._pruned - pruned_before
+        if cache is None:
+            return branch, [], 0, 0, verdict_delta, pruned_delta
+        return (
+            branch,
+            list(cache.records[records_before:]),
+            cache.hits - hits_before,
+            cache.misses - misses_before,
+            verdict_delta,
+            pruned_delta,
         )
 
     # ------------------------------------------------------------ internals

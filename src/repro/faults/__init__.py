@@ -3,7 +3,8 @@
 The substrate that lets the reproduction hold its execution machinery to the
 same standard as its shields: deterministic scripted faults
 (:class:`FaultPlan`), per-shard/per-slot recovery with deterministic backoff
-(:class:`RetryPolicy`), structured recovery provenance (:class:`FaultLog`),
+(:class:`RetryPolicy`, applied by the one fork runner in
+:mod:`repro.faults.runner`), structured recovery provenance (:class:`FaultLog`),
 and append-only journals (:class:`RowJournal`, :class:`ShardManifest`) that
 make sweeps and campaigns resumable after a SIGKILL.
 

@@ -1,10 +1,11 @@
 """Retry policies with deterministic backoff, and the structured fault log.
 
-:class:`RetryPolicy` governs how the shard pool and the parallel CEGIS driver
-recover a failed work unit: how many times it may be re-submitted to a
-(respawned) fork pool before the guaranteed in-process lane takes over, how
-long to back off between waves, and the watchdog deadline after which a
-silent worker is declared hung.  Backoff jitter is *deterministic* — a hash
+:class:`RetryPolicy` governs how the fork runner
+(:class:`~repro.faults.runner.ForkRunner`, on which the shard pool and the
+parallel CEGIS driver both run) recovers a failed work unit: how many times
+it may be re-submitted to a (respawned) fork pool before the guaranteed
+in-process lane takes over, how long to back off between waves, and the
+watchdog deadline after which a silent worker is declared hung.  Backoff jitter is *deterministic* — a hash
 of ``(seed, site, index, attempt)`` — so a recovered run is reproducible
 end to end, sleeps included.
 
@@ -72,13 +73,15 @@ class RetryPolicy:
 
 @dataclass
 class FaultEvent:
-    """One recovery decision taken by a pool or the CEGIS driver."""
+    """One recovery decision taken by the fork runner."""
 
     site: str
     index: Optional[int]
     attempt: int
-    #: ``"retry"`` (re-submitted to a respawned pool), ``"recovered-inline"``
-    #: (attempts exhausted or pool unavailable; ran on the in-process lane).
+    #: ``"retry"`` (re-submitted to a respawned pool) or ``"recovered-inline"``
+    #: (ran on the in-process lane: attempts exhausted, or an ``OSError``
+    #: while starting the fork pool, which sends the whole wave inline with
+    #: the detail "could not start the fork pool").
     outcome: str
     detail: str = ""
     backoff_seconds: float = 0.0

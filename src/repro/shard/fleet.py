@@ -13,8 +13,9 @@ order by construction.  What does need care:
 * **Process-wide counters.**  Kernel-cache hits/misses and shield
   decision/intervention counters incremented inside a forked worker die with
   the fork; workers return deltas and the pool folds them into the parent's
-  counters (in-process shards mutate the parent directly and report zero
-  deltas, mirroring the CEGIS replay-cache merge).
+  counters.  The fork runner tags each result with its lane, and in-process
+  shards, which mutated the parent directly, are not folded (the CEGIS
+  replay-cache merge follows the same rule).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """The fork-inherited shard worker pool.
 
 :class:`ShardPool` owns one ``(env, policy-or-shield)`` deployment and runs
-its campaigns as contiguous episode shards over a persistent
-``ProcessPoolExecutor`` of forked workers:
+its campaigns as contiguous episode shards over forked workers of one
+:class:`~repro.faults.runner.ForkRunner`, kept for the pool's lifetime:
 
 * The deployment crosses into workers **by fork inheritance** through the
-  module global :data:`_POOL_JOB` (the ``core/cegis.py`` recipe), so arbitrary
-  policies — closures, networks, shields — need no pickling.  The parent
+  runner (the same runner parallel CEGIS uses), so arbitrary policies —
+  closures, networks, shields — need no pickling.  The parent
   pre-compiles the fused stepper before the first fork, so every worker is
   born with a warm :data:`~repro.compile.cache.KERNEL_CACHE` *and* the
   compiled stepper itself; successive shards in one worker reuse one
@@ -20,19 +20,15 @@ its campaigns as contiguous episode shards over a persistent
   its process-wide counters and merges moments in shard order
   (:mod:`repro.shard.fleet`), so ``workers=1`` and ``workers=N`` report
   bit-identical counters and disturbance estimates.
-* Where ``fork`` is unavailable (or ``workers=1``), the same shard tasks run
-  in-process against a private arena — identical code path, identical
-  results.
-* Failures are recovered **per shard** under a :class:`~repro.faults.RetryPolicy`:
-  a crashed worker (``BrokenProcessPool``), a transient ``OSError``, or a
-  shard that blows the watchdog deadline retires the executor, and only the
-  affected shards are re-submitted to a respawned pool (with deterministic
-  backoff) — completed shard results are kept.  Once attempts are exhausted
-  the shard runs on the guaranteed in-process lane, on which fault injection
-  (:mod:`repro.faults`) is disabled.  Because shard plans are
-  worker-count-independent, a retried shard is bit-identical, so recovered
-  runs match fault-free runs on every counter and estimate.  Every recovery
-  decision lands in the run's :class:`~repro.faults.FaultLog`
+* Where the runner does not fork (``workers=1``, one pending shard, or no
+  ``fork``), the same shard tasks run in-process against a private arena —
+  identical code path, identical results.
+* Failures are recovered **per shard** by the runner under a
+  :class:`~repro.faults.RetryPolicy`: only crashed, erroring or hung shards
+  are re-submitted, and exhausted ones run on the in-process lane.  Because
+  shard plans are worker-count-independent, a retried shard is bit-identical,
+  so recovered runs match fault-free runs on every counter and estimate.
+  Every recovery decision lands in the run's :class:`~repro.faults.FaultLog`
   (``stats["faults"]``) and a ``RuntimeWarning``.
 * With ``checkpoint=<path>`` each completed shard (result slice + counter
   deltas) is journaled to a :class:`~repro.faults.ShardManifest`;
@@ -46,17 +42,14 @@ call (ARS) build a fresh pool per evaluation.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..faults import FaultLog, RetryPolicy, ShardManifest, active_plan, fault_site
+from ..faults import FaultLog, RetryPolicy, ShardManifest, fault_site
+from ..faults.runner import ForkRunner
 from .fleet import (
     ShardedCampaignResult,
     ShardedReturnsResult,
@@ -67,10 +60,6 @@ from .memory import ShardArena, attach_arena, create_arena
 from .plan import Shard, plan_shards, seed_sequence_for
 
 __all__ = ["ShardPool"]
-
-# Forked workers inherit the pool object (environment, shield, compiled
-# stepper) through this module global instead of pickling — see core/cegis.py.
-_POOL_JOB: Optional["ShardPool"] = None
 
 
 @dataclass
@@ -87,30 +76,20 @@ class _ShardTask:
     disturbance: Optional[object]  # this shard's slice of the disturbance model
     estimate: bool
     has_initial_states: bool
-    attempt: int = 0  # recovery ordinal; 0 = first submission
 
 
-def _pool_task(task: _ShardTask):
-    job = _POOL_JOB
-    arena = attach_arena(task.spec)
-    try:
-        return _execute_shard(job, task, arena, inline=False)
-    finally:
-        arena.close()
-
-
-def _execute_shard(job: "ShardPool", task: _ShardTask, arena: ShardArena, inline: bool):
+def _execute_shard(
+    job: "ShardPool", task: _ShardTask, arena: ShardArena, attempt: int, inline: bool
+):
     """Run one shard against the arena; returns the shard's delta record.
 
-    ``inline`` shards mutate the parent's process-wide counters directly, so
-    the fold step must not double-count their (still recorded) deltas.  The
-    ``shard_executions`` arena slot counts actual executions of this shard —
-    the recovery tests assert from it that only failed shards re-ran.
+    The ``shard_executions`` arena slot counts actual executions of this
+    shard — the recovery tests assert from it that only failed shards re-ran.
     """
     from ..compile.cache import KERNEL_CACHE
 
     arena.view("shard_executions")[task.index] += 1
-    fault_site("shard.worker", index=task.index, attempt=task.attempt, inline=inline)
+    fault_site("shard.worker", index=task.index, attempt=attempt, inline=inline)
     rng = np.random.default_rng(task.seed)
     count = task.stop - task.start
     window = slice(task.start, task.stop)
@@ -181,9 +160,6 @@ def _execute_shard(job: "ShardPool", task: _ShardTask, arena: ShardArena, inline
         "kernel_cache": cache_delta,
         "shield": stats_delta,
         "moments": moments,
-        # Inline shards already mutated this process's counters; their deltas
-        # are recorded (the checkpoint manifest needs them) but never folded.
-        "inline": inline,
     }
 
 
@@ -240,8 +216,7 @@ def _restore_manifest_entry(entry: dict, arena: ShardArena, result_fields) -> di
             np.asarray(moments["outer"], dtype=float),
         ),
         # The checkpointed counters live in a dead process; this (fresh)
-        # process must fold them, whatever lane originally executed the shard.
-        "inline": False,
+        # process folds them, whatever lane originally executed the shard.
         "origin": "manifest",
     }
 
@@ -276,12 +251,19 @@ class ShardPool:
         self.shards = shards
         self.dtype = None if dtype is None else np.dtype(dtype)
         self.retry = retry if retry is not None else RetryPolicy()
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._runner = ForkRunner(
+            self._execute,
+            site="shard.worker",
+            workers=self.workers,
+            retry=self.retry,
+            label="shard pool",
+            unit="shard",
+        )
+        self._arena: Optional[ShardArena] = None
         self._stepper_obj = None
         self._closed = False
         self._fault_log = FaultLog()
         self._last_executions: Optional[np.ndarray] = None
-        self._run_started_at = 0.0
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "ShardPool":
@@ -292,17 +274,8 @@ class ShardPool:
 
     def close(self) -> None:
         """Shut the worker processes down (idempotent)."""
-        global _POOL_JOB
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if _POOL_JOB is self:
-            _POOL_JOB = None
+        self._runner.close()
         self._closed = True
-
-    @property
-    def fork_available(self) -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
 
     # ------------------------------------------------------------------ runs
     def run_campaign(
@@ -490,12 +463,7 @@ class ShardPool:
             raise RuntimeError("this shard pool is closed")
         from ..compile.cache import KERNEL_CACHE
 
-        # Adopt any env-var fault plan in the parent *before* the first fork,
-        # so workers inherit the plan with the parent's pid pinned as the
-        # process crash faults must never kill.
-        active_plan()
         episodes = shards[-1].stop
-        parallel = self.workers > 1 and len(shards) > 1 and self.fork_available
         result_fields = [(name, shape, dtype) for name, shape, dtype in fields]
         fields = list(fields) + [("shard_executions", (len(shards),), np.int64)]
         if initial_states is not None:
@@ -515,12 +483,20 @@ class ShardPool:
                 checkpoint, meta=self._manifest_meta(mode, shards, steps, result_fields)
             )
             completed = manifest.begin(resume=resume)
-        arena = create_arena(fields, shared=parallel)
+        missing = sum(1 for shard in shards if shard.index not in completed)
+        arena = create_arena(fields, shared=self._runner.forks(missing))
+        self._arena = arena
         try:
             if initial_states is not None:
                 arena.view("initial_states")[:] = initial_states
-            tasks = [
-                _ShardTask(
+            records: Dict[int, dict] = {}
+            pending: Dict[int, _ShardTask] = {}
+            for shard in shards:
+                entry = completed.get(shard.index)
+                if entry is not None:
+                    records[shard.index] = _restore_manifest_entry(entry, arena, result_fields)
+                    continue
+                pending[shard.index] = _ShardTask(
                     mode=mode,
                     index=shard.index,
                     start=shard.start,
@@ -536,176 +512,52 @@ class ShardPool:
                     estimate=estimate,
                     has_initial_states=initial_states is not None,
                 )
-                for shard in shards
-            ]
-            records: Dict[int, dict] = {}
-            for task in tasks:
-                entry = completed.get(task.index)
-                if entry is not None:
-                    records[task.index] = _restore_manifest_entry(entry, arena, result_fields)
-            pending = [task for task in tasks if task.index not in records]
 
-            def on_complete(task: _ShardTask, record: dict) -> None:
-                if manifest is not None:
-                    manifest.append(_manifest_entry(task, arena, result_fields, record))
+            def on_done(index: int, record: dict) -> None:
+                manifest.append(_manifest_entry(pending[index], arena, result_fields, record))
 
             # Compile in the parent before any fork: workers inherit the warm
             # kernel cache and the constructed stepper itself.
             cache_before = (KERNEL_CACHE.hits, KERNEL_CACHE.misses)
             self._stepper()
             start = time.perf_counter()
-            self._run_started_at = start
-            if pending and parallel:
-                records.update(self._run_forked(pending, arena, on_complete))
-            else:
-                for task in pending:
-                    record = _execute_shard(self, task, arena, inline=True)
-                    record["origin"] = "inline"
-                    records[task.index] = record
-                    on_complete(task, record)
+            finished = self._runner.run(
+                pending, self._fault_log, start, on_done if manifest is not None else None
+            )
+            for index, (lane, record) in finished.items():
+                record["origin"] = lane
+                records[index] = record
             pool_mode = (
                 "fork-pool"
-                if any(r.get("origin") == "fork" for r in records.values())
+                if any(r["origin"] == "fork" for r in records.values())
                 else "in-process"
             )
-            # Fold counter deltas of every record this process did not execute
-            # inline (forked workers and manifest-restored shards).
-            self._fold([r for r in records.values() if not r.get("inline")])
+            # Inline shards already mutated this process's counters; fold the
+            # deltas of the others (forked workers and manifest-restored shards).
+            self._fold([r for r in records.values() if r["origin"] != "inline"])
             elapsed = time.perf_counter() - start
             results = [records[shard.index] for shard in shards]
             arrays = arena.take()
             arrays.pop("initial_states", None)
             self._last_executions = arrays.pop("shard_executions")
         finally:
+            self._arena = None
             arena.destroy()
         cache_delta = {
             "hits": KERNEL_CACHE.hits - cache_before[0],
             "misses": KERNEL_CACHE.misses - cache_before[1],
         }
         self._last_cache_delta = cache_delta
-        self._last_pool_mode = pool_mode
         return arrays, results, elapsed, pool_mode
 
-    def _run_forked(self, tasks: List[_ShardTask], arena: ShardArena, on_complete):
-        """Map tasks over the fork pool, recovering failures per shard.
-
-        Crashed (``BrokenProcessPool``), erroring (``OSError``) and hung
-        (watchdog deadline) shards retire the executor and are re-submitted to
-        a respawned pool up to ``retry.max_attempts`` times with deterministic
-        backoff; after that the shard runs on the in-process lane.  Completed
-        shards are never re-executed.
-        """
-        global _POOL_JOB
-        _POOL_JOB = self
-        policy = self.retry
-        records: Dict[int, dict] = {}
-        pending: Dict[int, _ShardTask] = {task.index: task for task in tasks}
-        while pending:
-            batch = [pending[index] for index in sorted(pending)]
-            executor = self._ensure_executor()
-            if executor is None:
-                for task in batch:
-                    self._note_fault(
-                        index=task.index,
-                        attempt=task.attempt,
-                        outcome="recovered-inline",
-                        detail="could not start the fork pool",
-                    )
-                    records[task.index] = self._recover_inline(task, arena, on_complete)
-                    pending.pop(task.index)
-                break
-            futures = {executor.submit(_pool_task, task): task for task in batch}
-            timeout = policy.wave_timeout(len(batch), self.workers)
-            done, not_done = wait(set(futures), timeout=timeout)
-            failed = []
-            for future in done:
-                task = futures[future]
-                try:
-                    record = future.result()
-                except (BrokenProcessPool, OSError) as error:
-                    failed.append((task, f"{type(error).__name__}: {error}"))
-                    continue
-                record["origin"] = "fork"
-                records[task.index] = record
-                pending.pop(task.index, None)
-                on_complete(task, record)
-            for future in not_done:
-                task = futures[future]
-                failed.append(
-                    (task, f"no result within the {timeout:.3g}s watchdog deadline")
-                )
-            if not failed:
-                continue
-            # The executor is broken (a worker died) or has hung workers
-            # squatting on its slots; retire it.  Shard execution is
-            # idempotent, so only the failed shards are re-run — completed
-            # results above stay.
-            self._retire_executor()
-            wave_backoff = 0.0
-            for task, reason in failed:
-                if task.attempt + 1 < policy.max_attempts:
-                    backoff = policy.backoff_for("shard.worker", task.index, task.attempt + 1)
-                    wave_backoff = max(wave_backoff, backoff)
-                    self._note_fault(
-                        index=task.index,
-                        attempt=task.attempt,
-                        outcome="retry",
-                        detail=reason,
-                        backoff_seconds=backoff,
-                    )
-                    task.attempt += 1
-                else:
-                    self._note_fault(
-                        index=task.index,
-                        attempt=task.attempt,
-                        outcome="recovered-inline",
-                        detail=reason,
-                    )
-                    records[task.index] = self._recover_inline(task, arena, on_complete)
-                    pending.pop(task.index, None)
-            if wave_backoff > 0.0:
-                time.sleep(wave_backoff)
-        return records
-
-    def _recover_inline(self, task: _ShardTask, arena: ShardArena, on_complete) -> dict:
-        """The guaranteed recovery lane: run the shard in-process, faults off."""
-        record = _execute_shard(self, task, arena, inline=True)
-        record["origin"] = "inline"
-        on_complete(task, record)
-        return record
-
-    def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
-        if self._executor is None:
-            try:
-                context = multiprocessing.get_context("fork")
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
-            except OSError:
-                return None
-        return self._executor
-
-    def _retire_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def _note_fault(self, index, attempt, outcome, detail, backoff_seconds=0.0) -> None:
-        event = self._fault_log.record(
-            site="shard.worker",
-            index=index,
-            attempt=attempt,
-            outcome=outcome,
-            detail=detail,
-            backoff_seconds=backoff_seconds,
-            at_seconds=time.perf_counter() - self._run_started_at,
-        )
-        warnings.warn(
-            f"shard pool recovery: shard {index} failed on attempt {attempt + 1}/"
-            f"{self.retry.max_attempts} ({detail}); {event.outcome}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    def _execute(self, task: _ShardTask, attempt: int, inline: bool) -> dict:
+        """The runner's work unit: one shard, in a worker or on the inline lane."""
+        arena = self._arena if inline else attach_arena(task.spec)
+        try:
+            return _execute_shard(self, task, arena, attempt, inline)
+        finally:
+            if not inline:
+                arena.close()
 
     def _manifest_meta(self, mode, shards, steps, result_fields) -> dict:
         return {
@@ -747,7 +599,7 @@ class ShardPool:
             "dtype": str(self.dtype if self.dtype is not None else np.dtype(float)),
             "shard_episodes": [shard.episodes for shard in shards],
             "shard_seconds": [round(record["elapsed"], 6) for record in results],
-            "shard_origins": [record.get("origin", "inline") for record in results],
+            "shard_origins": [record["origin"] for record in results],
             "shard_executions": executions,
             "kernel_cache": dict(self._last_cache_delta),
             "faults": self._fault_log.to_dicts(),

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.faults.runner as runner_module
 from repro.cli import build_parser, main as cli_main
 from repro.core import Shield
 from repro.envs import make_environment
@@ -77,6 +81,11 @@ def _campaign(workers=2, shards=4, retry=None, checkpoint=None, resume=False):
         checkpoint=checkpoint,
         resume=resume,
     )
+
+
+def _failed_fork(self, *args, **kwargs):
+    """``ProcessPoolExecutor.submit`` on a host that cannot fork any more."""
+    raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
 @pytest.fixture(autouse=True)
@@ -313,7 +322,7 @@ class TestShardRecovery:
 
     def test_no_fork_platform_falls_back_inline(self, monkeypatch):
         baseline = _campaign(workers=1)
-        monkeypatch.setattr(ShardPool, "fork_available", property(lambda self: False))
+        monkeypatch.setattr(runner_module, "fork_available", lambda: False)
         fallback = _campaign()
         for field in CAMPAIGN_FIELDS:
             np.testing.assert_array_equal(
@@ -323,9 +332,7 @@ class TestShardRecovery:
 
     def test_executor_creation_failure_recovers_inline(self, monkeypatch):
         baseline = _campaign(workers=1)
-        monkeypatch.setattr(
-            ShardPool, "_ensure_executor", lambda self: None
-        )
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _failed_fork)
         with pytest.warns(RuntimeWarning, match="could not start the fork pool"):
             fallback = _campaign()
         for field in CAMPAIGN_FIELDS:
@@ -337,10 +344,30 @@ class TestShardRecovery:
             e["outcome"] == "recovered-inline" for e in fallback.stats["faults"]
         )
 
+    def test_reused_pool_survives_a_dead_idle_worker(self):
+        env = make_environment("satellite")
+        with ShardPool(env, shield=_make_shield(env), workers=2, shards=4) as pool:
+            first = pool.run_campaign(8, 25, seed=7)
+            executor = pool._runner._executor
+            os.kill(next(iter(executor._processes)), signal.SIGKILL)
+            # Wait until the executor has noticed, so the next submit raises.
+            deadline = time.monotonic() + 30.0
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken
+            with pytest.warns(RuntimeWarning, match="shard pool recovery"):
+                second = pool.run_campaign(8, 25, seed=7)
+        for field in CAMPAIGN_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(first, field), getattr(second, field), err_msg=field
+            )
+        assert first.stats["faults"] == []
+        assert any(e["site"] == "shard.worker" for e in second.stats["faults"])
+
 
 # ------------------------------------------------------- parallel CEGIS slots
 class TestCEGISRecovery:
-    def _run(self, workers=2):
+    def _run(self, workers=2, retry=None):
         from repro.baselines import make_lqr_policy
         from repro.core import (
             CEGISConfig,
@@ -362,25 +389,73 @@ class TestCEGISRecovery:
             workers=workers,
         )
         env = make_environment("satellite")
-        loop = CEGISLoop(env, make_lqr_policy(env), config=config)
+        loop = CEGISLoop(env, make_lqr_policy(env), config=config, retry_policy=retry)
         return loop.run()
 
-    def test_crashed_slot_recovers_bit_identically(self):
+    def _assert_recovered(self, baseline, recovered):
         from repro.lang import program_fingerprint
 
+        assert recovered.covered == baseline.covered
+        assert program_fingerprint(recovered.program) == program_fingerprint(
+            baseline.program
+        )
+        assert recovered.fault_log
+        assert all(e["site"] == "cegis.worker" for e in recovered.fault_log)
+
+    def test_crashed_slot_recovers_bit_identically(self):
         baseline = self._run()
         plan = FaultPlan(
             specs=[FaultSpec(site="cegis.worker", kind="crash", index=0, attempt=None)]
         )
         with fault_plan(plan), pytest.warns(RuntimeWarning, match="CEGIS recovery"):
             recovered = self._run()
-        assert recovered.covered == baseline.covered
-        assert program_fingerprint(recovered.program) == program_fingerprint(
-            baseline.program
-        )
-        assert recovered.fault_log
+        self._assert_recovered(baseline, recovered)
         assert baseline.fault_log == []
-        assert all(e["site"] == "cegis.worker" for e in recovered.fault_log)
+
+    @pytest.mark.parametrize(
+        "spec, retry, match, outcome",
+        [
+            pytest.param(
+                FaultSpec(
+                    site="cegis.worker", kind="hang", index=1, attempt=0, delay_seconds=3.0
+                ),
+                RetryPolicy(max_attempts=3, backoff_seconds=0.01, deadline_seconds=1.0),
+                "watchdog deadline",
+                "retry",
+                id="hang",
+            ),
+            pytest.param(
+                FaultSpec(site="cegis.worker", kind="oserror", index=0, attempt=0),
+                None,
+                "injected transient",
+                "retry",
+                id="oserror",
+            ),
+            pytest.param(
+                FaultSpec(site="cegis.worker", kind="crash", index=1, attempt=None),
+                RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+                "CEGIS recovery",
+                "recovered-inline",
+                id="exhausted-retries",
+            ),
+        ],
+    )
+    def test_failed_slot_recovers_bit_identically(self, spec, retry, match, outcome):
+        baseline = self._run(retry=retry)
+        with fault_plan(FaultPlan(specs=[spec])), pytest.warns(RuntimeWarning, match=match):
+            recovered = self._run(retry=retry)
+        self._assert_recovered(baseline, recovered)
+        assert outcome in {e["outcome"] for e in recovered.fault_log}
+        # A crash breaks the whole pool, so in-flight slots may fail with it.
+        assert spec.index in {e["index"] for e in recovered.fault_log}
+
+    def test_fork_failure_recovers_inline(self, monkeypatch):
+        baseline = self._run()
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _failed_fork)
+        with pytest.warns(RuntimeWarning, match="could not start the fork pool"):
+            recovered = self._run()
+        self._assert_recovered(baseline, recovered)
+        assert all(e["outcome"] == "recovered-inline" for e in recovered.fault_log)
 
 
 # ------------------------------------------------------------------- journals
