@@ -1,14 +1,16 @@
-"""``repro.compile``: lower programs, invariants, and dynamics to fused kernels.
+"""``repro.compile``: lower programs and invariants to fused kernels.
 
-The policy language's guarded shield programs and the benchmarks' polynomial
-dynamics are tiny, fixed straight-line programs.  This package is the classic
+The policy language's guarded shield programs and their barrier invariants
+are tiny, fixed straight-line programs.  This package is the classic
 lower-then-execute split: a one-time lowering pass flattens each artifact to
 monomial exponent/coefficient tables (:mod:`~repro.compile.lowering`), typed
 kernels evaluate them as pure array math (:mod:`~repro.compile.kernels`), a
 process-wide cache keyed by program fingerprint compiles each artifact once
 (:mod:`~repro.compile.cache`), and a fused closed-loop stepper advances whole
 ``(episodes, state_dim)`` fleets one step per call with a single dynamics
-evaluation (:mod:`~repro.compile.stepper`).
+evaluation (:mod:`~repro.compile.stepper`).  The dynamics themselves are the
+environment's ``rate_batch``, which evaluates its symbolic ``rate`` on
+NumPy columns.
 
 The kernels are always on.  Their semantic references are the pure tree walks
 (``Expr.evaluate_interpreted``, ``GuardedProgram.act_interpreted``) and the
@@ -20,18 +22,15 @@ from .cache import (
     KERNEL_CACHE,
     KernelCache,
     clear_kernel_cache,
-    compiled_dynamics_for,
     compiled_guards_for,
     compiled_program_for,
     kernel_cache_stats,
     warm_kernel_cache,
 )
 from .kernels import (
-    CompiledDynamics,
     CompiledGuardedProgram,
     CompiledGuardSet,
     CompiledProgram,
-    lower_dynamics,
     lower_guards,
     lower_program,
 )
@@ -45,7 +44,6 @@ from .stepper import (
 )
 
 __all__ = [
-    "CompiledDynamics",
     "CompiledGuardSet",
     "CompiledGuardedProgram",
     "CompiledProgram",
@@ -58,12 +56,10 @@ __all__ = [
     "clear_kernel_cache",
     "compile_stepper",
     "compiled_batch_policy",
-    "compiled_dynamics_for",
     "compiled_guards_for",
     "compiled_program_for",
     "fused_policy_returns",
     "kernel_cache_stats",
-    "lower_dynamics",
     "lower_exprs",
     "lower_guards",
     "lower_polynomials",

@@ -11,7 +11,7 @@ process no matter how many runs touch it.
 ``hits``/``misses`` counters are exposed through :func:`kernel_cache_stats`;
 the CI smoke asserts the second campaign over a stored shield is a pure hit.
 Objects that cannot be fingerprinted or lowered (custom program classes,
-non-polynomial dynamics) simply return ``None`` and the caller stays on the
+non-polynomial invariants) simply return ``None`` and the caller stays on the
 interpreted path.
 """
 
@@ -21,7 +21,7 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
-from .kernels import lower_dynamics, lower_guards, lower_program
+from .kernels import lower_guards, lower_program
 from .lowering import LoweringError
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "KERNEL_CACHE",
     "compiled_program_for",
     "compiled_guards_for",
-    "compiled_dynamics_for",
     "warm_kernel_cache",
     "kernel_cache_stats",
     "clear_kernel_cache",
@@ -43,8 +42,8 @@ class KernelCache:
     candidate programs per synthesis run, each of which compiles exactly once
     and is never seen again — without eviction those dead kernels would
     accumulate for the life of the process.  The default capacity keeps every
-    artifact a realistic sweep actually reuses (stored shields, guards,
-    dynamics) while the candidate churn falls off the cold end.
+    artifact a realistic sweep actually reuses (stored shields and guards)
+    while the candidate churn falls off the cold end.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -128,33 +127,12 @@ def compiled_guards_for(invariant):
         return None
 
 
-def compiled_dynamics_for(env):
-    """The cached compiled dynamics kernel for an environment, or ``None``.
-
-    Memoised on the environment instance: the symbolic rate polynomials are
-    fixed at construction time, so one lowering serves every campaign over the
-    same context, while a perturbed copy (Table 3 environment changes)
-    compiles its own kernel.
-    """
-    cached = env.__dict__.get("_compiled_dynamics", False)
-    if cached is not False:
-        return cached
-    try:
-        kernel = lower_dynamics(env)
-    except LoweringError:
-        kernel = None
-    env.__dict__["_compiled_dynamics"] = kernel
-    return kernel
-
-
-def warm_kernel_cache(program=None, invariant=None, env=None) -> Dict[str, int]:
+def warm_kernel_cache(program=None, invariant=None) -> Dict[str, int]:
     """Pre-compile a shield's kernels (used by the synthesis service on load)."""
     if program is not None:
         compiled_program_for(program)
     if invariant is not None:
         compiled_guards_for(invariant)
-    if env is not None:
-        compiled_dynamics_for(env)
     return kernel_cache_stats()
 
 

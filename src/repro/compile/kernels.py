@@ -1,4 +1,4 @@
-"""Compiled kernels for programs, invariants, and symbolic dynamics.
+"""Compiled kernels for programs and invariants.
 
 Each kernel is the array-shaped twin of one interpreter object:
 
@@ -10,10 +10,11 @@ Each kernel is the array-shaped twin of one interpreter object:
   block evaluation,
 * :class:`CompiledGuardedProgram` ↔ :class:`~repro.lang.program.GuardedProgram`
   — first-satisfied branch dispatch, fallback, and the lenient closest-branch
-  rule, reproduced mask-for-mask,
-* :class:`CompiledDynamics` ↔ an environment's symbolic ``rate`` polynomials
-  lowered over the joint ``(state, action)`` variables — the replacement for
-  the generic row-wise ``rate_batch`` fallback.
+  rule, reproduced mask-for-mask.
+
+Environment dynamics need no kernel: every environment's ``rate_batch``
+already evaluates its symbolic ``rate`` on NumPy columns (see
+:mod:`repro.envs.base`).
 
 Affine programs keep their own gain/bias arrays and clip order so the compiled
 action path runs the *same dtype-ordered operations* as
@@ -42,10 +43,8 @@ __all__ = [
     "CompiledProgram",
     "CompiledGuardSet",
     "CompiledGuardedProgram",
-    "CompiledDynamics",
     "lower_program",
     "lower_guards",
-    "lower_dynamics",
 ]
 
 
@@ -229,43 +228,6 @@ class CompiledGuardedProgram:
         return np.where(assigned, first, -1)
 
 
-class CompiledDynamics:
-    """An environment's symbolic rate polynomials over ``(state, action)``.
-
-    ``rate`` evaluates all state derivatives with one block evaluation on the
-    concatenated ``[states | actions]`` array — the compiled replacement for
-    the base class's row-by-row ``rate_batch`` fallback.
-    """
-
-    __slots__ = ("state_dim", "action_dim", "_block")
-
-    def __init__(self, env) -> None:
-        self.state_dim = env.state_dim
-        self.action_dim = env.action_dim
-        joint = self.state_dim + self.action_dim
-        state_polys = [Polynomial.variable(i, joint) for i in range(self.state_dim)]
-        action_polys = [
-            Polynomial.variable(self.state_dim + j, joint) for j in range(self.action_dim)
-        ]
-        try:
-            entries = env.rate(state_polys, action_polys)
-        except (ValueError, TypeError, AttributeError, ZeroDivisionError) as error:
-            raise LoweringError(f"dynamics of {env.name!r} are not lowerable: {error}") from error
-        lowered: List[Polynomial] = []
-        for entry in entries:
-            if isinstance(entry, Polynomial):
-                lowered.append(entry)
-            else:
-                lowered.append(Polynomial.constant(float(entry), joint))
-        if len(lowered) != self.state_dim:
-            raise LoweringError("rate must produce one polynomial per state dimension")
-        self._block = PolyBlock.from_polynomials(lowered)
-
-    def rate(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        joint = np.concatenate([states, actions], axis=1)
-        return self._block.evaluate(joint)
-
-
 # ------------------------------------------------------------------- factories
 def lower_program(program: PolicyProgram):
     """Lower any policy program; raises :class:`LoweringError` when impossible."""
@@ -283,7 +245,3 @@ def lower_guards(members: Sequence) -> CompiledGuardSet:
         concrete = [members] if isinstance(members, (Invariant, TrueInvariant)) else list(members)
     return CompiledGuardSet(concrete)
 
-
-def lower_dynamics(env) -> CompiledDynamics:
-    """Lower an environment's symbolic rate to a fused polynomial kernel."""
-    return CompiledDynamics(env)

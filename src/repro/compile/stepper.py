@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .cache import compiled_dynamics_for, compiled_guards_for, compiled_program_for
+from .cache import compiled_guards_for, compiled_program_for
 
 __all__ = [
     "RolloutWorkspace",
@@ -141,23 +141,6 @@ def _batch_action_fn(policy, action_dim: int, workspace: RolloutWorkspace, tag: 
     return as_batch_policy(policy, action_dim)
 
 
-def _rate_fn(env):
-    """The dynamics kernel: native ``rate_batch`` override or compiled lowering.
-
-    Environments with a hand-vectorised ``rate_batch`` keep it (bit-identical
-    with the interpreted engine); environments that would fall back to the
-    base class's row-by-row loop get the compiled polynomial kernel instead.
-    """
-    from ..envs.base import EnvironmentContext
-
-    if type(env).rate_batch is not EnvironmentContext.rate_batch:
-        return env.rate_batch
-    dynamics = compiled_dynamics_for(env)
-    if dynamics is not None:
-        return dynamics.rate
-    return env.rate_batch
-
-
 def _clip_fn(env):
     low, high = env.action_low, env.action_high
 
@@ -210,37 +193,21 @@ def _steady_fn(env):
 
 
 def _reward_fn(env):
-    """``(states, actions, unsafe_mask) → rewards`` with the penalty fused.
+    """``(states, actions, unsafe_mask) → -(cost + penalty · unsafe)``.
 
     The campaign already knows each step's pre-step unsafe mask (it is the
-    previous step's post-step mask), so environments exposing the
-    cost-plus-penalty split (``reward_cost_batch``) skip one unsafe-region
-    evaluation per step.  Environments with a bespoke ``reward_batch`` and no
-    declared cost split keep their own method.
+    previous step's post-step mask), so the penalty reuses it instead of
+    re-testing the unsafe region the way ``env.reward_batch`` does.
     """
-    from ..envs.base import EnvironmentContext
+    penalty = env.unsafe_penalty
+    cost = env.reward_cost_batch
 
-    cls = type(env)
-    default_reward = (
-        cls.reward is EnvironmentContext.reward
-        and cls.reward_batch is EnvironmentContext.reward_batch
-    )
-    declared_split = "reward_cost_batch" in cls.__dict__ and "reward_batch" in cls.__dict__
-    if default_reward or declared_split:
-        penalty = env.unsafe_penalty
-        cost = env.reward_cost_batch
+    def reward(states: np.ndarray, actions: np.ndarray, unsafe: np.ndarray) -> np.ndarray:
+        total = cost(states, actions)
+        total += penalty * unsafe
+        return -total
 
-        def reward(states: np.ndarray, actions: np.ndarray, unsafe: np.ndarray) -> np.ndarray:
-            total = cost(states, actions)
-            total += penalty * unsafe
-            return -total
-
-        return reward
-
-    def reward_generic(states: np.ndarray, actions: np.ndarray, unsafe: np.ndarray) -> np.ndarray:
-        return env.reward_batch(states, actions)
-
-    return reward_generic
+    return reward
 
 
 # --------------------------------------------------------------------- stepper
@@ -248,8 +215,8 @@ class CompiledStepper:
     """A fused closed-loop kernel for one (policy, shield, environment) triple.
 
     Build through :func:`compile_stepper`.  A piece that refuses to lower (a
-    foreign policy, a non-polynomial invariant or dynamics) keeps its
-    interpreted batch method inside the fused step.
+    foreign policy or a non-polynomial invariant) keeps its interpreted batch
+    method inside the fused step.
     """
 
     def __init__(self, env, policy, shield, dtype=None) -> None:
@@ -260,7 +227,7 @@ class CompiledStepper:
             raise ValueError(f"stepper dtype must be a float type, got {self.dtype}")
         self.workspace = RolloutWorkspace(default_dtype=self.dtype)
         self.dt = env.dt
-        self._rate = _rate_fn(env)
+        self._rate = env.rate_batch
         self._clip = _clip_fn(env)
         self._unsafe = _unsafe_fn(env)
         self._steady = _steady_fn(env)
@@ -331,9 +298,9 @@ class CompiledStepper:
             rates = rates + draws
         successors = states + self.dt * rates
         if successors.dtype != self.dtype:
-            # Environment kernels (hand-vectorised rate_batch overrides, f64
-            # disturbance draws) may promote; pin the fleet to the workspace
-            # precision so a float32 campaign stays float32 step over step.
+            # The environment's rate_batch and the disturbance draws compute
+            # in float64; pin the fleet to the workspace precision so a
+            # float32 campaign stays float32 step over step.
             successors = successors.astype(self.dtype)
         return successors
 
@@ -472,8 +439,8 @@ def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledSteppe
     """Build the fused stepper for a campaign.
 
     Every component factory degrades to its interpreted counterpart on its own
-    (native ``rate_batch``, ``as_batch_policy``, ``holds_batch``), so assembly
-    never refuses a deployment.
+    (``as_batch_policy``, ``holds_batch``), and the dynamics are always the
+    environment's own ``rate_batch``, so assembly never refuses a deployment.
     """
     return CompiledStepper(env, policy, shield, dtype=dtype)
 

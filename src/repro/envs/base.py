@@ -13,9 +13,24 @@ requires:
 * helpers to lower the closed-loop transition relation to polynomials for the
   verification backends.
 
-Dynamics are written generically: the same ``rate`` code runs on NumPy floats
-during simulation and on :class:`~repro.polynomials.Polynomial` objects during
-verification, so the verified model and the simulated model cannot drift apart.
+An environment writes its physics once, as two functions built from ``+``,
+``-`` and ``*`` only: :meth:`~EnvironmentContext.rate` (``f(s, a)``, one entry
+per state dimension) and :meth:`~EnvironmentContext.cost` (the regulation cost;
+the reward is ``-(cost + unsafe_penalty · 1[unsafe])``).  The base class
+evaluates each of them three ways:
+
+* on :class:`~repro.polynomials.Polynomial` objects, for verification
+  (:meth:`~EnvironmentContext.rate_polynomials`);
+* on Python floats, for one state (:meth:`~EnvironmentContext.rate_numeric`,
+  :meth:`~EnvironmentContext.reward`);
+* on NumPy columns, for a whole fleet (:meth:`~EnvironmentContext.rate_batch`,
+  :meth:`~EnvironmentContext.reward_cost_batch`,
+  :meth:`~EnvironmentContext.reward_batch`), where a bare-constant entry
+  broadcasts to a full column.
+
+Floats and columns go through the same IEEE operations in the same order, so
+the single-state and fleet paths agree bit for bit, and the verified model and
+the simulated model cannot drift apart.
 """
 
 from __future__ import annotations
@@ -188,29 +203,46 @@ class EnvironmentContext:
     def rate(self, state: Sequence, action: Sequence) -> List:
         """The change of rate ``ṡ = f(s, a)`` written with +, -, * only.
 
-        Must accept either numeric sequences or sequences of
+        Must accept sequences of floats, of NumPy columns, or of
         :class:`~repro.polynomials.Polynomial` and return a list of the same
-        kind, one entry per state dimension.
+        kind (or bare constants), one entry per state dimension.
         """
         raise NotImplementedError
 
+    def cost(self, state: Sequence, action: Sequence):
+        """The regulation cost of taking ``action`` in ``state``, written with
+        +, -, * only and without the unsafe penalty.
+
+        Evaluated on floats by :meth:`reward` and on columns by
+        :meth:`reward_cost_batch`.  The default is the quadratic
+        ``Σ s_i² + 0.01 · Σ a_j²``.
+        """
+        squares = 0.0
+        for value in state:
+            squares = squares + value * value
+        effort = 0.0
+        for value in action:
+            effort = effort + value * value
+        return squares + 0.01 * effort
+
     def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        """Numeric fast path; defaults to the generic :meth:`rate`."""
-        return np.asarray(self.rate(list(state), list(action)), dtype=float)
+        """:meth:`rate` evaluated on Python floats for one state."""
+        state = np.asarray(state, dtype=float)
+        action = np.asarray(action, dtype=float)
+        return np.array(self.rate(state.tolist(), action.tolist()), dtype=float)
 
     def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Vectorised dynamics over ``(episodes, state_dim)`` / ``(episodes, action_dim)``.
-
-        The generic fallback loops :meth:`rate_numeric` row-wise, so any
-        environment works with the batched rollout engine out of the box;
-        concrete environments override this with true array dynamics for
-        hardware-speed campaigns.
-        """
+        """:meth:`rate` evaluated on the columns of ``(episodes, state_dim)`` /
+        ``(episodes, action_dim)`` blocks, shape ``(episodes, state_dim)``."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        return np.stack(
-            [self.rate_numeric(s, a) for s, a in zip(states, actions)], axis=0
-        )
+        rates = np.empty_like(states)
+        entries = self.rate(list(states.T), list(actions.T))
+        if len(entries) != self.state_dim:
+            raise ValueError("rate must produce one entry per state dimension")
+        for index, entry in enumerate(entries):
+            rates[:, index] = entry
+        return rates
 
     # ------------------------------------------------------------ regions
     @property
@@ -309,45 +341,31 @@ class EnvironmentContext:
 
     # ------------------------------------------------------------- reward
     def reward(self, state: np.ndarray, action: np.ndarray) -> float:
-        """Default reward: negative quadratic regulation cost plus an unsafe penalty."""
+        """``-(cost + unsafe_penalty · 1[unsafe])`` for one state."""
         state = np.asarray(state, dtype=float)
         action = np.asarray(action, dtype=float)
-        cost = float(np.sum(state**2)) + 0.01 * float(np.sum(action**2))
+        cost = self.cost(state.tolist(), action.tolist())
         if self.is_unsafe(state):
             cost += self.unsafe_penalty
-        return -cost
+        return -float(cost)
 
     def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """The positive regulation cost of :meth:`reward_batch`, *without* the
-        unsafe penalty, shape ``(episodes,)``.
+        """:meth:`cost` evaluated on columns, shape ``(episodes,)``.
 
-        The reward convention across the benchmarks is
-        ``reward = -(cost + unsafe_penalty · 1[unsafe])``; splitting the cost
-        out lets the fused rollout kernels reuse the unsafe mask they already
-        computed for the step's bookkeeping instead of re-testing the safe box.
-        Environments overriding :meth:`reward_batch` should override this in
-        the same class so the two stay consistent.
+        Split out of :meth:`reward_batch` so the fused rollout kernels can add
+        the penalty with the unsafe mask they already computed for the step's
+        bookkeeping instead of re-testing the safe box.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        return np.sum(states**2, axis=1) + 0.01 * np.sum(actions**2, axis=1)
+        cost = np.empty(states.shape[0])
+        cost[:] = self.cost(list(states.T), list(actions.T))
+        return cost
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-episode rewards, shape ``(episodes,)``.
-
-        Vectorises the default quadratic reward directly; environments that
-        override :meth:`reward` without overriding this method fall back to a
-        row-wise loop so the batched and scalar paths can never disagree.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        if type(self).reward is not EnvironmentContext.reward:
-            return np.array(
-                [self.reward(s, a) for s, a in zip(states, actions)], dtype=float
-            )
+        """Per-episode rewards, shape ``(episodes,)``."""
         cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        return -(cost + self.unsafe_penalty * self.is_unsafe_batch(states))
 
     # ---------------------------------------------------------- simulation
     def sample_initial_state(self, rng: np.random.Generator) -> np.ndarray:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from ..certificates.regions import Box
 from .base import EnvironmentContext
 
@@ -75,43 +73,15 @@ class GlycemicControl(EnvironmentContext):
         insulin_rate = -self.n * insulin + infusion
         return [glucose_rate, action_rate, insulin_rate]
 
-    def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rate(list(state), list(action)), dtype=float)
-
-    def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        glucose, insulin_action, insulin = states[:, 0], states[:, 1], states[:, 2]
-        glucose_rate = (
-            -self.p1 * glucose
-            - insulin_action * glucose
-            - self.basal_glucose * insulin_action
-        )
-        action_rate = -self.p2 * insulin_action + self.p3 * insulin
-        insulin_rate = -self.n * insulin + actions[:, 0]
-        return np.stack([glucose_rate, action_rate, insulin_rate], axis=1)
-
-    def reward(self, state: np.ndarray, action: np.ndarray) -> float:
+    def cost(self, state: Sequence, action: Sequence):
         glucose, insulin_action, insulin = state
-        cost = glucose**2 + 10.0 * insulin_action**2 + 0.01 * insulin**2
-        cost += 0.001 * float(action[0]) ** 2
-        if self.is_unsafe(state):
-            cost += self.unsafe_penalty
-        return -float(cost)
-
-    def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        glucose, insulin_action, insulin = states[:, 0], states[:, 1], states[:, 2]
-        cost = glucose**2 + 10.0 * insulin_action**2 + 0.01 * insulin**2
-        return cost + 0.001 * actions[:, 0] ** 2
-
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        infusion = action[0]
+        return (
+            glucose * glucose
+            + 10.0 * (insulin_action * insulin_action)
+            + 0.01 * (insulin * insulin)
+            + 0.001 * (infusion * infusion)
+        )
 
 
 def make_biology(dt: float = 0.01) -> GlycemicControl:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-import numpy as np
-
 from ..certificates.regions import Box
 from .base import EnvironmentContext
 
@@ -73,44 +71,15 @@ class CartPole(EnvironmentContext):
         x_acc = (force + self.pole_mass * half_length * (-1.0) * theta_acc) * (1.0 / total_mass)
         return [x_dot, x_acc, theta_dot, theta_acc]
 
-    def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rate(list(state), list(action)), dtype=float)
-
-    def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        x_dot, theta, theta_dot = states[:, 1], states[:, 2], states[:, 3]
-        force = actions[:, 0]
-        total_mass = self.cart_mass + self.pole_mass
-        half_length = self.pole_length / 2.0
-        denom = half_length * (4.0 / 3.0 - self.pole_mass / total_mass)
-        theta_acc = (_GRAVITY * theta - force * (1.0 / total_mass)) * (1.0 / denom)
-        x_acc = (force + self.pole_mass * half_length * (-1.0) * theta_acc) * (
-            1.0 / total_mass
-        )
-        return np.stack([x_dot, x_acc, theta_dot, theta_acc], axis=1)
-
-    def reward(self, state: np.ndarray, action: np.ndarray) -> float:
+    def cost(self, state: Sequence, action: Sequence):
         x, x_dot, theta, theta_dot = state
-        cost = 5.0 * theta**2 + x**2 + 0.1 * (x_dot**2 + theta_dot**2)
-        cost += 0.001 * float(action[0]) ** 2
-        if self.is_unsafe(state):
-            cost += self.unsafe_penalty
-        return -float(cost)
-
-    def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        x, x_dot, theta, theta_dot = (states[:, i] for i in range(4))
-        cost = 5.0 * theta**2 + x**2 + 0.1 * (x_dot**2 + theta_dot**2)
-        return cost + 0.001 * actions[:, 0] ** 2
-
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        force = action[0]
+        return (
+            5.0 * (theta * theta)
+            + x * x
+            + 0.1 * (x_dot * x_dot + theta_dot * theta_dot)
+            + 0.001 * (force * force)
+        )
 
 
 def make_cartpole(pole_length: float = 0.5, dt: float = 0.01) -> CartPole:

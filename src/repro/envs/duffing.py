@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from ..certificates.regions import Box
 from .base import EnvironmentContext
 
@@ -44,34 +42,10 @@ class DuffingOscillator(EnvironmentContext):
         a = action[0]
         return [y, -self.damping * y - x - x * x * x + a]
 
-    def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
+    def cost(self, state: Sequence, action: Sequence):
         x, y = state
-        return np.array([y, -self.damping * y - x - x**3 + action[0]])
-
-    def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        x, y = states[:, 0], states[:, 1]
-        return np.stack([y, -self.damping * y - x - x**3 + actions[:, 0]], axis=1)
-
-    def reward(self, state: np.ndarray, action: np.ndarray) -> float:
-        x, y = state
-        cost = x**2 + y**2 + 0.001 * float(action[0]) ** 2
-        if self.is_unsafe(state):
-            cost += self.unsafe_penalty
-        return -float(cost)
-
-    def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        return states[:, 0] ** 2 + states[:, 1] ** 2 + 0.001 * actions[:, 0] ** 2
-
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        a = action[0]
+        return x * x + y * y + 0.001 * (a * a)
 
 
 def make_duffing(dt: float = 0.01) -> DuffingOscillator:

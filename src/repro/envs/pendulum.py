@@ -77,38 +77,10 @@ class InvertedPendulum(EnvironmentContext):
         accel = gravity_term + torque * (1.0 / (self.mass * self.length * self.length))
         return [omega, accel]
 
-    def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
+    def cost(self, state: Sequence, action: Sequence):
         eta, omega = state
-        gravity_term = (_GRAVITY / self.length) * (eta - eta**3 / 6.0)
-        accel = gravity_term + action[0] / (self.mass * self.length**2)
-        return np.array([omega, accel])
-
-    def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        eta, omega = states[:, 0], states[:, 1]
-        gravity_term = (_GRAVITY / self.length) * (eta - eta**3 / 6.0)
-        accel = gravity_term + actions[:, 0] / (self.mass * self.length**2)
-        return np.stack([omega, accel], axis=1)
-
-    def reward(self, state: np.ndarray, action: np.ndarray) -> float:
-        eta, omega = state
-        cost = eta**2 + 0.1 * omega**2 + 0.001 * float(action[0]) ** 2
-        if self.is_unsafe(state):
-            cost += self.unsafe_penalty
-        return -float(cost)
-
-    def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        return states[:, 0] ** 2 + 0.1 * states[:, 1] ** 2 + 0.001 * actions[:, 0] ** 2
-
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        torque = action[0]
+        return eta * eta + 0.1 * (omega * omega) + 0.001 * (torque * torque)
 
 
 def make_pendulum(

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from ..certificates.regions import Box
 from .base import EnvironmentContext
 
@@ -59,33 +57,14 @@ class Quadcopter(EnvironmentContext):
         thrust = action[0]
         return [speed, thrust - self.drag * speed]
 
-    def rate_numeric(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return np.array([state[1], action[0] - self.drag * state[1]])
-
-    def rate_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        speed = states[:, 1]
-        return np.stack([speed, actions[:, 0] - self.drag * speed], axis=1)
-
-    def reward(self, state: np.ndarray, action: np.ndarray) -> float:
+    def cost(self, state: Sequence, action: Sequence):
         altitude_error, speed = state
-        cost = altitude_error**2 + 0.1 * speed**2 + 0.001 * float(action[0]) ** 2
-        if self.is_unsafe(state):
-            cost += self.unsafe_penalty
-        return -float(cost)
-
-    def reward_cost_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        return states[:, 0] ** 2 + 0.1 * states[:, 1] ** 2 + 0.001 * actions[:, 0] ** 2
-
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        cost = self.reward_cost_batch(states, actions)
-        cost = cost + self.unsafe_penalty * self.is_unsafe_batch(states)
-        return -cost
+        thrust = action[0]
+        return (
+            altitude_error * altitude_error
+            + 0.1 * (speed * speed)
+            + 0.001 * (thrust * thrust)
+        )
 
 
 def make_quadcopter(dt: float = 0.01) -> Quadcopter:

@@ -11,7 +11,11 @@ The equivalence claims are scoped exactly as the codebase defines them:
   steady) are bit-identical between the interpreted (``repro.reference``)
   and compiled engines;
   rewards agree to tight relative tolerance (matmul vs per-term summation
-  reassociates floating-point adds).
+  reassociates floating-point adds).  Both engines step through
+  ``env.rate_batch``, so the environment's ``rate`` is checked on its own on
+  the campaign's initial states: on columns it equals the row-wise float
+  evaluation bit for bit and the lowered ``PolyBlock`` of its polynomial
+  evaluation within ``1e-9``.
 * ``fold`` — ``fold_constants`` output equals raw tree-walk evaluation on
   *all* states including ``inf``/``nan`` (up to ulp-level tolerance from the
   re-associated constant product); the lowered kernel additionally equals the
@@ -396,9 +400,40 @@ def _campaign_signature(metrics):
     ]
 
 
+def _check_rate(env, states: np.ndarray, actions: np.ndarray) -> Optional[str]:
+    """``rate`` on columns vs on floats (exact) vs lowered to a PolyBlock."""
+    from ..compile import PolyBlock
+    from ..polynomials import Polynomial
+
+    columns = env.rate_batch(states, actions)
+    rows = np.stack([env.rate_numeric(s, a) for s, a in zip(states, actions)])
+    if not np.array_equal(columns, rows):
+        return f"rate_batch != row-wise rate_numeric: {columns.tolist()} != {rows.tolist()}"
+    n, m = env.state_dim, env.action_dim
+    entries = env.rate(
+        [Polynomial.variable(i, n + m) for i in range(n)],
+        [Polynomial.variable(n + j, n + m) for j in range(m)],
+    )
+    block = PolyBlock.from_polynomials(
+        [e if isinstance(e, Polynomial) else Polynomial.constant(float(e), n + m) for e in entries]
+    )
+    lowered = block.evaluate(np.concatenate([states, actions], axis=1))
+    if not np.allclose(columns, lowered, rtol=1e-9, atol=1e-9):
+        return f"rate_batch != lowered rate: {columns.tolist()} != {lowered.tolist()}"
+    return None
+
+
 def _check_compiled(payload: Dict[str, Any]) -> Optional[str]:
     from ..reference import evaluate_policy_interpreted
     from ..runtime.simulation import EvaluationProtocol, evaluate_policy
+
+    env = gen.env_from_payload(payload["env"])
+    shield = gen.shield_from_payload(env, payload["shield"])
+    rng = np.random.default_rng(int(payload["campaign_seed"]))
+    states = env.sample_initial_states(rng, int(payload["episodes"]))
+    failure = _check_rate(env, states, env.clip_action_batch(shield.act_batch(states)))
+    if failure is not None:
+        return failure
 
     def run(evaluate):
         env = gen.env_from_payload(payload["env"])

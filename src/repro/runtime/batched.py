@@ -18,10 +18,11 @@ are batched, which reorders the stream across episodes; within a single
 episode the draws remain identical.
 
 The hot loop runs through the **compiled execution layer**
-(:mod:`repro.compile`): programs, invariants, and — where no hand-vectorised
-override exists — the symbolic dynamics are lowered once into fused NumPy
-kernels, and the whole policy → shield → environment step executes as one
-straight-line kernel with preallocated workspace buffers.  The interpreted
+(:mod:`repro.compile`): programs and invariants are lowered once into fused
+NumPy kernels, the dynamics are the environment's ``rate_batch`` (its symbolic
+``rate`` evaluated on state and action columns), and the whole policy →
+shield → environment step executes as one straight-line kernel with
+preallocated workspace buffers.  The interpreted
 lockstep loop it is held to lives in :mod:`repro.reference.campaigns`.
 """
 

@@ -159,9 +159,7 @@ class SynthesisService:
                 # Pre-compile the deployable kernels into the process-wide
                 # cache so the first campaign over a store hit is already a
                 # kernel-cache hit.
-                warm_kernel_cache(
-                    program=artifact.program, invariant=artifact.invariant, env=env
-                )
+                warm_kernel_cache(program=artifact.program, invariant=artifact.invariant)
                 return ServiceResult(
                     shield=shield,
                     program=artifact.program,
@@ -200,7 +198,7 @@ class SynthesisService:
                 {d.code for d in lint.warnings}
             )
         key = self.store.put(artifact) if self.store is not None else ""
-        warm_kernel_cache(program=result.program, invariant=result.invariant, env=env)
+        warm_kernel_cache(program=result.program, invariant=result.invariant)
         return ServiceResult(
             shield=result.shield,
             program=result.program,

@@ -14,6 +14,7 @@ import pytest
 from repro.baselines import make_lqr_policy
 from repro.core import Shield
 from repro.envs import make_environment
+from repro.envs.base import LinearEnvironment
 from repro.envs.registry import BENCHMARKS
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
@@ -110,24 +111,33 @@ class TestBatchedScalarEquivalence:
 class TestBatchPrimitives:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_rate_batch_matches_rate_numeric(self, name):
-        """Every registered benchmark's vectorised dynamics agree row-wise."""
+        """Every registered benchmark's vectorised dynamics agree row-wise.
+
+        Nonlinear environments evaluate the same ``rate`` on floats and on
+        columns, so the two agree bit for bit; linear ones use gemv and gemm,
+        which sum in different orders.
+        """
         env = make_environment(name)
-        rng = np.random.default_rng(0)
-        states = env.domain.sample(rng, 16)
-        actions = rng.uniform(-1.0, 1.0, size=(16, env.action_dim))
+        rng = np.random.default_rng(3)
+        states = env.domain.sample(rng, 5000)
+        actions = rng.uniform(-1.0, 1.0, size=(5000, env.action_dim))
         batched = env.rate_batch(states, actions)
         rows = np.stack([env.rate_numeric(s, a) for s, a in zip(states, actions)])
-        np.testing.assert_allclose(batched, rows, rtol=1e-10, atol=1e-12)
+        if isinstance(env, LinearEnvironment):
+            np.testing.assert_allclose(batched, rows, rtol=1e-10, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(batched, rows)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_reward_batch_matches_reward(self, name):
+        """``reward`` and ``reward_batch`` evaluate the same ``cost``: bit-equal."""
         env = make_environment(name)
-        rng = np.random.default_rng(1)
-        states = env.domain.sample(rng, 16)
-        actions = rng.uniform(-1.0, 1.0, size=(16, env.action_dim))
+        rng = np.random.default_rng(3)
+        states = env.domain.sample(rng, 5000)
+        actions = rng.uniform(-1.0, 1.0, size=(5000, env.action_dim))
         batched = env.reward_batch(states, actions)
         rows = np.array([env.reward(s, a) for s, a in zip(states, actions)])
-        np.testing.assert_allclose(batched, rows, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(batched, rows)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_step_and_unsafe_and_steady_batch(self, name):

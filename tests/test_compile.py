@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.compile import (
-    CompiledDynamics,
     KernelCache,
     PolyBlock,
     clear_kernel_cache,
@@ -296,41 +295,20 @@ def _random_program_with_dims(rng, state_dim, action_dim):
 
 
 # ----------------------------------------------------------------- dynamics
-class TestCompiledDynamics:
-    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-    def test_lowered_rate_matches_native_batch(self, name):
-        env = make_environment(name)
-        dynamics = CompiledDynamics(env)
-        rng = np.random.default_rng(11)
-        states = env.init_region.sample(rng, 20)
-        actions = rng.normal(scale=1.0, size=(20, env.action_dim))
-        np.testing.assert_allclose(
-            dynamics.rate(states, actions),
-            env.rate_batch(states, actions),
-            rtol=1e-9,
-            atol=1e-11,
-        )
-
-    def test_generic_fallback_env_gets_compiled_dynamics(self):
-        env = _CustomRowwiseEnv()
-        shield = _make_shield(env, seed=3)
-        protocol = EvaluationProtocol(episodes=12, steps=40, seed=4)
-        shield.reset_statistics()
-        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
-        shield.reset_statistics()
-        fast = evaluate_policy(env, shield, protocol, shield=shield)
-        assert [e.interventions for e in slow.episodes] == [
-            e.interventions for e in fast.episodes
-        ]
-        np.testing.assert_allclose(
-            [e.total_reward for e in slow.episodes],
-            [e.total_reward for e in fast.episodes],
-            rtol=1e-8,
-        )
+def _lowered_rate(env):
+    """The symbolic ``rate`` over joint ``(state, action)`` variables as one block."""
+    joint = env.state_dim + env.action_dim
+    state_vars = [Polynomial.variable(i, joint) for i in range(env.state_dim)]
+    action_vars = [Polynomial.variable(env.state_dim + j, joint) for j in range(env.action_dim)]
+    entries = [
+        entry if isinstance(entry, Polynomial) else Polynomial.constant(float(entry), joint)
+        for entry in env.rate(state_vars, action_vars)
+    ]
+    return PolyBlock.from_polynomials(entries)
 
 
-class _CustomRowwiseEnv(EnvironmentContext):
-    """A nonlinear env that never defined a vectorised ``rate_batch``."""
+class _RateOnlyEnv(EnvironmentContext):
+    """A nonlinear env that writes only ``rate``."""
 
     def __init__(self):
         from repro.certificates.regions import Box
@@ -345,11 +323,63 @@ class _CustomRowwiseEnv(EnvironmentContext):
             action_low=[-5.0],
             action_high=[5.0],
         )
-        self.name = "custom_rowwise"
+        self.name = "custom_rate_only"
 
     def rate(self, state, action):
         x, y = state
         return [y, -0.5 * y - x - x * x * x + action[0]]
+
+
+class _RateAndCostEnv(_RateOnlyEnv):
+    """A bare-constant ``rate`` entry (a constant drift) and its own ``cost``."""
+
+    def __init__(self):
+        super().__init__()
+        self.name = "custom_rate_and_cost"
+
+    def rate(self, state, action):
+        x, y = state
+        return [0.2, -0.5 * y - x - x * x * y + action[0]]
+
+    def cost(self, state, action):
+        x, y = state
+        return 2.0 * (x * x) + y * y * y * y + 0.05 * (action[0] * action[0]) + 0.3
+
+
+class TestColumnDynamics:
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_rate_batch_matches_lowered_rate(self, name):
+        env = make_environment(name)
+        block = _lowered_rate(env)
+        rng = np.random.default_rng(11)
+        states = env.init_region.sample(rng, 20)
+        actions = rng.normal(scale=1.0, size=(20, env.action_dim))
+        np.testing.assert_allclose(
+            block.evaluate(np.concatenate([states, actions], axis=1)),
+            env.rate_batch(states, actions),
+            rtol=1e-9,
+            atol=1e-11,
+        )
+
+    @pytest.mark.parametrize(
+        "env_class", [_RateOnlyEnv, _RateAndCostEnv], ids=["rate_only", "rate_and_cost"]
+    )
+    def test_custom_env_campaign_matches_interpreted(self, env_class):
+        env = env_class()
+        shield = _make_shield(env, seed=3)
+        protocol = EvaluationProtocol(episodes=12, steps=40, seed=4)
+        shield.reset_statistics()
+        slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
+        shield.reset_statistics()
+        fast = evaluate_policy(env, shield, protocol, shield=shield)
+        assert [e.interventions for e in slow.episodes] == [
+            e.interventions for e in fast.episodes
+        ]
+        np.testing.assert_allclose(
+            [e.total_reward for e in slow.episodes],
+            [e.total_reward for e in fast.episodes],
+            rtol=1e-8,
+        )
 
 
 # ------------------------------------------------------------- campaign parity

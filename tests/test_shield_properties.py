@@ -10,7 +10,10 @@ the properties the shield construction is supposed to provide *by design*:
   when its constituent policies respect them;
 * deploying the shield never increases the number of episodes that reach an
   unsafe state, relative to the bare network, when the program/invariant pair
-  has been verified by the toolchain.
+  has been verified by the toolchain;
+* the scalar shield (``act``/``would_intervene``) and the fleet shield
+  (``decide_batch``) reach the same decision at the same state, even when the
+  invariant's boundary runs exactly through the predicted successor.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 from repro import make_environment, verify_program
 from repro.baselines import make_lqr_policy
 from repro.core import Shield
-from repro.lang import AffineProgram, GuardedProgram, InvariantUnion
+from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
+from repro.polynomials import Polynomial
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +149,34 @@ class TestShieldEpisodeProperties:
             shield, steps=300, initial_state=satellite.init_region.sample(rng, 1)[0]
         )
         assert trajectory.unsafe_steps == 0
+
+
+# States and actions at which a one-ulp gap between the single-state and the
+# fleet prediction used to flip the shield's decision.
+_BOUNDARY_CASES = {
+    "pendulum": ([0.3194840970740013, 0.026536552410842684], [-9.789819924389384]),
+    # The first such duffing state drawn from init_region with seed 3.
+    "duffing": ([2.0537511402244117, -0.004746198627944231], [-18.972193345162538]),
+}
+
+
+class TestScalarFleetAgreement:
+    @pytest.mark.parametrize("name", sorted(_BOUNDARY_CASES))
+    def test_scalar_and_fleet_shields_agree_on_the_boundary(self, name):
+        env = make_environment(name)
+        state, action = (np.asarray(v) for v in _BOUNDARY_CASES[name])
+        scalar = env.predict(state, action)
+        fleet = env.predict_batch(state[None], action[None])[0]
+        np.testing.assert_array_equal(scalar, fleet)
+        program = AffineProgram(gain=np.zeros((env.action_dim, env.state_dim)))
+        for k in range(env.state_dim):
+            # The barrier x_k - c passes through the predicted successor.
+            barrier = Polynomial.variable(k, env.state_dim) - min(scalar[k], fleet[k])
+            invariant = Invariant(barrier=barrier, names=env.state_names)
+            shield = Shield(
+                env=env,
+                neural_policy=lambda s: action,
+                program=GuardedProgram(branches=[(invariant, program)]),
+                invariant=InvariantUnion([invariant]),
+            )
+            assert shield.would_intervene(state) == shield.decide_batch(state[None])[1][0]
