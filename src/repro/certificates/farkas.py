@@ -50,6 +50,9 @@ __all__ = [
     "prove_positive_handelman",
 ]
 
+# Far below the default certificate ``tolerance`` (1e-7) of the residual check.
+_LP_FEASIBILITY_TOLERANCE = 1e-10
+
 
 @dataclass
 class FarkasResult:
@@ -153,12 +156,17 @@ def prove_nonpositive_handelman(
             degree=degree,
             failure_reason="injected LP timeout (fault plan)",
         )
+    # HiGHS accepts bound violations up to its feasibility tolerance (1e-7 by
+    # default), so a multiplier of about -1e-7 can come back; dropping it below
+    # would leave a residual above ``tolerance``.  A much tighter tolerance keeps
+    # the negative part far below it.
     result = linprog(
         c=np.ones(matrix.shape[1]),
         A_eq=matrix,
         b_eq=rhs,
         bounds=[(0.0, None)] * matrix.shape[1],
         method="highs",
+        options={"primal_feasibility_tolerance": _LP_FEASIBILITY_TOLERANCE},
     )
     if not result.success:
         return FarkasResult(

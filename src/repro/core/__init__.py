@@ -1,7 +1,7 @@
 """The paper's contribution: synthesis (Alg. 1), CEGIS (Alg. 2), shielding (Alg. 3)."""
 
 from .cegis import CEGISBranch, CEGISConfig, CEGISLoop, CEGISResult, run_cegis
-from .distance import DistanceConfig, program_oracle_distance, trajectory_distance
+from .distance import DistanceConfig, program_oracle_distance
 from .replay import (
     CounterexampleCache,
     CounterexampleRecord,
@@ -35,7 +35,6 @@ from .verification import (
 
 __all__ = [
     "DistanceConfig",
-    "trajectory_distance",
     "program_oracle_distance",
     "SynthesisConfig",
     "SynthesisResult",

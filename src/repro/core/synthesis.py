@@ -6,6 +6,13 @@ along the two-point finite-difference estimate of the gradient of the
 imitation-with-safety objective (equation (6)):
 
     θ ← θ + α · [ (d(π, P_{θ+νδ}, C₁) − d(π, P_{θ−νδ}, C₂)) / ν ] · δ
+
+Each iteration scores its ``2·directions`` perturbed programs with one call of
+:func:`~repro.core.distance.program_oracle_distance`, which rolls them all out
+as one lockstep fleet, in the order ``plus₀, minus₀, plus₁, …`` that scoring
+them one at a time would take; the history score of the updated θ is one more
+call.  The scores are bit-equal to the one-at-a-time objective, so the search
+path and the synthesized program do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from ..envs.base import EnvironmentContext
 from ..lang.program import PolicyProgram
 from ..lang.sketch import AffineSketch, PolynomialSketch, ProgramSketch
 from ..polynomials import basis_design_matrix
-from .distance import DistanceConfig, program_oracle_distance
+from .distance import DistanceConfig, oracle_actions, program_oracle_distance
 
 __all__ = [
     "SynthesisConfig",
@@ -44,11 +51,12 @@ def regression_warm_start(
     the imitation part of the objective (ignoring the safety penalty) has a
     closed-form minimiser.  Algorithm 1's random search then only has to adjust
     θ for the trajectory distribution and the safety penalty, which cuts the
-    number of required iterations substantially.  Returns ``None`` for sketches
-    where no closed form applies.
+    number of required iterations substantially.  The oracle labels all
+    ``samples`` states in one :func:`~repro.core.distance.oracle_actions` call.
+    Returns ``None`` for sketches where no closed form applies.
     """
     states = env.safe_box.sample(rng, samples)
-    oracle_actions = np.stack([np.asarray(oracle(s), dtype=float) for s in states], axis=0)
+    targets = oracle_actions(oracle, states)
     if isinstance(sketch, AffineSketch):
         features = states
         if sketch.include_bias:
@@ -57,7 +65,7 @@ def regression_warm_start(
         features = basis_design_matrix(sketch.basis, states)
     else:
         return None
-    solution, *_ = np.linalg.lstsq(features, oracle_actions, rcond=None)
+    solution, *_ = np.linalg.lstsq(features, targets, rcond=None)
     # solution has shape (num_features, action_dim); sketches order θ per output row.
     return solution.T.ravel()
 
@@ -135,24 +143,15 @@ class ProgramSynthesizer:
         history: List[float] = []
         converged = False
 
-        def objective(parameters: np.ndarray) -> float:
-            program = self.sketch.instantiate(parameters)
-            return program_oracle_distance(
-                self.env,
-                program,
-                self.oracle,
-                self._rng,
-                config=cfg.distance,
-                init_region=init_region,
-            )
-
         for iteration in range(1, cfg.iterations + 1):
             deltas = self._rng.normal(size=(cfg.directions, theta.size))
-            plus_scores = np.zeros(cfg.directions)
-            minus_scores = np.zeros(cfg.directions)
-            for index in range(cfg.directions):
-                plus_scores[index] = objective(theta + cfg.noise_scale * deltas[index])
-                minus_scores[index] = objective(theta - cfg.noise_scale * deltas[index])
+            perturbations = cfg.noise_scale * deltas
+            # Scored in the order plus₀, minus₀, plus₁, minus₁, ….
+            candidates = np.empty((2 * cfg.directions, theta.size))
+            candidates[0::2] = theta + perturbations
+            candidates[1::2] = theta - perturbations
+            scores = self._scores(candidates, init_region)
+            plus_scores, minus_scores = scores[0::2], scores[1::2]
             # Normalise the finite-difference update by the score dispersion, as in
             # the augmented-random-search estimator the paper builds on [29, 30];
             # without it the large unsafe penalty makes raw updates blow up.
@@ -160,7 +159,7 @@ class ProgramSynthesizer:
             sigma = max(sigma, 1e-8)
             update = np.einsum("i,ij->j", plus_scores - minus_scores, deltas)
             theta = theta + cfg.learning_rate / (cfg.directions * sigma) * update
-            history.append(objective(theta))
+            history.append(float(self._scores(theta[None, :], init_region)[0]))
             if self._has_converged(history):
                 converged = True
                 break
@@ -177,6 +176,17 @@ class ProgramSynthesizer:
         )
 
     # -------------------------------------------------------------- helpers
+    def _scores(self, parameters: np.ndarray, init_region) -> np.ndarray:
+        """``d(π, P_θ, C)`` for every row θ of ``parameters``, as one fleet."""
+        return program_oracle_distance(
+            self.env,
+            [self.sketch.instantiate(row) for row in parameters],
+            self.oracle,
+            self._rng,
+            config=self.config.distance,
+            init_region=init_region,
+        )
+
     def _has_converged(self, history: List[float]) -> bool:
         window = self.config.convergence_window
         if len(history) < 2 * window:

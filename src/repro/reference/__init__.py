@@ -14,6 +14,10 @@ code path and no flag can reach them.
   interpreted lockstep campaign loops behind the compiled stepper's interface,
   with :func:`evaluate_policy_interpreted` and
   :func:`monitor_fleet_interpreted`;
+* :mod:`repro.reference.distance` — :func:`program_oracle_distance_scalar`
+  and :func:`trajectory_distance`, the Algorithm 1 objective one program and
+  one state at a time, which the population objective of
+  :func:`repro.core.distance.program_oracle_distance` must match bit for bit;
 * :mod:`repro.reference.scalar` — :func:`run_episode_scalar`,
   :func:`evaluate_policy_scalar` and :func:`monitor_episode`, one state at a
   time.
@@ -21,6 +25,7 @@ code path and no flag can reach them.
 
 from .bnb import ScalarBranchAndBoundVerifier
 from .campaigns import InterpretedStepper, evaluate_policy_interpreted, monitor_fleet_interpreted
+from .distance import program_oracle_distance_scalar, trajectory_distance
 from .scalar import evaluate_policy_scalar, monitor_episode, run_episode_scalar
 
 __all__ = [
@@ -28,6 +33,8 @@ __all__ = [
     "InterpretedStepper",
     "evaluate_policy_interpreted",
     "monitor_fleet_interpreted",
+    "program_oracle_distance_scalar",
+    "trajectory_distance",
     "run_episode_scalar",
     "evaluate_policy_scalar",
     "monitor_episode",

@@ -16,11 +16,11 @@ from repro.core import (
     program_oracle_distance,
     regression_warm_start,
     synthesize_shield,
-    trajectory_distance,
     verify_program,
 )
 from repro.envs import make_environment, make_quadcopter, make_satellite
 from repro.lang import AffineProgram, AffineSketch
+from repro.reference import trajectory_distance
 from repro.rl import train_oracle
 from repro.runtime import EvaluationProtocol, compare_shielded, evaluate_policy
 
@@ -46,16 +46,15 @@ class TestDistance:
     def test_identical_policies_have_zero_distance(self, satellite_oracle):
         env, oracle = satellite_oracle
         rng = np.random.default_rng(0)
-        value = program_oracle_distance(env, oracle, oracle, rng, DistanceConfig(num_trajectories=2, trajectory_length=30))
-        assert value == pytest.approx(0.0, abs=1e-9)
+        value = program_oracle_distance(env, [oracle], oracle, rng, DistanceConfig(num_trajectories=2, trajectory_length=30))
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_distance_decreases_with_disagreement(self, satellite_oracle):
         env, oracle = satellite_oracle
-        rng = np.random.default_rng(0)
         near = AffineProgram(gain=np.array([[-0.5, -1.0]]))
         far = AffineProgram(gain=np.array([[5.0, 5.0]]))
-        d_near = program_oracle_distance(env, near, oracle, np.random.default_rng(1), DistanceConfig(num_trajectories=2, trajectory_length=30))
-        d_far = program_oracle_distance(env, far, oracle, np.random.default_rng(1), DistanceConfig(num_trajectories=2, trajectory_length=30))
+        d_near, d_far = program_oracle_distance(env, [near, far], oracle, np.random.default_rng(1), DistanceConfig(num_trajectories=2, trajectory_length=30))
         assert d_near > d_far
 
     def test_unsafe_states_incur_large_penalty(self, satellite_oracle):
@@ -65,6 +64,18 @@ class TestDistance:
         trajectory.states[5] = np.asarray(env.safe_box.high) * 3.0
         penalised = trajectory_distance(env, trajectory, oracle, oracle, DistanceConfig(unsafe_penalty=1234.0))
         assert penalised <= -1234.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"norm": "l3"}, {"norm": "L2"}, {"num_trajectories": 0}, {"num_trajectories": -1}, {"trajectory_length": -1}],
+    )
+    def test_config_rejects_invalid_values(self, overrides):
+        with pytest.raises(ValueError):
+            DistanceConfig(**overrides)
+
+    def test_config_accepts_both_norms(self):
+        assert DistanceConfig(norm="l1").norm == "l1"
+        assert DistanceConfig(norm="l2", num_trajectories=1, trajectory_length=0).trajectory_length == 0
 
 
 # ---------------------------------------------------------------------- synthesis

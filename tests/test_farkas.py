@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.certificates import Box, FarkasVerifier
@@ -120,12 +120,22 @@ class TestProveNonpositive:
         bound=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
         slope=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
     )
+    @example(bound=1.0, slope=1e-07)
     def test_property_affine_true_statements_are_proved(self, bound, slope):
         # slope*x - (|slope|*bound + 0.1) <= 0 always holds on [-bound, bound].
         offset = abs(slope) * bound + 0.1
         poly = Polynomial.affine([slope], -offset, 1)
         result = prove_nonpositive_handelman(poly, Box((-bound,), (bound,)), degree=1)
         assert result.proved
+
+    def test_multiplier_inside_default_lp_tolerance_is_not_dropped(self):
+        # HiGHS' default 1e-7 feasibility tolerance used to return the bound
+        # multiplier as -1e-7; dropping it left a 2e-7 residual and no proof.
+        poly = Polynomial.affine([1e-7], -(1e-7 + 0.1), 1)
+        result = prove_nonpositive_handelman(poly, Box((-1.0,), (1.0,)), degree=1)
+        assert result.proved
+        assert result.residual_bound <= 1e-7
+        assert np.all(result.multipliers >= -1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(

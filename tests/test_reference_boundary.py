@@ -83,3 +83,20 @@ def test_import_repro_leaves_reference_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_scalar_objective_lives_only_in_reference():
+    import repro.core
+    import repro.core.distance
+    import repro.reference
+
+    for name in ("trajectory_distance", "program_oracle_distance_scalar"):
+        assert getattr(repro.reference, name).__module__ == "repro.reference.distance"
+        assert not hasattr(repro.core, name)
+        assert not hasattr(repro.core.distance, name)
+    definitions = [
+        path.name
+        for path in (SRC / "repro" / "core").rglob("*.py")
+        if "def trajectory_distance" in path.read_text()
+    ]
+    assert definitions == []
