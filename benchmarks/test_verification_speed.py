@@ -1,21 +1,21 @@
-"""Verification-kernel speed: portfolio dispatch + verdict cache, tracked as
+"""Verification-kernel speed: auto dispatch + verdict cache, tracked as
 ``BENCH_verification.json``.
 
 Two effects are measured on a fixed query (the satellite benchmark under its
 LQR teacher program, re-verified from the full initial region):
 
-* **portfolio vs single backend** — ``backend="auto"`` dispatches the
-  capability-filtered portfolio cheapest-first, so on a linear plant it
-  answers at Lyapunov cost (microseconds) while a pinned sampled-LP backend
-  pays the full search; every backend must return the same verdict;
+* **auto vs single backend** — ``backend="auto"`` runs ``lyapunov`` first on
+  a linear closed loop (then ``barrier`` only if that fails), so on a linear
+  plant it answers at Lyapunov cost (microseconds) while a pinned sampled-LP
+  backend pays the full search; every backend must return the same verdict;
 * **verdict cache on vs off** — re-verifying the identical (program,
   environment, init box, config) query with a store-backed
   :class:`~repro.store.VerdictCache` must be served from cache with a
   bit-identical outcome, turning repeat sweeps into JSON reads.
 
 The cached repeat must be ≥ 5x faster than the fresh barrier proof (measured
-≈ 100-1000x), and the auto portfolio must not be slower than the most
-expensive single backend it subsumes.
+≈ 100-1000x), and auto must not be slower than the most expensive single
+backend (``portfolio_vs_worst_single`` in the artifact).
 
 Run directly (``PYTHONPATH=src python benchmarks/test_verification_speed.py``)
 or via pytest; both refresh the artifact at the repository root.
@@ -106,12 +106,12 @@ def test_verification_speed_artifact(tmp_path):
     rows, outcomes, fresh, cached = measure(tmp_path)
     write_artifact(rows)
 
-    # Every backend agrees with the portfolio on the verdict.
+    # Every backend agrees with auto on the verdict.
     verdicts = {name: outcome.verified for name, outcome in outcomes.items()}
     assert all(verdicts.values()), verdicts
 
-    # The portfolio answers at cheapest-backend cost: never slower than the
-    # most expensive single backend (in practice it is orders of magnitude
+    # Auto answers at cheapest-backend cost: never slower than the most
+    # expensive single backend (in practice it is orders of magnitude
     # faster, because lyapunov wins the dispatch on a linear plant).
     assert rows["portfolio_vs_worst_single"] >= 1.0, rows
     assert rows["backends"]["auto"]["winning_backend"] == "lyapunov"

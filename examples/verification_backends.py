@@ -1,7 +1,7 @@
 """Backend selection on the verification kernel.
 
 Verifies the same query — the satellite benchmark under its LQR teacher — with
-every registered certificate backend, with the auto portfolio, and through the
+every registered certificate backend, with the auto sequence, and through the
 store-backed verdict cache, printing the provenance each outcome carries.
 
 Run with:  PYTHONPATH=src python examples/verification_backends.py
@@ -24,17 +24,7 @@ def main() -> None:
     env = make_environment("satellite")
     program = AffineProgram(gain=make_lqr_policy(env).gain)
 
-    print("registered backends (cheapest first):")
-    for backend in available_backends():
-        caps = backend.capabilities
-        print(
-            f"  {backend.name:<10} linear={caps.handles_linear} "
-            f"polynomial={caps.handles_polynomial} "
-            f"disturbance_aware={caps.disturbance_aware} "
-            f"counterexamples={caps.produces_counterexamples}"
-        )
-
-    print("\npinning each backend on the same query:")
+    print("pinning each registered backend on the same query:")
     for backend in available_backends():
         outcome = verify_program(
             env, program, config=VerificationConfig(backend=backend.name)
@@ -44,16 +34,16 @@ def main() -> None:
             f"wall_clock={outcome.wall_clock_seconds:.4f}s"
         )
 
-    print("\nauto portfolio (capability-filtered, cheapest first):")
+    print("\nauto (lyapunov on linear closed loops, then barrier):")
     outcome = verify_program(env, program)  # backend="auto"
     print(
         f"  winner={outcome.backend} attempts={outcome.attempts} "
         f"disturbance_aware={outcome.disturbance_aware}"
     )
 
-    # On a disturbed environment the portfolio only dispatches
-    # disturbance-aware backends, and the barrier search (if reached) encodes
-    # condition (10)'s worst-case disturbance term.
+    # Every backend models the disturbance term of condition (10); on a
+    # disturbed environment the barrier search (if reached) encodes its
+    # worst case.
     disturbed = make_environment("satellite", disturbance_bound=[0.01, 0.01])
     outcome = verify_program(disturbed, program)
     print(

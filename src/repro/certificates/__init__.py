@@ -6,9 +6,9 @@
 * **decision procedures** — interval branch-and-bound
   (:class:`BranchAndBoundVerifier`) and Handelman/Farkas LP certificates
   (:class:`FarkasVerifier`);
-* **certificate backends** — the pluggable provers behind the verification
-  kernel (:class:`CertificateBackend` protocol, :class:`BackendCapabilities`,
-  and the backend registry), plus the concrete synthesizers they wrap;
+* **certificate backends** — the provers behind the verification kernel
+  (:class:`CertificateBackend` protocol and the fixed backend registry),
+  plus the concrete synthesizers they wrap;
 * **auditing** — independent re-checks of accepted invariants against the
   paper's conditions (8)-(10).
 
@@ -21,7 +21,6 @@ strategy those helpers lack) is the supported entry point.
 
 from .audit import InvariantAuditReport, audit_invariant, audit_shield
 from .backend import (
-    BackendCapabilities,
     BarrierBackend,
     CertificateBackend,
     FarkasBackend,
@@ -33,7 +32,6 @@ from .backend import (
     get_backend,
     is_disturbed,
     is_linear_closed_loop,
-    register_backend,
 )
 from .barrier import BarrierCertificateSynthesizer, BarrierSearchResult, BarrierSynthesisConfig
 from .farkas import FarkasResult, FarkasVerifier
@@ -76,13 +74,11 @@ __all__ = [
     "FarkasVerifier",
     # backend protocol + registry
     "CertificateBackend",
-    "BackendCapabilities",
     "VerificationOutcome",
     "LyapunovBackend",
     "SOSBackend",
     "BarrierBackend",
     "FarkasBackend",
-    "register_backend",
     "get_backend",
     "available_backends",
     "backend_names",

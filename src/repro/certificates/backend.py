@@ -1,42 +1,35 @@
-"""The certificate-backend protocol, capability model, and backend registry.
+"""The certificate-backend protocol and the fixed backend registry.
 
 Every prover that can discharge the paper's verification conditions (8)-(10)
-for a candidate program is a :class:`CertificateBackend`: it advertises
-*capabilities* (what closed loops it handles, whether it models the
-disturbance term of condition (10), whether it produces concrete
-counterexamples), answers a cheap structural :meth:`~CertificateBackend.supports`
-probe, and proves (or refutes) a single ``(environment, program, init box)``
-query, returning a structured :class:`VerificationOutcome`.
+for a candidate program is a :class:`CertificateBackend`: it answers a cheap
+structural :meth:`~CertificateBackend.supports` probe and proves (or refutes)
+a single ``(environment, program, init box)`` query, returning a structured
+:class:`VerificationOutcome`.
 
-Four backends ship with the reproduction:
+Four backends ship with the reproduction, registered in this fixed order:
 
-===========  ========================================================  ==========
-name         technique                                                 cost rank
-===========  ========================================================  ==========
-lyapunov     exact discrete Lyapunov ellipsoids (linear loops only)    0
-sos          Lyapunov search + SOS certificate of the decrease form    10
-barrier      sampled-LP barrier search + interval branch-and-bound     20
-farkas       barrier search + Handelman/Farkas re-certification        30
-===========  ========================================================  ==========
+===========  ========================================================
+name         technique
+===========  ========================================================
+lyapunov     exact discrete Lyapunov ellipsoids (linear loops only)
+sos          Lyapunov search + SOS certificate of the decrease form
+barrier      sampled-LP barrier search + interval branch-and-bound
+farkas       barrier search + Handelman/Farkas re-certification
+===========  ========================================================
 
-The registry (:func:`register_backend` / :func:`get_backend` /
-:func:`available_backends`) is what :class:`~repro.core.verification.VerificationKernel`
-dispatches over: ``VerificationConfig(backend="auto")`` runs the
-capability-filtered portfolio cheapest-first, any registered name selects one
-backend, and unknown names raise with the list of available backends.
-
-``redundant_after`` encodes subsumption for the portfolio: the ``sos`` backend
-re-runs the Lyapunov search before adding its Gram-matrix certificate, so once
-``lyapunov`` has failed there is no point trying ``sos``; likewise ``farkas``
-re-runs the barrier search before the Handelman pass.  Explicitly selected
-backends (by name or via ``VerificationConfig(portfolio=...)``) always run.
+All four model the disturbance term of condition (10).
+:class:`~repro.core.verification.VerificationKernel` dispatches over them:
+``VerificationConfig(backend="auto")`` runs ``lyapunov`` on linear closed
+loops, then ``barrier``; any registered name runs that one backend alone
+(``sos`` and ``farkas`` run only when named), and unknown names raise with
+the list of registered backends.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -54,24 +47,13 @@ from .sos import sos_decompose
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..envs.base import EnvironmentContext
 
-try:  # pragma: no cover - Protocol is 3.8+; keep a graceful fallback anyway
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
-
-
 __all__ = [
-    "BackendCapabilities",
     "VerificationOutcome",
     "CertificateBackend",
     "LyapunovBackend",
     "SOSBackend",
     "BarrierBackend",
     "FarkasBackend",
-    "register_backend",
     "get_backend",
     "available_backends",
     "backend_names",
@@ -81,31 +63,12 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ data model
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a certificate backend can (soundly) handle.
-
-    ``disturbance_aware`` means the backend's SAFE verdicts account for the
-    worst-case bounded disturbance of condition (10); the portfolio refuses to
-    use disturbance-blind backends on disturbed environments.  ``cost_rank``
-    orders the portfolio cheapest-first.  ``redundant_after`` lists backends
-    whose failure implies this backend would fail too (portfolio pruning).
-    """
-
-    handles_linear: bool = True
-    handles_polynomial: bool = False
-    disturbance_aware: bool = False
-    produces_counterexamples: bool = False
-    cost_rank: int = 100
-    redundant_after: Tuple[str, ...] = ()
-
-
 @dataclass
 class VerificationOutcome:
     """Result of attempting to verify a program in an environment.
 
     ``backend`` names the prover that produced the verdict; ``attempts`` is the
-    full portfolio provenance (every backend tried, in dispatch order);
+    dispatch provenance (every backend tried, in order);
     ``disturbance_aware`` records whether the verdict models the environment's
     disturbance bound; ``from_cache``/``cache_key`` tie the outcome to the
     store-backed verdict cache when one served or recorded it.
@@ -127,12 +90,10 @@ class VerificationOutcome:
         return self.verified
 
 
-@runtime_checkable
 class CertificateBackend(Protocol):
     """Structural protocol every certificate backend satisfies."""
 
     name: str
-    capabilities: BackendCapabilities
 
     def supports(self, env: "EnvironmentContext", program) -> bool:
         """Cheap structural probe: can this backend even attempt the query?"""
@@ -183,13 +144,6 @@ class LyapunovBackend:
     """
 
     name = "lyapunov"
-    capabilities = BackendCapabilities(
-        handles_linear=True,
-        handles_polynomial=False,
-        disturbance_aware=True,
-        produces_counterexamples=False,
-        cost_rank=0,
-    )
 
     def supports(self, env, program) -> bool:
         return is_linear_closed_loop(env, program)
@@ -246,14 +200,6 @@ class SOSBackend(LyapunovBackend):
     """
 
     name = "sos"
-    capabilities = BackendCapabilities(
-        handles_linear=True,
-        handles_polynomial=False,
-        disturbance_aware=True,
-        produces_counterexamples=False,
-        cost_rank=10,
-        redundant_after=("lyapunov",),
-    )
 
     def __init__(self, tolerance: float = 1e-6, max_iterations: int = 2000) -> None:
         self.tolerance = float(tolerance)
@@ -311,13 +257,6 @@ class BarrierBackend:
     """
 
     name = "barrier"
-    capabilities = BackendCapabilities(
-        handles_linear=True,
-        handles_polynomial=True,
-        disturbance_aware=True,
-        produces_counterexamples=True,
-        cost_rank=20,
-    )
 
     def supports(self, env, program) -> bool:
         return hasattr(program, "to_polynomials")
@@ -412,14 +351,6 @@ class FarkasBackend(BarrierBackend):
     """
 
     name = "farkas"
-    capabilities = BackendCapabilities(
-        handles_linear=True,
-        handles_polynomial=True,
-        disturbance_aware=True,
-        produces_counterexamples=True,
-        cost_rank=30,
-        redundant_after=("barrier",),
-    )
 
     def __init__(self, max_degree: int = 4, tolerance: float = 1e-7) -> None:
         self.max_degree = int(max_degree)
@@ -474,16 +405,10 @@ class FarkasBackend(BarrierBackend):
 
 
 # ------------------------------------------------------------------- registry
-_REGISTRY: Dict[str, CertificateBackend] = {}
-
-
-def register_backend(backend: CertificateBackend, replace: bool = False) -> CertificateBackend:
-    """Register a backend under its ``name``; ``replace=True`` overrides."""
-    name = backend.name
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"certificate backend {name!r} is already registered")
-    _REGISTRY[name] = backend
-    return backend
+_REGISTRY: Dict[str, CertificateBackend] = {
+    backend.name: backend
+    for backend in (LyapunovBackend(), SOSBackend(), BarrierBackend(), FarkasBackend())
+}
 
 
 def get_backend(name: str) -> CertificateBackend:
@@ -493,21 +418,15 @@ def get_backend(name: str) -> CertificateBackend:
     except KeyError:
         raise ValueError(
             f"unknown verification backend {name!r}; "
-            f"available backends: {backend_names()} (or 'auto' for the portfolio)"
+            f"available backends: {backend_names()} (or 'auto')"
         ) from None
 
 
 def available_backends() -> List[CertificateBackend]:
-    """All registered backends, cheapest first."""
-    return sorted(_REGISTRY.values(), key=lambda b: (b.capabilities.cost_rank, b.name))
+    """All registered backends: lyapunov, sos, barrier, farkas."""
+    return list(_REGISTRY.values())
 
 
 def backend_names() -> List[str]:
-    """Registered backend names, cheapest first."""
-    return [backend.name for backend in available_backends()]
-
-
-register_backend(LyapunovBackend())
-register_backend(SOSBackend())
-register_backend(BarrierBackend())
-register_backend(FarkasBackend())
+    """Registered backend names, in registry order."""
+    return list(_REGISTRY)

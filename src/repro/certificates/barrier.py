@@ -84,7 +84,7 @@ class BarrierSynthesisConfig:
     #: Wall-clock budget (seconds) for the whole refinement loop; ``None``
     #: means unbounded.  Checked between refinement iterations — exceeding it
     #: aborts with an (always sound) "not verified" result.  This is how the
-    #: verification kernel enforces per-backend portfolio budgets.
+    #: verification kernel enforces per-backend time budgets.
     time_budget_seconds: Optional[float] = None
     #: Disturbance dimensions up to which the LP enumerates every sign corner
     #: of the disturbance box (2^n rows per induction sample); above it only

@@ -11,7 +11,7 @@ any Python:
 * ``evaluate``    — load a saved artifact and run a shielded evaluation campaign;
 * ``audit``       — re-check a saved artifact against verification conditions (8)-(10);
 * ``verify``      — re-verify a stored shield through the verification kernel
-  with a chosen certificate backend (or the capability-filtered portfolio),
+  with a chosen certificate backend (or the auto sequence),
   printing per-branch backend provenance, margins, wall-clock, and
   verdict-cache hits;
 * ``store``       — manage the persistent shield store: ``list``, ``show``,
@@ -227,6 +227,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .core import VerificationConfig
+    from .envs import BENCHMARKS
     from .store import ShieldStore, StoreError, SynthesisService
 
     # ShieldStore resolves a missing --store to $REPRO_STORE / ./.repro_store;
@@ -235,12 +236,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         store=ShieldStore(args.store), use_verdict_cache=not args.no_cache
     )
     env = _load_environment(args.env, args.overrides) if args.env else None
-    config = VerificationConfig(
-        backend=args.backend,
-        invariant_degree=args.degree,
-        backend_time_budget_seconds=args.backend_budget,
-    )
     try:
+        degree = args.degree
+        if degree is None:
+            # Same rule as `repro synthesize`: the benchmark's own degree bound.
+            name = args.env or service.store.get_entry(args.key).environment
+            spec = BENCHMARKS.get(name)
+            degree = spec.invariant_degree if spec is not None else 2
+        config = VerificationConfig(
+            backend=args.backend,
+            invariant_degree=degree,
+            backend_time_budget_seconds=args.backend_budget,
+        )
         all_ok, outcomes, artifact = service.verify_stored(
             args.key, env=env, verification=config, use_cache=not args.no_cache
         )
@@ -265,7 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         attempts = "->".join(outcome.attempts) if outcome.attempts else outcome.backend
         print(
             f"branch {index}: {status} backend={outcome.backend} "
-            f"(portfolio: {attempts}) {margin} "
+            f"(attempts: {attempts}) {margin} "
             f"wall_clock={outcome.wall_clock_seconds:.3f}s{cached}"
         )
         if not outcome.verified and outcome.failure_reason:
@@ -739,15 +746,20 @@ def build_parser() -> argparse.ArgumentParser:
         # Validated against the registry at dispatch time (unknown names exit
         # 2 listing the registered backends) — resolving the registry here
         # would drag the whole certificates stack into every CLI invocation.
-        help="certificate backend to dispatch: a registered name such as "
-        "lyapunov/sos/barrier/farkas, or 'auto' for the capability-filtered portfolio",
+        help="certificate backend to run alone: lyapunov/sos/barrier/farkas, or "
+        "'auto' (lyapunov on linear closed loops, then barrier)",
     )
-    verify_cmd.add_argument("--degree", type=int, default=2, help="invariant degree bound")
+    verify_cmd.add_argument(
+        "--degree",
+        type=int,
+        default=None,
+        help="invariant degree bound (default: the benchmark's, else 2)",
+    )
     verify_cmd.add_argument(
         "--backend-budget",
         type=float,
         default=None,
-        help="per-backend wall-clock budget in seconds (portfolio dispatch)",
+        help="per-backend wall-clock budget in seconds",
     )
     verify_cmd.add_argument(
         "--no-cache", action="store_true", help="bypass the store-backed verdict cache"

@@ -2,18 +2,15 @@
 
 Given an environment context ``C`` and a candidate program ``P``, this module
 proves that ``C[P]`` never reaches an unsafe state by searching for an
-inductive invariant ``φ``.  The proving work itself lives in the pluggable
-certificate backends of :mod:`repro.certificates.backend` (``lyapunov``,
-``sos``, ``barrier``, ``farkas``); this module is the *dispatcher*:
+inductive invariant ``φ``.  The proving work itself lives in the certificate
+backends of :mod:`repro.certificates.backend` (``lyapunov``, ``sos``,
+``barrier``, ``farkas``); this module is the *dispatcher*:
 
-* :class:`VerificationConfig` selects a backend by registered name, an
-  explicit ``portfolio`` order, or ``"auto"``;
-* :class:`VerificationKernel` resolves the selection against the backend
-  registry and runs **capability-filtered portfolio dispatch**: backends that
-  do not structurally support the query are skipped, disturbance-blind
-  backends are never used on disturbed environments, the rest run
-  cheapest-first under per-backend time budgets, and backends marked redundant
-  after an already-failed one are pruned;
+* :class:`VerificationConfig` names one backend, or ``"auto"``;
+* :class:`VerificationKernel` runs a named backend alone; ``"auto"`` runs
+  ``lyapunov`` when the closed loop is linear, then ``barrier`` when the
+  program lowers to polynomials, stopping at the first proof, under
+  per-backend time budgets;
 * every verdict is a structured :class:`VerificationOutcome` carrying backend
   provenance (``backend``, ``attempts``, ``disturbance_aware``) plus the
   failing counterexample, which the kernel routes into the caller's recorder
@@ -33,18 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from ..certificates.backend import (
-    CertificateBackend,
-    VerificationOutcome,
-    available_backends,
-    backend_names,
-    get_backend,
-    is_disturbed,
-)
+from ..certificates.backend import CertificateBackend, VerificationOutcome, get_backend
 from ..certificates.barrier import BarrierSynthesisConfig
 from ..certificates.regions import Box
 from ..envs.base import EnvironmentContext
@@ -58,17 +48,20 @@ __all__ = [
 ]
 
 
+#: What ``backend="auto"`` runs, in order, skipping backends that do not
+#: support the query: the exact Lyapunov search on linear closed loops, then
+#: the barrier search on any program that lowers to polynomials.
+_AUTO_SEQUENCE = ("lyapunov", "barrier")
+
+
 @dataclass
 class VerificationConfig:
     """Settings of the invariant-inference step.
 
-    ``backend`` is a registered backend name or ``"auto"``; with ``"auto"``
-    the kernel dispatches every registered backend cheapest-first,
-    capability-filtered and redundancy-pruned.  An explicit ``portfolio``
-    tuple (like a named ``backend``) always runs exactly as selected — no
-    filtering, no pruning.  ``backend_time_budget_seconds`` bounds each
-    portfolio member's wall-clock; ``timeout_seconds`` bounds the whole
-    dispatch.
+    ``backend`` is a registered backend name, which runs alone, or
+    ``"auto"``, which runs ``lyapunov`` on linear closed loops and then
+    ``barrier``.  ``backend_time_budget_seconds`` bounds each backend's
+    wall-clock; ``timeout_seconds`` bounds the whole dispatch.
     """
 
     backend: str = "auto"
@@ -79,17 +72,23 @@ class VerificationConfig:
     verifier_min_width: float | None = None  # None: domain width / 200
     timeout_seconds: float = float("inf")
     backend_time_budget_seconds: Optional[float] = None
-    portfolio: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.barrier is None:
             self.barrier = BarrierSynthesisConfig()
-        if self.portfolio is not None:
-            self.portfolio = tuple(self.portfolio)
+        if not self.timeout_seconds > 0:
+            raise ValueError("timeout_seconds must be positive")
+        budget = self.backend_time_budget_seconds
+        if budget is not None and not budget > 0:
+            raise ValueError("backend_time_budget_seconds must be positive")
+        if self.verifier_max_boxes < 1:
+            raise ValueError("verifier_max_boxes must be at least 1")
+        if not self.verifier_tolerance >= 0:
+            raise ValueError("verifier_tolerance must be non-negative")
 
 
 class VerificationKernel:
-    """Capability-filtered portfolio dispatch over the backend registry.
+    """Dispatches a query to the named backend or to the auto sequence.
 
     ``verdict_cache`` (a :class:`~repro.store.VerdictCache`, or anything with
     the same ``key``/``get``/``put`` shape) memoises whole verdicts; ``None``
@@ -114,7 +113,8 @@ class VerificationKernel:
     ) -> VerificationOutcome:
         """Prove (or refute) ``C[P]`` safe over ``init_box`` (default ``S0``)."""
         init_box = init_box if init_box is not None else env.init_region
-        self._resolve_selection()  # unknown names fail fast, even on cache hits
+        if self.config.backend != "auto":
+            get_backend(self.config.backend)  # unknown names fail fast, even on cache hits
 
         key = None
         if self.verdict_cache is not None:
@@ -164,31 +164,14 @@ class VerificationKernel:
         return not budget_limited
 
     # ------------------------------------------------------------- dispatch
-    def _resolve_selection(self) -> List[CertificateBackend]:
-        """The backends the config names, in dispatch order (validated)."""
-        config = self.config
-        if config.backend != "auto":
-            return [get_backend(config.backend)]
-        if config.portfolio is not None:
-            return [get_backend(name) for name in config.portfolio]
-        return available_backends()
-
-    def _eligible(
-        self,
-        backends: Sequence[CertificateBackend],
-        env: EnvironmentContext,
-        program: PolicyProgram,
+    def _backends(
+        self, env: EnvironmentContext, program: PolicyProgram
     ) -> List[CertificateBackend]:
-        """Capability filter for auto dispatch (explicit selections skip it)."""
-        disturbed = is_disturbed(env)
-        eligible = []
-        for backend in backends:
-            if disturbed and not backend.capabilities.disturbance_aware:
-                continue
-            if not backend.supports(env, program):
-                continue
-            eligible.append(backend)
-        return eligible
+        """The backends to run, in order: the named one, or the auto sequence."""
+        if self.config.backend != "auto":
+            return [get_backend(self.config.backend)]
+        backends = [get_backend(name) for name in _AUTO_SEQUENCE]
+        return [backend for backend in backends if backend.supports(env, program)]
 
     def _dispatch(
         self,
@@ -199,40 +182,25 @@ class VerificationKernel:
     ) -> VerificationOutcome:
         config = self.config
         start = time.perf_counter()
-        disturbed = is_disturbed(env)
-        # A named backend or an explicit portfolio always runs as selected —
-        # capability filtering (and redundancy pruning) applies only to the
-        # default auto dispatch over the whole registry.
-        explicit = config.backend != "auto" or config.portfolio is not None
-        backends = self._resolve_selection()
-        if not explicit:
-            backends = self._eligible(backends, env, program)
-            if not backends:
-                return VerificationOutcome(
-                    verified=False,
-                    invariant=None,
-                    backend="none",
-                    wall_clock_seconds=time.perf_counter() - start,
-                    failure_reason=(
-                        "no capability-eligible backend for this query "
-                        f"(registered: {backend_names()}; "
-                        f"disturbed environment: {disturbed})"
-                    ),
-                    disturbance_aware=True,
-                )
+        backends = self._backends(env, program)
+        if not backends:
+            return VerificationOutcome(
+                verified=False,
+                invariant=None,
+                backend="none",
+                wall_clock_seconds=time.perf_counter() - start,
+                failure_reason=(
+                    "no backend supports this query: auto runs lyapunov on linear "
+                    "closed loops and barrier on programs that lower to polynomials"
+                ),
+            )
 
         attempts: List[str] = []
-        failed: set = set()
-        last: Optional[VerificationOutcome] = None
-        aware = True
+        outcome: Optional[VerificationOutcome] = None
         for backend in backends:
             elapsed = time.perf_counter() - start
             if elapsed >= config.timeout_seconds:
                 break
-            if not explicit and any(
-                name in failed for name in backend.capabilities.redundant_after
-            ):
-                continue  # an already-failed backend subsumes this one
             deadline = None
             remaining = config.timeout_seconds - elapsed
             budget = config.backend_time_budget_seconds
@@ -243,35 +211,24 @@ class VerificationKernel:
                 env, program, init_box, config, recorder=recorder, deadline=deadline
             )
             attempts.append(backend.name)
-            backend_aware = (not disturbed) or backend.capabilities.disturbance_aware
             if outcome.verified:
-                return replace(
-                    outcome,
-                    attempts=tuple(attempts),
-                    wall_clock_seconds=time.perf_counter() - start,
-                    disturbance_aware=backend_aware,
-                )
-            failed.add(backend.name)
-            aware = backend_aware
-            last = outcome
+                break
 
-        if last is None:
+        if outcome is None:
             return VerificationOutcome(
                 verified=False,
                 invariant=None,
-                backend=backends[0].name if backends else "none",
+                backend=backends[0].name,
                 wall_clock_seconds=time.perf_counter() - start,
                 failure_reason=(
                     f"verification timed out after {config.timeout_seconds:.1f}s "
                     "before any backend could run"
                 ),
-                attempts=tuple(attempts),
             )
         return replace(
-            last,
+            outcome,
             attempts=tuple(attempts),
             wall_clock_seconds=time.perf_counter() - start,
-            disturbance_aware=aware,
         )
 
 

@@ -651,10 +651,7 @@ def _check_backends(payload: Dict[str, Any]) -> Optional[str]:
 
     disturbed = is_disturbed(env)
     backends = [
-        backend
-        for backend in available_backends()
-        if backend.supports(env, program)
-        and (not disturbed or backend.capabilities.disturbance_aware)
+        backend for backend in available_backends() if backend.supports(env, program)
     ][:3]
     for backend in backends:
         config = VerificationConfig(backend=backend.name)

@@ -1,8 +1,7 @@
-"""Reinforcement-learning substrate: networks, replay, DDPG/TD3, ARS, oracle training."""
+"""Reinforcement-learning substrate: networks, replay, DDPG, ARS, oracle training."""
 
 from .ddpg import DDPGConfig, DDPGTrainer, TrainingLog
 from .networks import MLP, AdamOptimizer
-from .noise import ActionNoise, GaussianActionNoise, OrnsteinUhlenbeckNoise
 from .policies import CallablePolicy, LinearPolicy, NeuralPolicy, Policy
 from .random_search import (
     ARSConfig,
@@ -12,7 +11,6 @@ from .random_search import (
     train_neural_policy_ars,
 )
 from .replay import ReplayBuffer
-from .td3 import TD3Config, TD3Trainer
 from .training import OracleTrainingResult, behaviour_clone, train_oracle
 
 __all__ = [
@@ -23,13 +21,8 @@ __all__ = [
     "NeuralPolicy",
     "LinearPolicy",
     "CallablePolicy",
-    "ActionNoise",
-    "GaussianActionNoise",
-    "OrnsteinUhlenbeckNoise",
     "DDPGConfig",
     "DDPGTrainer",
-    "TD3Config",
-    "TD3Trainer",
     "TrainingLog",
     "ARSConfig",
     "ARSResult",

@@ -100,11 +100,11 @@ def recheck_certificate(
     certificate does not extend to the disturbances actually being
     experienced — the signal that triggers re-synthesis.
 
-    The recheck just asks the verification kernel: the portfolio only ever
-    dispatches disturbance-aware backends on a disturbed environment (the
-    barrier search now encodes condition (10)'s worst-case disturbance term),
-    so every verdict genuinely models the widened bound — no backend pinning,
-    no disturbance-blind flag.  ``verdict_cache`` (usually the synthesis
+    The recheck just asks the verification kernel.  Every backend models
+    condition (10)'s worst-case disturbance term (``lyapunov`` through its
+    contraction margin, ``barrier`` in its LP rows and lifted sound check),
+    so every verdict genuinely models the widened bound — no backend
+    pinning, no disturbance-blind flag.  ``verdict_cache`` (usually the synthesis
     service's store-backed cache) makes rechecks over unchanged shields free;
     ``regions`` optionally supplies each branch's original synthesis region
     (falling back to the environment's full initial region).

@@ -1,9 +1,9 @@
-"""Differential suite: every capability-eligible certificate backend must agree
+"""Differential suite: every certificate backend that supports a query must agree
 with the branch-and-bound SMT checker on SAFE/UNSAFE — no backend may ever
 return a false SAFE.
 
 For each registry environment (including disturbed variants) and each
-registered backend that is capability-eligible for the query:
+registered backend that supports the query:
 
 * an *unsafe* (destabilising) program must never be certified — the
   branch-and-bound ground truth cannot derive a certificate for it, so a SAFE
@@ -32,7 +32,7 @@ from repro.lang import AffineProgram
 #: full S0; the allowlist keeps the sweep's wall-clock sane — the sampled-LP
 #: search is quadratic-sketch-incomplete on the wider 3-dim plants and burns
 #: its whole refinement budget before (soundly) giving up, so those rows pin
-#: the exact backends instead (``None`` = every capability-eligible backend).
+#: the exact backends instead (``None`` = every backend that supports the query).
 CASES = [
     ("satellite", {}, None, None, None),
     ("satellite", {"disturbance_bound": [0.01, 0.01]}, None, None, None),
@@ -70,13 +70,10 @@ def _case(name, overrides, init_box, gains):
 
 
 def _eligible_backends(env, program, only):
-    disturbed = is_disturbed(env)
     return [
         backend
         for backend in available_backends()
-        if backend.supports(env, program)
-        and (not disturbed or backend.capabilities.disturbance_aware)
-        and (only is None or backend.name in only)
+        if backend.supports(env, program) and (only is None or backend.name in only)
     ]
 
 

@@ -318,6 +318,7 @@ class TestVerifyCommand:
     def test_verify_parser_defaults_and_backend_choices(self):
         args = build_parser().parse_args(["verify", "abcdef12"])
         assert args.backend == "auto"
+        assert args.degree is None  # resolved from the recorded benchmark
         assert not args.no_cache
         for backend in ("lyapunov", "sos", "barrier", "farkas"):
             parsed = build_parser().parse_args(["verify", "abcdef12", "--backend", backend])
@@ -357,6 +358,30 @@ class TestVerifyCommand:
         store, key = synthesized_store
         assert main(["verify", key[:12], "--backend", "sos", "--store", store]) == 0
         assert "backend=sos" in capsys.readouterr().out
+
+    def test_verify_degree_defaults_to_the_recorded_benchmark(self, tmp_path, capsys):
+        """The committed pendulum shield carries degree-4 barrier invariants
+        (pendulum's registered degree); at degree 2 five of its six branches
+        fail with an infeasible sampled LP."""
+        import shutil
+        from pathlib import Path
+
+        fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "pendulum"
+        store = tmp_path / "pendulum"
+        shutil.copytree(fixture, store)
+        assert main(["verify", "5ff41ebe", "--no-cache", "--store", str(store)]) == 0
+        output = capsys.readouterr().out
+        assert output.count("VERIFIED backend=barrier") == 6
+        assert "kernel re-verification: PASS" in output
+
+    def test_verify_invalid_budget_exits_2(self, synthesized_store, capsys):
+        store, key = synthesized_store
+        argv = ["verify", key[:12], "--backend-budget", "-1", "--store", store]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "backend_time_budget_seconds" in captured.err
+        assert "kernel re-verification" not in captured.out
 
     def test_verify_unknown_key_exits_2(self, synthesized_store, capsys):
         store, _key = synthesized_store

@@ -274,8 +274,8 @@ class TestAdaptationLoop:
 
     def test_recheck_verdicts_are_disturbance_aware(self):
         """Every kernel verdict on a disturbed environment must model the
-        bound: the portfolio filters out disturbance-blind backends, so there
-        is no pinning and no blindness flag to propagate."""
+        bound: every backend is disturbance-aware, so there is no pinning
+        and no blindness flag to propagate."""
         env = make_environment("satellite")
         shield, _ = _weak_deployment(env)
         widened = widened_environment(env, np.full(2, 0.02))
@@ -312,7 +312,7 @@ class TestAdaptationLoop:
         widened = widened_environment(env, np.full(2, 0.15))
         ok, outcomes = recheck_certificate(widened, shield)
         assert not ok
-        assert outcomes[0].attempts  # portfolio provenance present
+        assert outcomes[0].attempts  # dispatch provenance present
         assert outcomes[0].disturbance_aware
 
     def test_certificate_valid_skips_resynthesis(self, tmp_path):

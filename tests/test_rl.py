@@ -16,6 +16,7 @@ from repro.rl import (
     LinearPolicy,
     NeuralPolicy,
     ReplayBuffer,
+    TrainingLog,
     behaviour_clone,
     train_linear_policy,
     train_oracle,
@@ -173,6 +174,120 @@ class TestDDPG:
         trainer = DDPGTrainer(env, DDPGConfig(episodes=1, steps_per_episode=40, warmup_steps=10))
         trainer.train()
         assert len(trainer.buffer) > 0
+
+
+class TestDDPGTrainer:
+    @pytest.fixture(scope="class")
+    def pendulum(self):
+        return make_environment("pendulum")
+
+    def _quick_config(self, **overrides) -> DDPGConfig:
+        defaults = dict(
+            hidden_sizes=(16, 16),
+            episodes=3,
+            steps_per_episode=40,
+            warmup_steps=20,
+            batch_size=16,
+            buffer_capacity=2_000,
+            seed=0,
+        )
+        defaults.update(overrides)
+        return DDPGConfig(**defaults)
+
+    def _exploration_deltas(self, env, trainer, samples=300):
+        state = np.array([0.1, 0.0])
+        greedy = np.asarray(trainer.actor(state), dtype=float).reshape(env.action_dim)
+        warm = trainer.config.warmup_steps
+        return np.array([trainer._explore(state, warm)[0] - greedy[0] for _ in range(samples)])
+
+    def test_training_produces_a_policy_with_correct_shapes(self, pendulum):
+        policy, log = DDPGTrainer(pendulum, self._quick_config()).train()
+        assert len(log.episode_returns) == 3
+        assert len(log.episode_unsafe_steps) == 3
+        assert log.final_return == log.episode_returns[-1]
+        action = policy(np.array([0.1, 0.0]))
+        assert action.shape == (pendulum.action_dim,)
+        assert np.all(np.abs(action) <= pendulum.action_high + 1e-9)
+
+    def test_empty_log_has_nan_final_return(self):
+        assert np.isnan(TrainingLog().final_return)
+
+    def test_target_networks_start_as_copies(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config())
+        np.testing.assert_array_equal(
+            trainer.target_actor.get_parameters(), trainer.actor.get_parameters()
+        )
+        np.testing.assert_array_equal(
+            trainer.target_critic.get_parameters(), trainer.critic.get_parameters()
+        )
+
+    def test_target_networks_track_online_networks(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config())
+        initial_target = trainer.target_actor.get_parameters().copy()
+        trainer.train()
+        online = trainer.actor.get_parameters()
+        target = trainer.target_actor.get_parameters()
+        assert not np.allclose(target, initial_target)
+        # Soft updates move the target only part of the way towards the online net.
+        assert np.linalg.norm(target - online) < np.linalg.norm(initial_target - online)
+
+    def test_no_updates_before_warmup(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config(warmup_steps=1_000_000))
+        actor_before = trainer.actor.get_parameters().copy()
+        critic_before = trainer.critic.get_parameters().copy()
+        policy, _ = trainer.train()
+        np.testing.assert_array_equal(policy.network.get_parameters(), actor_before)
+        np.testing.assert_array_equal(trainer.critic.get_parameters(), critic_before)
+        assert len(trainer.buffer) == 3 * 40
+
+    def test_warmup_actions_are_uniform_within_bounds(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config(warmup_steps=1_000))
+        actions = np.array([trainer._explore(np.array([0.1, 0.0]), 0) for _ in range(500)])
+        assert np.all(actions >= pendulum.action_low)
+        assert np.all(actions <= pendulum.action_high)
+        # Uniform over [-15, 15]: the samples cover both halves of the range.
+        assert actions.min() < -7.5 and actions.max() > 7.5
+
+    def test_exploration_noise_scale_controls_spread(self, pendulum):
+        small = DDPGTrainer(pendulum, self._quick_config(exploration_noise=0.01))
+        large = DDPGTrainer(pendulum, self._quick_config(exploration_noise=0.2))
+        assert (
+            self._exploration_deltas(pendulum, small).std()
+            < self._exploration_deltas(pendulum, large).std()
+        )
+
+    def test_zero_exploration_noise_acts_greedily(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config(exploration_noise=0.0))
+        np.testing.assert_allclose(self._exploration_deltas(pendulum, trainer, samples=5), 0.0)
+
+    def test_exploration_is_clipped_to_action_bounds(self, pendulum):
+        trainer = DDPGTrainer(pendulum, self._quick_config(exploration_noise=50.0))
+        actions = np.array([trainer._explore(np.array([0.1, 0.0]), 20) for _ in range(200)])
+        assert np.all(actions >= pendulum.action_low)
+        assert np.all(actions <= pendulum.action_high)
+        assert np.any(actions == pendulum.action_low) and np.any(actions == pendulum.action_high)
+
+    def test_same_seed_reproduces_training(self, pendulum):
+        first, first_log = DDPGTrainer(pendulum, self._quick_config()).train()
+        second, second_log = DDPGTrainer(pendulum, self._quick_config()).train()
+        np.testing.assert_array_equal(
+            first.network.get_parameters(), second.network.get_parameters()
+        )
+        assert first_log.episode_returns == second_log.episode_returns
+
+    def test_warm_started_fine_tune_keeps_pendulum_safe(self, pendulum):
+        """DDPG as an oracle fine-tuner: start from a cloned LQR actor and check
+        the fine-tuned oracle still balances the pendulum."""
+        teacher = make_lqr_policy(pendulum)
+        cloned = behaviour_clone(pendulum, teacher, hidden_sizes=(16, 16), samples=500, epochs=60)
+        trainer = DDPGTrainer(pendulum, self._quick_config(exploration_noise=0.02))
+        trainer.actor.set_parameters(cloned.network.get_parameters())
+        trainer.target_actor.set_parameters(cloned.network.get_parameters())
+        policy, _ = trainer.train()
+        trajectory = pendulum.simulate(
+            policy, steps=300, initial_state=np.array([0.1, 0.0]), rng=np.random.default_rng(0)
+        )
+        assert trajectory.unsafe_steps == 0
 
 
 # --------------------------------------------------------------------- baselines

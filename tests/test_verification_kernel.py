@@ -1,5 +1,5 @@
-"""The verification kernel: backend registry dispatch, capability-filtered
-portfolio, the disturbance-aware barrier encoding, and the store-backed
+"""The verification kernel: backend registry dispatch, the fixed auto
+sequence, the disturbance-aware barrier encoding, and the store-backed
 verdict cache (hit accounting + bit-identical cache-on/off behaviour)."""
 
 from __future__ import annotations
@@ -9,15 +9,12 @@ import pytest
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import (
-    BackendCapabilities,
     BarrierCertificateSynthesizer,
     Box,
     BranchAndBoundVerifier,
     available_backends,
     backend_names,
-    register_backend,
 )
-from repro.certificates.backend import _REGISTRY, VerificationOutcome
 from repro.core import (
     CEGISConfig,
     CEGISLoop,
@@ -41,9 +38,9 @@ def _satellite():
 # ------------------------------------------------------------------- registry
 class TestBackendRegistry:
     def test_registry_exposes_all_four_backends(self):
-        assert {"lyapunov", "sos", "barrier", "farkas"} <= set(backend_names())
-        ranks = [backend.capabilities.cost_rank for backend in available_backends()]
-        assert ranks == sorted(ranks)  # cheapest-first ordering
+        # Fixed order: the fuzz backends family takes the first three.
+        assert backend_names() == ["lyapunov", "sos", "barrier", "farkas"]
+        assert [backend.name for backend in available_backends()] == backend_names()
 
     def test_config_accepts_every_registered_name(self):
         env, program = _satellite()
@@ -55,11 +52,11 @@ class TestBackendRegistry:
             assert outcome.verified, (name, outcome.failure_reason)
             assert outcome.attempts == (name,)
 
-    def test_auto_runs_the_portfolio(self):
+    def test_auto_stops_at_the_first_proof(self):
         env, program = _satellite()
         outcome = verify_program(env, program)
         assert outcome.verified
-        assert outcome.attempts  # provenance of the dispatch
+        assert outcome.attempts == ("lyapunov",)  # provenance of the dispatch
         assert outcome.backend == outcome.attempts[-1]
 
     def test_unknown_backend_raises_with_available_list(self):
@@ -69,112 +66,47 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="sos"):
             verify_program(env, program, config=VerificationConfig(backend="nonsense"))
 
-    def test_custom_backend_is_discoverable_by_name(self):
-        class StubBackend:
-            name = "stub-prover"
-            capabilities = BackendCapabilities(cost_rank=99)
-
-            def supports(self, env, program):
-                return True
-
-            def verify(self, env, program, init_box, config, recorder=None, deadline=None):
-                return VerificationOutcome(
-                    verified=False,
-                    invariant=None,
-                    backend=self.name,
-                    wall_clock_seconds=0.0,
-                    failure_reason="stub",
-                )
-
-        register_backend(StubBackend())
-        try:
-            env, program = _satellite()
-            outcome = verify_program(
-                env, program, config=VerificationConfig(backend="stub-prover")
-            )
-            assert outcome.backend == "stub-prover"
-            assert outcome.failure_reason == "stub"
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(StubBackend())
-        finally:
-            _REGISTRY.pop("stub-prover", None)
-
-    def test_explicit_portfolio_order_is_respected(self):
+    def test_named_backend_runs_alone(self):
         env, program = _satellite()
         outcome = verify_program(
-            env, program, config=VerificationConfig(portfolio=("barrier",))
+            env, program, config=VerificationConfig(backend="barrier")
         )
         assert outcome.attempts == ("barrier",)
         assert outcome.verified
 
-    def test_explicit_portfolio_bypasses_capability_filter(self):
-        # An explicitly selected backend always runs, even when it cannot
-        # structurally support the query — it reports its own reason instead
-        # of being silently dropped by the auto filter.
+    def test_named_backend_runs_even_without_support(self):
+        # A named backend always runs, even when it cannot structurally
+        # support the query — it reports its own reason instead of being
+        # skipped the way the auto sequence skips it.
         env = make_environment("duffing")
         program = AffineProgram(gain=np.array([[-1.0, -1.5]]))
         outcome = verify_program(
             env, program, init_box=DUFFING_BOX,
-            config=VerificationConfig(portfolio=("lyapunov",)),
+            config=VerificationConfig(backend="lyapunov"),
         )
         assert outcome.attempts == ("lyapunov",)
         assert not outcome.verified
         assert "linear" in outcome.failure_reason
 
 
-# -------------------------------------------------------- capability filtering
-class TestCapabilityFiltering:
+# ------------------------------------------------------------- auto sequence
+class TestAutoSequence:
     def test_nonlinear_env_skips_linear_only_backends(self):
         env = make_environment("duffing")
         program = AffineProgram(gain=np.array([[-1.0, -1.5]]))
         outcome = verify_program(env, program, init_box=DUFFING_BOX)
         assert outcome.verified
-        assert "lyapunov" not in outcome.attempts
-        assert "sos" not in outcome.attempts
+        assert outcome.attempts == ("barrier",)
         assert outcome.backend == "barrier"
 
-    def test_redundant_backends_are_pruned_after_failure(self):
-        # A destabilising program fails lyapunov; sos (same quadratic search)
-        # must then be pruned from the auto portfolio.
+    def test_failed_lyapunov_falls_through_to_barrier(self):
+        # A destabilising program fails lyapunov; auto then runs barrier, and
+        # never sos (the same quadratic search) or farkas.
         env = make_environment("satellite")
         bad = AffineProgram(gain=np.array([[5.0, 5.0]]))
         outcome = verify_program(env, bad)
         assert not outcome.verified
-        assert "lyapunov" in outcome.attempts
-        assert "sos" not in outcome.attempts
-
-    def test_disturbance_blind_backend_filtered_on_disturbed_env(self):
-        class BlindBackend:
-            name = "blind-stub"
-            capabilities = BackendCapabilities(
-                handles_polynomial=True, disturbance_aware=False, cost_rank=-1
-            )
-
-            def supports(self, env, program):
-                return True
-
-            def verify(self, env, program, init_box, config, recorder=None, deadline=None):
-                return VerificationOutcome(True, None, self.name, 0.0)
-
-        register_backend(BlindBackend())
-        try:
-            program = AffineProgram(gain=np.array([[-0.5, -0.5]]))
-            clean = make_environment("satellite")
-            disturbed = make_environment("satellite", disturbance_bound=[0.01, 0.01])
-            # Cheapest backend on the undisturbed env: the stub wins.
-            assert verify_program(clean, program).backend == "blind-stub"
-            # On the disturbed env the capability filter removes it.
-            outcome = verify_program(disturbed, program)
-            assert "blind-stub" not in outcome.attempts
-            assert outcome.disturbance_aware
-            # An explicit selection still runs it, but provenance says blind.
-            explicit = verify_program(
-                disturbed, program, config=VerificationConfig(backend="blind-stub")
-            )
-            assert explicit.backend == "blind-stub"
-            assert not explicit.disturbance_aware
-        finally:
-            _REGISTRY.pop("blind-stub", None)
+        assert outcome.attempts == ("lyapunov", "barrier")
 
     def test_no_eligible_backend_reports_structured_failure(self):
         class OpaquePolicy:  # no to_polynomials, no gain: nothing supports it
@@ -185,7 +117,34 @@ class TestCapabilityFiltering:
         outcome = verify_program(env, OpaquePolicy())
         assert not outcome.verified
         assert outcome.backend == "none"
-        assert "no capability-eligible backend" in outcome.failure_reason
+        assert "no backend supports this query" in outcome.failure_reason
+
+
+# ----------------------------------------------------------------------- config
+class TestVerificationConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("backend_time_budget_seconds", 0.0),
+            ("backend_time_budget_seconds", -1.0),
+            ("timeout_seconds", 0.0),
+            ("timeout_seconds", -5.0),
+            ("verifier_max_boxes", 0),
+            ("verifier_tolerance", -1e-9),
+        ],
+    )
+    def test_rejects_invalid_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VerificationConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        config = VerificationConfig(
+            backend_time_budget_seconds=1e-3,
+            timeout_seconds=1e-3,
+            verifier_max_boxes=1,
+            verifier_tolerance=0.0,
+        )
+        assert config.verifier_max_boxes == 1
 
 
 # ------------------------------------------- disturbance-aware barrier verdicts
