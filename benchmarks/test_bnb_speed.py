@@ -22,16 +22,22 @@ on at least one hard row (measured ≈ 100-250x on the platoon and
 condition-(10) rows).
 
 Run directly (``PYTHONPATH=src python benchmarks/test_bnb_speed.py``) or via
-pytest; both refresh the artifact at the repository root.
+pytest; both refresh the artifact at the repository root.  Its ``host``
+header records the cpus available to the process, the Python, NumPy and
+SciPy versions, and the git commit (``-dirty`` when the tree had changes).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import Box, BranchAndBoundVerifier
@@ -40,9 +46,33 @@ from repro.lang import AffineProgram
 from repro.polynomials import Polynomial
 from repro.reference import ScalarBranchAndBoundVerifier
 
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_bnb.json"
+ROOT = Path(__file__).resolve().parents[1]
+ARTIFACT = ROOT / "BENCH_bnb.json"
 
 MIN_SPEEDUP = 3.0
+
+
+def host_metadata() -> dict:
+    """Where the rows were measured: cpus, library versions, git commit."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, timeout=30,
+        )
+        commit = done.stdout.strip() if done.returncode == 0 else "unknown"
+    except OSError:
+        commit = "unknown"
+    return {
+        "cpus": cpus,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "git_commit": commit,
+    }
 
 
 def _lyapunov_decrease(env, program):
@@ -112,7 +142,7 @@ def _timed_prove(query, engine):
 
 
 def measure() -> tuple:
-    rows: dict = {"min_speedup_required": MIN_SPEEDUP, "queries": {}}
+    rows: dict = {"host": host_metadata(), "min_speedup_required": MIN_SPEEDUP, "queries": {}}
     results = {}
     for query in (_platoon_query(), _condition_ten_query(), _bad_gain_query()):
         scalar, scalar_seconds = _timed_prove(query, ScalarBranchAndBoundVerifier)

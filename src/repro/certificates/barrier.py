@@ -18,6 +18,11 @@ are *linear in c* once the state ``s`` is fixed.  We therefore
 3. if a condition fails, add the returned counterexample (plus a small jittered
    cloud around it) to the sample set and repeat.
 
+The LP may return a candidate it has already returned.  A repeated candidate
+is not proved again: step 2 is a pure function of the candidate (the
+verifier's determinism contract), so the search reuses the first failure and
+carries on with step 3 exactly as if it had re-run the check.
+
 Step 2 is what makes the output a genuine certificate: "verified" results have
 been proven on the real regions, not merely on samples.  Step 1/3 form an inner
 counterexample-guided loop mirroring the paper's overall CEGIS architecture.
@@ -48,7 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -193,6 +198,8 @@ class BarrierCertificateSynthesizer:
         unsafe_samples = self._sample_unsafe(cfg.samples_unsafe)
         induction_samples = self.safe_box.sample(self._rng, cfg.samples_induction)
         counterexamples: List[np.ndarray] = []
+        # Failures of the candidates proved so far, by coefficient bytes.
+        refuted: Dict[bytes, Tuple[str, np.ndarray]] = {}
 
         for iteration in range(1, cfg.max_refinements + 1):
             if (
@@ -220,17 +227,21 @@ class BarrierCertificateSynthesizer:
                     failure_reason="sampled LP infeasible (sketch may be too weak)",
                     counterexamples=counterexamples,
                 )
-            invariant = self.sketch.instantiate(coefficients)
-            failure = self._sound_check(invariant)
+            key = coefficients.tobytes()
+            failure = refuted.get(key)
             if failure is None:
-                return BarrierSearchResult(
-                    invariant=invariant,
-                    verified=True,
-                    iterations=iteration,
-                    margin=margin,
-                    counterexamples=counterexamples,
-                )
-            kind, point = failure
+                invariant = self.sketch.instantiate(coefficients)
+                failure = self._sound_check(invariant)
+                if failure is None:
+                    return BarrierSearchResult(
+                        invariant=invariant,
+                        verified=True,
+                        iterations=iteration,
+                        margin=margin,
+                        counterexamples=counterexamples,
+                    )
+                refuted[key] = failure
+            kind, point = failure[0], failure[1].copy()
             counterexamples.append(point)
             if self.on_counterexample is not None:
                 self.on_counterexample(kind, point)

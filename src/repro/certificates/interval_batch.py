@@ -163,14 +163,16 @@ def range_boxes(
                 cur_lo, cur_hi = p_lo, p_hi
             else:
                 # Interval product: extremes over the four endpoint products,
-                # with any nan (0 * inf) widened to the full line.
+                # with any nan (0 * inf) widened to the full line.  np.minimum
+                # propagates nan, so the minimum is nan exactly where a
+                # product is.
                 p1 = cur_lo * p_lo
                 p2 = cur_lo * p_hi
                 p3 = cur_hi * p_lo
                 p4 = cur_hi * p_hi
-                poisoned = np.isnan(p1) | np.isnan(p2) | np.isnan(p3) | np.isnan(p4)
                 cur_lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
                 cur_hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+                poisoned = np.isnan(cur_lo)
                 if poisoned.any():
                     cur_lo = np.where(poisoned, -np.inf, cur_lo)
                     cur_hi = np.where(poisoned, np.inf, cur_hi)

@@ -40,6 +40,21 @@ resolution-limit samples in draw order).  Because they also share the same
 batch-size-independent numeric kernels, verdicts, counterexamples,
 ``boxes_explored``, and ``max_depth_reached`` are bit-identical between them.
 
+The scalar walk evaluates every candidate of every open box; the frontier
+evaluates fewer points and finds the same first witness.  In the initial
+round it evaluates each open box's centre and corners.  After that the
+frontier holds sibling pairs ``(2p, 2p+1)``, each split from a parent whose
+centre and corners were all evaluated and found clean (had one violated,
+the query would have returned).  Half of a child's corners are its
+parent's, the same floats, so they cannot violate; the other half lie on
+the split face and are the same floats for both siblings.  Each round
+therefore evaluates the centre of every open box plus the face corners
+once per pair with an open child, and a box's first witness is its centre
+or else its pair's first violating face corner — the first violating
+candidate in the scalar walk's order.  Constraint and target bounds are
+computed only on the boxes the previous test left open; rows do not depend
+on batch size, so this changes no value.
+
 Resolution-limit sampling draws from a generator derived from ``seed``, a
 canonical hash of the query (sense, lowered polynomials, boxes), and the
 ordinal of the limit box in canonical order — never from shared verifier
@@ -151,13 +166,39 @@ def _candidate_points(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return cand
 
 
+_FACE_SELECTORS: Dict[int, np.ndarray] = {}
+
+
+def _face_selectors(dim: int) -> np.ndarray:
+    """``(dim, 2**(dim-1), dim)``: for split axis ``a``, the rows of
+    :func:`_corner_selectors` that pick ``high`` on axis ``a``, in order."""
+    sel = _FACE_SELECTORS.get(dim)
+    if sel is None:
+        corners = _corner_selectors(dim)
+        sel = np.stack([corners[corners[:, axis]] for axis in range(dim)])
+        _FACE_SELECTORS[dim] = sel
+    return sel
+
+
+def _face_points(low: np.ndarray, high: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Split-face corners of sibling pairs as ``(n, 2**(d-1), d)`` points.
+
+    ``low``/``high`` are the pairs' lower children and ``axes`` their parents'
+    split axes.  The lower child's corners that take ``high`` (the split
+    point) on the split axis lie on the face; in binary-counting order they
+    are, bit for bit, the upper sibling's corners that take its ``low`` there.
+    """
+    sel = _face_selectors(low.shape[1])[axes]
+    return np.where(sel, high[:, None, :], low[:, None, :])
+
+
 def _split_batch(
     low: np.ndarray, high: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect ``(n, d)`` boxes along their widest axes.
 
-    Children are interleaved ``[lower_0, upper_0, lower_1, upper_1, ...]`` —
-    the canonical frontier order.
+    Returns the children, interleaved ``[lower_0, upper_0, lower_1, upper_1,
+    ...]`` — the canonical frontier order — and the ``(n,)`` split axes.
     """
     count, dim = low.shape
     widths = high - low
@@ -174,7 +215,7 @@ def _split_batch(
     new_low[1::2] = right_low
     new_high[0::2] = left_high
     new_high[1::2] = high
-    return new_low, new_high
+    return new_low, new_high, axes
 
 
 def _lower_query(
@@ -235,6 +276,17 @@ class BranchAndBoundVerifier:
     def __post_init__(self) -> None:
         if self.resolution_limit_policy not in ("sample", "reject"):
             raise ValueError("resolution_limit_policy must be 'sample' or 'reject'")
+        # Each of these would let a box count as proved without being
+        # examined: no samples at the resolution limit, no budget, no
+        # recursion bound, or a slack that loosens the checked inequality.
+        if self.resolution_samples < 1:
+            raise ValueError("resolution_samples must be at least 1")
+        if self.max_boxes < 1:
+            raise ValueError("max_boxes must be at least 1")
+        if not (np.isfinite(self.min_width) and self.min_width > 0):
+            raise ValueError("min_width must be positive and finite")
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be non-negative")
 
     # ------------------------------------------------------------------ core
     def prove_nonpositive(
@@ -286,6 +338,8 @@ class BranchAndBoundVerifier:
         explored = 0
         limit_ordinal = 0
         tol = self.tolerance
+        dim = low.shape[1]
+        axes: Optional[np.ndarray] = None  # parents' split axes, one per sibling pair
         while low.shape[0]:
             remaining = self.max_boxes - explored
             if remaining <= 0:
@@ -301,85 +355,72 @@ class BranchAndBoundVerifier:
                 low, high = low[:remaining], high[:remaining]
             count = low.shape[0]
 
-            # Constraint pruning + target bounding, batched over the frontier.
-            open_mask = np.ones(count, dtype=bool)
+            # Constraint pruning, then target bounding, each batched over the
+            # boxes still open.
+            open_idx = np.arange(count)
+            open_low, open_high = low, high
             for table in ctables:
-                bound_low, _ = range_boxes(table, low, high)
-                open_mask &= ~(bound_low > tol)
-            bound_low, bound_high = range_boxes(target, low, high)
-            if sense == "<=":
-                open_mask &= ~(bound_high <= tol)
-            else:
-                open_mask &= ~(bound_low > -tol)
-            open_idx = np.flatnonzero(open_mask)
+                bound_low, _ = range_boxes(table, open_low, open_high)
+                keep = ~(bound_low > tol)
+                open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
+            bound_low, bound_high = range_boxes(target, open_low, open_high)
+            keep = ~(bound_high <= tol) if sense == "<=" else ~(bound_low > -tol)
+            open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
 
             # Per-box terminal events, in canonical (frontier) order.  The
             # earliest event wins — exactly where the scalar walk would stop.
             event_box = count  # sentinel: no event
             event: Optional[CheckResult] = None
-
-            witness_mask = np.zeros(count, dtype=bool)
             if open_idx.size:
-                cand = _candidate_points(low[open_idx], high[open_idx])
-                n_open, m, dim = cand.shape
-                viol = self._violation_mask(
-                    target, ctables, cand.reshape(-1, dim), sense
-                ).reshape(n_open, m)
-                has_witness = viol.any(axis=1)
-                witness_mask[open_idx] = has_witness
-                if has_witness.any():
-                    local = int(np.argmax(has_witness))
-                    event_box = int(open_idx[local])
-                    first_cand = int(np.argmax(viol[local]))
-                    event = CheckResult(
-                        False,
-                        counterexample=cand[local, first_cand].copy(),
-                        boxes_explored=0,  # filled below
-                    )
+                faces = pair = None
+                if axes is not None and _candidate_count(dim) > 1:
+                    # Face corners once per sibling pair with an open child;
+                    # ``pair`` maps each open box to its pair's row.  This is
+                    # ``np.unique(open_idx >> 1, return_inverse=True)`` for
+                    # sorted input, at about two thirds of its per-round cost.
+                    pair_of = open_idx >> 1
+                    first = np.empty(pair_of.size, dtype=bool)
+                    first[0] = True
+                    np.not_equal(pair_of[1:], pair_of[:-1], out=first[1:])
+                    pairs, pair = pair_of[first], np.cumsum(first) - 1
+                    faces = _face_points(low[2 * pairs], high[2 * pairs], axes[pairs])
+                witness = self._first_witness(
+                    target, ctables, sense, open_idx, open_low, open_high, faces, pair
+                )
+                if witness is not None:
+                    event_box, point = witness
+                    event = CheckResult(False, counterexample=point)
 
-            # Resolution-limit boxes: open, no centre/corner witness, width
-            # below min_width.  (Witness boxes terminate before their own
-            # resolution-limit check, so they never consume a sample ordinal.)
-            limit_mask = open_mask & ~witness_mask & (
-                (high - low).max(axis=1) <= self.min_width
-            )
-            limit_idx = np.flatnonzero(limit_mask)
-            if limit_idx.size and limit_idx[0] < event_box:
+            # Resolution-limit boxes: open, below min_width, and ahead of the
+            # witness box (which stops the walk before its own limit check).
+            narrow = (open_high - open_low).max(axis=1) <= self.min_width
+            limit_idx = open_idx[narrow]
+            ahead = limit_idx if event is None else limit_idx[limit_idx < event_box]
+            if ahead.size:
                 if self.resolution_limit_policy == "sample":
                     k = self.resolution_samples
-                    dim = low.shape[1]
-                    samples = np.empty((limit_idx.size, k, dim))
-                    for j, i in enumerate(limit_idx):
+                    samples = np.empty((ahead.size, k, dim))
+                    for j, i in enumerate(ahead):
                         rng = _box_rng(self.seed, digest, limit_ordinal + j)
                         samples[j] = rng.uniform(low[i], high[i], (k, dim))
                     viol = self._violation_mask(
                         target, ctables, samples.reshape(-1, dim), sense
-                    ).reshape(limit_idx.size, k)
-                    has_sample = viol.any(axis=1)
-                    hits = np.flatnonzero(has_sample)
-                    for j in hits:
-                        if limit_idx[j] >= event_box:
-                            break
-                        first_sample = int(np.argmax(viol[j]))
-                        event_box = int(limit_idx[j])
-                        event = CheckResult(
-                            False,
-                            counterexample=samples[j, first_sample].copy(),
-                            boxes_explored=0,
-                        )
-                        break
-                else:
-                    centers = 0.5 * (low[limit_idx] + high[limit_idx])
-                    feasible = self._feasible_mask(ctables, centers)
-                    hits = np.flatnonzero(feasible)
-                    if hits.size and limit_idx[hits[0]] < event_box:
+                    ).reshape(ahead.size, -1)
+                    hits = np.flatnonzero(viol.any(axis=1))
+                    if hits.size:
                         j = int(hits[0])
-                        event_box = int(limit_idx[j])
+                        event_box = int(ahead[j])
                         event = CheckResult(
-                            False,
-                            counterexample=centers[j].copy(),
-                            boxes_explored=0,
-                            max_depth_reached=True,
+                            False, counterexample=samples[j, int(np.argmax(viol[j]))].copy()
+                        )
+                else:
+                    centers = 0.5 * (low[ahead] + high[ahead])
+                    hits = np.flatnonzero(self._feasible_mask(ctables, centers))
+                    if hits.size:
+                        j = int(hits[0])
+                        event_box = int(ahead[j])
+                        event = CheckResult(
+                            False, counterexample=centers[j].copy(), max_depth_reached=True
                         )
 
             if event is not None:
@@ -397,12 +438,64 @@ class BranchAndBoundVerifier:
                     max_depth_reached=True,
                 )
 
-            split_idx = np.flatnonzero(open_mask & ~limit_mask)
-            if not split_idx.size:
+            wide = ~narrow
+            if not wide.any():
                 break
-            low, high = _split_batch(low[split_idx], high[split_idx])
+            low, high, axes = _split_batch(open_low[wide], open_high[wide])
 
         return CheckResult(True, boxes_explored=explored)
+
+    def _first_witness(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        sense: str,
+        open_idx: np.ndarray,
+        open_low: np.ndarray,
+        open_high: np.ndarray,
+        faces: Optional[np.ndarray],
+        pair: Optional[np.ndarray],
+    ) -> Optional[Tuple[int, np.ndarray]]:
+        """``(box, point)``: the first open box with a violating centre or
+        corner, and its first such point; ``None`` if there is none.
+
+        ``faces`` is ``None`` in the initial round and above the corner cap;
+        otherwise the frontier is sibling pairs ``(2p, 2p+1)`` split from
+        parents whose centre and corners were clean, and ``faces[pair[i]]``
+        holds the corners of open box ``i``'s split face
+        (:func:`_face_points`).  A child's other corners are its parent's,
+        which cannot violate, so the centres and the faces are all that is
+        evaluated.
+        """
+        dim = open_low.shape[1]
+        if faces is None:
+            cand = _candidate_points(open_low, open_high)
+            n_open, m, _ = cand.shape
+            viol = self._violation_mask(
+                target, ctables, cand.reshape(-1, dim), sense
+            ).reshape(n_open, m)
+            hit = viol.any(axis=1)
+            if not hit.any():
+                return None
+            local = int(np.argmax(hit))
+            return int(open_idx[local]), cand[local, int(np.argmax(viol[local]))].copy()
+
+        centers = 0.5 * (open_low + open_high)
+        n_open = centers.shape[0]
+        n_pairs, m, _ = faces.shape
+        viol = self._violation_mask(
+            target, ctables, np.concatenate([centers, faces.reshape(-1, dim)]), sense
+        )
+        center_viol = viol[:n_open]
+        face_viol = viol[n_open:].reshape(n_pairs, m)
+        hit = center_viol | face_viol.any(axis=1)[pair]
+        if not hit.any():
+            return None
+        local = int(np.argmax(hit))
+        if center_viol[local]:
+            return int(open_idx[local]), centers[local].copy()
+        row = pair[local]
+        return int(open_idx[local]), faces[row, int(np.argmax(face_viol[row]))].copy()
 
     # -------------------------------------------------------------- helpers
     def _feasible_mask(
@@ -502,7 +595,7 @@ class BranchAndBoundVerifier:
             split_idx = np.flatnonzero(open_mask & ~limit_mask)
             if not split_idx.size:
                 break
-            low, high = _split_batch(low[split_idx], high[split_idx])
+            low, high, _ = _split_batch(low[split_idx], high[split_idx])
         return None
 
     def _covered_mask(

@@ -85,6 +85,9 @@ class VerificationConfig:
             raise ValueError("verifier_max_boxes must be at least 1")
         if not self.verifier_tolerance >= 0:
             raise ValueError("verifier_tolerance must be non-negative")
+        min_width = self.verifier_min_width
+        if min_width is not None and not (np.isfinite(min_width) and min_width > 0):
+            raise ValueError("verifier_min_width must be positive and finite")
 
 
 class VerificationKernel:

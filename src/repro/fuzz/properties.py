@@ -507,10 +507,13 @@ def _shrink_campaign(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
 def _random_bnb_query(rng: np.random.Generator) -> Dict[str, Any]:
     """A random branch-and-bound query for the frontier-vs-scalar cross-check.
 
-    Polynomial terms are ``[e_0, ..., e_{d-1}, coefficient]`` rows, so the
-    payload stays a plain JSON value the shrinker can edit leaf-wise.
+    Polynomial terms are ``[e_0, ..., e_{d-1}, coefficient]`` rows and boxes
+    are ``[low, high]`` pairs, so the payload stays a plain JSON value the
+    shrinker can edit leaf-wise.  Dimensions 1-7 straddle the corner cap
+    (corners up to 6, centre only above) and 1-3 initial boxes exercise the
+    unpaired first round.
     """
-    dim = int(rng.integers(1, 5))
+    dim = int(rng.integers(1, 8))
 
     def poly_terms(n_terms: int, max_degree: int) -> list:
         return [
@@ -519,15 +522,20 @@ def _random_bnb_query(rng: np.random.Generator) -> Dict[str, Any]:
             for _ in range(n_terms)
         ]
 
-    low = rng.uniform(-2.0, 0.0, dim)
+    def box() -> list:
+        low = rng.uniform(-2.0, 0.0, dim)
+        return [
+            [float(np.round(v, 6)) for v in low],
+            [float(np.round(v + rng.uniform(0.5, 3.0), 6)) for v in low],
+        ]
+
     return {
         "target": poly_terms(int(rng.integers(1, 6)), 3),
         "constraints": [
             poly_terms(int(rng.integers(1, 4)), 2)
             for _ in range(int(rng.integers(0, 3)))
         ],
-        "low": [float(np.round(v, 6)) for v in low],
-        "high": [float(np.round(v + rng.uniform(0.5, 3.0), 6)) for v in low],
+        "boxes": [box() for _ in range(int(rng.integers(1, 4)))],
         "max_boxes": int(rng.integers(5, 2500)),
         "min_width": float(np.round(rng.uniform(1e-3, 0.3), 6)),
         "policy": "sample" if rng.random() < 0.7 else "reject",
@@ -559,7 +567,7 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
     from ..reference import ScalarBranchAndBoundVerifier
 
     engines = (ScalarBranchAndBoundVerifier, BranchAndBoundVerifier)
-    dim = len(query["low"])
+    dim = len(query["boxes"][0][0])
 
     def build(terms: list) -> Polynomial:
         mapping: Dict[Monomial, float] = {}
@@ -570,7 +578,7 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
 
     target = build(query["target"])
     constraints = [build(rows) for rows in query["constraints"]]
-    boxes = [Box(tuple(query["low"]), tuple(query["high"]))]
+    boxes = [Box(tuple(low), tuple(high)) for low, high in query["boxes"]]
     kwargs = dict(
         max_boxes=int(query["max_boxes"]),
         min_width=float(query["min_width"]),
@@ -703,6 +711,8 @@ def _shrink_backends(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
             yield {**payload, "bnb": {**bnb, "max_boxes": smaller_bnb}}
         if len(bnb["target"]) > 1:
             yield {**payload, "bnb": {**bnb, "target": bnb["target"][:-1]}}
+        if len(bnb["boxes"]) > 1:
+            yield {**payload, "bnb": {**bnb, "boxes": bnb["boxes"][:1]}}
 
 
 # ------------------------------------------------------------ family: shard

@@ -125,7 +125,7 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
                     )
                 continue
 
-            child_low, child_high = _split_batch(row_low, row_high)
+            child_low, child_high, _ = _split_batch(row_low, row_high)
             queue.append((child_low[0], child_high[0]))
             queue.append((child_low[1], child_high[1]))
 
@@ -170,7 +170,7 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
                 # Centre covered and resolution limit hit: accept as covered.
                 continue
 
-            child_low, child_high = _split_batch(row_low, row_high)
+            child_low, child_high, _ = _split_batch(row_low, row_high)
             queue.append((child_low[0], child_high[0]))
             queue.append((child_low[1], child_high[1]))
         return None

@@ -224,6 +224,134 @@ def test_resolution_sampling_ordinal_accounting_identical():
     assert 0.0 < result.counterexample[0] < 1.0
 
 
+# ------------------------------------------------------------- face sharing
+# Past the initial round the frontier engine evaluates each box's centre plus
+# the split-face corners of its sibling pair once; the scalar walk evaluates
+# every corner of every box.  These queries put the first witness on exactly
+# the points where that bookkeeping could go wrong.
+def _plane():
+    return Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+
+
+def _sibling_pruned_queries():
+    """``(target, constraint, box, witness, boxes_explored)``: the root splits
+    once and the constraint prunes one of its two children; the surviving
+    child splits in the next round."""
+    x, y = _plane()
+    wide = Box((0.0, 0.0), (4.0, 2.0))  # splits x = 2, then x = 3 (or x = 1)
+    tall = Box((0.0, 0.0), (2.0, 8.0))  # splits y = 4, then y = 6
+    return [
+        # lower sibling pruned; witness on a face corner of the upper
+        # sibling's children, found in the pair's lower child
+        ((y - 1.8) - 0.5 * (x - 3.0) ** 2, 2.5 - x, wide, (3.0, 2.0), 4),
+        # lower sibling pruned; witness at the upper sibling's centre — the
+        # pair's face is evaluated although only its upper child is open
+        (0.2 - (x - 3.0) ** 2 - (y - 1.0) ** 2, 2.5 - x, wide, (3.0, 1.0), 3),
+        # upper sibling pruned; witness on a face corner of the lower
+        # sibling's children
+        ((y - 1.8) - 0.5 * (x - 1.0) ** 2, x - 1.5, wide, (1.0, 2.0), 4),
+        # as the first, split along axis 1: the face is on y = 6
+        ((0.2 - x) - 0.5 * (y - 6.0) ** 2, 4.5 - y, tall, (0.0, 6.0), 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    range(4),
+    ids=["lower-pruned-face", "lower-pruned-centre", "upper-pruned-face", "axis1-face"],
+)
+def test_witness_next_to_a_pruned_sibling_identical(case):
+    target, constraint, box, witness, explored = _sibling_pruned_queries()[case]
+    result = _both(lambda v: v.prove_nonpositive(target, [box], [constraint]))
+    assert not result.verified
+    assert np.array_equal(result.counterexample, witness)
+    assert result.boxes_explored == explored
+
+
+def test_witness_after_a_fully_pruned_pair_identical():
+    """Face corners are computed only for pairs with an open child, so a
+    round whose first pair is pruned whole must still match each open box
+    to its own pair's face.
+
+    The box splits along x at 4, then 2 and 6, then 1, 3, 5 and 7.  The
+    constraint's enclosure keeps [0, 2] open in round 2 but prunes both of
+    its children in round 3, while pairs 1-3 stay open; the witness (3, 1)
+    is a face corner of pair 1, not a corner or centre of any earlier box.
+    """
+    x, y = _plane()
+    target = 0.01 - (x - 3.0) ** 2 - (y - 1.0) ** 2
+    constraint = 0.1 * x * x - x + 1.95  # feasible for x in [2.66, 7.34]
+    box = Box((0.0, 0.0), (8.0, 1.0))
+    result = _both(lambda v: v.prove_nonpositive(target, [box], [constraint]))
+    assert not result.verified
+    assert np.array_equal(result.counterexample, (3.0, 1.0))
+    assert result.boxes_explored == 10  # 1 + 2 + 4, then the third box of round 3
+
+
+def test_budget_cut_inside_a_sibling_pair_identical():
+    """Odd budgets cut the frontier between a lower child and its upper
+    sibling, so the last pair of a round is evaluated from one child."""
+    x, y = _plane()
+    disk = 1e-3 - (x - 0.3) ** 2 - (y - 0.7) ** 2  # positive on a small disk only
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    outcomes = set()
+    for max_boxes in range(1, 400, 2):
+        result = _both(lambda v: v.prove_nonpositive(disk, [box]), max_boxes=max_boxes)
+        outcomes.add(result.max_depth_reached)
+    assert outcomes == {True, False}  # budgets on both sides of the witness
+
+
+def _corner_ridge(dim):
+    """-100 (x0 - 1/2)^2 + x1 + ... + x_{d-1} - (d - 1.1) over [0, 1]^d.
+
+    Positive only at x0 ~ 1/2 with every other coordinate near 1: the first
+    split (axis 0) puts the point (1/2, 1, ..., 1) on the face, never on a
+    centre or a corner of the root."""
+    xs = [Polynomial.variable(i, dim) for i in range(dim)]
+    target = -100.0 * (xs[0] - 0.5) ** 2 - (dim - 1.1)
+    for var in xs[1:]:
+        target = target + var
+    return target, Box((0.0,) * dim, (1.0,) * dim)
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_corner_cap_dimensions_identical(dim):
+    """d = 6 is the last dimension with corners (and face sharing); d = 7
+    falls back to centre-only falsification."""
+    target, box = _corner_ridge(dim)
+    result = _both(lambda v: v.prove_nonpositive(target, [box]), max_boxes=3_000)
+    assert not result.verified
+    if dim == 6:
+        assert np.array_equal(result.counterexample, (0.5,) + (1.0,) * 5)
+        assert result.boxes_explored == 2
+    rng = np.random.default_rng(dim)
+    for _ in range(6):
+        poly = _rand_poly(dim, int(rng.integers(2, 7)), 2, rng)
+        constraints = [_rand_poly(dim, 3, 2, rng)] if rng.random() < 0.5 else []
+        low = rng.uniform(-1, 0, dim)
+        rand_box = Box(tuple(low), tuple(low + rng.uniform(0.5, 2, dim)))
+        kwargs = dict(max_boxes=int(rng.integers(50, 1_500)), min_width=0.05, seed=3)
+        _both(lambda v: v.prove_nonpositive(poly, [rand_box], constraints), **kwargs)
+        _both(lambda v: v.prove_positive(poly, [rand_box], constraints), **kwargs)
+
+
+def test_multi_box_initial_query_identical():
+    """Three initial boxes: round 0 evaluates every corner of unpaired boxes,
+    then each box's children pair up."""
+    x, y = _plane()
+    disk = 1e-2 - (x - 2.3) ** 2 - (y - 0.8) ** 2
+    boxes = [
+        Box((-1.0, 0.0), (0.0, 2.0)),
+        Box((2.0, 0.0), (3.0, 1.0)),
+        Box((0.0, 0.0), (1.0, 1.0)),
+    ]
+    result = _both(lambda v: v.prove_nonpositive(disk, boxes))
+    assert not result.verified and not result.max_depth_reached
+    for max_boxes in (2, 3, 4, 5, 8, 13):
+        _both(lambda v: v.prove_nonpositive(disk, boxes), max_boxes=max_boxes)
+    _both(lambda v: v.prove_positive(disk - 1.0, boxes, [x - 2.5]), max_boxes=2_000)
+
+
 # ------------------------------------------------------- randomized queries
 @pytest.mark.parametrize("policy", ["sample", "reject"])
 def test_randomized_queries_identical(policy):

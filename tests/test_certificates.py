@@ -182,6 +182,36 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             BranchAndBoundVerifier(resolution_limit_policy="bogus")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("resolution_samples", 0),
+            ("max_boxes", 0),
+            ("min_width", 0.0),
+            ("min_width", -1e-4),
+            ("min_width", float("inf")),
+            ("min_width", float("nan")),
+            ("tolerance", -1e-9),
+        ],
+    )
+    def test_rejects_settings_that_void_the_proof(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BranchAndBoundVerifier(**{field: value})
+
+    def test_resolution_limit_box_is_sampled_not_waved_through(self):
+        """0.01 - (x - 0.3)^2 is positive on (0.2, 0.4), which no centre or
+        corner of [0, 1] touches; only resolution-limit sampling finds it.
+        With zero samples the limit box would count as proved."""
+        x = Polynomial.variable(0, 1)
+        bump = 0.01 - (x - 0.3) ** 2
+        with pytest.raises(ValueError, match="resolution_samples"):
+            BranchAndBoundVerifier(min_width=1.0, resolution_samples=0)
+        result = BranchAndBoundVerifier(min_width=1.0).prove_nonpositive(
+            bump, [Box((0.0,), (1.0,))]
+        )
+        assert not result.verified
+        assert 0.2 < result.counterexample[0] < 0.4
+
 
 # --------------------------------------------------------------------------- SOS
 class TestSOS:
@@ -331,3 +361,72 @@ class TestBarrierSynthesis:
         result = synthesizer.search()
         assert not result.verified
         assert result.failure_reason
+
+    def test_repeated_candidate_is_proved_once(self):
+        """A candidate the LP returns again reuses its first failure: the
+        verifier proves each condition once per distinct candidate, and the
+        search result and counterexample stream are those of re-proving."""
+
+        def make():
+            return BarrierCertificateSynthesizer(
+                InvariantSketch(state_dim=2, degree=2),
+                [Polynomial.affine([1.05, 0.0], 0.0, 2), Polynomial.affine([0.0, 1.05], 0.0, 2)],
+                Box((-0.5, -0.5), (0.5, 0.5)),
+                box_difference(Box((-2, -2), (2, 2)), Box((-1, -1), (1, 1))),
+                Box((-1, -1), (1, 1)),
+                Box((-2, -2), (2, 2)),
+                config=BarrierSynthesisConfig(max_refinements=5),
+                verifier=BranchAndBoundVerifier(max_boxes=10_000, min_width=0.05),
+                on_counterexample=lambda kind, point: seen.append((kind, point)),
+            )
+
+        # Basis (1, x, y, x^2, xy, y^2): A fails condition (9) on S0, B is
+        # separating but not inductive under the expanding loop.
+        cand_a = np.array([-0.1, 0.0, 0.0, 1.0, 0.0, 1.0])
+        cand_b = np.array([-0.6, 0.0, 0.0, 1.0, 0.0, 1.0])
+        stream = [cand_a, cand_a, cand_b, cand_a, cand_b]
+
+        seen: list = []
+        expected = []  # what re-proving every iteration reports
+        for cand in stream:
+            fresh = make()
+            expected.append(fresh._sound_check(fresh.sketch.instantiate(cand)))
+        assert [kind for kind, _ in expected] == ["init", "init", "induction", "init", "induction"]
+
+        synthesizer = make()
+        lp_sample_counts = []
+
+        def solve_lp(init_samples, unsafe_samples, induction_samples):
+            lp_sample_counts.append(len(init_samples) + len(induction_samples))
+            return stream[len(lp_sample_counts) - 1].copy(), 1.0
+
+        proved = []
+        verifier = synthesizer.verifier
+        for name in ("prove_nonpositive", "prove_positive"):
+            method = getattr(verifier, name)
+
+            def spy(polynomial, boxes, constraints=(), _method=method, _name=name):
+                proved.append((_name, repr(polynomial)))
+                return _method(polynomial, boxes, constraints)
+
+            setattr(verifier, name, spy)
+        synthesizer._solve_lp = solve_lp
+        seen.clear()
+        result = synthesizer.search()
+
+        assert not result.verified
+        assert result.iterations == 5
+        assert result.failure_reason.startswith("refinement budget exhausted")
+        assert len(result.counterexamples) == 5
+        for got, (_kind, point) in zip(result.counterexamples, expected):
+            assert np.array_equal(got, point)
+        # every iteration notifies the sink, each with its own array
+        assert [kind for kind, _ in seen] == [kind for kind, _ in expected]
+        assert len({id(point) for _, point in seen}) == 5
+        assert all(got is point for got, (_, point) in zip(result.counterexamples, seen))
+        # ... and still draws a jitter cloud and re-solves the LP
+        cloud = synthesizer.config.counterexample_cloud + 1
+        assert np.diff(lp_sample_counts).tolist() == [cloud] * 4
+        # one proof per condition per distinct candidate: A stops at (9); B
+        # passes (9) and (8), then fails induction
+        assert len(proved) == len(set(proved)) == 1 + 3

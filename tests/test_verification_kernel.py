@@ -131,6 +131,10 @@ class TestVerificationConfig:
             ("timeout_seconds", -5.0),
             ("verifier_max_boxes", 0),
             ("verifier_tolerance", -1e-9),
+            ("verifier_min_width", 0.0),
+            ("verifier_min_width", -1e-3),
+            ("verifier_min_width", float("inf")),
+            ("verifier_min_width", float("nan")),
         ],
     )
     def test_rejects_invalid_values(self, field, value):
@@ -143,8 +147,10 @@ class TestVerificationConfig:
             timeout_seconds=1e-3,
             verifier_max_boxes=1,
             verifier_tolerance=0.0,
+            verifier_min_width=1e-9,
         )
         assert config.verifier_max_boxes == 1
+        assert VerificationConfig().verifier_min_width is None
 
 
 # ------------------------------------------- disturbance-aware barrier verdicts
