@@ -1,7 +1,7 @@
 """Branch-and-bound engine speed: vectorized frontier vs the scalar reference
 (:mod:`repro.reference.bnb`), tracked as ``BENCH_bnb.json``.
 
-Three hard verification queries are timed under both engines:
+Four rows of verification queries are timed under both engines:
 
 * ``platoon8_decrease`` — the 8-dimensional car-platoon Lyapunov-decrease
   condition constrained away from the origin; interval bounds stay
@@ -12,14 +12,21 @@ Three hard verification queries are timed under both engines:
   query that explores tens of thousands of boxes before refuting;
 * ``satellite_bad_gain_refuted`` — a deliberately destabilizing gain whose
   decrease condition is genuinely violated, terminating early with a
-  counterexample (guards the cheap-query path from batching overhead).
+  counterexample (guards the cheap-query path from batching overhead);
+* ``pendulum_fixture_init`` — the init condition (9) of each of the six
+  branches of the committed ``perfbench/fixtures/pendulum`` shield (read,
+  never written), each branch's barrier proved ``<= 0`` on its synthesis
+  region.  These proofs reach the resolution limit, so the row tracks how
+  many limit boxes rest on sampling rather than on a bound.
 
 Because both engines share the same batch-size-independent numeric kernels
-and the same canonical breadth-first frontier order, every row must agree
+and the same canonical breadth-first frontier order, every query must agree
 *exactly* — verdict, counterexample, ``boxes_explored``,
-``max_depth_reached`` — and the frontier engine must be at least 3x faster
-on at least one hard row (measured ≈ 100-250x on the platoon and
-condition-(10) rows).
+``max_depth_reached``, ``sampled_boxes`` — and the frontier engine must be
+at least 3x faster on at least one hard row (measured ≈ 100-250x on the
+platoon and condition-(10) rows).  A row of several queries records their
+total boxes and sampled boxes, whether all verified, and the first
+counterexample.
 
 Run directly (``PYTHONPATH=src python benchmarks/test_bnb_speed.py``) or via
 pytest; both refresh the artifact at the repository root.  Its ``host``
@@ -45,9 +52,13 @@ from repro.envs import make_environment
 from repro.lang import AffineProgram
 from repro.polynomials import Polynomial
 from repro.reference import ScalarBranchAndBoundVerifier
+from repro.store import ShieldStore, branch_regions
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACT = ROOT / "BENCH_bnb.json"
+#: The committed seed-0 pendulum shield of the perfbench ``deploy-fleet`` workload.
+PENDULUM_FIXTURE = ROOT / "perfbench" / "fixtures" / "pendulum"
+PENDULUM_FIXTURE_KEY = "5ff41ebebc94ad7d450d85dfbdb562dab5b71a1ddda70292f7907d62168e4ba4"
 
 MIN_SPEEDUP = 3.0
 
@@ -87,9 +98,7 @@ def _platoon_query():
     decrease, value = _lyapunov_decrease(env, program)
     return {
         "label": "platoon8_decrease",
-        "target": decrease,
-        "boxes": [env.safe_box],
-        "constraints": [0.01 - value],
+        "parts": [(decrease, [env.safe_box], [0.01 - value])],
         "kwargs": {"max_boxes": 5_000, "min_width": 1e-9},
     }
 
@@ -112,9 +121,7 @@ def _condition_ten_query():
     )
     return {
         "label": "satellite_disturbed_condition10",
-        "target": barrier.substitute(successors),
-        "boxes": [product_box],
-        "constraints": [barrier.substitute(lift)],
+        "parts": [(barrier.substitute(successors), [product_box], [barrier.substitute(lift)])],
         "kwargs": {"max_boxes": 20_000, "min_width": 0.01},
     }
 
@@ -125,34 +132,51 @@ def _bad_gain_query():
     decrease, value = _lyapunov_decrease(env, AffineProgram(gain=gain))
     return {
         "label": "satellite_bad_gain_refuted",
-        "target": decrease,
-        "boxes": [env.safe_box],
-        "constraints": [value - 0.25],
+        "parts": [(decrease, [env.safe_box], [value - 0.25])],
         "kwargs": {"max_boxes": 50_000, "min_width": 1e-4},
     }
 
 
+def _pendulum_init_query():
+    artifact = ShieldStore(PENDULUM_FIXTURE).get(PENDULUM_FIXTURE_KEY)
+    members = artifact.invariant.members
+    return {
+        "label": "pendulum_fixture_init",
+        "parts": [
+            (member.barrier, [region], [])
+            for member, region in zip(members, branch_regions(artifact))
+        ],
+        "kwargs": {"max_boxes": 120_000, "min_width": 0.04},
+    }
+
+
 def _timed_prove(query, engine):
+    """The row's results, one per query part, and their total seconds."""
     verifier = engine(**query["kwargs"])
     start = time.perf_counter()
-    result = verifier.prove_nonpositive(
-        query["target"], query["boxes"], query["constraints"]
-    )
-    return result, time.perf_counter() - start
+    results = [
+        verifier.prove_nonpositive(target, boxes, constraints)
+        for target, boxes, constraints in query["parts"]
+    ]
+    return results, time.perf_counter() - start
 
 
 def measure() -> tuple:
     rows: dict = {"host": host_metadata(), "min_speedup_required": MIN_SPEEDUP, "queries": {}}
     results = {}
-    for query in (_platoon_query(), _condition_ten_query(), _bad_gain_query()):
+    queries = (_platoon_query(), _condition_ten_query(), _bad_gain_query(), _pendulum_init_query())
+    for query in queries:
         scalar, scalar_seconds = _timed_prove(query, ScalarBranchAndBoundVerifier)
         frontier, frontier_seconds = _timed_prove(query, BranchAndBoundVerifier)
         results[query["label"]] = (scalar, frontier)
-        counterexample = frontier.counterexample
+        counterexample = next(
+            (part.counterexample for part in frontier if part.counterexample is not None), None
+        )
         rows["queries"][query["label"]] = {
-            "verified": frontier.verified,
-            "boxes_explored": frontier.boxes_explored,
-            "max_depth_reached": frontier.max_depth_reached,
+            "verified": all(part.verified for part in frontier),
+            "boxes_explored": sum(part.boxes_explored for part in frontier),
+            "max_depth_reached": any(part.max_depth_reached for part in frontier),
+            "sampled_boxes": sum(part.sampled_boxes for part in frontier),
             "counterexample": (
                 None if counterexample is None else [float(v) for v in counterexample]
             ),
@@ -172,6 +196,7 @@ def _assert_identical(scalar, frontier, label):
     assert scalar.verified == frontier.verified, label
     assert scalar.boxes_explored == frontier.boxes_explored, label
     assert scalar.max_depth_reached == frontier.max_depth_reached, label
+    assert scalar.sampled_boxes == frontier.sampled_boxes, label
     if scalar.counterexample is None or frontier.counterexample is None:
         assert scalar.counterexample is None and frontier.counterexample is None, label
     else:
@@ -182,17 +207,23 @@ def test_bnb_speed_artifact():
     rows, results = measure()
     write_artifact(rows)
 
-    # The engines agree exactly on every row — the speedup is free of any
+    # The engines agree exactly on every query — the speedup is free of any
     # semantic drift.
     for label, (scalar, frontier) in results.items():
-        _assert_identical(scalar, frontier, label)
+        assert len(scalar) == len(frontier), label
+        for index, (scalar_part, frontier_part) in enumerate(zip(scalar, frontier)):
+            _assert_identical(scalar_part, frontier_part, f"{label}[{index}]")
 
     # The hard rows terminate the way they were designed to.
-    assert not results["platoon8_decrease"][1].verified
-    assert results["platoon8_decrease"][1].max_depth_reached
-    assert results["platoon8_decrease"][1].boxes_explored == 5_000
-    assert not results["satellite_bad_gain_refuted"][1].verified
-    assert results["satellite_bad_gain_refuted"][1].counterexample is not None
+    (platoon,) = results["platoon8_decrease"][1]
+    assert not platoon.verified
+    assert platoon.max_depth_reached
+    assert platoon.boxes_explored == 5_000
+    (bad_gain,) = results["satellite_bad_gain_refuted"][1]
+    assert not bad_gain.verified
+    assert bad_gain.counterexample is not None
+    pendulum = results["pendulum_fixture_init"][1]
+    assert len(pendulum) == 6 and all(part.verified for part in pendulum)
 
     # At least one hard query shows the headline win.
     assert rows["best_speedup"] >= MIN_SPEEDUP, rows

@@ -17,10 +17,22 @@ extension gives a sound outer bound of a polynomial on a box, so
 * otherwise the box is bisected along its widest axis and the children are
   explored, until a resolution limit is reached.
 
-Verification answers are sound ("verified" means the inequality truly holds on
-every explored box up to the numeric tolerance); completeness is bounded by the
-resolution limit, mirroring the inherent incompleteness the paper notes for its
-own CEGIS loop.
+A box that reaches the resolution limit (widest side ``<= min_width``) with
+an inconclusive natural bound gets one more bound: the centred (mean-value)
+form :func:`~repro.certificates.interval_batch.centred_boxes`, whose excess
+shrinks with the square of the width rather than linearly.  If it proves
+the box (a constraint above the tolerance throughout, or the target within
+the sense), the box is discharged like any other bounded box.  Only the
+boxes it cannot prove are left to the ``resolution_limit_policy``: under
+``"sample"`` they are accepted when random samples show no violation
+(:attr:`CheckResult.sampled_boxes` counts them), under ``"reject"`` a
+feasible centre refutes the query.
+
+So "verified" means: proved by interval bounds on every box, except the
+``sampled_boxes`` limit boxes that rest on sampling alone, and up to the
+numeric tolerance and round-to-nearest arithmetic.  Completeness is bounded
+by the resolution limit, mirroring the inherent incompleteness the paper
+notes for its own CEGIS loop.
 
 Frontier engine and determinism contract
 ----------------------------------------
@@ -59,7 +71,13 @@ Resolution-limit sampling draws from a generator derived from ``seed``, a
 canonical hash of the query (sense, lowered polynomials, boxes), and the
 ordinal of the limit box in canonical order — never from shared verifier
 state — so verdicts are reproducible regardless of how many queries the
-verifier answered before, and identical across the two engines.
+verifier answered before, and identical across the two engines.  Every limit
+box takes an ordinal, including those the centred form then proves, so a
+box that is sampled draws the same stream as it would without that proof.
+A proved box has (up to rounding) no feasible point with a violating value,
+so its samples could never have produced a witness: under ``"sample"`` the
+centred form changes no verdict, counterexample, ``boxes_explored`` or
+``max_depth_reached``, only how many boxes rest on sampling.
 """
 
 from __future__ import annotations
@@ -71,7 +89,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..polynomials import Polynomial
-from .interval_batch import IntervalTable, eval_points, lower_interval, range_boxes
+from .interval_batch import (
+    IntervalTable,
+    centred_boxes,
+    eval_points,
+    lower_interval,
+    range_boxes,
+)
 from .regions import Box
 
 __all__ = [
@@ -91,6 +115,9 @@ class CheckResult:
     counterexample: Optional[np.ndarray] = None
     boxes_explored: int = 0
     max_depth_reached: bool = False
+    #: Resolution-limit boxes accepted because random samples found no
+    #: violation, not because a bound proved them.
+    sampled_boxes: int = 0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.verified
@@ -262,8 +289,19 @@ class BranchAndBoundVerifier:
         Budget on the number of boxes explored before giving up (returning
         ``verified=False`` with ``max_depth_reached=True``).
     min_width:
-        Boxes whose widest side is below this width are resolved by sampling
-        their centre point; this bounds the recursion depth.
+        Boxes whose widest side is at most this width are not split further;
+        this bounds the recursion depth.  Such a resolution-limit box is
+        proved by the centred form if it can be, and otherwise resolved by
+        ``resolution_limit_policy``.
+    resolution_limit_policy:
+        ``"sample"`` accepts an unproved limit box when none of
+        ``resolution_samples`` random points in it violates the inequality;
+        ``"reject"`` refutes the query at the first unproved limit box with
+        a feasible centre (``max_depth_reached=True``).
+    resolution_samples:
+        Points drawn per unproved limit box under ``"sample"``.
+    seed:
+        Seeds the per-query, per-box sampling generators.
     """
 
     tolerance: float = 1e-6
@@ -337,6 +375,7 @@ class BranchAndBoundVerifier:
     ) -> CheckResult:
         explored = 0
         limit_ordinal = 0
+        sampled = 0
         tol = self.tolerance
         dim = low.shape[1]
         axes: Optional[np.ndarray] = None  # parents' split axes, one per sibling pair
@@ -348,6 +387,7 @@ class BranchAndBoundVerifier:
                     counterexample=0.5 * (low[0] + high[0]),
                     boxes_explored=explored,
                     max_depth_reached=True,
+                    sampled_boxes=sampled,
                 )
             overflow: Optional[Tuple[np.ndarray, np.ndarray]] = None
             if low.shape[0] > remaining:
@@ -393,15 +433,22 @@ class BranchAndBoundVerifier:
 
             # Resolution-limit boxes: open, below min_width, and ahead of the
             # witness box (which stops the walk before its own limit check).
+            # Each keeps the ordinal of its place among them; then those the
+            # centred form proves are dropped, and only the rest are sampled
+            # (or, under "reject", refuted).
             narrow = (open_high - open_low).max(axis=1) <= self.min_width
             limit_idx = open_idx[narrow]
             ahead = limit_idx if event is None else limit_idx[limit_idx < event_box]
             if ahead.size:
+                ordinals = limit_ordinal + np.arange(ahead.size)
+                unproved = ~self._centred_proved(target, ctables, sense, low[ahead], high[ahead])
+                ahead, ordinals = ahead[unproved], ordinals[unproved]
+            if ahead.size:
                 if self.resolution_limit_policy == "sample":
                     k = self.resolution_samples
                     samples = np.empty((ahead.size, k, dim))
-                    for j, i in enumerate(ahead):
-                        rng = _box_rng(self.seed, digest, limit_ordinal + j)
+                    for j, (i, ordinal) in enumerate(zip(ahead, ordinals)):
+                        rng = _box_rng(self.seed, digest, int(ordinal))
                         samples[j] = rng.uniform(low[i], high[i], (k, dim))
                     viol = self._violation_mask(
                         target, ctables, samples.reshape(-1, dim), sense
@@ -409,10 +456,13 @@ class BranchAndBoundVerifier:
                     hits = np.flatnonzero(viol.any(axis=1))
                     if hits.size:
                         j = int(hits[0])
+                        sampled += j
                         event_box = int(ahead[j])
                         event = CheckResult(
                             False, counterexample=samples[j, int(np.argmax(viol[j]))].copy()
                         )
+                    else:
+                        sampled += ahead.size
                 else:
                     centers = 0.5 * (low[ahead] + high[ahead])
                     hits = np.flatnonzero(self._feasible_mask(ctables, centers))
@@ -425,6 +475,7 @@ class BranchAndBoundVerifier:
 
             if event is not None:
                 event.boxes_explored = explored + event_box + 1
+                event.sampled_boxes = sampled
                 return event
 
             explored += count
@@ -436,6 +487,7 @@ class BranchAndBoundVerifier:
                     counterexample=0.5 * (overflow[0] + overflow[1]),
                     boxes_explored=explored,
                     max_depth_reached=True,
+                    sampled_boxes=sampled,
                 )
 
             wide = ~narrow
@@ -443,7 +495,7 @@ class BranchAndBoundVerifier:
                 break
             low, high, axes = _split_batch(open_low[wide], open_high[wide])
 
-        return CheckResult(True, boxes_explored=explored)
+        return CheckResult(True, boxes_explored=explored, sampled_boxes=sampled)
 
     def _first_witness(
         self,
@@ -498,6 +550,29 @@ class BranchAndBoundVerifier:
         return int(open_idx[local]), faces[row, int(np.argmax(face_viol[row]))].copy()
 
     # -------------------------------------------------------------- helpers
+    def _centred_proved(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        sense: str,
+        low: np.ndarray,
+        high: np.ndarray,
+    ) -> np.ndarray:
+        """Mask of the ``(n, d)`` boxes the centred form proves: some
+        constraint is ``> tolerance`` on the whole box, or the target meets
+        the sense there.  Either way no point of the box can violate."""
+        tol = self.tolerance
+        proved = np.zeros(low.shape[0], dtype=bool)
+        for table in ctables:
+            rows = np.flatnonzero(~proved)
+            bound_low, _ = centred_boxes(table, low[rows], high[rows])
+            proved[rows[bound_low > tol]] = True
+        rows = np.flatnonzero(~proved)
+        bound_low, bound_high = centred_boxes(target, low[rows], high[rows])
+        holds = bound_high <= tol if sense == "<=" else bound_low > -tol
+        proved[rows[holds]] = True
+        return proved
+
     def _feasible_mask(
         self, ctables: Sequence[IntervalTable], points: np.ndarray
     ) -> np.ndarray:

@@ -29,8 +29,10 @@ The equivalence claims are scoped exactly as the codebase defines them:
   carry a failure reason.  Each payload also carries a random
   polynomial/box/constraint query on which the vectorized frontier
   branch-and-bound engine must be bit-identical (verdict, counterexample,
-  ``boxes_explored``, ``max_depth_reached``) to the scalar reference engine
-  (``repro.reference.ScalarBranchAndBoundVerifier``).
+  ``boxes_explored``, ``max_depth_reached``, ``sampled_boxes``) to the
+  scalar reference engine (``repro.reference.ScalarBranchAndBoundVerifier``),
+  and on whose boxes the centred enclosure ``centred_boxes`` must contain
+  every sampled value of the query's polynomials.
 * ``shard`` — ``workers=1`` and ``workers=N`` campaigns over the same shard
   plan produce bit-identical per-episode arrays (and monitored fleets
   bit-identical counters and disturbance estimates).
@@ -560,8 +562,11 @@ def _gen_backends(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
-    """Frontier and scalar branch-and-bound must be bit-identical."""
+    """Frontier and scalar branch-and-bound must be bit-identical, and the
+    centred enclosure the engines prove limit boxes with must contain the
+    query's polynomials at random points of each query box."""
     from ..certificates import Box, BranchAndBoundVerifier
+    from ..certificates.interval_batch import centred_boxes, eval_points, lower_interval
     from ..polynomials import Polynomial
     from ..polynomials.monomial import Monomial
     from ..reference import ScalarBranchAndBoundVerifier
@@ -579,6 +584,20 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
     target = build(query["target"])
     constraints = [build(rows) for rows in query["constraints"]]
     boxes = [Box(tuple(low), tuple(high)) for low, high in query["boxes"]]
+    points_rng = np.random.default_rng(int(query["seed"]))
+    for low, high in query["boxes"]:
+        low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+        points = points_rng.uniform(low, high, (64, dim))
+        for poly in (target, *constraints):
+            table = lower_interval(poly)
+            lo, hi = centred_boxes(table, low[None], high[None])
+            values = eval_points(table, points)
+            slack = 1e-9 * (1.0 + float(np.abs(values).max()))
+            if values.min() < lo[0] - slack or values.max() > hi[0] + slack:
+                return (
+                    f"centred enclosure [{lo[0]}, {hi[0]}] misses values in "
+                    f"[{values.min()}, {values.max()}] on box {low.tolist()}..{high.tolist()}"
+                )
     kwargs = dict(
         max_boxes=int(query["max_boxes"]),
         min_width=float(query["min_width"]),
@@ -600,13 +619,14 @@ def _check_bnb_engines(query: Dict[str, Any]) -> Optional[str]:
             scalar.verified != frontier_result.verified
             or scalar.boxes_explored != frontier_result.boxes_explored
             or scalar.max_depth_reached != frontier_result.max_depth_reached
+            or scalar.sampled_boxes != frontier_result.sampled_boxes
         ):
             return (
                 f"bnb engines diverge on prove_{sense}: scalar="
                 f"({scalar.verified}, {scalar.boxes_explored}, "
-                f"{scalar.max_depth_reached}) frontier="
+                f"{scalar.max_depth_reached}, {scalar.sampled_boxes}) frontier="
                 f"({frontier_result.verified}, {frontier_result.boxes_explored}, "
-                f"{frontier_result.max_depth_reached})"
+                f"{frontier_result.max_depth_reached}, {frontier_result.sampled_boxes})"
             )
         cex_s, cex_f = scalar.counterexample, frontier_result.counterexample
         if (cex_s is None) != (cex_f is None) or (
@@ -1117,7 +1137,8 @@ FAMILIES: Dict[str, PropertyFamily] = {
             name="backends",
             description=(
                 "no backend reports SAFE where branch-and-bound refutes; "
-                "frontier and scalar branch-and-bound are bit-identical"
+                "frontier and scalar branch-and-bound are bit-identical; "
+                "centred enclosures contain sampled values"
             ),
             weight=1,
             generate=_gen_backends,

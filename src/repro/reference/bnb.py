@@ -5,8 +5,9 @@
 one at a time, in the canonical breadth-first order the frontier engine
 batches.  The two engines share the query lowering, the resolution-limit
 generators and the batch-size-independent interval kernels, so verdicts,
-counterexamples, ``boxes_explored`` and ``max_depth_reached`` must be
-bit-identical (``tests/test_bnb_engines.py``, the ``backends`` fuzz family).
+counterexamples, ``boxes_explored``, ``max_depth_reached`` and
+``sampled_boxes`` must be bit-identical (``tests/test_bnb_engines.py``, the
+``backends`` fuzz family).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..certificates.interval_batch import IntervalTable, range_boxes
+from ..certificates.interval_batch import IntervalTable, centred_boxes, range_boxes
 from ..certificates.smt import (
     BranchAndBoundVerifier,
     CheckResult,
@@ -58,6 +59,7 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
         )
         explored = 0
         limit_ordinal = 0
+        sampled = 0
         while queue:
             if explored >= self.max_boxes:
                 head_low, head_high = queue[0]
@@ -66,6 +68,7 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
                     counterexample=0.5 * (head_low + head_high),
                     boxes_explored=explored,
                     max_depth_reached=True,
+                    sampled_boxes=sampled,
                 )
             box_low, box_high = queue.popleft()
             explored += 1
@@ -92,28 +95,39 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
             candidates = _candidate_points(row_low, row_high)[0]
             witness = self._first_violation(target, ctables, candidates, sense)
             if witness is not None:
-                return CheckResult(False, counterexample=witness, boxes_explored=explored)
+                return CheckResult(
+                    False, counterexample=witness, boxes_explored=explored,
+                    sampled_boxes=sampled,
+                )
 
             widths = box_high - box_low
             if float(np.max(widths)) <= self.min_width:
-                # Resolution limit: the interval bound is inconclusive and no
-                # violating point was found among the centre/corners.  Under the
-                # default "sample" policy we densely sample the box and accept it
-                # when no violation appears (documented δ-completeness trade-off:
-                # the property is proven everywhere except possibly inside
-                # resolution-limit boxes that passed dense sampling).  Under
-                # "reject" the box is reported as a potential counterexample.
+                # Resolution limit: the natural interval bound is inconclusive
+                # and no violating point was found among the centre/corners.
+                # The box takes the next ordinal, then the centred (mean-value)
+                # form gets one try at proving it outright.  Failing that,
+                # under the default "sample" policy we densely sample the box
+                # and accept it when no violation appears (documented
+                # δ-completeness trade-off: the property is proven everywhere
+                # except possibly inside resolution-limit boxes that passed
+                # dense sampling).  Under "reject" the box is reported as a
+                # potential counterexample.
+                ordinal = limit_ordinal
+                limit_ordinal += 1
+                if self._centred_proves_box(target, ctables, sense, row_low, row_high):
+                    continue
                 if self.resolution_limit_policy == "sample":
-                    rng = _box_rng(self.seed, digest, limit_ordinal)
-                    limit_ordinal += 1
+                    rng = _box_rng(self.seed, digest, ordinal)
                     samples = rng.uniform(
                         box_low, box_high, (self.resolution_samples, box_low.shape[0])
                     )
                     witness = self._first_violation(target, ctables, samples, sense)
                     if witness is not None:
                         return CheckResult(
-                            False, counterexample=witness, boxes_explored=explored
+                            False, counterexample=witness, boxes_explored=explored,
+                            sampled_boxes=sampled,
                         )
+                    sampled += 1
                     continue
                 center = 0.5 * (box_low + box_high)
                 if self._feasible_mask(ctables, center[None, :])[0]:
@@ -129,7 +143,26 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
             queue.append((child_low[0], child_high[0]))
             queue.append((child_low[1], child_high[1]))
 
-        return CheckResult(True, boxes_explored=explored)
+        return CheckResult(True, boxes_explored=explored, sampled_boxes=sampled)
+
+    def _centred_proves_box(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        sense: str,
+        row_low: np.ndarray,
+        row_high: np.ndarray,
+    ) -> bool:
+        """Whether the centred form proves one ``(1, d)`` box: a constraint
+        is ``> tolerance`` on all of it, or the target meets the sense."""
+        for table in ctables:
+            bound_low, _ = centred_boxes(table, row_low, row_high)
+            if bound_low[0] > self.tolerance:
+                return True
+        bound_low, bound_high = centred_boxes(target, row_low, row_high)
+        if sense == "<=":
+            return bool(bound_high[0] <= self.tolerance)
+        return bool(bound_low[0] > -self.tolerance)
 
     def _uncovered_scalar(
         self,

@@ -5,8 +5,8 @@ bit-identical to the scalar reference engine
 Both engines share the same batch-size-independent numeric kernels
 (`repro.certificates.interval_batch`) and the same canonical breadth-first
 frontier order, so every observable of a query — verdict, counterexample,
-``boxes_explored``, ``max_depth_reached`` — must match exactly, not just
-approximately.  The suite drives both engines through:
+``boxes_explored``, ``max_depth_reached``, ``sampled_boxes`` — must match
+exactly, not just approximately.  The suite drives both engines through:
 
 * real verification-condition queries built from registry environments
   (including disturbed condition-(10) product-box queries and polynomial
@@ -16,10 +16,10 @@ approximately.  The suite drives both engines through:
 * randomized polynomial/box/constraint queries;
 * the CEGIS cover query ``find_uncovered_point``.
 
-It also pins the two supporting contracts: the numeric kernels are
-batch-size independent (row values never depend on frontier size), and
-resolution-limit sampling is a pure function of the query (no verifier
-call-history dependence).
+It also pins the supporting contracts: the numeric kernels are batch-size
+independent (row values never depend on frontier size), the centred
+(mean-value) enclosure contains the polynomial, and resolution-limit sampling
+is a pure function of the query (no verifier call-history dependence).
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ import pytest
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import Box, BranchAndBoundVerifier
-from repro.certificates.interval_batch import eval_points, lower_interval, range_boxes
+from repro.certificates.interval_batch import (
+    centred_boxes,
+    eval_points,
+    lower_interval,
+    range_boxes,
+)
 from repro.envs import make_environment
 from repro.lang import AffineProgram
 from repro.polynomials import Polynomial, polynomial_range
@@ -43,6 +48,7 @@ def _assert_identical(result_a, result_b, context=""):
     assert result_a.verified == result_b.verified, context
     assert result_a.boxes_explored == result_b.boxes_explored, context
     assert result_a.max_depth_reached == result_b.max_depth_reached, context
+    assert result_a.sampled_boxes == result_b.sampled_boxes, context
     if result_a.counterexample is None or result_b.counterexample is None:
         assert result_a.counterexample is None and result_b.counterexample is None, context
     else:
@@ -190,7 +196,8 @@ def test_resolution_limit_reject_identical():
 
 
 def test_resolution_limit_sample_accepts_identical():
-    """Sample policy: a violation-free limit box is accepted after sampling."""
+    """Sample policy: a violation-free limit box is accepted after sampling,
+    and counted as resting on sampling."""
     result = _both(
         lambda v: v.prove_nonpositive(_band_poly(), [Box((-1.0,), (-0.7,))]),
         max_boxes=50_000,
@@ -199,6 +206,7 @@ def test_resolution_limit_sample_accepts_identical():
         seed=11,
     )
     assert result.verified
+    assert result.sampled_boxes == 1
 
 
 def test_resolution_sampling_ordinal_accounting_identical():
@@ -222,6 +230,60 @@ def test_resolution_sampling_ordinal_accounting_identical():
     assert result.counterexample is not None
     # the witness can only live in the positive band inside [0, 2]
     assert 0.0 < result.counterexample[0] < 1.0
+
+
+# ------------------------------------------------------ centred-form proofs
+def _bowl():
+    """x^2 - x + 0.2: negative on [0.4, 0.6] (at most -0.04 there), but its
+    natural enclosure on that box is [-0.24, 0.16], because x^2 and -x are
+    bounded separately.  The centred form p(0.5) ± 0.2 * 0.1 = [-0.07, -0.03]
+    closes it."""
+    x = Polynomial.variable(0, 1)
+    return x * x - x + 0.2
+
+
+@pytest.mark.parametrize("policy", ["sample", "reject"])
+def test_limit_box_proved_by_centred_form_identical(policy):
+    """The root box is a resolution-limit box at once.  It is proved without
+    a single sample, and "reject" (which refuted it at its feasible centre
+    before the centred form) verifies it too."""
+    result = _both(
+        lambda v: v.prove_nonpositive(_bowl(), [Box((0.4,), (0.6,))]),
+        min_width=0.5,
+        resolution_limit_policy=policy,
+    )
+    assert result.verified and not result.max_depth_reached
+    assert result.boxes_explored == 1
+    assert result.sampled_boxes == 0
+
+
+def test_limit_box_pruned_by_centred_constraint_identical():
+    """A constraint the centred form puts above zero on the whole box leaves
+    no feasible point, so the box needs no samples either."""
+    constant = Polynomial.constant(1.0, 1)
+    box = [Box((0.4,), (0.6,))]
+    result = _both(
+        lambda v: v.prove_nonpositive(constant, box, [-1.0 * _bowl()]), min_width=0.5
+    )
+    assert result.verified and result.sampled_boxes == 0
+    # Without the constraint the constant is refuted at the box centre.
+    refuted = _both(lambda v: v.prove_nonpositive(constant, box), min_width=0.5)
+    assert np.array_equal(refuted.counterexample, (0.5,))
+
+
+def test_discharged_limit_box_keeps_its_ordinal():
+    """A limit box the centred form proves still takes its sampling ordinal.
+
+    [-0.5, -0.4] is ordinal 0 and is proved (the band polynomial's natural
+    enclosure there reaches +0.49, its centred one stays below -0.05); [0, 2]
+    is ordinal 1, and its draws give the witness.  Sampled under ordinal 0,
+    [0, 2] would yield 0.6131473142399437 instead.
+    """
+    boxes = [Box((-0.5,), (-0.4,)), Box((0.0,), (2.0,))]
+    result = _both(lambda v: v.prove_nonpositive(_band_poly(), boxes), min_width=2.5, seed=2)
+    assert not result.verified and result.boxes_explored == 2
+    assert result.counterexample.tolist() == [0.441806565434125]
+    assert result.sampled_boxes == 0  # the witness box itself is not accepted
 
 
 # ------------------------------------------------------------- face sharing
@@ -444,9 +506,79 @@ def test_range_boxes_matches_interval_arithmetic():
         assert np.isclose(got_hi[0], reference.hi, rtol=1e-12, atol=1e-12)
 
 
+def _dense_grid(low, high, per_axis):
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(low, high)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(low))
+
+
+def test_centred_boxes_encloses_the_polynomial():
+    """Dense point values (corners included) lie inside the centred bound."""
+    rng = np.random.default_rng(5)
+    for _ in range(120):
+        dim = int(rng.integers(1, 5))
+        table = lower_interval(_rand_poly(dim, int(rng.integers(1, 8)), 4, rng))
+        low = rng.uniform(-2, 1, dim)
+        high = low + rng.uniform(0.0, 1.5, dim) * rng.choice([1e-3, 1.0])
+        lo, hi = centred_boxes(table, low[None], high[None])
+        values = eval_points(table, _dense_grid(low, high, {1: 401, 2: 41, 3: 13, 4: 7}[dim]))
+        slack = 1e-9 * (1.0 + np.abs(values).max())
+        assert lo[0] - slack <= values.min() and values.max() <= hi[0] + slack
+
+
+def test_centred_boxes_batch_size_independent():
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3, 4):
+        table = lower_interval(_rand_poly(dim, 6, 4, rng))
+        low = rng.uniform(-2, 1, (1_000, dim))
+        high = low + rng.uniform(0.0, 0.5, (1_000, dim))
+        batch_lo, batch_hi = centred_boxes(table, low, high)
+        for i in rng.choice(1_000, 25, replace=False):
+            row_lo, row_hi = centred_boxes(table, low[i : i + 1], high[i : i + 1])
+            assert row_lo[0] == batch_lo[i] and row_hi[0] == batch_hi[i]
+
+
+def test_centred_boxes_non_finite_rows_prove_nothing():
+    """Overflow, nan and unbounded boxes come back as (-inf, inf), so no
+    sense and no constraint test counts them as proved."""
+    x = Polynomial.variable(0, 1)
+    cases = [
+        (-1e300 * x**3, (1e3,), (2e3,)),  # every value overflows to -inf
+        (1e300 * x**3, (1e3,), (2e3,)),  # ... or to +inf
+        (x * x, (-np.inf,), (np.inf,)),  # unbounded box, nan centre
+        (x * x, (np.nan,), (1.0,)),
+        (x**3, (1e200,), (1e200,)),  # zero radius times an infinite gradient
+    ]
+    verifier = BranchAndBoundVerifier()
+    for poly, low, high in cases:
+        table = lower_interval(poly)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = centred_boxes(table, np.array([low]), np.array([high]))
+            assert lo[0] == -np.inf and hi[0] == np.inf, (poly, low, high)
+            for sense in ("<=", ">"):
+                for ctables in ([], [table]):
+                    proved = verifier._centred_proved(
+                        table, ctables, sense, np.array([low]), np.array([high])
+                    )
+                    assert not proved[0]
+
+
+def test_centred_boxes_of_a_constant_is_the_constant():
+    table = lower_interval(Polynomial.constant(-2.75, 3))
+    low = np.array([[-1.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
+    lo, hi = centred_boxes(table, low, low + 0.5)
+    assert lo.tolist() == [-2.75, -2.75] and hi.tolist() == [-2.75, -2.75]
+
+
 def test_lowering_memoized_per_polynomial():
+    """The table on the polynomial, the centred form's gradients on the table."""
     poly = Polynomial.quadratic_form(np.eye(3))
-    assert lower_interval(poly) is lower_interval(poly)
+    table = lower_interval(poly)
+    assert lower_interval(poly) is table
+    centred_boxes(table, np.zeros((1, 3)), np.ones((1, 3)))
+    gradients = table.gradients
+    centred_boxes(table, np.zeros((1, 3)), np.ones((1, 3)))
+    assert gradients is not None and table.gradients is gradients
+    assert [var for var, _ in gradients] == [0, 1, 2]
 
 
 # ----------------------------------------------------------- RNG regression
