@@ -29,22 +29,18 @@ total boxes and sampled boxes, whether all verified, and the first
 counterexample.
 
 Run directly (``PYTHONPATH=src python benchmarks/test_bnb_speed.py``) or via
-pytest; both refresh the artifact at the repository root.  Its ``host``
-header records the cpus available to the process, the Python, NumPy and
-SciPy versions, and the git commit (``-dirty`` when the tree had changes).
+pytest; both refresh the artifact at the repository root, under the shared
+``host`` header of :mod:`hostinfo`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
-import scipy
+from hostinfo import host_metadata
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import Box, BranchAndBoundVerifier
@@ -61,29 +57,6 @@ PENDULUM_FIXTURE = ROOT / "perfbench" / "fixtures" / "pendulum"
 PENDULUM_FIXTURE_KEY = "5ff41ebebc94ad7d450d85dfbdb562dab5b71a1ddda70292f7907d62168e4ba4"
 
 MIN_SPEEDUP = 3.0
-
-
-def host_metadata() -> dict:
-    """Where the rows were measured: cpus, library versions, git commit."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        cpus = os.cpu_count() or 1
-    try:
-        done = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT, capture_output=True, text=True, timeout=30,
-        )
-        commit = done.stdout.strip() if done.returncode == 0 else "unknown"
-    except OSError:
-        commit = "unknown"
-    return {
-        "cpus": cpus,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "git_commit": commit,
-    }
 
 
 def _lyapunov_decrease(env, program):

@@ -17,7 +17,8 @@ replay hit costs one batched rollout.  The same CEGIS run is timed under
   the prewarm probe and earlier failures collected).
 
 Run directly (``PYTHONPATH=src python benchmarks/test_synthesis_speed.py``)
-or via pytest; both refresh the artifact at the repository root.
+or via pytest; both refresh the artifact at the repository root, under the
+shared ``host`` header of :mod:`hostinfo`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import json
 import time
 from dataclasses import replace
 from pathlib import Path
+
+from hostinfo import host_metadata
 
 from repro.certificates.barrier import BarrierSynthesisConfig
 from repro.core import (
@@ -81,7 +84,7 @@ def run_configuration(overrides: dict) -> tuple:
 
 
 def measure() -> dict:
-    rows = {}
+    rows = {"host": host_metadata()}
     results = {}
     for label, overrides in CONFIGURATIONS:
         result, seconds = run_configuration(overrides)

@@ -18,7 +18,8 @@ The cached repeat must be ≥ 5x faster than the fresh barrier proof (measured
 backend (``portfolio_vs_worst_single`` in the artifact).
 
 Run directly (``PYTHONPATH=src python benchmarks/test_verification_speed.py``)
-or via pytest; both refresh the artifact at the repository root.
+or via pytest; both refresh the artifact at the repository root, under the
+shared ``host`` header of :mod:`hostinfo`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
+
+from hostinfo import host_metadata
 
 from repro.baselines import make_lqr_policy
 from repro.certificates import backend_names
@@ -53,7 +56,7 @@ def _timed_verify(env, program, config, verdict_cache=None):
 
 def measure(tmp_dir: Path) -> tuple:
     env, program = _query()
-    rows: dict = {"query": "satellite/LQR over S0", "backends": {}}
+    rows: dict = {"host": host_metadata(), "query": "satellite/LQR over S0", "backends": {}}
     outcomes = {}
 
     for name in ["auto"] + backend_names():

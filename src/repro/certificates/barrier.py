@@ -18,6 +18,20 @@ are *linear in c* once the state ``s`` is fixed.  We therefore
 3. if a condition fails, add the returned counterexample (plus a small jittered
    cloud around it) to the sample set and repeat.
 
+Step 1 solves the LP by cutting planes.  Of the ~1,300 sampled rows only a
+few dozen are tight at the optimum, so HiGHS only ever sees a working set of
+rows.  In the first refinement of a search the set is a fixed, evenly spaced
+subset of the rows; in later ones it is the rows that the previous candidate
+comes closest to violating, which include the new counterexample cloud.
+After each solve every row is evaluated at the solution, and the most
+violated rows outside the set join it before the next solve.  The loop stops
+when no row outside the set is violated by more than a fixed tolerance; it
+ends because the set only grows.  Every restricted LP is a relaxation of the
+full one, so a restricted optimum that satisfies every row is an optimum of
+the full sampled LP, with the same ``γ``.  Each sample's unscaled rows
+(successor and disturbance-corner rows included) are kept across
+refinements, so a refinement evaluates the basis only on the new cloud.
+
 The LP may return a candidate it has already returned.  A repeated candidate
 is not proved again: step 2 is a pure function of the candidate (the
 verifier's determinism contract), so the search reuses the first failure and
@@ -66,6 +80,13 @@ from .smt import BranchAndBoundVerifier, CheckResult
 
 __all__ = ["BarrierSynthesisConfig", "BarrierSearchResult", "BarrierCertificateSynthesizer"]
 
+#: Rows in the working set a cutting-plane LP solve starts from.
+WORKING_SET_ROWS = 64
+#: Most violated rows added to the working set before each re-solve.
+CUT_BATCH_ROWS = 64
+#: A row outside the working set counts as violated above this value.
+CUT_TOLERANCE = 1e-9
+
 
 @dataclass
 class BarrierSynthesisConfig:
@@ -80,9 +101,10 @@ class BarrierSynthesisConfig:
     min_margin: float = 1e-6
     coefficient_bound: float = 1.0
     check_step_bounded: bool = True
-    #: Wall-clock budget (seconds) for each candidate LP solve; ``None`` means
-    #: unbounded.  High-degree sketches can make HiGHS grind for minutes on
-    #: numerically nasty instances — a timed-out solve is treated exactly like
+    #: Wall-clock budget (seconds) for each candidate LP solve, shared by all
+    #: of its cutting-plane re-solves; ``None`` means unbounded.  High-degree
+    #: sketches can make HiGHS grind for minutes on numerically nasty
+    #: instances — a timed-out solve is treated exactly like
     #: an infeasible one (no candidate), which only ever *under*-approximates
     #: what the search can certify, never falsely verifies.
     lp_time_limit_seconds: Optional[float] = None
@@ -188,12 +210,18 @@ class BarrierCertificateSynthesizer:
         # barrier, not for re-lifting the whole closed loop.
         self._lifted_loop_cache: Optional[List[Polynomial]] = None
         self._lifted_safe_cache: Optional[Box] = None
+        # Cutting-plane warm state: the unscaled LP row blocks of the sample
+        # sets seen last, by kind, and the last LP candidate.
+        self._row_cache: Dict[str, Tuple[np.ndarray, List[np.ndarray]]] = {}
+        self._last_candidate: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ api
     def search(self) -> BarrierSearchResult:
         """Run the LP + sound-check refinement loop."""
         cfg = self.config
         start = time.perf_counter()
+        self._row_cache = {}
+        self._last_candidate = None
         init_samples = self.init_box.sample(self._rng, cfg.samples_init)
         unsafe_samples = self._sample_unsafe(cfg.samples_unsafe)
         induction_samples = self.safe_box.sample(self._rng, cfg.samples_induction)
@@ -297,60 +325,87 @@ class BarrierCertificateSynthesizer:
         columns = [poly.evaluate_batch(states) for poly in self.closed_loop]
         return np.stack(columns, axis=1)
 
+    def _row_blocks(self, kind: str, samples: np.ndarray) -> List[np.ndarray]:
+        """The unscaled LP rows of ``samples`` for condition ``kind``, built afresh.
+
+        One block for ``"init"`` and ``"unsafe"``; for ``"induction"`` the
+        nominal successor block, then one block per disturbance corner.
+        """
+        basis = self.sketch.basis
+        rows = basis_design_matrix(basis, samples)
+        if kind != "induction":
+            return [rows]
+        next_states = self._step_batch(samples)
+        # Condition (10) must hold for every admissible disturbance: each
+        # (sample, corner) pair fixes a concrete disturbed successor, so the
+        # rows stay linear in the coefficients.
+        blocks = [basis_design_matrix(basis, next_states) - rows]
+        for corner in self._disturbance_corners():
+            disturbed = next_states + self.disturbance_scale * corner
+            blocks.append(basis_design_matrix(basis, disturbed) - rows)
+        return blocks
+
+    def _rows(self, kind: str, samples: np.ndarray) -> np.ndarray:
+        """:meth:`_row_blocks` of ``samples``, reusing the rows of a cached prefix.
+
+        A refinement appends one cloud to one sample set, so only the cloud's
+        rows are computed.  They must equal the same rows in a whole-set
+        build, bit for bit (``tests/test_barrier_lp.py``): the one step that
+        could round a row differently by batch is the BLAS product that ends
+        ``Polynomial.evaluate_batch`` in :meth:`_step_batch`.
+        """
+        known, blocks = self._row_cache.get(kind, (None, None))
+        if (
+            known is not None
+            and len(known) <= len(samples)
+            and np.array_equal(known, samples[: len(known)])
+        ):
+            fresh = self._row_blocks(kind, samples[len(known):])
+            blocks = [np.concatenate([old, new], axis=0) for old, new in zip(blocks, fresh)]
+        else:
+            blocks = self._row_blocks(kind, samples)
+        self._row_cache[kind] = (samples.copy(), blocks)
+        return np.concatenate(blocks, axis=0)
+
+    def _lp_rows(
+        self,
+        init_samples: np.ndarray,
+        unsafe_samples: np.ndarray,
+        induction_samples: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The full scaled row block ``A_ub`` (``A_ub·x <= 0``) and its column scale."""
+        return scaled_lp_rows(
+            self._rows("init", init_samples),
+            self._rows("unsafe", unsafe_samples),
+            self._rows("induction", induction_samples),
+        )
+
+    def _seed_rows(self, a_ub: np.ndarray, column_scale: np.ndarray) -> np.ndarray:
+        """The sorted row indices of the working set a solve starts from.
+
+        Evenly spaced rows when there is no previous candidate; otherwise the
+        rows at which the previous candidate, re-scaled to this block's
+        columns, is largest, i.e. closest to violating ``A_ub·x <= 0``.
+        """
+        count = a_ub.shape[0]
+        if count <= WORKING_SET_ROWS:
+            return np.arange(count)
+        if self._last_candidate is None:
+            return np.arange(WORKING_SET_ROWS) * count // WORKING_SET_ROWS
+        values = a_ub[:, :-1] @ (self._last_candidate * column_scale)
+        return np.sort(np.argsort(-values, kind="stable")[:WORKING_SET_ROWS])
+
     def _solve_lp(
         self,
         init_samples: np.ndarray,
         unsafe_samples: np.ndarray,
         induction_samples: np.ndarray,
     ) -> tuple[Optional[np.ndarray], float]:
-        basis = self.sketch.basis
-        num_coeffs = len(basis)
-
-        init_rows = basis_design_matrix(basis, init_samples) if len(init_samples) else None
-        unsafe_rows = basis_design_matrix(basis, unsafe_samples) if len(unsafe_samples) else None
-        if len(induction_samples):
-            now_rows = basis_design_matrix(basis, induction_samples)
-            next_states = self._step_batch(induction_samples)
-            # Condition (10) must hold for every admissible disturbance: each
-            # (sample, corner) pair fixes a concrete disturbed successor, so
-            # the rows stay linear in the coefficients.
-            row_blocks = [basis_design_matrix(basis, next_states) - now_rows]
-            for corner in self._disturbance_corners():
-                disturbed = next_states + self.disturbance_scale * corner
-                row_blocks.append(basis_design_matrix(basis, disturbed) - now_rows)
-            induction_rows = np.concatenate(row_blocks, axis=0)
-        else:
-            induction_rows = None
-
-        # Column scaling for conditioning; coefficients are rescaled afterwards.
-        all_rows = [r for r in (init_rows, unsafe_rows, induction_rows) if r is not None]
-        stacked = np.concatenate(all_rows, axis=0)
-        column_scale = np.maximum(np.max(np.abs(stacked), axis=0), 1e-9)
-
-        blocks: List[np.ndarray] = []
-        if init_rows is not None:
-            blocks.append(np.hstack([init_rows / column_scale, np.ones((init_rows.shape[0], 1))]))
-        if unsafe_rows is not None:
-            blocks.append(
-                np.hstack([-unsafe_rows / column_scale, np.ones((unsafe_rows.shape[0], 1))])
-            )
-        if induction_rows is not None:
-            blocks.append(
-                np.hstack(
-                    [induction_rows / column_scale, np.ones((induction_rows.shape[0], 1))]
-                )
-            )
-        a_ub = np.concatenate(blocks, axis=0)
-        b_ub = np.zeros(a_ub.shape[0])
-
-        objective = np.zeros(num_coeffs + 1)
-        objective[-1] = -1.0  # maximise gamma
-        bound = self.config.coefficient_bound
-        bounds = [(-bound, bound)] * num_coeffs + [(0.0, 10.0 * bound)]
-
-        options = None
-        if self.config.lp_time_limit_seconds is not None:
-            options = {"time_limit": float(self.config.lp_time_limit_seconds)}
+        """Maximise ``γ`` over the sampled rows by cutting planes (module docstring)."""
+        start = time.perf_counter()
+        a_ub, column_scale = self._lp_rows(init_samples, unsafe_samples, induction_samples)
+        objective, bounds = lp_objective(len(column_scale), self.config.coefficient_bound)
+        time_limit = self.config.lp_time_limit_seconds
         from ..faults import fault_site
 
         spec = fault_site("solver.lp")
@@ -358,15 +413,35 @@ class BarrierCertificateSynthesizer:
             # An injected solver timeout behaves exactly like a real one: no
             # candidate from this LP.  Sound — the caller shrinks and retries.
             return None, float("-inf")
-        result = linprog(
-            objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=options
-        )
-        if not result.success:
-            return None, float("-inf")
-        scaled = result.x[:num_coeffs]
-        gamma = float(result.x[-1])
-        coefficients = scaled / column_scale
-        return coefficients, gamma
+        working = self._seed_rows(a_ub, column_scale)
+        while True:
+            options = None
+            if time_limit is not None:
+                # One budget for the whole solve: each re-solve gets what is left.
+                remaining = float(time_limit) - (time.perf_counter() - start)
+                if remaining <= 0.0:
+                    return None, float("-inf")
+                options = {"time_limit": remaining}
+            result = linprog(
+                objective,
+                A_ub=a_ub[working],
+                b_ub=np.zeros(len(working)),
+                bounds=bounds,
+                method="highs",
+                options=options,
+            )
+            if not result.success:
+                return None, float("-inf")
+            excess = a_ub @ result.x
+            excess[working] = -np.inf
+            violated = np.flatnonzero(excess > CUT_TOLERANCE)
+            if not violated.size:
+                break
+            worst = violated[np.argsort(-excess[violated], kind="stable")[:CUT_BATCH_ROWS]]
+            working = np.union1d(working, worst)
+        coefficients = result.x[:-1] / column_scale
+        self._last_candidate = coefficients
+        return coefficients, float(result.x[-1])
 
     # ----------------------------------------------------------- soundness
     def _sound_check(self, invariant: Invariant) -> Optional[tuple[str, np.ndarray]]:
@@ -410,11 +485,6 @@ class BarrierCertificateSynthesizer:
             if failure is not None:
                 return failure
         return None
-
-    def _delta_polynomial(self, barrier: Polynomial) -> Polynomial:
-        """``E(s') - E(s)`` as a polynomial in ``s`` via composition with the closed loop."""
-        next_barrier = barrier.substitute(list(self.closed_loop))
-        return next_barrier - barrier
 
     def _check_step_bounded(
         self,
@@ -508,3 +578,32 @@ class BarrierCertificateSynthesizer:
         if check.counterexample is not None:
             return np.asarray(check.counterexample, dtype=float)
         return box.center
+
+
+def scaled_lp_rows(
+    init_rows: np.ndarray, unsafe_rows: np.ndarray, induction_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale unscaled condition rows into the LP block ``A_ub·[c, γ] <= 0``.
+
+    Columns are divided by their largest magnitude for conditioning (the
+    caller divides the solved coefficients by the same scale); unsafe rows
+    are negated, since condition (8) asks ``E > 0``; the last column carries
+    the margin ``γ``.
+    """
+    stacked = np.concatenate([init_rows, unsafe_rows, induction_rows], axis=0)
+    column_scale = np.maximum(np.max(np.abs(stacked), axis=0), 1e-9)
+    scaled = np.concatenate(
+        [init_rows / column_scale, -unsafe_rows / column_scale, induction_rows / column_scale],
+        axis=0,
+    )
+    return np.hstack([scaled, np.ones((scaled.shape[0], 1))]), column_scale
+
+
+def lp_objective(num_coeffs: int, coefficient_bound: float) -> tuple[np.ndarray, list]:
+    """``linprog``'s objective (maximise ``γ``) and variable bounds for the LP."""
+    objective = np.zeros(num_coeffs + 1)
+    objective[-1] = -1.0
+    bounds = [(-coefficient_bound, coefficient_bound)] * num_coeffs + [
+        (0.0, 10.0 * coefficient_bound)
+    ]
+    return objective, bounds

@@ -18,6 +18,10 @@ code path and no flag can reach them.
   and :func:`trajectory_distance`, the Algorithm 1 objective one program and
   one state at a time, which the population objective of
   :func:`repro.core.distance.program_oracle_distance` must match bit for bit;
+* :mod:`repro.reference.lp` — :func:`solve_barrier_lp_full`, the sampled
+  barrier LP over every row in one solve, whose margin the cutting-plane
+  solve of :class:`~repro.certificates.barrier.BarrierCertificateSynthesizer`
+  must reach while satisfying every row;
 * :mod:`repro.reference.scalar` — :func:`run_episode_scalar`,
   :func:`evaluate_policy_scalar` and :func:`monitor_episode`, one state at a
   time.
@@ -26,6 +30,7 @@ code path and no flag can reach them.
 from .bnb import ScalarBranchAndBoundVerifier
 from .campaigns import InterpretedStepper, evaluate_policy_interpreted, monitor_fleet_interpreted
 from .distance import program_oracle_distance_scalar, trajectory_distance
+from .lp import full_lp_rows, solve_barrier_lp_full
 from .scalar import evaluate_policy_scalar, monitor_episode, run_episode_scalar
 
 __all__ = [
@@ -35,6 +40,8 @@ __all__ = [
     "monitor_fleet_interpreted",
     "program_oracle_distance_scalar",
     "trajectory_distance",
+    "full_lp_rows",
+    "solve_barrier_lp_full",
     "run_episode_scalar",
     "evaluate_policy_scalar",
     "monitor_episode",
