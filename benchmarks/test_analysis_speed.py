@@ -7,7 +7,9 @@ Two measurements:
   artifacts/second.  Linting must stay cheap enough to gate every
   ``ShieldStore.put``.
 * **CEGIS static pre-filter** — the same destabilizing-oracle CEGIS run with
-  the interval pre-filter on and off.  The filter must save at least one
+  the interval pre-filter on and off (the filter always runs in the product;
+  the filter-off reference run patches its call site to refute nothing).
+  The filter must save at least one
   full verification call (``statically_pruned > 0``) while reproducing the
   filter-off branches, failure reason, and counterexample count
   bit-identically; wall-clock for both runs is recorded.
@@ -18,10 +20,11 @@ via pytest; both refresh the artifact at the repository root.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -70,9 +73,11 @@ def run_prefilter(enabled: bool):
     def oracle(state):
         return bad_gain @ np.asarray(state, dtype=float)
 
-    config = replace(BASE_CONFIG, static_prefilter=enabled)
     start = time.perf_counter()
-    result = CEGISLoop(env, oracle, config=config).run()
+    with contextlib.nullcontext() if enabled else mock.patch(
+        "repro.core.cegis.statically_refuted", lambda *args, **kwargs: None
+    ):
+        result = CEGISLoop(env, oracle, config=BASE_CONFIG).run()
     return result, time.perf_counter() - start
 
 

@@ -7,7 +7,9 @@ the safe box from outer initial states.  Candidate programs imitate it, so
 every large-radius region fails verification — and with a degree-6 invariant
 sketch each such failure costs a full (time-bounded) barrier search, while a
 replay hit costs one batched rollout.  The same CEGIS run is timed under
-``workers ∈ {1, 4}`` × ``replay cache ∈ {on, off}``:
+``workers ∈ {1, 4}`` × ``replay cache ∈ {on, off}``.  Replay always runs in
+the product; the cache-off reference runs patch
+:meth:`CounterexampleCache.replay` to miss without counting:
 
 * all four configurations must reach the **identical safety verdict**;
 * cache-on must reproduce the cache-off branch programs **bit-identically**
@@ -23,10 +25,12 @@ shared ``host`` header of :mod:`hostinfo`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from hostinfo import host_metadata
 
@@ -34,6 +38,7 @@ from repro.certificates.barrier import BarrierSynthesisConfig
 from repro.core import (
     CEGISConfig,
     CEGISLoop,
+    CounterexampleCache,
     DistanceConfig,
     SynthesisConfig,
     VerificationConfig,
@@ -66,32 +71,36 @@ BASE_CONFIG = CEGISConfig(
     replay_horizon=500,
 )
 
+#: ``(label, workers, replay cache on)``.
 CONFIGURATIONS = (
-    ("workers1_nocache", {"workers": 1, "use_replay_cache": False}),
-    ("workers1_cache", {"workers": 1, "use_replay_cache": True}),
-    ("workers4_nocache", {"workers": 4, "use_replay_cache": False}),
-    ("workers4_cache", {"workers": 4, "use_replay_cache": True}),
+    ("workers1_nocache", 1, False),
+    ("workers1_cache", 1, True),
+    ("workers4_nocache", 4, False),
+    ("workers4_cache", 4, True),
 )
 
 
-def run_configuration(overrides: dict) -> tuple:
+def run_configuration(workers: int, replay: bool) -> tuple:
     env = make_environment("satellite")
     oracle = AffineProgram(gain=OVERSHOOT_GAIN)
-    config = replace(BASE_CONFIG, **overrides)
+    config = replace(BASE_CONFIG, workers=workers)
     start = time.perf_counter()
-    result = CEGISLoop(env, oracle, config=config).run()
+    with contextlib.nullcontext() if replay else mock.patch.object(
+        CounterexampleCache, "replay", lambda self, env, program, region: None
+    ):
+        result = CEGISLoop(env, oracle, config=config).run()
     return result, time.perf_counter() - start
 
 
 def measure() -> dict:
     rows = {"host": host_metadata()}
     results = {}
-    for label, overrides in CONFIGURATIONS:
-        result, seconds = run_configuration(overrides)
+    for label, workers, replay in CONFIGURATIONS:
+        result, seconds = run_configuration(workers, replay)
         results[label] = result
         rows[label] = {
             "workers": result.workers,
-            "replay_cache": overrides["use_replay_cache"],
+            "replay_cache": replay,
             "wall_clock_seconds": round(seconds, 3),
             "covered": result.covered,
             "program_size": result.program_size,
@@ -122,11 +131,11 @@ def test_synthesis_speedup_artifact():
     write_artifact(rows)
 
     # Identical safety verdicts in every configuration.
-    verdicts = {label: results[label].covered for label, _ in CONFIGURATIONS}
+    verdicts = {label: results[label].covered for label, _workers, _replay in CONFIGURATIONS}
     assert len(set(verdicts.values())) == 1, verdicts
 
     # The cache is verdict-preserving by construction: cache-on reproduces the
-    # cache-off branch programs bit for bit (sequential driver).
+    # cache-off branch programs bit for bit (one worker).
     plain = results["workers1_nocache"].branches
     cached = results["workers1_cache"].branches
     assert len(plain) == len(cached)

@@ -100,7 +100,6 @@ class BarrierSynthesisConfig:
     counterexample_jitter: float = 1e-2
     min_margin: float = 1e-6
     coefficient_bound: float = 1.0
-    check_step_bounded: bool = True
     #: Wall-clock budget (seconds) for each candidate LP solve, shared by all
     #: of its cutting-plane re-solves; ``None`` means unbounded.  High-degree
     #: sketches can make HiGHS grind for minutes on numerically nasty
@@ -480,13 +479,9 @@ class BarrierCertificateSynthesizer:
         if not check.verified:
             return ("induction", self._state_part(check, self.safe_box))
 
-        if self.config.check_step_bounded:
-            failure = self._check_step_bounded(barrier, constraint, successors, domain)
-            if failure is not None:
-                return failure
-        return None
+        return self._check_step_in_domain(barrier, constraint, successors, domain)
 
-    def _check_step_bounded(
+    def _check_step_in_domain(
         self,
         barrier: Polynomial,
         constraint: Polynomial,

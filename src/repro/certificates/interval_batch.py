@@ -36,7 +36,7 @@ re-lower the same certificate; the gradient tables of the centred form
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -308,10 +308,3 @@ def eval_points(table: IntervalTable, points: np.ndarray) -> np.ndarray:
             value = power if value is None else value * power
         acc = acc + coeff if value is None else acc + coeff * value
     return acc
-
-
-def eval_points_all(tables: Sequence[IntervalTable], points: np.ndarray) -> np.ndarray:
-    """Stacked ``(len(tables), n)`` evaluation of several lowered polynomials."""
-    if not tables:
-        return np.zeros((0, np.asarray(points).shape[0]))
-    return np.stack([eval_points(table, points) for table in tables], axis=0)

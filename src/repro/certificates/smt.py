@@ -594,18 +594,6 @@ class BranchAndBoundVerifier:
             return feasible & (values > self.tolerance)
         return feasible & (values <= -self.tolerance)
 
-    def _first_violation(
-        self,
-        target: IntervalTable,
-        ctables: Sequence[IntervalTable],
-        points: np.ndarray,
-        sense: str,
-    ) -> Optional[np.ndarray]:
-        violating = np.flatnonzero(self._violation_mask(target, ctables, points, sense))
-        if violating.size:
-            return points[violating[0]].copy()
-        return None
-
     # ------------------------------------------------------------ coverage
     def find_uncovered_point(
         self,

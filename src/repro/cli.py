@@ -5,9 +5,11 @@ any Python:
 
 * ``list``        — show the registered benchmarks and the paper's Table 1 numbers;
 * ``describe``    — print one benchmark's transition-system specification;
-* ``synthesize``  — train/clone an oracle, run (optionally parallel) CEGIS,
-                    print the synthesized program, and optionally persist the
-                    shield to the artifact store or a JSON file;
+* ``synthesize``  — train/clone an oracle, run CEGIS (``--workers N``
+                    synthesizes up to N branches per round; counterexample
+                    replay and the static pre-filter always run), print the
+                    synthesized program, and optionally persist the shield to
+                    the artifact store or a JSON file;
 * ``evaluate``    — load a saved artifact and run a shielded evaluation campaign;
 * ``audit``       — re-check a saved artifact against verification conditions (8)-(10);
 * ``verify``      — re-verify a stored shield through the verification kernel
@@ -132,13 +134,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         ),
         seed=args.seed,
         workers=args.workers,
-        use_replay_cache=not args.no_replay_cache,
     )
-    service = SynthesisService(
-        store=args.store,
-        workers=args.workers,
-        use_replay_cache=not args.no_replay_cache,
-    )
+    service = SynthesisService(store=args.store, workers=args.workers)
     print("[2/4] synthesizing and verifying a deterministic program (CEGIS) ...")
     result = service.synthesize(
         env,
@@ -697,11 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument("--overrides", help="JSON dict of environment constructor overrides")
     synthesize.add_argument(
         "--workers", type=int, default=1, help="concurrent CEGIS branch syntheses per round"
-    )
-    synthesize.add_argument(
-        "--no-replay-cache",
-        action="store_true",
-        help="disable counterexample replay before expensive verification",
     )
     synthesize.add_argument(
         "--store",

@@ -9,24 +9,28 @@ succeeds.  The loop terminates when the union of invariants covers the whole
 initial region ``S0`` (checked by the branch-and-bound cover query standing in
 for the paper's Z3 call), yielding the guarded program of Theorem 4.2.
 
-Two service-layer features sit on top of the paper's algorithm:
+There is one driver, and it runs in rounds.  Each round picks up to
+``workers`` spread-out uncovered initial states (the first from the cover
+query, the rest sampled) and synthesizes + verifies a branch for each on a
+:class:`~repro.faults.runner.ForkRunner` (the shard pool's runner: forked
+workers share the parent's environment/oracle by memory inheritance, failed
+slots are retried per slot, and slots run in-process where ``fork`` is
+unavailable).  ``workers=1`` is a one-slot round that runs inline: exactly
+the paper's sequential loop.  Each round closes its runner, so the next
+round's workers fork from the current loop state.  Verified branches are
+merged into the invariant union in deterministic slot order, skipping
+branches whose seed counterexample an earlier-accepted branch already covers.
 
-* ``workers=N`` runs a round-based parallel driver: each round picks up to
-  ``N`` spread-out uncovered initial states and synthesizes + verifies a
-  branch for each concurrently on a :class:`~repro.faults.runner.ForkRunner`
-  (the shard pool's runner: forked workers share the parent's
-  environment/oracle by memory inheritance, failed slots are retried per slot,
-  and slots run in-process where ``fork`` is unavailable).  Each round closes
-  its runner, so the next round's workers fork from the current loop state.
-  Verified branches are merged into the invariant union in deterministic slot
-  order, skipping branches whose seed counterexample an earlier-accepted
-  branch already covers.
+Two cheap refutations always run before a candidate's certificate search.
+Both only skip searches that could not have succeeded, so the accepted
+shields are the ones the bare loop would produce:
+
+* the static pre-filter (:func:`~repro.analysis.refute.statically_refuted`)
+  proves by interval reachability that every trajectory from the region
+  leaves the safe box;
 * a :class:`~repro.core.replay.CounterexampleCache` replays previously found
-  unsafe-trajectory witnesses (batched, disturbance-free) against every new
-  candidate *before* the expensive certificate search runs; a replay hit is a
-  proof that verification would fail, so the candidate is rejected at
-  simulation cost.  Replay is verdict-preserving by construction: cache-on and
-  cache-off runs produce identical results (see ``replay.py``).
+  unsafe-trajectory witnesses (batched, disturbance-free) against the
+  candidate; a hit is a concrete unsafe trajectory (see ``replay.py``).
 """
 
 from __future__ import annotations
@@ -46,11 +50,20 @@ from ..envs.base import EnvironmentContext
 from ..lang.invariant import Invariant, InvariantUnion
 from ..lang.program import GuardedProgram, PolicyProgram
 from ..lang.sketch import AffineSketch, ProgramSketch
-from .replay import CounterexampleCache, CounterexampleRecord, emit_counterexample
+from .replay import CounterexampleCache
 from .synthesis import ProgramSynthesizer, SynthesisConfig
 from .verification import VerificationConfig, VerificationOutcome, verify_program
 
 __all__ = ["CEGISConfig", "CEGISBranch", "CEGISResult", "CEGISLoop", "run_cegis"]
+
+#: Branch-and-bound settings of the cover query (Algorithm 2, lines 3-4).
+COVERAGE_TOLERANCE = 1e-6
+COVERAGE_MAX_BOXES = 40_000
+COVERAGE_MIN_WIDTH = 1e-3
+#: Region samples probed for new witnesses after a failed verification.
+REPLAY_PROBE_SAMPLES = 12
+#: Interval iteration budget of the static pre-filter.
+STATIC_PREFILTER_STEPS = 48
 
 
 @dataclass
@@ -62,21 +75,13 @@ class CEGISConfig:
     min_radius_fraction: float = 0.05
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     verification: VerificationConfig = field(default_factory=VerificationConfig)
-    coverage_tolerance: float = 1e-6
-    coverage_max_boxes: int = 40_000
-    coverage_min_width: float = 1e-3
     seed: int = 0
     # --- synthesis-service knobs -------------------------------------------
-    #: Concurrent branch syntheses per round; 1 reproduces the paper's
-    #: sequential loop exactly.
+    #: Concurrent branch syntheses per round; 1 runs one inline slot per
+    #: round, which is the paper's sequential loop.
     workers: int = 1
-    #: Replay previously found counterexamples against new candidates before
-    #: running the expensive certificate search (verdict-preserving).
-    use_replay_cache: bool = True
     #: Rollout length used when replaying/probing trajectory witnesses.
     replay_horizon: int = 120
-    #: Region samples probed for new witnesses after a failed verification.
-    replay_probe_samples: int = 12
     #: Initial states probed against the *oracle* before the loop starts.
     #: Candidates imitate the oracle, so initial states from which the oracle
     #: itself goes unsafe are prime witness candidates; prewarming lets even
@@ -85,17 +90,8 @@ class CEGISConfig:
     replay_prewarm_samples: int = 64
     #: Start the shrink loop at this fraction of Diameter(S0) instead of the
     #: full diameter — forces localized (multi-branch) programs, which is what
-    #: gives the parallel driver independent work units.
+    #: gives multi-slot rounds independent work units.
     initial_radius_fraction: Optional[float] = None
-    #: Statically refute candidates by interval reachability before paying
-    #: for replay/simulation/verification.  A refutation is a *proof* that
-    #: every trajectory from the region leaves the safe box, so no backend
-    #: could have certified the candidate — skipping it is verdict-preserving
-    #: and the accepted shields are bit-identical with the filter off; only
-    #: the ``statically_pruned`` counter differs.
-    static_prefilter: bool = True
-    #: Interval iteration budget of the static pre-filter.
-    static_prefilter_steps: int = 48
 
 
 @dataclass
@@ -162,12 +158,12 @@ class CEGISResult:
         return self.covered and bool(self.branches)
 
 
-#: One parallel work unit: (slot, counterexample point, global round index).
+#: One slot of a round: (slot, counterexample point, global round index).
 _BranchTask = Tuple[int, np.ndarray, int]
 
 
 class CEGISLoop:
-    """Implements Algorithm 2 (CEGIS), sequentially or with parallel rounds."""
+    """Implements Algorithm 2 (CEGIS) as rounds of up to ``workers`` branches."""
 
     def __init__(
         self,
@@ -181,7 +177,7 @@ class CEGISLoop:
     ) -> None:
         self.env = env
         self.oracle = oracle
-        # Per-slot recovery policy of the parallel driver.  Deliberately NOT a
+        # Per-slot recovery policy of the round driver.  Deliberately NOT a
         # CEGISConfig field: recovery cannot change results (a retried slot is
         # bit-identical), so it must not perturb the store's config hashes.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -200,22 +196,17 @@ class CEGISLoop:
             names=env.state_names,
         )
         self.config = config or CEGISConfig()
-        if replay_cache is not None:
-            self.replay_cache: Optional[CounterexampleCache] = replay_cache
-        elif self.config.use_replay_cache:
-            self.replay_cache = CounterexampleCache(
-                environment=getattr(env, "name", ""),
-                horizon=self.config.replay_horizon,
-                probe_samples=self.config.replay_probe_samples,
-                seed=self.config.seed,
-            )
-        else:
-            self.replay_cache = None
+        self.replay_cache = replay_cache if replay_cache is not None else CounterexampleCache(
+            environment=getattr(env, "name", ""),
+            horizon=self.config.replay_horizon,
+            probe_samples=REPLAY_PROBE_SAMPLES,
+            seed=self.config.seed,
+        )
         self._rng = np.random.default_rng(self.config.seed)
         self._coverage_checker = BranchAndBoundVerifier(
-            tolerance=self.config.coverage_tolerance,
-            max_boxes=self.config.coverage_max_boxes,
-            min_width=self.config.coverage_min_width,
+            tolerance=COVERAGE_TOLERANCE,
+            max_boxes=COVERAGE_MAX_BOXES,
+            min_width=COVERAGE_MIN_WIDTH,
             seed=self.config.seed,
         )
         self._cache_hits_at_start = 0
@@ -225,71 +216,29 @@ class CEGISLoop:
 
     # ------------------------------------------------------------------ api
     def run(self) -> CEGISResult:
-        """Run the counterexample-guided loop until ``S0`` is covered or budget runs out."""
+        """Run the counterexample-guided loop until ``S0`` is covered or budget runs out.
+
+        Every round spends one counterexample per slot, so ``rounds`` never
+        exceeds ``counterexamples_used``, and both are at most
+        ``max_counterexamples``.
+        """
+        cfg = self.config
+        cache = self.replay_cache
         self._pruned = 0
         self._fault_log = FaultLog()
         self._started_at = time.perf_counter()
-        if self.replay_cache is not None:
-            self._cache_hits_at_start = self.replay_cache.hits
-            self._cache_misses_at_start = self.replay_cache.misses
-            if self.config.replay_prewarm_samples > 0:
-                prewarm = CounterexampleCache(
-                    environment=self.replay_cache.environment,
-                    horizon=self.replay_cache.horizon,
-                    probe_samples=self.config.replay_prewarm_samples,
-                    seed=self.config.seed + 1,
-                )
-                prewarm.probe(self.env, self.oracle, self.env.init_region, source="prewarm")
-                self.replay_cache.absorb(prewarm.records)
-        if self.config.workers > 1:
-            return self._run_parallel()
-        return self._run_sequential()
+        self._cache_hits_at_start = cache.hits
+        self._cache_misses_at_start = cache.misses
+        if cfg.replay_prewarm_samples > 0:
+            prewarm = CounterexampleCache(
+                environment=cache.environment,
+                horizon=cache.horizon,
+                probe_samples=cfg.replay_prewarm_samples,
+                seed=cfg.seed + 1,
+            )
+            prewarm.probe(self.env, self.oracle, self.env.init_region, source="prewarm")
+            cache.absorb(prewarm.records)
 
-    # ------------------------------------------------------- sequential run
-    def _run_sequential(self) -> CEGISResult:
-        cfg = self.config
-        start = time.perf_counter()
-        branches: List[CEGISBranch] = []
-        failure_reason = ""
-        uncovered: Optional[np.ndarray] = None
-
-        for round_index in range(cfg.max_counterexamples):
-            uncovered = self._find_uncovered_initial_state(branches)
-            if uncovered is None:
-                return self._result(branches, True, start, round_index, rounds=round_index)
-            branch = self._synthesize_branch(uncovered, round_index)
-            if branch is None:
-                failure_reason = (
-                    "could not verify a program even on the smallest region around "
-                    f"counterexample {np.round(uncovered, 4).tolist()}"
-                )
-                break
-            branches.append(branch)
-
-        if not failure_reason:
-            # Budget exhausted; report whether we happen to be covered now.
-            final_uncovered = self._find_uncovered_initial_state(branches)
-            if final_uncovered is None:
-                return self._result(
-                    branches, True, start, cfg.max_counterexamples,
-                    rounds=cfg.max_counterexamples,
-                )
-            uncovered = final_uncovered
-            failure_reason = "counterexample budget exhausted before covering S0"
-
-        return self._result(
-            branches,
-            False,
-            start,
-            len(branches),
-            uncovered=uncovered,
-            failure_reason=failure_reason,
-            rounds=len(branches) + 1,
-        )
-
-    # --------------------------------------------------------- parallel run
-    def _run_parallel(self) -> CEGISResult:
-        cfg = self.config
         start = time.perf_counter()
         branches: List[CEGISBranch] = []
         used = 0
@@ -312,10 +261,9 @@ class CEGISLoop:
                     # caches (its verdict entries reached the disk store, its
                     # counters died with it); fold its deltas in.  Inline
                     # slots already counted here.
-                    if self.replay_cache is not None:
-                        self.replay_cache.absorb(records, emit=True)
-                        self.replay_cache.hits += hits
-                        self.replay_cache.misses += misses
+                    cache.absorb(records, emit=True)
+                    cache.hits += hits
+                    cache.misses += misses
                     if self.verdict_cache is not None:
                         self.verdict_cache.hits += verdict_delta[0]
                         self.verdict_cache.misses += verdict_delta[1]
@@ -386,9 +334,9 @@ class CEGISLoop:
         fault_site("cegis.worker", index=slot, attempt=attempt, inline=inline)
         cache = self.replay_cache
         verdicts = self.verdict_cache
-        records_before = len(cache.records) if cache is not None else 0
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
+        records_before = len(cache.records)
+        hits_before = cache.hits
+        misses_before = cache.misses
         verdict_before = (verdicts.hits, verdicts.misses) if verdicts is not None else (0, 0)
         pruned_before = self._pruned
         branch = self._synthesize_branch(point, round_index)
@@ -397,16 +345,13 @@ class CEGISLoop:
             if verdicts is not None
             else (0, 0)
         )
-        pruned_delta = self._pruned - pruned_before
-        if cache is None:
-            return branch, [], 0, 0, verdict_delta, pruned_delta
         return (
             branch,
             list(cache.records[records_before:]),
             cache.hits - hits_before,
             cache.misses - misses_before,
             verdict_delta,
-            pruned_delta,
+            self._pruned - pruned_before,
         )
 
     # ------------------------------------------------------------ internals
@@ -428,9 +373,9 @@ class CEGISLoop:
             counterexamples_used=counterexamples_used,
             uncovered_witness=uncovered,
             failure_reason=failure_reason,
-            cache_hits=cache.hits - self._cache_hits_at_start if cache is not None else 0,
-            cache_misses=cache.misses - self._cache_misses_at_start if cache is not None else 0,
-            cache_records=len(cache.records) if cache is not None else 0,
+            cache_hits=cache.hits - self._cache_hits_at_start,
+            cache_misses=cache.misses - self._cache_misses_at_start,
+            cache_records=len(cache.records),
             workers=self.config.workers,
             rounds=rounds,
             statically_pruned=self._pruned,
@@ -491,17 +436,7 @@ class CEGISLoop:
 
     def _record_verification_counterexample(self, kind: str, state: np.ndarray) -> None:
         """Sink for condition counterexamples found inside the certificate search."""
-        if self.replay_cache is not None:
-            self.replay_cache.record(state, kind=kind, source="verification")
-        else:
-            emit_counterexample(
-                CounterexampleRecord(
-                    state=state,
-                    kind=kind,
-                    source="verification",
-                    environment=getattr(self.env, "name", ""),
-                )
-            )
+        self.replay_cache.record(state, kind=kind, source="verification")
 
     def _synthesize_branch(
         self, counterexample: np.ndarray, round_index: int
@@ -536,15 +471,8 @@ class CEGISLoop:
                 init_region=region, initial_parameters=previous_parameters
             )
             previous_parameters = synthesis_result.parameters
-            refutation = (
-                statically_refuted(
-                    self.env,
-                    synthesis_result.program,
-                    region,
-                    steps=cfg.static_prefilter_steps,
-                )
-                if cfg.static_prefilter
-                else None
+            refutation = statically_refuted(
+                self.env, synthesis_result.program, region, steps=STATIC_PREFILTER_STEPS
             )
             if refutation is not None:
                 # The interval iterates prove every trajectory from the
@@ -557,11 +485,7 @@ class CEGISLoop:
                 if radius < min_radius:
                     break
                 continue
-            witness = (
-                cache.replay(self.env, synthesis_result.program, region)
-                if cache is not None
-                else None
-            )
+            witness = cache.replay(self.env, synthesis_result.program, region)
             if witness is None:
                 outcome: VerificationOutcome = verify_program(
                     self.env,
@@ -582,16 +506,15 @@ class CEGISLoop:
                         verification_backend=outcome.backend,
                         shrink_iterations=shrink_iteration,
                     )
-                if cache is not None:
-                    cache.probe(
-                        self.env,
-                        synthesis_result.program,
-                        region,
-                        extra_points=(counterexample, outcome.counterexample),
-                    )
+                cache.probe(
+                    self.env,
+                    synthesis_result.program,
+                    region,
+                    extra_points=(counterexample, outcome.counterexample),
+                )
             # Replay hit: the candidate provably reaches unsafe from a cached
             # witness, so the certificate search would have failed — shrink
-            # exactly as the sequential, cache-off loop would.
+            # exactly as the loop without replay would.
             radius /= 2.0
             if radius < min_radius:
                 break

@@ -73,23 +73,6 @@ class Shield:
         self.statistics = ShieldStatistics()
 
     # ------------------------------------------------------------------ api
-    @classmethod
-    def from_cegis_result(
-        cls,
-        env: EnvironmentContext,
-        neural_policy: Callable[[np.ndarray], np.ndarray],
-        cegis_result,
-        measure_time: bool = True,
-    ) -> "Shield":
-        """Build a shield from a successful :class:`~repro.core.cegis.CEGISResult`."""
-        return cls(
-            env=env,
-            neural_policy=neural_policy,
-            program=cegis_result.program,
-            invariant=cegis_result.invariant,
-            measure_time=measure_time,
-        )
-
     def act(self, state: np.ndarray) -> np.ndarray:
         """Algorithm 3: return the neural action unless its successor leaves φ."""
         state = np.asarray(state, dtype=float)

@@ -59,14 +59,13 @@ def synthesize_shield(
     sketch: Optional[ProgramSketch] = None,
     config: Optional[CEGISConfig] = None,
     workers: Optional[int] = None,
-    use_replay_cache: Optional[bool] = None,
     replay_cache: Optional[CounterexampleCache] = None,
     verdict_cache=None,
 ) -> ShieldSynthesisResult:
     """Synthesize a verified deterministic program and deploy it as a shield for ``oracle``.
 
-    ``workers``/``use_replay_cache`` override the corresponding
-    :class:`CEGISConfig` fields without mutating the caller's config;
+    ``workers`` overrides :attr:`CEGISConfig.workers` without mutating the
+    caller's config;
     ``replay_cache`` shares a counterexample cache across calls (e.g. one per
     environment, owned by a :class:`~repro.store.SynthesisService`);
     ``verdict_cache`` memoises whole verification verdicts across runs (see
@@ -78,13 +77,8 @@ def synthesize_shield(
     """
     start = time.perf_counter()
     config = config or CEGISConfig()
-    overrides = {}
     if workers is not None:
-        overrides["workers"] = int(workers)
-    if use_replay_cache is not None:
-        overrides["use_replay_cache"] = bool(use_replay_cache)
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, workers=int(workers))
     loop = CEGISLoop(
         env,
         oracle,

@@ -140,11 +140,6 @@ class AffineProgram(PolicyProgram):
             for i in range(self.action_dim)
         )
 
-    def to_exprs(self) -> Tuple[Expr, ...]:
-        return tuple(
-            affine_expr(self.gain[i], self.bias[i], self.names) for i in range(self.action_dim)
-        )
-
     def pretty(self, names: Sequence[str] | None = None) -> str:
         names = names or self.names
         rows = [affine_expr(self.gain[i], self.bias[i], names).pretty(names)

@@ -52,9 +52,6 @@ class Interval:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     # ------------------------------------------------------------ algebra
     # Indeterminate endpoint forms (inf - inf in sums, 0 * inf in products)
     # arise only when an operand is already unbounded; the sound outer

@@ -145,6 +145,18 @@ class ScalarBranchAndBoundVerifier(BranchAndBoundVerifier):
 
         return CheckResult(True, boxes_explored=explored, sampled_boxes=sampled)
 
+    def _first_violation(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        points: np.ndarray,
+        sense: str,
+    ) -> Optional[np.ndarray]:
+        violating = np.flatnonzero(self._violation_mask(target, ctables, points, sense))
+        if violating.size:
+            return points[violating[0]].copy()
+        return None
+
     def _centred_proves_box(
         self,
         target: IntervalTable,

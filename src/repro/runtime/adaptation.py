@@ -55,10 +55,6 @@ class AdaptationOutcome:
     from_store: bool = False
 
     @property
-    def shield_changed(self) -> bool:
-        return self.repaired_shield is not None
-
-    @property
     def recheck_backends(self) -> List[str]:
         """Backend provenance of the recheck verdicts (one entry per branch)."""
         return [outcome.backend for outcome in self.verifications]

@@ -112,10 +112,6 @@ class ShieldComparison:
         """Shielded-vs-bare-network wall-clock overhead (Table 1 'Overhead')."""
         return self.shielded.overhead_vs(self.neural)
 
-    @property
-    def shield_prevented_all_failures(self) -> bool:
-        return self.shielded.failures == 0
-
 
 def compare_shielded(
     env: EnvironmentContext,

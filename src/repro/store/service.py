@@ -94,7 +94,6 @@ class SynthesisService:
         self,
         store: ShieldStore | str | None = None,
         workers: int = 1,
-        use_replay_cache: bool = True,
         replay_cache: CounterexampleCache | None = None,
         verdict_cache: VerdictCache | None = None,
         use_verdict_cache: bool = True,
@@ -103,7 +102,6 @@ class SynthesisService:
             store = ShieldStore(store)
         self.store = store
         self.workers = int(workers)
-        self.use_replay_cache = bool(use_replay_cache)
         self.replay_cache = replay_cache
         # Store-backed verification-verdict memo: lives next to the shield
         # objects (<store>/verdicts) so sweeps over an unchanged store skip
@@ -135,12 +133,10 @@ class SynthesisService:
         start = time.perf_counter()
         config = config or CEGISConfig()
         environment = environment or getattr(env, "name", "")
-        # Hash the *effective* config — including the service-level worker and
-        # cache settings — so runs under different parallelism never collide on
-        # one store key and the recorded provenance matches what actually ran.
-        config = replace(
-            config, workers=self.workers, use_replay_cache=self.use_replay_cache
-        )
+        # Hash the *effective* config — including the service-level worker
+        # count — so runs under different parallelism never collide on one
+        # store key and the recorded provenance matches what actually ran.
+        config = replace(config, workers=self.workers)
         cfg_hash = config_hash(config)
         # A shield is only valid for the exact dynamics it was verified
         # against (§2.2), so constructor overrides are part of the reuse key.

@@ -9,8 +9,10 @@ resolution, severity filtering).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,7 +317,11 @@ def _branch_payload(result):
 
 
 class TestCEGISPreFilter:
-    """The pre-filter must change counters, never results (bit-identity)."""
+    """The pre-filter must change counters, never results (bit-identity).
+
+    The filter always runs in product code; the filter-off reference run
+    patches its single call site to refute nothing.
+    """
 
     def _run(self, oracle, prefilter: bool, **overrides):
         env = make_environment("satellite")
@@ -323,10 +329,12 @@ class TestCEGISPreFilter:
             seed=8,
             synthesis=SynthesisConfig(iterations=5, warm_start_samples=200),
             replay_prewarm_samples=0,
-            static_prefilter=prefilter,
             **overrides,
         )
-        return CEGISLoop(env, oracle, config=config).run()
+        with contextlib.nullcontext() if prefilter else mock.patch(
+            "repro.core.cegis.statically_refuted", lambda *args, **kwargs: None
+        ):
+            return CEGISLoop(env, oracle, config=config).run()
 
     def test_destabilizing_oracle_prunes_without_changing_result(self):
         env = make_environment("satellite")

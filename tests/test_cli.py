@@ -273,10 +273,9 @@ class TestStoreCommands:
 
     def test_synthesize_parser_accepts_service_flags(self):
         args = build_parser().parse_args(
-            ["synthesize", "pendulum", "--workers", "4", "--no-replay-cache", "--store"]
+            ["synthesize", "pendulum", "--workers", "4", "--store"]
         )
         assert args.workers == 4
-        assert args.no_replay_cache
         assert args.store == ""
 
     def test_experiment_parser_accepts_store(self):

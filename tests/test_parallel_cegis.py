@@ -8,7 +8,9 @@ Three families of guarantees:
   including a multi-branch configuration and an uncoverable one;
 * cache-on vs cache-off runs produce bit-identical ``CEGISResult`` programs
   (the replay cache may only skip work, never change the verdict or the
-  search path);
+  search path); replay always runs in product code, so the cache-off
+  reference run patches :meth:`CounterexampleCache.replay` to miss without
+  counting;
 * the :class:`CounterexampleCache` itself: sound replay (a hit is a real
   refutation), probing, counters, and JSON persistence.
 """
@@ -16,6 +18,7 @@ Three families of guarantees:
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +61,14 @@ def _run(env_name, config, oracle=None):
     oracle = oracle or make_lqr_policy(env)
     loop = CEGISLoop(env, oracle, config=config)
     return env, loop.run()
+
+
+def _run_without_replay(env_name, config):
+    """The cache-off reference run: no candidate is ever refuted by replay."""
+    with mock.patch.object(
+        CounterexampleCache, "replay", lambda self, env, program, region: None
+    ):
+        return _run(env_name, config)
 
 
 def _sampled_coverage(env, result, samples=200, seed=0):
@@ -111,6 +122,46 @@ class TestWorkersDifferential:
         assert result.counterexamples_used >= 1
 
 
+# ------------------------------------------------------------- one driver
+class TestOneDriver:
+    """``workers=1`` is a one-slot round of the same driver ``workers=N`` uses."""
+
+    def test_one_worker_never_builds_a_process_pool(self):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must run its slot inline")
+
+        with mock.patch("repro.faults.runner.ProcessPoolExecutor", no_pool):
+            _env, result = _run("satellite", replace(FAST, initial_radius_fraction=0.4))
+        assert result.covered
+        assert result.workers == 1
+        assert result.program_size >= 2
+
+    def test_failed_verification_counts_its_round_and_seed_point(self):
+        # magnetic_pointer verifies one branch under FAST, then fails.
+        _env, result = _run("magnetic_pointer", FAST)
+        assert not result.covered
+        assert result.failure_reason.startswith("could not verify")
+        assert len(result.branches) >= 1
+        assert result.counterexamples_used == result.rounds == len(result.branches) + 1
+
+    def test_exhausted_budget_reports_one_round_per_counterexample(self):
+        config = replace(FAST, max_counterexamples=3, initial_radius_fraction=0.1)
+        _env, result = _run("satellite", config)
+        assert not result.covered
+        assert result.failure_reason == "counterexample budget exhausted before covering S0"
+        assert result.rounds == result.counterexamples_used == config.max_counterexamples
+
+    @pytest.mark.parametrize("name", ("satellite", "tape", UNCOVERED_ENVIRONMENT))
+    def test_one_and_two_workers_agree(self, name):
+        env, one = _run(name, FAST)
+        _env, two = _run(name, replace(FAST, workers=2))
+        assert one.covered == two.covered
+        assert bool(one.failure_reason) == bool(two.failure_reason)
+        if one.covered:
+            assert _sampled_coverage(env, one).all()
+            assert _sampled_coverage(env, two).all()
+
+
 # --------------------------------------------------------- cache differential
 class TestCacheDifferential:
     @pytest.mark.parametrize("name", ("satellite", "tape", "magnetic_pointer"))
@@ -121,8 +172,8 @@ class TestCacheDifferential:
         comparison also exercises runs with failed verifications (where the
         cache actually probes and replays).
         """
-        _env, with_cache = _run(name, replace(FAST, use_replay_cache=True))
-        _env, without_cache = _run(name, replace(FAST, use_replay_cache=False))
+        _env, with_cache = _run(name, FAST)
+        _env, without_cache = _run_without_replay(name, FAST)
         assert with_cache.covered == without_cache.covered
         assert with_cache.counterexamples_used == without_cache.counterexamples_used
         assert len(with_cache.branches) == len(without_cache.branches)
@@ -138,7 +189,7 @@ class TestCacheDifferential:
     def test_cache_on_off_identical_multi_branch_program(self):
         config = replace(FAST, max_counterexamples=12, initial_radius_fraction=0.4)
         _env, with_cache = _run("satellite", config)
-        _env, without_cache = _run("satellite", replace(config, use_replay_cache=False))
+        _env, without_cache = _run_without_replay("satellite", config)
         assert with_cache.covered and without_cache.covered
         assert program_fingerprint(with_cache.program) == program_fingerprint(
             without_cache.program
