@@ -3,7 +3,7 @@
 Every benchmark runs the corresponding experiment module at the ``smoke`` scale
 (seconds per row) so ``pytest benchmarks/ --benchmark-only`` finishes in
 minutes.  Reproducing the paper's full protocol is a matter of switching the
-scale, e.g. ``python -m repro.experiments.table1 --scale paper``.
+scale, e.g. ``python -m repro table1 --scale paper``.
 """
 
 import pytest

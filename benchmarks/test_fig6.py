@@ -10,7 +10,7 @@ def test_fig6_duffing_cegis(benchmark, smoke_scale):
     # The paper needs two branches; at smoke scale we only require that CEGIS
     # makes substantial progress: several verified branches whose union covers
     # (almost) the entire initial grid.  The full-coverage run is
-    # ``python -m repro.experiments.fig6 --scale medium``.
+    # ``python -m repro fig6 --scale medium``.
     assert data["num_branches"] >= 1
     assert data["covered"] or data["init_grid_coverage"] > 0.85
     # Every branch invariant occupies a non-trivial part of the domain.

@@ -13,7 +13,7 @@ from conftest import run_once
 
 #: Rows exercised by the benchmark harness at smoke scale.  The remaining rows
 #: (pendulum, cartpole, platoons, oscillator, ...) are covered by the other
-#: benchmark files or by running ``python -m repro.experiments.table1``.
+#: benchmark files or by running ``python -m repro table1``.
 FAST_ROWS = [
     "satellite",
     "dcmotor",

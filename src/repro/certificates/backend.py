@@ -61,6 +61,9 @@ __all__ = [
     "is_disturbed",
 ]
 
+#: Slack of the barrier backend's branch-and-bound interval tests.
+VERIFIER_TOLERANCE = 1e-6
+
 
 # ------------------------------------------------------------------ data model
 @dataclass
@@ -276,13 +279,11 @@ class BarrierBackend:
             closed_loop = env.closed_loop_polynomials(program)
         except ValueError as error:
             return None, sketch, f"cannot lower the closed loop to polynomials: {error}"
-        min_width = config.verifier_min_width
-        if min_width is None:
-            min_width = float(np.max(env.domain.widths)) / 200.0
         verifier = BranchAndBoundVerifier(
-            tolerance=config.verifier_tolerance,
+            tolerance=VERIFIER_TOLERANCE,
             max_boxes=config.verifier_max_boxes,
-            min_width=min_width,
+            # Boxes narrower than 1/200 of the domain's widest side are leaves.
+            min_width=float(np.max(env.domain.widths)) / 200.0,
         )
         barrier_config = config.barrier
         if deadline is not None:

@@ -86,20 +86,33 @@ WORKING_SET_ROWS = 64
 CUT_BATCH_ROWS = 64
 #: A row outside the working set counts as violated above this value.
 CUT_TOLERANCE = 1e-9
+#: States sampled from S0, from the unsafe cover and from the safe box for the
+#: first LP of a search.
+SAMPLES_INIT = 300
+SAMPLES_UNSAFE = 300
+SAMPLES_INDUCTION = 600
+#: Jittered copies of each counterexample added to its sample set, and their
+#: standard deviation as a fraction of the domain widths.
+COUNTEREXAMPLE_CLOUD = 20
+COUNTEREXAMPLE_JITTER = 1e-2
+#: The LP margin γ below which the sketch counts as too weak.
+MIN_MARGIN = 1e-6
+#: Bound on each (column-scaled) barrier coefficient in the LP.
+COEFFICIENT_BOUND = 1.0
+#: Disturbance dimensions up to which the LP enumerates every sign corner of
+#: the disturbance box (2^n rows per induction sample); above it only the 2n
+#: axis extremes and the two diagonal corners are imposed.  The sound check is
+#: exhaustive either way; this only shapes the LP.
+DISTURBANCE_CORNER_LIMIT = 4
+#: Seed of a synthesizer's sampling generator.
+SAMPLING_SEED = 0
 
 
 @dataclass
 class BarrierSynthesisConfig:
     """Tunables of the sampled-LP certificate search."""
 
-    samples_init: int = 300
-    samples_unsafe: int = 300
-    samples_induction: int = 600
     max_refinements: int = 12
-    counterexample_cloud: int = 20
-    counterexample_jitter: float = 1e-2
-    min_margin: float = 1e-6
-    coefficient_bound: float = 1.0
     #: Wall-clock budget (seconds) for each candidate LP solve, shared by all
     #: of its cutting-plane re-solves; ``None`` means unbounded.  High-degree
     #: sketches can make HiGHS grind for minutes on numerically nasty
@@ -112,12 +125,6 @@ class BarrierSynthesisConfig:
     #: aborts with an (always sound) "not verified" result.  This is how the
     #: verification kernel enforces per-backend time budgets.
     time_budget_seconds: Optional[float] = None
-    #: Disturbance dimensions up to which the LP enumerates every sign corner
-    #: of the disturbance box (2^n rows per induction sample); above it only
-    #: the 2n axis extremes and the two diagonal corners are imposed.  The
-    #: sound check is exhaustive either way — this only shapes the LP.
-    disturbance_corner_limit: int = 4
-    seed: int = 0
 
 
 @dataclass
@@ -202,7 +209,7 @@ class BarrierCertificateSynthesizer:
             raise ValueError("closed_loop must provide one polynomial per state dimension")
         if bound is not None and bound.size != sketch.state_dim:
             raise ValueError("disturbance_bound must have one entry per state dimension")
-        self._rng = np.random.default_rng(self.config.seed)
+        self._rng = np.random.default_rng(SAMPLING_SEED)
         # The lifted (s, d) successor system and product domain only depend on
         # construction-time data, but _sound_check runs once per refinement
         # iteration — cache them so each candidate pays for lifting the
@@ -221,9 +228,9 @@ class BarrierCertificateSynthesizer:
         start = time.perf_counter()
         self._row_cache = {}
         self._last_candidate = None
-        init_samples = self.init_box.sample(self._rng, cfg.samples_init)
-        unsafe_samples = self._sample_unsafe(cfg.samples_unsafe)
-        induction_samples = self.safe_box.sample(self._rng, cfg.samples_induction)
+        init_samples = self.init_box.sample(self._rng, SAMPLES_INIT)
+        unsafe_samples = self._sample_unsafe(SAMPLES_UNSAFE)
+        induction_samples = self.safe_box.sample(self._rng, SAMPLES_INDUCTION)
         counterexamples: List[np.ndarray] = []
         # Failures of the candidates proved so far, by coefficient bytes.
         refuted: Dict[bytes, Tuple[str, np.ndarray]] = {}
@@ -245,7 +252,7 @@ class BarrierCertificateSynthesizer:
                     counterexamples=counterexamples,
                 )
             coefficients, margin = self._solve_lp(init_samples, unsafe_samples, induction_samples)
-            if coefficients is None or margin < cfg.min_margin:
+            if coefficients is None or margin < MIN_MARGIN:
                 return BarrierSearchResult(
                     invariant=None,
                     verified=False,
@@ -302,9 +309,8 @@ class BarrierCertificateSynthesizer:
         return np.concatenate(chunks, axis=0)
 
     def _jitter_cloud(self, point: np.ndarray, kind: str) -> np.ndarray:
-        cfg = self.config
-        scale = cfg.counterexample_jitter * np.maximum(self.domain_box.widths, 1e-9)
-        cloud = point + self._rng.normal(scale=scale, size=(cfg.counterexample_cloud, point.size))
+        scale = COUNTEREXAMPLE_JITTER * np.maximum(self.domain_box.widths, 1e-9)
+        cloud = point + self._rng.normal(scale=scale, size=(COUNTEREXAMPLE_CLOUD, point.size))
         cloud = np.concatenate([point[None, :], cloud], axis=0)
         if kind == "init":
             region = self.init_box
@@ -403,7 +409,7 @@ class BarrierCertificateSynthesizer:
         """Maximise ``γ`` over the sampled rows by cutting planes (module docstring)."""
         start = time.perf_counter()
         a_ub, column_scale = self._lp_rows(init_samples, unsafe_samples, induction_samples)
-        objective, bounds = lp_objective(len(column_scale), self.config.coefficient_bound)
+        objective, bounds = lp_objective(len(column_scale))
         time_limit = self.config.lp_time_limit_seconds
         from ..faults import fault_site
 
@@ -512,7 +518,7 @@ class BarrierCertificateSynthesizer:
 
         Empty (no extra rows) when the system is undisturbed.  For a small
         number of disturbed dimensions every sign corner of the disturbance
-        box is enumerated; beyond ``disturbance_corner_limit`` dimensions the
+        box is enumerated; beyond ``DISTURBANCE_CORNER_LIMIT`` dimensions the
         2n axis extremes plus the two diagonal corners are used.  This only
         shapes the sampled LP — the sound check is exhaustive regardless.
         """
@@ -522,7 +528,7 @@ class BarrierCertificateSynthesizer:
         active = np.flatnonzero(bound)
         n = self.sketch.state_dim
         corners: List[np.ndarray] = []
-        if len(active) <= self.config.disturbance_corner_limit:
+        if len(active) <= DISTURBANCE_CORNER_LIMIT:
             for signs in product((-1.0, 1.0), repeat=len(active)):
                 corner = np.zeros(n)
                 corner[active] = np.asarray(signs) * bound[active]
@@ -594,11 +600,11 @@ def scaled_lp_rows(
     return np.hstack([scaled, np.ones((scaled.shape[0], 1))]), column_scale
 
 
-def lp_objective(num_coeffs: int, coefficient_bound: float) -> tuple[np.ndarray, list]:
+def lp_objective(num_coeffs: int) -> tuple[np.ndarray, list]:
     """``linprog``'s objective (maximise ``γ``) and variable bounds for the LP."""
     objective = np.zeros(num_coeffs + 1)
     objective[-1] = -1.0
-    bounds = [(-coefficient_bound, coefficient_bound)] * num_coeffs + [
-        (0.0, 10.0 * coefficient_bound)
+    bounds = [(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)] * num_coeffs + [
+        (0.0, 10.0 * COEFFICIENT_BOUND)
     ]
     return objective, bounds

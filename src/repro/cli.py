@@ -452,12 +452,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .shard import run_sharded_campaign
 
     env, _oracle, result, _service, _config = _deployed_shield(args)
-    model = _fleet_disturbance(args, env)
-    if model is not None:
-        print(
-            "note: `repro run` campaigns are undisturbed; "
-            "use `repro monitor` to stress the fleet"
-        )
     workers = args.workers if args.workers is not None else 1
     retry = RetryPolicy(
         max_attempts=args.max_attempts, deadline_seconds=args.deadline, seed=args.seed
@@ -632,9 +626,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.experiment == "table1":
         print(format_table(run_table1(args.benchmarks or None, scale, **sweep_kwargs)))
     elif args.experiment == "table2":
-        print(format_table(run_table2(scale=scale, **sweep_kwargs)))
+        rows = run_table2(args.benchmarks or None, args.degrees or None, scale, **sweep_kwargs)
+        print(format_table(rows))
     elif args.experiment == "table3":
-        print(format_table(run_table3(scale=scale, **sweep_kwargs)))
+        print(format_table(run_table3(args.changes or None, scale, **sweep_kwargs)))
     elif args.experiment == "fig3":
         result = run_fig3(scale=scale)
         print(json.dumps(_jsonable(result), indent=2))
@@ -840,15 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--max-counterexamples", type=int, default=8)
         sub.add_argument("--overrides", help="JSON dict of environment constructor overrides")
         sub.add_argument(
-            "--disturbance",
-            default="none",
-            choices=DISTURBANCE_KINDS,
-            help="disturbance class to stress the fleet with",
-        )
-        sub.add_argument(
-            "--magnitude", type=float, default=0.05, help="disturbance magnitude per dimension"
-        )
-        sub.add_argument(
             "--store",
             nargs="?",
             const="",
@@ -872,6 +858,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--float32",
             action="store_true",
             help="run rollout workspaces in float32 (sharded runs only)",
+        )
+
+    def _add_disturbance_arguments(sub):
+        sub.add_argument(
+            "--disturbance",
+            default="none",
+            choices=DISTURBANCE_KINDS,
+            help="disturbance class to stress the fleet with",
+        )
+        sub.add_argument(
+            "--magnitude", type=float, default=0.05, help="disturbance magnitude per dimension"
         )
 
     run_cmd = subparsers.add_parser(
@@ -910,6 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interventions / model mismatches / invariant excursions / disturbance estimate",
     )
     _add_fleet_arguments(monitor)
+    _add_disturbance_arguments(monitor)
     monitor.set_defaults(handler=_cmd_monitor)
 
     adapt = subparsers.add_parser(
@@ -918,6 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate under the widened bound, and re-synthesize + persist on failure",
     )
     _add_fleet_arguments(adapt)
+    _add_disturbance_arguments(adapt)
     adapt.add_argument(
         "--confidence-sigmas", type=float, default=3.0, help="k in the |mean| + k*std bound"
     )
@@ -972,7 +971,14 @@ def build_parser() -> argparse.ArgumentParser:
             else f"regenerate the paper's {experiment}"
         )
         experiment_parser = subparsers.add_parser(experiment, help=help_text)
-        experiment_parser.add_argument("benchmarks", nargs="*", default=None)
+        if experiment == "table3":
+            experiment_parser.add_argument(
+                "changes", nargs="*", default=None, help="environment changes (default: all)"
+            )
+        elif experiment not in ("fig3", "fig6"):
+            experiment_parser.add_argument(
+                "benchmarks", nargs="*", default=None, help="benchmark names (default: all)"
+            )
         experiment_parser.add_argument(
             "--scale", choices=("smoke", "medium", "paper"), default="smoke"
         )
@@ -987,6 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="shard evaluation fleets over N worker processes",
         )
+        if experiment == "table2":
+            experiment_parser.add_argument("--degrees", type=int, nargs="*", default=None)
         if experiment == "robustness":
             experiment_parser.add_argument(
                 "--kinds", nargs="*", choices=DISTURBANCE_KINDS, default=None

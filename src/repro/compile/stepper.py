@@ -446,9 +446,7 @@ def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledSteppe
 
 
 # ----------------------------------------------------------- auxiliary kernels
-def fused_policy_returns(
-    env, policy, episodes: int, steps: int, rng, workers=None, shards=None
-) -> np.ndarray:
+def fused_policy_returns(env, policy, episodes: int, steps: int, rng) -> np.ndarray:
     """Per-episode returns of an unshielded rollout, without trajectory storage.
 
     The fused twin of ``env.simulate_batch(...).total_rewards`` for callers —
@@ -456,18 +454,7 @@ def fused_policy_returns(
     and disturbance streams, same clipped-action reward convention, but no
     ``(episodes, steps, ...)`` trajectory allocation and no per-step Python
     dispatch.
-
-    ``workers`` (sharded mode, see :mod:`repro.shard`) splits the fleet into
-    contiguous episode shards with independent per-shard seed streams derived
-    from ``rng``'s seed sequence — any ``workers`` value (including 1) produces
-    the same returns, but a sharded run differs from ``workers=None`` (one
-    global stream).
     """
-    if workers is not None:
-        from ..shard import ShardPool
-
-        with ShardPool(env, policy=policy, workers=workers, shards=shards) as pool:
-            return pool.run_returns(episodes, steps, rng=rng).total_rewards
     stepper = CompiledStepper(env, policy, None)
     states = np.ascontiguousarray(env.sample_initial_states(rng, episodes), dtype=float)
     return stepper.run_returns(states, steps, rng)

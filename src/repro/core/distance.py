@@ -44,18 +44,18 @@ from ..rl.policies import NeuralPolicy
 __all__ = ["DistanceConfig", "oracle_actions", "program_oracle_distance"]
 
 
+#: The per-step loss ``MAX`` of a state in ``Su``.
+UNSAFE_PENALTY = 1000.0
+
+
 @dataclass
 class DistanceConfig:
     """Parameters of the proximity objective."""
 
-    unsafe_penalty: float = 1000.0
-    norm: str = "l2"  # "l2" or "l1"
     num_trajectories: int = 4
     trajectory_length: int = 100
 
     def __post_init__(self) -> None:
-        if self.norm not in ("l2", "l1"):
-            raise ValueError(f"unknown norm {self.norm!r}; expected 'l2' or 'l1'")
         if self.num_trajectories < 1:
             raise ValueError("num_trajectories must be at least 1")
         if self.trajectory_length < 0:
@@ -120,10 +120,8 @@ def _rates(env: EnvironmentContext, states: np.ndarray, actions: np.ndarray) -> 
     return env.rate_batch(states, actions)
 
 
-def _action_gaps(program_actions: np.ndarray, oracle_actions: np.ndarray, norm: str) -> np.ndarray:
+def _action_gaps(program_actions: np.ndarray, oracle_actions: np.ndarray) -> np.ndarray:
     gaps = program_actions - oracle_actions
-    if norm == "l1":
-        return np.sum(np.abs(gaps), axis=1)
     # The per-row dot that a 1-D np.linalg.norm takes the root of.
     return np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
 
@@ -157,10 +155,10 @@ def program_oracle_distance(
     for step in range(steps + 1):
         actions = act(states)
         safe = ~env.is_unsafe_batch(states)
-        losses = np.full(rows, config.unsafe_penalty)
+        losses = np.full(rows, UNSAFE_PENALTY)
         if safe.any():
             expert = oracle_actions(oracle, states[safe]).reshape(-1, env.action_dim)
-            losses[safe] = _action_gaps(actions[safe], expert, config.norm)
+            losses[safe] = _action_gaps(actions[safe], expert)
         totals -= losses
         if step < steps:
             rates = _rates(env, states, env.clip_action_batch(actions))

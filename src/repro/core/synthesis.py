@@ -7,7 +7,7 @@ imitation-with-safety objective (equation (6)):
 
     θ ← θ + α · [ (d(π, P_{θ+νδ}, C₁) − d(π, P_{θ−νδ}, C₂)) / ν ] · δ
 
-Each iteration scores its ``2·directions`` perturbed programs with one call of
+Each iteration scores its ``2·DIRECTIONS`` perturbed programs with one call of
 :func:`~repro.core.distance.program_oracle_distance`, which rolls them all out
 as one lockstep fleet, in the order ``plus₀, minus₀, plus₁, …`` that scoring
 them one at a time would take; the history score of the updated θ is one more
@@ -36,6 +36,18 @@ __all__ = [
     "synthesize_program",
     "regression_warm_start",
 ]
+
+#: Standard deviation ν of the Gaussian perturbation of θ.
+NOISE_SCALE = 0.05
+#: Perturbation directions δ sampled per iteration.
+DIRECTIONS = 4
+#: The search stops once the mean objective of the last ``CONVERGENCE_WINDOW``
+#: iterations moves by less than this fraction of the window before it.
+CONVERGENCE_TOLERANCE = 1e-4
+CONVERGENCE_WINDOW = 10
+#: Start the search from the least-squares fit to the oracle
+#: (:func:`regression_warm_start`) where the sketch has one.
+WARM_START_WITH_REGRESSION = True
 
 
 def regression_warm_start(
@@ -76,11 +88,6 @@ class SynthesisConfig:
 
     iterations: int = 60
     learning_rate: float = 0.05
-    noise_scale: float = 0.05
-    directions: int = 4
-    convergence_tolerance: float = 1e-4
-    convergence_window: int = 10
-    warm_start_with_regression: bool = True
     warm_start_samples: int = 500
     seed: int = 0
     distance: DistanceConfig = field(default_factory=DistanceConfig)
@@ -133,7 +140,7 @@ class ProgramSynthesizer:
             theta = np.asarray(initial_parameters, dtype=float).copy()
         else:
             theta = self.sketch.initial_parameters()
-            if cfg.warm_start_with_regression:
+            if WARM_START_WITH_REGRESSION:
                 warm = regression_warm_start(
                     self.env, self.oracle, self.sketch, self._rng, cfg.warm_start_samples
                 )
@@ -144,10 +151,10 @@ class ProgramSynthesizer:
         converged = False
 
         for iteration in range(1, cfg.iterations + 1):
-            deltas = self._rng.normal(size=(cfg.directions, theta.size))
-            perturbations = cfg.noise_scale * deltas
+            deltas = self._rng.normal(size=(DIRECTIONS, theta.size))
+            perturbations = NOISE_SCALE * deltas
             # Scored in the order plus₀, minus₀, plus₁, minus₁, ….
-            candidates = np.empty((2 * cfg.directions, theta.size))
+            candidates = np.empty((2 * DIRECTIONS, theta.size))
             candidates[0::2] = theta + perturbations
             candidates[1::2] = theta - perturbations
             scores = self._scores(candidates, init_region)
@@ -158,7 +165,7 @@ class ProgramSynthesizer:
             sigma = float(np.std(np.concatenate([plus_scores, minus_scores])))
             sigma = max(sigma, 1e-8)
             update = np.einsum("i,ij->j", plus_scores - minus_scores, deltas)
-            theta = theta + cfg.learning_rate / (cfg.directions * sigma) * update
+            theta = theta + cfg.learning_rate / (DIRECTIONS * sigma) * update
             history.append(float(self._scores(theta[None, :], init_region)[0]))
             if self._has_converged(history):
                 converged = True
@@ -187,14 +194,15 @@ class ProgramSynthesizer:
             init_region=init_region,
         )
 
-    def _has_converged(self, history: List[float]) -> bool:
-        window = self.config.convergence_window
+    @staticmethod
+    def _has_converged(history: List[float]) -> bool:
+        window = CONVERGENCE_WINDOW
         if len(history) < 2 * window:
             return False
         recent = np.mean(history[-window:])
         previous = np.mean(history[-2 * window: -window])
         scale = max(abs(previous), 1.0)
-        return abs(recent - previous) / scale < self.config.convergence_tolerance
+        return abs(recent - previous) / scale < CONVERGENCE_TOLERANCE
 
 
 def synthesize_program(

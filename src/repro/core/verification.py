@@ -9,8 +9,8 @@ backends of :mod:`repro.certificates.backend` (``lyapunov``, ``sos``,
 * :class:`VerificationConfig` names one backend, or ``"auto"``;
 * :class:`VerificationKernel` runs a named backend alone; ``"auto"`` runs
   ``lyapunov`` when the closed loop is linear, then ``barrier`` when the
-  program lowers to polynomials, stopping at the first proof, under
-  per-backend time budgets;
+  program lowers to polynomials, stopping at the first proof, each under
+  an optional wall-clock budget;
 * every verdict is a structured :class:`VerificationOutcome` carrying backend
   provenance (``backend``, ``attempts``, ``disturbance_aware``) plus the
   failing counterexample, which the kernel routes into the caller's recorder
@@ -61,33 +61,23 @@ class VerificationConfig:
     ``backend`` is a registered backend name, which runs alone, or
     ``"auto"``, which runs ``lyapunov`` on linear closed loops and then
     ``barrier``.  ``backend_time_budget_seconds`` bounds each backend's
-    wall-clock; ``timeout_seconds`` bounds the whole dispatch.
+    wall-clock.
     """
 
     backend: str = "auto"
     invariant_degree: int = 2
     barrier: BarrierSynthesisConfig = None
-    verifier_tolerance: float = 1e-6
     verifier_max_boxes: int = 120_000
-    verifier_min_width: float | None = None  # None: domain width / 200
-    timeout_seconds: float = float("inf")
     backend_time_budget_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.barrier is None:
             self.barrier = BarrierSynthesisConfig()
-        if not self.timeout_seconds > 0:
-            raise ValueError("timeout_seconds must be positive")
         budget = self.backend_time_budget_seconds
         if budget is not None and not budget > 0:
             raise ValueError("backend_time_budget_seconds must be positive")
         if self.verifier_max_boxes < 1:
             raise ValueError("verifier_max_boxes must be at least 1")
-        if not self.verifier_tolerance >= 0:
-            raise ValueError("verifier_tolerance must be non-negative")
-        min_width = self.verifier_min_width
-        if min_width is not None and not (np.isfinite(min_width) and min_width > 0):
-            raise ValueError("verifier_min_width must be positive and finite")
 
 
 class VerificationKernel:
@@ -160,7 +150,6 @@ class VerificationKernel:
         barrier = config.barrier
         budget_limited = (
             config.backend_time_budget_seconds is not None
-            or np.isfinite(config.timeout_seconds)
             or barrier.time_budget_seconds is not None
             or barrier.lp_time_limit_seconds is not None
         )
@@ -199,35 +188,15 @@ class VerificationKernel:
             )
 
         attempts: List[str] = []
-        outcome: Optional[VerificationOutcome] = None
+        budget = config.backend_time_budget_seconds
         for backend in backends:
-            elapsed = time.perf_counter() - start
-            if elapsed >= config.timeout_seconds:
-                break
-            deadline = None
-            remaining = config.timeout_seconds - elapsed
-            budget = config.backend_time_budget_seconds
-            if budget is not None or np.isfinite(remaining):
-                allowed = min(budget if budget is not None else np.inf, remaining)
-                deadline = time.perf_counter() + float(allowed)
+            deadline = None if budget is None else time.perf_counter() + float(budget)
             outcome = backend.verify(
                 env, program, init_box, config, recorder=recorder, deadline=deadline
             )
             attempts.append(backend.name)
             if outcome.verified:
                 break
-
-        if outcome is None:
-            return VerificationOutcome(
-                verified=False,
-                invariant=None,
-                backend=backends[0].name,
-                wall_clock_seconds=time.perf_counter() - start,
-                failure_reason=(
-                    f"verification timed out after {config.timeout_seconds:.1f}s "
-                    "before any backend could run"
-                ),
-            )
         return replace(
             outcome,
             attempts=tuple(attempts),

@@ -14,7 +14,6 @@ statistics.  The grid can be rendered with any external plotting tool.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -23,9 +22,9 @@ from ..core.toolchain import synthesize_shield
 from ..envs.pendulum import make_pendulum
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
-from .reporting import ExperimentScale, Row, format_table
+from .reporting import ExperimentScale, Row
 
-__all__ = ["run_fig3_variant", "run_fig3", "main"]
+__all__ = ["run_fig3_variant", "run_fig3"]
 
 FIG3_VARIANTS: Sequence[float] = (90.0, 30.0)
 
@@ -84,17 +83,3 @@ def run_fig3(
             }
         )
     return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    rows = run_fig3(scale=scale)
-    print(format_table(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

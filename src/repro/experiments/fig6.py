@@ -13,8 +13,7 @@ final coverage of S0.
 
 from __future__ import annotations
 
-import argparse
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -22,9 +21,9 @@ from ..core.cegis import CEGISLoop
 from ..envs.duffing import make_duffing
 from ..rl.training import train_oracle
 from .fig3 import invariant_grid
-from .reporting import ExperimentScale, format_table
+from .reporting import ExperimentScale
 
-__all__ = ["run_fig6", "main"]
+__all__ = ["run_fig6"]
 
 
 def run_fig6(scale: ExperimentScale | None = None) -> Dict:
@@ -63,28 +62,3 @@ def run_fig6(scale: ExperimentScale | None = None) -> Dict:
         "counterexamples_used": result.counterexamples_used,
         "total_seconds": result.total_seconds,
     }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    data = run_fig6(scale)
-    rows = [
-        {
-            "covered": data["covered"],
-            "branches": data["num_branches"],
-            "init_grid_coverage": data["init_grid_coverage"],
-            "counterexamples": data["counterexamples_used"],
-            "seconds": round(data["total_seconds"], 2),
-        }
-    ]
-    print(format_table(rows))
-    print()
-    print(data["program"])
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -103,7 +103,6 @@ class ExperimentScale:
     #: ``None`` = single-process campaigns; an int routes fleet evaluation
     #: through the sharded runtime (:mod:`repro.shard`) with that many workers.
     workers: object = None
-    shards: object = None
 
     @classmethod
     def smoke(cls) -> "ExperimentScale":
@@ -135,7 +134,6 @@ class ExperimentScale:
             steps=self.steps,
             seed=self.seed,
             workers=self.workers,
-            shards=self.shards,
         )
 
     def cegis_config(

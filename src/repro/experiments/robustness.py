@@ -13,7 +13,6 @@ trigger signal of the adaptive maintenance loop
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,9 +23,9 @@ from ..rl.training import train_oracle
 from ..runtime.adaptation import recheck_certificate, widened_environment
 from ..runtime.monitored import monitor_fleet
 from ..store import SynthesisService, branch_regions
-from .reporting import ExperimentScale, Row, format_table, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
 
-__all__ = ["ROBUSTNESS_BENCHMARKS", "run_robustness_cell", "run_robustness", "main"]
+__all__ = ["ROBUSTNESS_BENCHMARKS", "run_robustness_cell", "run_robustness"]
 
 #: Default environment slice: one per dynamics family, kept small enough for CI.
 ROBUSTNESS_BENCHMARKS = ("satellite", "dcmotor", "suspension", "pendulum", "oscillator")
@@ -74,7 +73,6 @@ def run_robustness_cell(
         rng=rng,
         disturbance=model,
         workers=scale.workers,
-        shards=scale.shards,
     )
     row: Row = {
         "benchmark": benchmark,
@@ -180,41 +178,3 @@ def run_robustness(
             if row_journal is not None:
                 row_journal.record(key, row)
     return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("benchmarks", nargs="*", default=None)
-    parser.add_argument("--kinds", nargs="*", choices=DISTURBANCE_KINDS, default=None)
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    parser.add_argument("--magnitude", type=float, default=0.05)
-    parser.add_argument("--store", default=None, help="shield store directory for reuse")
-    parser.add_argument(
-        "--workers", type=int, default=None, help="shard the monitored fleets over N processes"
-    )
-    parser.add_argument("--journal", default=None, help="crash-safe per-row checkpoint file")
-    parser.add_argument(
-        "--resume", action="store_true", help="reuse finished rows from the journal"
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true", help="zero wall-clock columns (reproducible reports)"
-    )
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    scale.workers = args.workers
-    rows = run_robustness(
-        args.benchmarks or None,
-        args.kinds,
-        scale,
-        store=args.store,
-        magnitude=args.magnitude,
-        journal=args.journal,
-        resume=args.resume,
-        timing=not args.no_timing,
-    )
-    print(format_table(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -11,12 +11,11 @@ three campaigns):
     Vars | Size | Training | Failures | Size (program) | Synthesis | Overhead |
     Interventions | NN steps | Program steps
 
-Run as a script: ``python -m repro.experiments.table1 [--scale smoke|medium|paper] [benchmarks...]``.
+Run from the command line: ``python -m repro table1 [--scale smoke|medium|paper] [benchmarks...]``.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
 from ..compile import kernel_cache_stats
@@ -24,9 +23,9 @@ from ..envs.registry import BENCHMARKS, get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, format_table, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
 
-__all__ = ["run_benchmark_row", "run_table1", "main"]
+__all__ = ["run_benchmark_row", "run_table1"]
 
 #: Benchmarks included in the Table 1 sweep by default (ordered as in the paper).
 TABLE1_BENCHMARKS: Sequence[str] = (
@@ -195,37 +194,3 @@ def run_table1(
         if row_journal is not None:
             row_journal.record(name, row)
     return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("benchmarks", nargs="*", default=None, help="benchmark names (default: all)")
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    parser.add_argument("--store", default=None, help="shield store directory for reuse")
-    parser.add_argument(
-        "--workers", type=int, default=None, help="shard the evaluation fleets over N processes"
-    )
-    parser.add_argument("--journal", default=None, help="crash-safe per-row checkpoint file")
-    parser.add_argument(
-        "--resume", action="store_true", help="reuse finished rows from the journal"
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true", help="zero wall-clock columns (reproducible reports)"
-    )
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    scale.workers = args.workers
-    rows = run_table1(
-        args.benchmarks or None,
-        scale,
-        store=args.store,
-        journal=args.journal,
-        resume=args.resume,
-        timing=not args.no_timing,
-    )
-    print(format_table(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

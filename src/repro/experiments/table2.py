@@ -10,16 +10,15 @@ no invariant found (TO).
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
 from ..envs.registry import get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, format_table, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
 
-__all__ = ["run_degree_row", "run_table2", "main"]
+__all__ = ["run_degree_row", "run_table2"]
 
 TABLE2_BENCHMARKS: Sequence[str] = ("pendulum", "self_driving", "8_car_platoon")
 TABLE2_DEGREES: Sequence[int] = (2, 4, 8)
@@ -111,35 +110,3 @@ def run_table2(
         if row_journal is not None:
             row_journal.record(key, row)
     return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("benchmarks", nargs="*", default=None)
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    parser.add_argument("--degrees", type=int, nargs="*", default=None)
-    parser.add_argument("--store", default=None, help="shield store directory for reuse")
-    parser.add_argument("--journal", default=None, help="crash-safe per-row checkpoint file")
-    parser.add_argument(
-        "--resume", action="store_true", help="reuse finished rows from the journal"
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true", help="zero wall-clock columns (reproducible reports)"
-    )
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    rows = run_table2(
-        args.benchmarks or None,
-        args.degrees or None,
-        scale,
-        store=args.store,
-        journal=args.journal,
-        resume=args.resume,
-        timing=not args.no_timing,
-    )
-    print(format_table(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -9,7 +9,6 @@ the new shield removes the failures the stale oracle now exhibits.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -19,9 +18,9 @@ from ..envs.pendulum import make_pendulum
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, format_table, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
 
-__all__ = ["ENVIRONMENT_CHANGES", "run_environment_change", "run_table3", "main"]
+__all__ = ["ENVIRONMENT_CHANGES", "run_environment_change", "run_table3"]
 
 
 @dataclass
@@ -151,33 +150,3 @@ def run_table3(
         if row_journal is not None:
             row_journal.record(key, row)
     return rows
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("changes", nargs="*", default=None)
-    parser.add_argument("--scale", choices=("smoke", "medium", "paper"), default="smoke")
-    parser.add_argument("--store", default=None, help="shield store directory for reuse")
-    parser.add_argument("--journal", default=None, help="crash-safe per-row checkpoint file")
-    parser.add_argument(
-        "--resume", action="store_true", help="reuse finished rows from the journal"
-    )
-    parser.add_argument(
-        "--no-timing", action="store_true", help="zero wall-clock columns (reproducible reports)"
-    )
-    args = parser.parse_args(argv)
-    scale = getattr(ExperimentScale, args.scale)()
-    rows = run_table3(
-        args.changes or None,
-        scale,
-        store=args.store,
-        journal=args.journal,
-        resume=args.resume,
-        timing=not args.no_timing,
-    )
-    print(format_table(rows))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -292,7 +292,8 @@ def _sweep_command(journal: Path, resume: bool = False) -> List[str]:
     command = [
         sys.executable,
         "-m",
-        "repro.experiments.table1",
+        "repro",
+        "table1",
         *_KILL_RESUME_BENCHMARKS,
         "--scale",
         "smoke",

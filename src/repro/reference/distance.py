@@ -12,16 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..core import distance as core_distance
 from ..core.distance import DistanceConfig
 from ..envs.base import EnvironmentContext, Trajectory
 
 __all__ = ["trajectory_distance", "program_oracle_distance_scalar"]
 
 
-def _action_gap(program_action: np.ndarray, oracle_action: np.ndarray, norm: str) -> float:
+def _action_gap(program_action: np.ndarray, oracle_action: np.ndarray) -> float:
     gap = np.asarray(program_action, dtype=float) - np.asarray(oracle_action, dtype=float)
-    if norm == "l1":
-        return float(np.sum(np.abs(gap)))
     return float(np.linalg.norm(gap))
 
 
@@ -30,16 +29,14 @@ def trajectory_distance(
     trajectory: Trajectory,
     program: Callable[[np.ndarray], np.ndarray],
     oracle: Callable[[np.ndarray], np.ndarray],
-    config: DistanceConfig | None = None,
 ) -> float:
     """``d(π_w, P_θ, h)`` for one sampled rollout ``h`` of ``C[P_θ]``."""
-    config = config or DistanceConfig()
     total = 0.0
     for state in trajectory.states:
         if env.is_unsafe(state):
-            total -= config.unsafe_penalty
+            total -= core_distance.UNSAFE_PENALTY
             continue
-        total -= _action_gap(program(state), oracle(state), config.norm)
+        total -= _action_gap(program(state), oracle(state))
     return total
 
 
@@ -66,6 +63,6 @@ def program_oracle_distance_scalar(
                 rng=rng,
                 initial_state=initial_state,
             )
-            total += trajectory_distance(env, trajectory, program, oracle, config)
+            total += trajectory_distance(env, trajectory, program, oracle)
         scores.append(total / config.num_trajectories)
     return np.array(scores)

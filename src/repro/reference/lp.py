@@ -54,7 +54,7 @@ def solve_barrier_lp_full(
     a_ub, column_scale = full_lp_rows(
         synthesizer, init_samples, unsafe_samples, induction_samples
     )
-    objective, bounds = lp_objective(len(column_scale), synthesizer.config.coefficient_bound)
+    objective, bounds = lp_objective(len(column_scale))
     time_limit = synthesizer.config.lp_time_limit_seconds
     result = linprog(
         objective,

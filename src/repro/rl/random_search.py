@@ -31,6 +31,14 @@ from .policies import LinearPolicy, NeuralPolicy, Policy
 
 __all__ = ["ARSConfig", "ARSResult", "ARSTrainer", "train_linear_policy", "train_neural_policy_ars"]
 
+#: Best directions kept per iteration (ARS V1-t).
+TOP_DIRECTIONS = 4
+#: Step size α and perturbation scale ν of the update.
+STEP_SIZE = 0.02
+NOISE_SCALE = 0.03
+#: Rollouts averaged per evaluation of the environment-return objective.
+ROLLOUTS_PER_DIRECTION = 1
+
 
 @dataclass
 class ARSConfig:
@@ -38,18 +46,8 @@ class ARSConfig:
 
     iterations: int = 60
     directions: int = 8
-    top_directions: int = 4
-    step_size: float = 0.02
-    noise_scale: float = 0.03
-    rollouts_per_direction: int = 1
     rollout_steps: int = 200
     seed: int = 0
-    #: ``None`` = single-process rollouts; an int shards each objective
-    #: evaluation over that many worker processes (repro.shard).  Policy
-    #: parameters change every evaluation, so pools are per-call (transient) —
-    #: only worth it when rollouts_per_direction × rollout_steps is large.
-    workers: object = None
-    shards: object = None
 
 
 @dataclass
@@ -93,18 +91,18 @@ class ARSTrainer:
             rewards_plus = np.zeros(cfg.directions)
             rewards_minus = np.zeros(cfg.directions)
             for index, delta in enumerate(deltas):
-                rewards_plus[index] = self.objective(theta + cfg.noise_scale * delta)
-                rewards_minus[index] = self.objective(theta - cfg.noise_scale * delta)
+                rewards_plus[index] = self.objective(theta + NOISE_SCALE * delta)
+                rewards_minus[index] = self.objective(theta - NOISE_SCALE * delta)
             # Keep only the best directions (ARS V1-t).
             scores = np.maximum(rewards_plus, rewards_minus)
-            order = np.argsort(scores)[::-1][: cfg.top_directions]
+            order = np.argsort(scores)[::-1][:TOP_DIRECTIONS]
             selected_plus = rewards_plus[order]
             selected_minus = rewards_minus[order]
             selected_deltas = deltas[order]
             sigma = np.std(np.concatenate([selected_plus, selected_minus]))
             sigma = max(sigma, 1e-8)
             update = np.einsum("i,ij->j", selected_plus - selected_minus, selected_deltas)
-            theta = theta + cfg.step_size / (cfg.top_directions * sigma) * update
+            theta = theta + STEP_SIZE / (TOP_DIRECTIONS * sigma) * update
             returns.append(self.objective(theta))
         return ARSResult(
             parameters=theta,
@@ -119,15 +117,13 @@ def _environment_return(
     rollouts: int,
     steps: int,
     rng: np.random.Generator,
-    workers=None,
-    shards=None,
 ) -> float:
     # ARS evaluates thousands of perturbed policies; the fused rollout kernel
     # computes the same returns (same initial-state and disturbance streams,
     # same clipped-action rewards) without materialising trajectories.
     from ..compile import fused_policy_returns
 
-    returns = fused_policy_returns(env, policy, rollouts, steps, rng, workers=workers, shards=shards)
+    returns = fused_policy_returns(env, policy, rollouts, steps, rng)
     return float(np.mean(returns))
 
 
@@ -145,15 +141,7 @@ def train_linear_policy(
             action_low=env.action_low,
             action_high=env.action_high,
         )
-        return _environment_return(
-            env,
-            policy,
-            config.rollouts_per_direction,
-            config.rollout_steps,
-            rng,
-            workers=config.workers,
-            shards=config.shards,
-        )
+        return _environment_return(env, policy, ROLLOUTS_PER_DIRECTION, config.rollout_steps, rng)
 
     trainer = ARSTrainer(objective, num_parameters, config)
     result = trainer.train()
@@ -186,13 +174,7 @@ def train_neural_policy_ars(
         network = template.copy()
         network.set_parameters(theta)
         return _environment_return(
-            env,
-            NeuralPolicy(network),
-            config.rollouts_per_direction,
-            config.rollout_steps,
-            rng,
-            workers=config.workers,
-            shards=config.shards,
+            env, NeuralPolicy(network), ROLLOUTS_PER_DIRECTION, config.rollout_steps, rng
         )
 
     trainer = ARSTrainer(objective, template.num_parameters, config)

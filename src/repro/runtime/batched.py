@@ -62,7 +62,6 @@ class BatchedCampaign:
     #: ``workers=1`` and ``workers=N`` are bit-identical to each other (but not
     #: to ``workers=None``, whose episodes share one global stream).
     workers: Optional[int] = None
-    shards: Optional[int] = None
     dtype: Optional[object] = None
 
     def run(
@@ -80,7 +79,6 @@ class BatchedCampaign:
                 policy=None if self.shield is not None else self.policy,
                 shield=self.shield,
                 workers=self.workers,
-                shards=self.shards,
                 dtype=self.dtype,
             ) as pool:
                 result = pool.run_campaign(

@@ -47,8 +47,6 @@ class EvaluationProtocol:
     steps: int = 250
     seed: int = 0
     workers: Optional[int] = None
-    shards: Optional[int] = None
-    dtype: Optional[object] = None
 
     @classmethod
     def paper(cls) -> "EvaluationProtocol":
@@ -93,8 +91,6 @@ def evaluate_policy(
         steps=protocol.steps,
         shield=shield,
         workers=protocol.workers,
-        shards=protocol.shards,
-        dtype=protocol.dtype,
     )
     return campaign.run(protocol.episodes, rng)
 

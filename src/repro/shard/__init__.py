@@ -13,7 +13,6 @@ bit-identical under per-shard :class:`~numpy.random.SeedSequence` streams.
 
 from .fleet import (
     ShardedCampaignResult,
-    ShardedReturnsResult,
     disturbance_estimate_from_moments,
     merge_moments,
     monitor_fleet_sharded,
@@ -36,7 +35,6 @@ __all__ = [
     "attach_arena",
     "ShardPool",
     "ShardedCampaignResult",
-    "ShardedReturnsResult",
     "run_sharded_campaign",
     "monitor_fleet_sharded",
     "merge_moments",

@@ -29,7 +29,6 @@ from ..envs.disturbance import DisturbanceEstimate
 
 __all__ = [
     "ShardedCampaignResult",
-    "ShardedReturnsResult",
     "run_sharded_campaign",
     "monitor_fleet_sharded",
     "merge_moments",
@@ -139,21 +138,6 @@ class ShardedCampaignResult:
             "episodes_per_second": self.episodes_per_second,
             "shard_stats": self.stats,
         }
-
-
-@dataclass
-class ShardedReturnsResult:
-    """Merged per-episode returns of a sharded unshielded rollout."""
-
-    episodes: int
-    steps: int
-    total_rewards: np.ndarray  # (episodes,) float
-    elapsed: float
-    stats: dict
-
-    @property
-    def mean_return(self) -> float:
-        return float(np.mean(self.total_rewards)) if self.episodes else float("nan")
 
 
 def run_sharded_campaign(

@@ -36,8 +36,7 @@ its campaigns as contiguous episode shards over forked workers of one
   missing shards — a SIGKILL mid-campaign costs at most one shard of work.
 
 Workers inherit the deployment *as it was at the first parallel run*; mutating
-the policy afterwards is invisible to them.  Callers that re-parameterise per
-call (ARS) build a fresh pool per evaluation.
+the policy afterwards is invisible to them.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from ..faults import FaultLog, RetryPolicy, ShardManifest, fault_site
 from ..faults.runner import ForkRunner
 from .fleet import (
     ShardedCampaignResult,
-    ShardedReturnsResult,
     disturbance_estimate_from_moments,
     merge_moments,
 )
@@ -66,7 +64,7 @@ __all__ = ["ShardPool"]
 class _ShardTask:
     """One picklable shard work unit."""
 
-    mode: str  # "campaign" | "monitored" | "returns"
+    mode: str  # "campaign" | "monitored"
     index: int
     start: int
     stop: int
@@ -134,11 +132,6 @@ def _execute_shard(
         arena.view("final_states")[window] = finals
         if estimator is not None and len(estimator):
             moments = estimator.moments()
-    elif task.mode == "returns":
-        if initial is None:
-            initial = job.env.sample_initial_states(rng, count)
-        rewards = job._stepper().run_returns(initial, task.steps, rng)
-        arena.view("total_rewards")[window] = rewards
     else:  # pragma: no cover - modes are fixed by the pool API
         raise ValueError(f"unknown shard mode {task.mode!r}")
     elapsed = time.perf_counter() - start
@@ -379,30 +372,6 @@ class ShardPool:
             disturbance_estimate=estimate,
             wall_clock_seconds=elapsed,
             shard_stats=self._stats(shards, results, mode),
-        )
-
-    def run_returns(
-        self,
-        episodes: int,
-        steps: int,
-        rng=None,
-        seed=None,
-        initial_states=None,
-    ) -> ShardedReturnsResult:
-        """Sharded per-episode returns of an unshielded rollout (ARS objective)."""
-        if self.policy is None:
-            raise ValueError("run_returns requires a policy-backed pool")
-        shards = self._plan(episodes, rng, seed)
-        fields = [("total_rewards", (episodes,), np.float64)]
-        arrays, results, elapsed, mode = self._run(
-            "returns", shards, steps, fields, initial_states=initial_states
-        )
-        return ShardedReturnsResult(
-            episodes=int(episodes),
-            steps=int(steps),
-            total_rewards=arrays["total_rewards"],
-            elapsed=elapsed,
-            stats=self._stats(shards, results, mode),
         )
 
     # -------------------------------------------------------------- internals

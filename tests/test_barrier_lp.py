@@ -61,12 +61,11 @@ def _synthesizer(
 
 
 def _samples(synthesizer, scale=1.0):
-    cfg = synthesizer.config
     rng = synthesizer._rng
     return [
-        synthesizer.init_box.sample(rng, int(cfg.samples_init * scale)),
-        synthesizer._sample_unsafe(int(cfg.samples_unsafe * scale)),
-        synthesizer.safe_box.sample(rng, int(cfg.samples_induction * scale)),
+        synthesizer.init_box.sample(rng, int(barrier_module.SAMPLES_INIT * scale)),
+        synthesizer._sample_unsafe(int(barrier_module.SAMPLES_UNSAFE * scale)),
+        synthesizer.safe_box.sample(rng, int(barrier_module.SAMPLES_INDUCTION * scale)),
     ]
 
 
@@ -124,7 +123,7 @@ def test_cached_rows_equal_a_from_scratch_build(disturbed):
         assert a_ub.shape[0] == len(samples[0]) + len(samples[1]) + induction_rows
         if step:
             # only the new cloud is evaluated; the other sets are all cached
-            cloud = synthesizer.config.counterexample_cloud + 1
+            cloud = barrier_module.COUNTEREXAMPLE_CLOUD + 1
             assert cached_build == [0, 0, cloud]
 
 

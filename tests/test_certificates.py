@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.certificates import barrier as barrier_module
 from repro.certificates import (
     BarrierCertificateSynthesizer,
     BarrierSynthesisConfig,
@@ -297,7 +298,7 @@ class TestQuadraticCertificates:
 
 # ------------------------------------------------------------------------ barrier
 class TestBarrierSynthesis:
-    def _setup(self, degree=2):
+    def _setup(self, monkeypatch, degree=2):
         # Closed loop: stable linear map, invariant must separate S0 from |x| >= 2.
         closed = np.array([[0.99, 0.01], [-0.02, 0.97]])
         closed_polys = [
@@ -309,6 +310,9 @@ class TestBarrierSynthesis:
         safe = Box((-2, -2), (2, 2))
         domain = Box((-4, -4), (4, 4))
         unsafe = box_difference(domain, safe)
+        monkeypatch.setattr(barrier_module, "SAMPLES_INIT", 150)
+        monkeypatch.setattr(barrier_module, "SAMPLES_UNSAFE", 150)
+        monkeypatch.setattr(barrier_module, "SAMPLES_INDUCTION", 300)
         return BarrierCertificateSynthesizer(
             sketch,
             closed_polys,
@@ -316,20 +320,19 @@ class TestBarrierSynthesis:
             unsafe,
             safe,
             domain,
-            config=BarrierSynthesisConfig(samples_init=150, samples_unsafe=150, samples_induction=300),
             verifier=BranchAndBoundVerifier(max_boxes=40_000, min_width=0.02),
         )
 
-    def test_finds_certificate_for_stable_loop(self):
-        result = self._setup().search()
+    def test_finds_certificate_for_stable_loop(self, monkeypatch):
+        result = self._setup(monkeypatch).search()
         assert result.verified
         invariant = result.invariant
         assert invariant.holds([0.0, 0.0])
         assert invariant.holds([0.3, 0.3])
         assert not invariant.holds([3.0, 3.0])
 
-    def test_certificate_conditions_hold_on_samples(self):
-        synthesizer = self._setup()
+    def test_certificate_conditions_hold_on_samples(self, monkeypatch):
+        synthesizer = self._setup(monkeypatch)
         result = synthesizer.search()
         rng = np.random.default_rng(1)
         init_samples = synthesizer.init_box.sample(rng, 200)
@@ -425,7 +428,7 @@ class TestBarrierSynthesis:
         assert len({id(point) for _, point in seen}) == 5
         assert all(got is point for got, (_, point) in zip(result.counterexamples, seen))
         # ... and still draws a jitter cloud and re-solves the LP
-        cloud = synthesizer.config.counterexample_cloud + 1
+        cloud = barrier_module.COUNTEREXAMPLE_CLOUD + 1
         assert np.diff(lp_sample_counts).tolist() == [cloud] * 4
         # one proof per condition per distinct candidate: A stops at (9); B
         # passes (9) and (8), then fails induction

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import repro.experiments
 from repro.cli import build_parser, main
 from repro.lang import (
     AffineProgram,
@@ -55,6 +57,47 @@ class TestParser:
         assert args.scale == "medium"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--scale", "enormous"])
+
+
+class TestExperimentCommands:
+    """The experiment subcommands hand their selections to the sweep runners."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Replace the table runners; record each call's bound arguments."""
+        calls = {}
+        for name in ("run_table1", "run_table2", "run_table3"):
+            signature = inspect.signature(getattr(repro.experiments, name))
+
+            def runner(*args, _name=name, _signature=signature, **kwargs):
+                calls[_name] = _signature.bind(*args, **kwargs).arguments
+                return []
+
+            monkeypatch.setattr(repro.experiments, name, runner)
+        return calls
+
+    def test_table1_passes_benchmarks(self, calls):
+        assert main(["table1", "satellite", "pendulum"]) == 0
+        assert list(calls["run_table1"]["benchmarks"]) == ["satellite", "pendulum"]
+
+    def test_table2_passes_benchmarks_and_degrees(self, calls):
+        assert main(["table2", "satellite", "--degrees", "2"]) == 0
+        assert list(calls["run_table2"]["benchmarks"]) == ["satellite"]
+        assert list(calls["run_table2"]["degrees"]) == [2]
+
+    def test_table3_passes_changes(self, calls):
+        change = next(iter(repro.experiments.ENVIRONMENT_CHANGES))
+        assert main(["table3", change]) == 0
+        assert list(calls["run_table3"]["changes"]) == [change]
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig6"])
+    def test_figures_take_no_positional(self, experiment):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([experiment, "pendulum"])
+
+    def test_run_takes_no_disturbance(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "pendulum", "--disturbance", "uniform"])
 
 
 class TestListAndDescribe:

@@ -4,6 +4,8 @@ verification, CEGIS (Alg. 2), shielding (Alg. 3), and the end-to-end toolchain."
 import numpy as np
 import pytest
 
+import repro.core.distance
+import repro.core.synthesis
 from repro.baselines import make_lqr_policy
 from repro.core import (
     CEGISConfig,
@@ -57,25 +59,25 @@ class TestDistance:
         d_near, d_far = program_oracle_distance(env, [near, far], oracle, np.random.default_rng(1), DistanceConfig(num_trajectories=2, trajectory_length=30))
         assert d_near > d_far
 
-    def test_unsafe_states_incur_large_penalty(self, satellite_oracle):
+    def test_unsafe_states_incur_large_penalty(self, satellite_oracle, monkeypatch):
         env, oracle = satellite_oracle
         rng = np.random.default_rng(0)
         trajectory = env.simulate(oracle, steps=10, rng=rng)
         trajectory.states[5] = np.asarray(env.safe_box.high) * 3.0
-        penalised = trajectory_distance(env, trajectory, oracle, oracle, DistanceConfig(unsafe_penalty=1234.0))
+        monkeypatch.setattr(repro.core.distance, "UNSAFE_PENALTY", 1234.0)
+        penalised = trajectory_distance(env, trajectory, oracle, oracle)
         assert penalised <= -1234.0
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"norm": "l3"}, {"norm": "L2"}, {"num_trajectories": 0}, {"num_trajectories": -1}, {"trajectory_length": -1}],
+        [{"num_trajectories": 0}, {"num_trajectories": -1}, {"trajectory_length": -1}],
     )
     def test_config_rejects_invalid_values(self, overrides):
         with pytest.raises(ValueError):
             DistanceConfig(**overrides)
 
-    def test_config_accepts_both_norms(self):
-        assert DistanceConfig(norm="l1").norm == "l1"
-        assert DistanceConfig(norm="l2", num_trajectories=1, trajectory_length=0).trajectory_length == 0
+    def test_config_accepts_boundary_values(self):
+        assert DistanceConfig(num_trajectories=1, trajectory_length=0).trajectory_length == 0
 
 
 # ---------------------------------------------------------------------- synthesis
@@ -181,7 +183,7 @@ class TestCEGIS:
             assert result.invariant.holds(state)
             assert program.branch_index(state) >= 0
 
-    def test_cegis_reports_failure_for_impossible_sketch(self):
+    def test_cegis_reports_failure_for_impossible_sketch(self, monkeypatch):
         # The quadcopter is open-loop unstable (no contraction without feedback),
         # so a synthesis run pinned at θ = 0 cannot produce a certifiable program.
         env = make_quadcopter()
@@ -189,10 +191,10 @@ class TestCEGIS:
         def hostile_oracle(state):
             return np.array([10.0])  # constant saturating action, not stabilising
 
+        monkeypatch.setattr(repro.core.synthesis, "WARM_START_WITH_REGRESSION", False)
         config = CEGISConfig(
             synthesis=SynthesisConfig(
                 iterations=2,
-                warm_start_with_regression=False,
                 learning_rate=0.0,
                 distance=DistanceConfig(num_trajectories=1, trajectory_length=20),
             ),

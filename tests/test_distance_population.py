@@ -10,6 +10,7 @@ that Algorithm 1 synthesizes the same programs either way.
 import numpy as np
 import pytest
 
+import repro.core.distance
 import repro.core.synthesis
 from repro.core import DistanceConfig, ProgramSynthesizer, SynthesisConfig, program_oracle_distance
 from repro.envs import make_environment
@@ -60,11 +61,10 @@ def _assert_row_exact(env, programs, oracle, config, init_region=None, seed=7):
     assert fleet_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("norm", ["l2", "l1"])
 @pytest.mark.parametrize("name", ALL_ENVS)
-def test_population_scores_equal_scalar_reference(name, norm):
+def test_population_scores_equal_scalar_reference(name):
     env = make_environment(name)
-    config = DistanceConfig(norm=norm, num_trajectories=2, trajectory_length=25)
+    config = DistanceConfig(num_trajectories=2, trajectory_length=25)
     parameter_rng = np.random.default_rng(3)
     for region in (None, _shrunk_region(env)):
         for sketch in _sketches(env):
@@ -78,11 +78,12 @@ def test_population_scores_equal_scalar_reference(name, norm):
     _assert_row_exact(env, programs, _callable_oracle(env), config)
 
 
-def test_unsafe_rows_score_the_penalty_at_every_step():
+def test_unsafe_rows_score_the_penalty_at_every_step(monkeypatch):
     env = make_environment("satellite")
     sketch = AffineSketch(2, 1)
     runaway = sketch.instantiate([50.0, 50.0])
-    config = DistanceConfig(unsafe_penalty=1234.0, num_trajectories=3, trajectory_length=40)
+    monkeypatch.setattr(repro.core.distance, "UNSAFE_PENALTY", 1234.0)
+    config = DistanceConfig(num_trajectories=3, trajectory_length=40)
     scores = program_oracle_distance(env, [runaway], _mlp_oracle(env), np.random.default_rng(0), config)
     assert scores[0] < -1234.0
     _assert_row_exact(env, [runaway], _mlp_oracle(env), config)
@@ -95,9 +96,9 @@ def test_synthesizer_matches_scalar_objective(name, monkeypatch):
     sketch = AffineSketch(
         env.state_dim, env.action_dim, action_low=env.action_low, action_high=env.action_high
     )
+    monkeypatch.setattr(repro.core.synthesis, "DIRECTIONS", 3)
     config = SynthesisConfig(
         iterations=4,
-        directions=3,
         distance=DistanceConfig(num_trajectories=2, trajectory_length=30),
         seed=11,
     )

@@ -213,7 +213,7 @@ class TestCacheDifferential:
             max_counterexamples=1,
             max_shrink_iterations=4,
             synthesis=replace(
-                FAST.synthesis, iterations=1, learning_rate=0.0, warm_start_with_regression=True
+                FAST.synthesis, iterations=1, learning_rate=0.0
             ),
         )
         loop = CEGISLoop(env, unstable, config=config)

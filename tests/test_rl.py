@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.rl.random_search
 from repro.baselines import linearize, lqr_gain, make_lqr_policy
 from repro.envs import make_environment, make_pendulum, make_quadcopter, make_satellite
 from repro.rl import (
@@ -138,13 +139,14 @@ class TestPolicies:
 
 # -------------------------------------------------------------------------- ARS
 class TestARS:
-    def test_optimises_simple_quadratic(self):
+    def test_optimises_simple_quadratic(self, monkeypatch):
         target = np.array([1.0, -2.0, 0.5])
 
         def objective(theta):
             return -float(np.sum((theta - target) ** 2))
 
-        trainer = ARSTrainer(objective, 3, ARSConfig(iterations=150, step_size=0.1, seed=0))
+        monkeypatch.setattr(repro.rl.random_search, "STEP_SIZE", 0.1)
+        trainer = ARSTrainer(objective, 3, ARSConfig(iterations=150, seed=0))
         result = trainer.train()
         np.testing.assert_allclose(result.parameters, target, atol=0.3)
         assert result.returns[-1] > result.returns[0]

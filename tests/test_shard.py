@@ -224,15 +224,6 @@ class TestWorkerCountInvariance:
         with pytest.raises(ValueError, match="10 episodes"):
             monitor_fleet_sharded(shield, episodes=12, steps=5, seed=0, disturbance=model)
 
-    def test_returns_identical_across_worker_counts(self):
-        env = make_environment("dcmotor")
-        policy = _linear_policy(env)
-        with ShardPool(env, policy=policy, workers=1, shards=5) as pool:
-            reference = pool.run_returns(23, 20, seed=9)
-        with ShardPool(env, policy=policy, workers=3, shards=5) as pool:
-            other = pool.run_returns(23, 20, seed=9)
-        assert np.array_equal(reference.total_rewards, other.total_rewards)
-
     def test_pool_reuse_across_runs_is_deterministic(self):
         env = make_environment("pendulum")
         policy = _linear_policy(env)
@@ -410,11 +401,8 @@ class TestShardPoolContracts:
         with pytest.raises(ValueError, match="not both"):
             ShardPool(env, policy=_linear_policy(env), shield=_make_shield(env))
 
-    def test_returns_requires_policy_and_monitor_requires_shield(self):
+    def test_monitor_requires_shield(self):
         env = make_environment("pendulum")
-        with ShardPool(env, shield=_make_shield(env)) as pool:
-            with pytest.raises(ValueError, match="policy"):
-                pool.run_returns(4, 5)
         with ShardPool(env, policy=_linear_policy(env)) as pool:
             with pytest.raises(ValueError, match="shield"):
                 pool.run_monitored(4, 5)

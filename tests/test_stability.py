@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.synthesis
 from repro import make_environment
 from repro.baselines import make_lqr_policy
 from repro.core import (
@@ -84,9 +85,13 @@ class TestVerifyStability:
 
 
 class TestSynthesizeStableProgram:
+    @pytest.fixture(autouse=True)
+    def _two_directions(self, monkeypatch):
+        monkeypatch.setattr(repro.core.synthesis, "DIRECTIONS", 2)
+
     def _quick_config(self) -> StableSynthesisConfig:
         return StableSynthesisConfig(
-            synthesis=SynthesisConfig(iterations=3, directions=2, warm_start_with_regression=True),
+            synthesis=SynthesisConfig(iterations=3),
             blend_steps=4,
         )
 
