@@ -138,6 +138,29 @@ class TestVerificationConfig:
         config = VerificationConfig(backend_time_budget_seconds=1e-3, verifier_max_boxes=1)
         assert config.verifier_max_boxes == 1
 
+    def test_barrier_leaf_width_is_a_two_hundredth_of_the_widest_side(self, monkeypatch):
+        """The branch-and-bound verifier of the barrier backend stops splitting
+        boxes narrower than 1/200 of the domain's widest side."""
+        import repro.certificates.backend as backend_module
+
+        built = []
+        real = backend_module.BranchAndBoundVerifier
+
+        def recording(**kwargs):
+            built.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(backend_module, "BranchAndBoundVerifier", recording)
+        env = make_environment("duffing")
+        program = AffineProgram(gain=np.array([[-1.0, -1.5]]))
+        verify_program(
+            env, program, init_box=DUFFING_BOX, config=VerificationConfig(backend="barrier")
+        )
+        assert built
+        assert built[0]["min_width"] == float(np.max(env.domain.widths)) / 200.0
+        assert built[0]["tolerance"] == backend_module.VERIFIER_TOLERANCE
+        assert built[0]["max_boxes"] == VerificationConfig().verifier_max_boxes
+
 
 # ------------------------------------------- disturbance-aware barrier verdicts
 class TestDisturbanceAwareBarrier:
