@@ -78,8 +78,10 @@ def main() -> None:
     print(f"\nSynthesized {result.program_size} verified branch(es):\n")
     print(result.pretty_program())
 
-    # Independent audit of every branch against verification conditions (8)-(10).
-    reports = audit_shield(env, result.program, max_boxes=40_000)
+    # Independent audit of every branch against verification conditions (8)-(10),
+    # each branch's (9) on the region CEGIS proved it on.
+    regions = [branch.region for branch in result.cegis.branches]
+    reports = audit_shield(env, result.program, max_boxes=40_000, regions=regions)
     for index, report in enumerate(reports):
         print(f"audit branch {index}: {report.summary()}")
 

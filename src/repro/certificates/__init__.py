@@ -9,14 +9,14 @@
 * **certificate backends** — the provers behind the verification kernel
   (:class:`CertificateBackend` protocol and the fixed backend registry),
   plus the concrete synthesizers they wrap;
-* **auditing** — independent re-checks of accepted invariants against the
-  paper's conditions (8)-(10).
+* **conditions** — the paper's verification conditions (8)-(10), stated once
+  as a list of obligations over a :class:`SafetyProblem`; the barrier
+  search, the ``farkas`` backend and the audit all discharge that list;
+* **auditing** — independent re-checks of accepted invariants against those
+  obligations.
 
-The lower-level Handelman helpers (``handelman_products``,
-``prove_nonpositive_handelman``, ``prove_positive_handelman``) remain
-importable from :mod:`repro.certificates.farkas` but are no longer part of the
-package's public surface — :class:`FarkasVerifier` (which adds the subdivision
-strategy those helpers lack) is the supported entry point.
+The Handelman helpers of :mod:`repro.certificates.farkas` are not part of the
+public surface; :class:`FarkasVerifier` is the supported entry point.
 """
 
 from .audit import InvariantAuditReport, audit_invariant, audit_shield
@@ -34,6 +34,7 @@ from .backend import (
     is_linear_closed_loop,
 )
 from .barrier import BarrierCertificateSynthesizer, BarrierSearchResult, BarrierSynthesisConfig
+from .conditions import SafetyProblem
 from .farkas import FarkasResult, FarkasVerifier
 from .lyapunov import (
     QuadraticCertificateResult,
@@ -84,6 +85,8 @@ __all__ = [
     "backend_names",
     "is_linear_closed_loop",
     "is_disturbed",
+    # verification conditions
+    "SafetyProblem",
     # synthesizers the backends wrap
     "BarrierCertificateSynthesizer",
     "BarrierSearchResult",

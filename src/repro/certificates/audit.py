@@ -1,77 +1,105 @@
-"""Independent re-check of the paper's verification conditions (8)-(10).
+"""Independent re-check of an accepted invariant against conditions (8)-(10).
 
-Every invariant accepted by the toolchain — whether found by the exact
-Lyapunov backend, the sampled-LP barrier search, or loaded from a serialized
-artifact — can be *audited* here against the three conditions of Section 4.2:
+Every invariant the toolchain accepts — from the Lyapunov backend, the
+barrier search, or a serialized artifact — can be *audited* here.  The audit
+states the problem afresh from the environment (the closed loop is re-lowered
+from the dynamics, and the disturbance bound is modelled) and discharges the
+obligations of :mod:`repro.certificates.conditions`, the list the barrier
+search proves, with a *fresh* prover, so a bug in the search cannot certify
+itself.  The ``"bnb"`` engine uses branch-and-bound throughout; ``"farkas"``
+proves (8) and (9) with :class:`~repro.certificates.farkas.FarkasVerifier`
+and keeps branch-and-bound for (10), whose left-hand side vanishes on the
+invariant boundary, which Handelman representations cannot express.
 
-* (8)  ``E(s) > 0``  for every unsafe state,
-* (9)  ``E(s) ≤ 0``  for every initial state,
-* (10) inductiveness: from every state of ``{E ≤ 0}`` inside the safe region the
-  closed-loop successor satisfies ``E(s') ≤ 0`` and stays inside the working
-  domain.  (This is the sub-level-set *invariance* property that conditions
-  (9)-(10) of the paper are a sufficient condition for; the pointwise decrease
-  ``E(s') − E(s) ≤ 0`` is strictly stronger than invariance — a valid certificate
-  may let ``E`` grow inside the invariant as long as it never crosses 0 — so the
-  audit checks invariance, exactly like the certificate search itself does.)
-
-The audit deliberately re-derives everything from scratch: the closed-loop
-successor polynomials are re-lowered from the environment dynamics and the
-conditions are discharged with a *fresh* decision procedure, so a bug in the
-certificate search cannot silently certify itself.  Two engines are available:
-
-* ``"bnb"`` (default) — interval branch-and-bound (sound for all three
-  conditions);
-* ``"farkas"`` — Handelman/Farkas LP certificates for conditions (8) and (9)
-  (condition (10) always uses branch-and-bound: its left-hand side vanishes on
-  the invariant boundary, which Handelman representations cannot express).
+Every condition is reported; within one, the obligations after its first
+failure are skipped.  A concrete counterexample reads FAIL; a proof that ran
+out of budget, or found no Farkas certificate, reads INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..lang.invariant import Invariant
-from .farkas import prove_nonpositive_handelman, prove_positive_handelman
-from .smt import BranchAndBoundVerifier
+from .conditions import SafetyProblem, Verdict
+from .farkas import FarkasVerifier
+from .regions import Box
 
 __all__ = ["InvariantAuditReport", "audit_invariant", "audit_shield"]
 
 
-def _bnb_failure(label: str, check) -> str:
-    """A human-readable failure line that distinguishes refutation from budget exhaustion."""
-    if check.counterexample is not None and not check.max_depth_reached:
-        witness = np.round(np.asarray(check.counterexample, dtype=float), 4).tolist()
-        return f"{label} failed: counterexample {witness}"
-    if check.max_depth_reached:
-        return f"{label} inconclusive: branch-and-bound budget exhausted"
-    return f"{label} failed"
-
-
 @dataclass
 class InvariantAuditReport:
-    """Which of the verification conditions (8)-(10) hold for an invariant."""
+    """The verdicts on one invariant's obligations, in obligation order.
 
-    unsafe_positive: bool
-    init_nonpositive: bool
-    inductive: bool
+    ``unchecked`` says why no obligation could be stated (the closed loop has
+    no polynomial form); every condition then counts as not holding.
+    """
+
+    verdicts: List[Verdict] = field(default_factory=list)
     engine: str = "bnb"
-    counterexample: Optional[np.ndarray] = None
-    details: List[str] = field(default_factory=list)
+    unchecked: str = ""
+
+    def _holds(self, kind: str) -> bool:
+        return not self.unchecked and all(
+            verdict.holds for verdict in self.verdicts if verdict.obligation.kind == kind
+        )
+
+    @property
+    def unsafe_positive(self) -> bool:
+        """Condition (8): ``E > 0`` on the unsafe cover."""
+        return self._holds("unsafe")
+
+    @property
+    def init_nonpositive(self) -> bool:
+        """Condition (9): ``E ≤ 0`` on the initial region."""
+        return self._holds("init")
+
+    @property
+    def inductive(self) -> bool:
+        """Condition (10): successors stay in ``{E ≤ 0}`` and in the domain."""
+        return self._holds("induction")
 
     @property
     def all_hold(self) -> bool:
         return self.unsafe_positive and self.init_nonpositive and self.inductive
 
+    @property
+    def failures(self) -> List[Verdict]:
+        return [verdict for verdict in self.verdicts if not verdict.holds]
+
+    @property
+    def refuted(self) -> bool:
+        """Whether some obligation has a concrete counterexample."""
+        return any(verdict.refuted for verdict in self.verdicts)
+
+    @property
+    def counterexample(self) -> Optional[np.ndarray]:
+        """The first failing obligation's counterexample, if it has one."""
+        failures = self.failures
+        return failures[0].counterexample if failures else None
+
+    @property
+    def details(self) -> List[str]:
+        lines = [f"conditions not checkable: {self.unchecked}"] if self.unchecked else []
+        return lines + [verdict.describe() for verdict in self.failures]
+
+    @property
+    def status(self) -> str:
+        """PASS, FAIL (some condition refuted) or INCONCLUSIVE (none refuted, not all proved)."""
+        if self.all_hold:
+            return "PASS"
+        return "FAIL" if self.refuted else "INCONCLUSIVE"
+
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.all_hold
 
     def summary(self) -> str:
-        status = "PASS" if self.all_hold else "FAIL"
         return (
-            f"[{status}] (8) unsafe>0: {self.unsafe_positive}  "
+            f"[{self.status}] (8) unsafe>0: {self.unsafe_positive}  "
             f"(9) init<=0: {self.init_nonpositive}  (10) inductive: {self.inductive}"
         )
 
@@ -81,146 +109,56 @@ def audit_invariant(
     program,
     invariant: Invariant,
     engine: str = "bnb",
-    tolerance: float = 1e-6,
     max_boxes: int = 120_000,
-    min_width: float | None = None,
-    farkas_degree: int | None = None,
 ) -> InvariantAuditReport:
-    """Audit one ``(P, φ)`` pair against verification conditions (8)-(10).
+    """Audit one ``(P, φ)`` pair against verification conditions (8)-(10) on ``S0``.
 
     ``program`` must be lowerable to polynomials (any single-branch program
     drawn from a sketch); for the guarded multi-branch output of CEGIS use
     :func:`audit_shield`, which audits each branch in its own region.
     """
-    if engine not in ("bnb", "farkas"):
-        raise ValueError(f"unknown audit engine {engine!r}; use 'bnb' or 'farkas'")
-    if min_width is None:
-        min_width = float(np.max(env.domain.widths)) / 200.0
-    verifier = BranchAndBoundVerifier(
-        tolerance=tolerance, max_boxes=max_boxes, min_width=min_width
-    )
-    barrier = invariant.barrier - invariant.margin
-    details: List[str] = []
-    counterexample: Optional[np.ndarray] = None
-
-    # Condition (8): E > 0 on the unsafe cover boxes.
-    unsafe_ok = True
-    for unsafe_box in env.unsafe_cover_boxes():
-        if engine == "farkas":
-            result = prove_positive_handelman(
-                barrier, unsafe_box, degree=farkas_degree, tolerance=tolerance
-            )
-            proved = result.proved
-            reason = result.failure_reason
-        else:
-            check = verifier.prove_positive(barrier, [unsafe_box])
-            proved = check.verified
-            reason = _bnb_failure(f"condition (8) on {unsafe_box}", check) if not proved else ""
-            if not proved and check.counterexample is not None:
-                counterexample = check.counterexample
-        if not proved:
-            unsafe_ok = False
-            details.append(
-                reason if engine == "bnb" else f"condition (8) failed on {unsafe_box}: {reason}"
-            )
-            break
-
-    # Condition (9): E <= 0 on the initial box.
-    if engine == "farkas":
-        init_result = prove_nonpositive_handelman(
-            barrier, env.init_region, degree=farkas_degree, tolerance=tolerance
-        )
-        init_ok = init_result.proved
-        if not init_ok:
-            details.append(f"condition (9) failed: {init_result.failure_reason}")
-    else:
-        init_check = verifier.prove_nonpositive(barrier, [env.init_region])
-        init_ok = init_check.verified
-        if not init_ok:
-            details.append(_bnb_failure("condition (9)", init_check))
-            if counterexample is None:
-                counterexample = init_check.counterexample
-
-    # Condition (10), invariance form: from {E <= 0} within the safe box the
-    # successor satisfies E(s') <= 0 and stays inside the working domain.
-    try:
-        closed_loop = env.closed_loop_polynomials(program)
-    except ValueError as error:
-        return InvariantAuditReport(
-            unsafe_positive=unsafe_ok,
-            init_nonpositive=init_ok,
-            inductive=False,
-            engine=engine,
-            counterexample=counterexample,
-            details=details + [f"condition (10) not checkable: {error}"],
-        )
-    next_barrier = barrier.substitute(closed_loop)
-    inductive_ok = True
-    inductive_check = verifier.prove_nonpositive(
-        next_barrier, [env.safe_box], constraints=[barrier]
-    )
-    if not inductive_check.verified:
-        inductive_ok = False
-        details.append(_bnb_failure("condition (10) [successor stays in {E <= 0}]", inductive_check))
-        if counterexample is None:
-            counterexample = inductive_check.counterexample
-    if inductive_ok:
-        for dimension, successor in enumerate(closed_loop):
-            upper = successor - env.domain.high[dimension]
-            lower = env.domain.low[dimension] - successor
-            for bound_poly, side in ((upper, "upper"), (lower, "lower")):
-                bound_check = verifier.prove_nonpositive(
-                    bound_poly, [env.safe_box], constraints=[barrier]
-                )
-                if not bound_check.verified:
-                    inductive_ok = False
-                    details.append(
-                        _bnb_failure(
-                            f"condition (10) [successor {side} domain bound, dim {dimension}]",
-                            bound_check,
-                        )
-                    )
-                    if counterexample is None:
-                        counterexample = bound_check.counterexample
-                    break
-            if not inductive_ok:
-                break
-
-    return InvariantAuditReport(
-        unsafe_positive=unsafe_ok,
-        init_nonpositive=init_ok,
-        inductive=inductive_ok,
-        engine=engine,
-        counterexample=counterexample,
-        details=details,
-    )
+    return _audit(env, program, invariant, engine, max_boxes, init_box=None)
 
 
 def audit_shield(
     env,
     guarded_program,
     engine: str = "bnb",
-    tolerance: float = 1e-6,
     max_boxes: int = 120_000,
+    regions: Optional[Sequence[Box]] = None,
 ) -> List[InvariantAuditReport]:
     """Audit every branch of a CEGIS-produced guarded program.
 
     Theorem 4.2 composes per-branch invariants, so the audit checks each
-    ``(P_i, φ_i)`` pair separately: conditions (8) and (10) must hold for every
-    branch; condition (9) is a *union* property (``S0 ⊆ ∪ φ_i``) and is reported
-    per branch for information only (individual branches may legitimately fail
-    it — CEGIS covers S0 with several of them).
+    ``(P_i, φ_i)`` pair separately.  CEGIS proves each branch on its own
+    initial region, so condition (9) is checked on ``regions[i]`` (the
+    artifact's recorded ``branch_regions``); branches without a recorded
+    region fall back to ``S0``.
     """
     reports = []
-    for invariant, program in guarded_program.branches:
-        reports.append(
-            audit_invariant(
-                env,
-                program,
-                invariant,
-                engine=engine,
-                tolerance=tolerance,
-                max_boxes=max_boxes,
-            )
-        )
+    for index, (invariant, program) in enumerate(guarded_program.branches):
+        init_box = regions[index] if regions is not None and index < len(regions) else None
+        reports.append(_audit(env, program, invariant, engine, max_boxes, init_box))
     return reports
+
+
+def _audit(env, program, invariant, engine, max_boxes, init_box) -> InvariantAuditReport:
+    if engine not in ("bnb", "farkas"):
+        raise ValueError(f"unknown audit engine {engine!r}; use 'bnb' or 'farkas'")
+    try:
+        problem = SafetyProblem.from_env(env, program, init_box)
+    except ValueError as error:
+        return InvariantAuditReport(engine=engine, unchecked=str(error))
+    bnb = problem.verifier(max_boxes)
+    boundary = FarkasVerifier() if engine == "farkas" else bnb
+    report = InvariantAuditReport(engine=engine)
+    failed = set()
+    for obligation in problem.obligations(invariant):
+        if obligation.kind in failed:
+            continue
+        prover = bnb if obligation.kind == "induction" else boundary
+        verdict = obligation.discharge(prover)
+        report.verdicts.append(verdict)
+        if not verdict.holds:
+            failed.add(obligation.kind)
+    return report

@@ -38,10 +38,10 @@ from ..lang.program import AffineProgram
 from ..lang.sketch import InvariantSketch
 from ..polynomials import Monomial
 from .barrier import BarrierCertificateSynthesizer
+from .conditions import SafetyProblem
 from .farkas import FarkasVerifier
 from .lyapunov import QuadraticCertificateSynthesizer, closed_loop_matrix
 from .regions import Box
-from .smt import BranchAndBoundVerifier
 from .sos import sos_decompose
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -60,10 +60,6 @@ __all__ = [
     "is_linear_closed_loop",
     "is_disturbed",
 ]
-
-#: Slack of the barrier backend's branch-and-bound interval tests.
-VERIFIER_TOLERANCE = 1e-6
-
 
 # ------------------------------------------------------------------ data model
 @dataclass
@@ -129,12 +125,6 @@ def is_linear_closed_loop(env: "EnvironmentContext", program) -> bool:
 def is_disturbed(env: "EnvironmentContext") -> bool:
     """Whether the environment carries a nonzero disturbance bound."""
     return env.disturbance_bound is not None and bool(np.any(env.disturbance_bound))
-
-
-def _effective_disturbance(env: "EnvironmentContext") -> Optional[np.ndarray]:
-    if not is_disturbed(env):
-        return None
-    return np.asarray(env.disturbance_bound, dtype=float)
 
 
 # ------------------------------------------------------------------- backends
@@ -264,27 +254,32 @@ class BarrierBackend:
     def supports(self, env, program) -> bool:
         return hasattr(program, "to_polynomials")
 
-    def _search(self, env, program, init_box, config, recorder, deadline):
-        """Shared front half with :class:`FarkasBackend`: run the LP search.
+    def verify(self, env, program, init_box, config, recorder=None, deadline=None):
+        return self._verify(env, program, init_box, config, recorder, deadline)
 
-        Returns ``(result, sketch, error_reason)`` — ``result`` is ``None``
-        when the closed loop cannot be lowered to polynomials.
-        """
+    def _recertify(self, problem: SafetyProblem, invariant: Invariant) -> str:
+        """Why a certificate the search proved is refused after all (``""``: it is not)."""
+        return ""
+
+    def _verify(self, env, program, init_box, config, recorder, deadline):
+        """Run the LP search on ``env``'s problem, then :meth:`_recertify` its proof."""
         from dataclasses import replace as dc_replace
 
-        sketch = InvariantSketch(
-            state_dim=env.state_dim, degree=config.invariant_degree, names=env.state_names
-        )
+        start = time.perf_counter()
+
+        def outcome(verified=False, invariant=None, **fields) -> VerificationOutcome:
+            return VerificationOutcome(
+                verified=verified,
+                invariant=invariant,
+                backend=self.name,
+                wall_clock_seconds=time.perf_counter() - start,
+                **fields,
+            )
+
         try:
-            closed_loop = env.closed_loop_polynomials(program)
+            problem = SafetyProblem.from_env(env, program, init_box)
         except ValueError as error:
-            return None, sketch, f"cannot lower the closed loop to polynomials: {error}"
-        verifier = BranchAndBoundVerifier(
-            tolerance=VERIFIER_TOLERANCE,
-            max_boxes=config.verifier_max_boxes,
-            # Boxes narrower than 1/200 of the domain's widest side are leaves.
-            min_width=float(np.max(env.domain.widths)) / 200.0,
-        )
+            return outcome(failure_reason=f"cannot lower the closed loop to polynomials: {error}")
         barrier_config = config.barrier
         if deadline is not None:
             remaining = max(deadline - time.perf_counter(), 1e-3)
@@ -295,56 +290,39 @@ class BarrierBackend:
                     remaining if budget is None else min(budget, remaining)
                 ),
             )
-        synthesizer = BarrierCertificateSynthesizer(
-            sketch=sketch,
-            closed_loop=closed_loop,
-            init_box=init_box,
-            unsafe_boxes=env.unsafe_cover_boxes(),
-            safe_box=env.safe_box,
-            domain_box=env.domain,
+        result = BarrierCertificateSynthesizer(
+            sketch=InvariantSketch(
+                state_dim=env.state_dim, degree=config.invariant_degree, names=env.state_names
+            ),
+            problem=problem,
             config=barrier_config,
-            verifier=verifier,
+            verifier=problem.verifier(config.verifier_max_boxes),
             on_counterexample=recorder,
-            disturbance_bound=_effective_disturbance(env),
-            disturbance_scale=env.dt,
-        )
-        return synthesizer.search(), sketch, ""
-
-    def verify(self, env, program, init_box, config, recorder=None, deadline=None):
-        start = time.perf_counter()
-        result, _sketch, reason = self._search(
-            env, program, init_box, config, recorder, deadline
-        )
-        if result is None:
-            return VerificationOutcome(
-                verified=False,
-                invariant=None,
-                backend=self.name,
-                wall_clock_seconds=time.perf_counter() - start,
-                failure_reason=reason,
+        ).search()
+        if not result.verified:
+            counterexamples = result.counterexamples
+            return outcome(
+                failure_reason=result.failure_reason,
+                counterexample=counterexamples[-1] if counterexamples else None,
             )
-        counterexample = result.counterexamples[-1] if result.counterexamples else None
-        return VerificationOutcome(
-            verified=result.verified,
-            invariant=result.invariant,
-            backend=self.name,
-            wall_clock_seconds=time.perf_counter() - start,
-            failure_reason=result.failure_reason,
-            counterexample=counterexample if not result.verified else None,
-            margin=result.margin if result.verified else 0.0,
-        )
+        refusal = self._recertify(problem, result.invariant)
+        if refusal:
+            return outcome(failure_reason=refusal)
+        return outcome(True, result.invariant, margin=result.margin)
 
 
 class FarkasBackend(BarrierBackend):
     """Barrier search re-certified with Handelman/Farkas LP representations.
 
     The candidate invariant comes from the same sampled-LP + branch-and-bound
-    search as the ``barrier`` backend; a SAFE verdict additionally requires a
-    quantifier-free Handelman representation of condition (8) on every unsafe
-    cover box and of condition (9) on the initial box (the Gulwani-Tiwari
-    style of quantifier elimination the paper cites).  Condition (10) keeps the
-    branch-and-bound proof: its left-hand side vanishes on the invariant
-    boundary, which Handelman representations cannot express.
+    search as the ``barrier`` backend; a SAFE verdict additionally requires
+    :class:`~repro.certificates.farkas.FarkasVerifier` to discharge the
+    obligations of conditions (9) and (8) — a quantifier-free Handelman
+    representation on the initial box and on the unsafe cover (the
+    Gulwani-Tiwari style of quantifier elimination the paper cites).
+    Condition (10) keeps the branch-and-bound proof: its left-hand side
+    vanishes on the invariant boundary, which Handelman representations
+    cannot express.
 
     Disturbance-aware: conditions (8) and (9) do not involve the transition
     relation, and the inner search discharges condition (10) with the
@@ -353,56 +331,20 @@ class FarkasBackend(BarrierBackend):
 
     name = "farkas"
 
-    def __init__(self, max_degree: int = 4, tolerance: float = 1e-7) -> None:
-        self.max_degree = int(max_degree)
-        self.tolerance = float(tolerance)
-
+    # Its own entry point, not the inherited one, so that a wrapper placed on
+    # one backend class's ``verify`` never sees the other backend's calls.
     def verify(self, env, program, init_box, config, recorder=None, deadline=None):
-        start = time.perf_counter()
-        result, _sketch, reason = self._search(
-            env, program, init_box, config, recorder, deadline
-        )
-        if result is None or not result.verified:
-            counterexamples = result.counterexamples if result is not None else []
-            return VerificationOutcome(
-                verified=False,
-                invariant=None,
-                backend=self.name,
-                wall_clock_seconds=time.perf_counter() - start,
-                failure_reason=reason or result.failure_reason,
-                counterexample=counterexamples[-1] if counterexamples else None,
-            )
-        barrier = result.invariant.barrier - result.invariant.margin
-        prover = FarkasVerifier(max_degree=self.max_degree, tolerance=self.tolerance)
-        proof = prover.prove_positive(barrier, env.unsafe_cover_boxes())
-        if not proof.proved:
-            return VerificationOutcome(
-                verified=False,
-                invariant=None,
-                backend=self.name,
-                wall_clock_seconds=time.perf_counter() - start,
-                failure_reason=(
-                    f"condition (8) has no Handelman certificate: {proof.failure_reason}"
-                ),
-            )
-        proof = prover.prove_nonpositive(barrier, [init_box])
-        if not proof.proved:
-            return VerificationOutcome(
-                verified=False,
-                invariant=None,
-                backend=self.name,
-                wall_clock_seconds=time.perf_counter() - start,
-                failure_reason=(
-                    f"condition (9) has no Handelman certificate: {proof.failure_reason}"
-                ),
-            )
-        return VerificationOutcome(
-            verified=True,
-            invariant=result.invariant,
-            backend=self.name,
-            wall_clock_seconds=time.perf_counter() - start,
-            margin=result.margin,
-        )
+        return self._verify(env, program, init_box, config, recorder, deadline)
+
+    def _recertify(self, problem: SafetyProblem, invariant: Invariant) -> str:
+        prover = FarkasVerifier()
+        for obligation in problem.obligations(invariant):
+            if obligation.kind == "induction":
+                break  # the search's branch-and-bound proof of (10) stands
+            verdict = obligation.discharge(prover)
+            if not verdict.holds:
+                return f"{obligation.label} has no Handelman certificate: {verdict.reason}"
+        return ""
 
 
 # ------------------------------------------------------------------- registry

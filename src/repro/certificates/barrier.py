@@ -13,8 +13,10 @@ are *linear in c* once the state ``s`` is fixed.  We therefore
 1. sample states from the unsafe, initial, and induction regions and solve a
    linear program that maximises the satisfaction margin ``γ`` of the sampled
    conditions (``scipy.optimize.linprog``);
-2. soundly check the resulting candidate on the full (uncountable) regions with
-   the interval branch-and-bound verifier of :mod:`repro.certificates.smt`;
+2. soundly check the resulting candidate on the full (uncountable) regions:
+   discharge the obligations of :mod:`repro.certificates.conditions` with the
+   interval branch-and-bound verifier of :mod:`repro.certificates.smt`,
+   stopping at the first that fails;
 3. if a condition fails, add the returned counterexample (plus a small jittered
    cloud around it) to the sample set and repeat.
 
@@ -51,12 +53,10 @@ this worst case on both sides:
   for low-dimensional disturbances, axis extremes plus diagonal corners for
   high-dimensional ones) — still linear in ``c`` because each ``(s, d)`` pair
   fixes a concrete successor point;
-* the sound check lifts the problem to ``2n`` variables ``(s, d)``: the
-  disturbed successor ``s'_i(s, d) = p_i(s) + Δt·d_i`` is a polynomial over
-  the product box ``safe × [−b, b]``, so interval branch-and-bound proves
-  ``E(s') ≤ 0`` under the candidate constraint ``E(s) ≤ 0`` for *all*
-  disturbances at once.  Step-boundedness is checked on the same lifted
-  domain.
+* the sound check discharges the obligations of condition (10) lifted to
+  ``2n`` variables ``(s, d)`` (:mod:`repro.certificates.conditions`), so
+  interval branch-and-bound proves ``E(s') ≤ 0`` under the candidate
+  constraint ``E(s) ≤ 0`` for *all* disturbances at once.
 
 A SAFE verdict under disturbance is therefore a genuine robust certificate —
 the property the runtime adaptation loop's re-check relies on.
@@ -67,16 +67,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ..lang.invariant import Invariant
 from ..lang.sketch import InvariantSketch
-from ..polynomials import Polynomial, basis_design_matrix
-from .regions import Box
-from .smt import BranchAndBoundVerifier, CheckResult
+from ..polynomials import basis_design_matrix
+from .conditions import SafetyProblem
+from .smt import BranchAndBoundVerifier
 
 __all__ = ["BarrierSynthesisConfig", "BarrierSearchResult", "BarrierCertificateSynthesizer"]
 
@@ -149,73 +149,35 @@ class BarrierCertificateSynthesizer:
     ----------
     sketch:
         The invariant sketch (monomial basis of bounded degree, eq. (7)).
-    closed_loop:
-        One polynomial per state dimension giving the next state
-        ``s'_i = p_i(s)`` of the closed-loop system ``C[P]``.
-    init_box:
-        The initial state region ``S0`` (or the shrunk region of Algorithm 2).
-    unsafe_boxes:
-        A box cover of the unsafe set ``Su`` restricted to the working domain.
-    safe_box:
-        The complement of the unsafe set within the domain; induction is
-        imposed there (the invariant is forced inside it by condition (8)).
-    domain_box:
-        The working domain used for step-boundedness checking.
-    disturbance_bound:
-        Per-dimension bound ``b`` of the additive disturbance (``None`` or all
-        zeros disables the disturbance encoding).  The closed-loop successor
-        becomes ``s' = p(s) + disturbance_scale · d`` with ``|d| ≤ b``.
-    disturbance_scale:
-        The factor multiplying the disturbance in the successor — ``Δt`` for
-        the Euler-discretised environments of this reproduction.
+    problem:
+        The closed loop ``C[P]``, its initial region (``S0`` or the shrunk
+        region of Algorithm 2), unsafe cover, safe box, domain and disturbance
+        bound; the LP samples its regions and every candidate must discharge
+        its obligations.
+    verifier:
+        The branch-and-bound prover of the obligations.
+    on_counterexample:
+        Optional sink ``(kind, state) -> None`` notified of every condition
+        counterexample the sound check finds (feeds the CEGIS replay cache
+        and the tier-1 regression corpus).
     """
 
     def __init__(
         self,
         sketch: InvariantSketch,
-        closed_loop: Sequence[Polynomial],
-        init_box: Box,
-        unsafe_boxes: Sequence[Box],
-        safe_box: Box,
-        domain_box: Box | None = None,
+        problem: SafetyProblem,
         config: BarrierSynthesisConfig | None = None,
         verifier: BranchAndBoundVerifier | None = None,
         on_counterexample=None,
-        disturbance_bound: Sequence[float] | None = None,
-        disturbance_scale: float = 1.0,
     ) -> None:
+        if problem.state_dim != sketch.state_dim:
+            raise ValueError("closed_loop must provide one polynomial per state dimension")
         self.sketch = sketch
-        self.closed_loop = list(closed_loop)
-        self.init_box = init_box
-        self.unsafe_boxes = list(unsafe_boxes)
-        self.safe_box = safe_box
-        self.domain_box = domain_box or safe_box
+        self.problem = problem
         self.config = config or BarrierSynthesisConfig()
         self.verifier = verifier or BranchAndBoundVerifier()
-        # Optional sink ``(kind, state) -> None`` notified of every condition
-        # counterexample the sound check finds (feeds the CEGIS replay cache
-        # and the tier-1 regression corpus).
         self.on_counterexample = on_counterexample
-        bound = (
-            np.asarray(disturbance_bound, dtype=float)
-            if disturbance_bound is not None
-            else None
-        )
-        if bound is not None and not np.any(bound):
-            bound = None
-        self.disturbance_bound = bound
-        self.disturbance_scale = float(disturbance_scale)
-        if len(self.closed_loop) != sketch.state_dim:
-            raise ValueError("closed_loop must provide one polynomial per state dimension")
-        if bound is not None and bound.size != sketch.state_dim:
-            raise ValueError("disturbance_bound must have one entry per state dimension")
         self._rng = np.random.default_rng(SAMPLING_SEED)
-        # The lifted (s, d) successor system and product domain only depend on
-        # construction-time data, but _sound_check runs once per refinement
-        # iteration — cache them so each candidate pays for lifting the
-        # barrier, not for re-lifting the whole closed loop.
-        self._lifted_loop_cache: Optional[List[Polynomial]] = None
-        self._lifted_safe_cache: Optional[Box] = None
         # Cutting-plane warm state: the unscaled LP row blocks of the sample
         # sets seen last, by kind, and the last LP candidate.
         self._row_cache: Dict[str, Tuple[np.ndarray, List[np.ndarray]]] = {}
@@ -228,9 +190,9 @@ class BarrierCertificateSynthesizer:
         start = time.perf_counter()
         self._row_cache = {}
         self._last_candidate = None
-        init_samples = self.init_box.sample(self._rng, SAMPLES_INIT)
+        init_samples = self.problem.init_box.sample(self._rng, SAMPLES_INIT)
         unsafe_samples = self._sample_unsafe(SAMPLES_UNSAFE)
-        induction_samples = self.safe_box.sample(self._rng, SAMPLES_INDUCTION)
+        induction_samples = self.problem.safe_box.sample(self._rng, SAMPLES_INDUCTION)
         counterexamples: List[np.ndarray] = []
         # Failures of the candidates proved so far, by coefficient bytes.
         refuted: Dict[bytes, Tuple[str, np.ndarray]] = {}
@@ -298,26 +260,27 @@ class BarrierCertificateSynthesizer:
 
     # ------------------------------------------------------------- sampling
     def _sample_unsafe(self, count: int) -> np.ndarray:
-        if not self.unsafe_boxes:
+        boxes = self.problem.unsafe_boxes
+        if not boxes:
             return np.zeros((0, self.sketch.state_dim))
-        volumes = np.array([max(b.volume(), 1e-12) for b in self.unsafe_boxes])
+        volumes = np.array([max(b.volume(), 1e-12) for b in boxes])
         weights = volumes / volumes.sum()
         counts = self._rng.multinomial(count, weights)
-        chunks = [box.sample(self._rng, c) for box, c in zip(self.unsafe_boxes, counts) if c > 0]
+        chunks = [box.sample(self._rng, c) for box, c in zip(boxes, counts) if c > 0]
         if not chunks:
             return np.zeros((0, self.sketch.state_dim))
         return np.concatenate(chunks, axis=0)
 
     def _jitter_cloud(self, point: np.ndarray, kind: str) -> np.ndarray:
-        scale = COUNTEREXAMPLE_JITTER * np.maximum(self.domain_box.widths, 1e-9)
+        scale = COUNTEREXAMPLE_JITTER * np.maximum(self.problem.domain_box.widths, 1e-9)
         cloud = point + self._rng.normal(scale=scale, size=(COUNTEREXAMPLE_CLOUD, point.size))
         cloud = np.concatenate([point[None, :], cloud], axis=0)
         if kind == "init":
-            region = self.init_box
+            region = self.problem.init_box
         elif kind == "unsafe":
             region = None
         else:
-            region = self.safe_box
+            region = self.problem.safe_box
         if region is not None:
             low = np.asarray(region.low)
             high = np.asarray(region.high)
@@ -327,7 +290,7 @@ class BarrierCertificateSynthesizer:
     # ------------------------------------------------------------------- lp
     def _step_batch(self, states: np.ndarray) -> np.ndarray:
         """Apply the closed-loop polynomials to each row of ``states``."""
-        columns = [poly.evaluate_batch(states) for poly in self.closed_loop]
+        columns = [poly.evaluate_batch(states) for poly in self.problem.closed_loop]
         return np.stack(columns, axis=1)
 
     def _row_blocks(self, kind: str, samples: np.ndarray) -> List[np.ndarray]:
@@ -346,7 +309,7 @@ class BarrierCertificateSynthesizer:
         # rows stay linear in the coefficients.
         blocks = [basis_design_matrix(basis, next_states) - rows]
         for corner in self._disturbance_corners():
-            disturbed = next_states + self.disturbance_scale * corner
+            disturbed = next_states + self.problem.disturbance_scale * corner
             blocks.append(basis_design_matrix(basis, disturbed) - rows)
         return blocks
 
@@ -450,66 +413,11 @@ class BarrierCertificateSynthesizer:
 
     # ----------------------------------------------------------- soundness
     def _sound_check(self, invariant: Invariant) -> Optional[tuple[str, np.ndarray]]:
-        """Check conditions (8)-(10); return (kind, counterexample) on failure."""
-        barrier = invariant.barrier
-
-        check = self.verifier.prove_nonpositive(barrier, [self.init_box])
-        if not check.verified:
-            return ("init", self._fallback_point(check, self.init_box))
-
-        if self.unsafe_boxes:
-            check = self.verifier.prove_positive(barrier, self.unsafe_boxes)
-            if not check.verified:
-                return ("unsafe", self._fallback_point(check, self.unsafe_boxes[0]))
-
-        # Induction: prove that the one-step image of the sub-level set stays in
-        # it, i.e. E(s) <= 0 ∧ s ∈ safe ⇒ E(s') <= 0.  This is the invariance
-        # property conditions (9)-(10) of the paper are a sufficient condition
-        # for; checking it directly (rather than the pointwise decrease
-        # E(s') - E(s) <= 0) keeps the interval bounds conclusive near the
-        # origin where both sides vanish.  Under a disturbance bound the whole
-        # check runs on the lifted (s, d) product domain, so the proof covers
-        # every admissible disturbance.
-        if self.disturbance_bound is None:
-            constraint = barrier
-            successors = list(self.closed_loop)
-            domain = self.safe_box
-        else:
-            constraint = self._lift_state(barrier)
-            successors = self._lifted_closed_loop()
-            if self._lifted_safe_cache is None:
-                self._lifted_safe_cache = self._lifted_box(self.safe_box)
-            domain = self._lifted_safe_cache
-        next_barrier = barrier.substitute(successors)
-        check = self.verifier.prove_nonpositive(next_barrier, [domain], constraints=[constraint])
-        if not check.verified:
-            return ("induction", self._state_part(check, self.safe_box))
-
-        return self._check_step_in_domain(barrier, constraint, successors, domain)
-
-    def _check_step_in_domain(
-        self,
-        barrier: Polynomial,
-        constraint: Polynomial,
-        successors: Sequence[Polynomial],
-        domain: Box,
-    ) -> Optional[tuple[str, np.ndarray]]:
-        """Ensure one transition from the invariant cannot leave the working domain.
-
-        For every state dimension ``i`` proves ``s'_i <= domain.high[i]`` and
-        ``s'_i >= domain.low[i]`` on ``{E <= 0} ∩ safe_box`` (lifted with the
-        disturbance box when a bound is set), so the induction check covers
-        every reachable successor.
-        """
-        for i, next_i in enumerate(successors):
-            upper = next_i - self.domain_box.high[i]
-            check = self.verifier.prove_nonpositive(upper, [domain], constraints=[constraint])
-            if not check.verified:
-                return ("induction", self._state_part(check, self.safe_box))
-            lower = self.domain_box.low[i] - next_i
-            check = self.verifier.prove_nonpositive(lower, [domain], constraints=[constraint])
-            if not check.verified:
-                return ("induction", self._state_part(check, self.safe_box))
+        """The first of the problem's obligations that fails, as ``(kind, witness)``."""
+        for obligation in self.problem.obligations(invariant):
+            verdict = obligation.discharge(self.verifier)
+            if not verdict.holds:
+                return obligation.kind, verdict.witness
         return None
 
     # ------------------------------------------------------ disturbance lift
@@ -522,11 +430,11 @@ class BarrierCertificateSynthesizer:
         2n axis extremes plus the two diagonal corners are used.  This only
         shapes the sampled LP — the sound check is exhaustive regardless.
         """
-        if self.disturbance_bound is None:
-            return np.zeros((0, self.sketch.state_dim))
-        bound = self.disturbance_bound
-        active = np.flatnonzero(bound)
+        bound = self.problem.disturbance_bound
         n = self.sketch.state_dim
+        if bound is None:
+            return np.zeros((0, n))
+        active = np.flatnonzero(bound)
         corners: List[np.ndarray] = []
         if len(active) <= DISTURBANCE_CORNER_LIMIT:
             for signs in product((-1.0, 1.0), repeat=len(active)):
@@ -542,43 +450,6 @@ class BarrierCertificateSynthesizer:
             corners.append(bound.copy())
             corners.append(-bound.copy())
         return np.stack(corners, axis=0)
-
-    def _lift_state(self, polynomial: Polynomial) -> Polynomial:
-        """Embed a polynomial over ``s`` into the ``(s, d)`` variable space."""
-        n = self.sketch.state_dim
-        lift = [Polynomial.variable(i, 2 * n) for i in range(n)]
-        return polynomial.substitute(lift)
-
-    def _lifted_closed_loop(self) -> List[Polynomial]:
-        """The disturbed successor ``p_i(s) + scale·d_i`` over ``(s, d)``, cached."""
-        if self._lifted_loop_cache is None:
-            n = self.sketch.state_dim
-            self._lifted_loop_cache = [
-                self._lift_state(poly)
-                + self.disturbance_scale * Polynomial.variable(n + i, 2 * n)
-                for i, poly in enumerate(self.closed_loop)
-            ]
-        return self._lifted_loop_cache
-
-    def _lifted_box(self, base: Box) -> Box:
-        """The product box ``base × [−b, b]`` over the lifted variables."""
-        bound = self.disturbance_bound
-        return Box(
-            low=tuple(base.low) + tuple(-bound), high=tuple(base.high) + tuple(bound)
-        )
-
-    def _state_part(self, check: CheckResult, box: Box) -> np.ndarray:
-        """Project a (possibly lifted) counterexample back to state coordinates."""
-        n = self.sketch.state_dim
-        if check.counterexample is not None:
-            return np.asarray(check.counterexample, dtype=float)[:n]
-        return np.asarray(box.center, dtype=float)
-
-    @staticmethod
-    def _fallback_point(check: CheckResult, box: Box) -> np.ndarray:
-        if check.counterexample is not None:
-            return np.asarray(check.counterexample, dtype=float)
-        return box.center
 
 
 def scaled_lp_rows(

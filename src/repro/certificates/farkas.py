@@ -22,12 +22,9 @@ Soundness is *checked*, not assumed: after solving the LP the residual
 ``p + Σ λ_α g^α`` is bounded over the box with interval arithmetic, and the
 proof is only accepted when that sound bound is below the numeric tolerance.
 
-The module serves two purposes in the reproduction:
-
-* an alternative decision procedure to the branch-and-bound verifier of
-  :mod:`repro.certificates.smt` (ablated in ``benchmarks/test_backends.py``);
-* :func:`verify_invariant_conditions`, an independent end-to-end re-check of a
-  synthesized invariant against the paper's three verification conditions.
+:class:`FarkasVerifier` is an alternative decision procedure to the
+branch-and-bound verifier of :mod:`repro.certificates.smt`: the ``farkas``
+backend and ``audit --engine farkas`` discharge conditions (8) and (9) with it.
 """
 
 from __future__ import annotations

@@ -204,6 +204,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .certificates import audit_shield
     from .lang import load_artifact
+    from .store import branch_regions
 
     artifact = load_artifact(args.artifact)
     env_name = args.env or artifact.environment
@@ -211,15 +212,27 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print("error: the artifact does not record an environment; pass --env", file=sys.stderr)
         return 2
     env = _load_environment(env_name, args.overrides)
-    reports = audit_shield(env, artifact.program, engine=args.engine, max_boxes=args.max_boxes)
-    all_ok = True
+    reports = audit_shield(
+        env,
+        artifact.program,
+        engine=args.engine,
+        max_boxes=args.max_boxes,
+        regions=branch_regions(artifact),
+    )
+    return _print_audit(reports, "audit result")
+
+
+def _print_audit(reports, label: str) -> int:
+    """Print each branch's audit, then PASS, FAIL (some branch refuted) or
+    INCONCLUSIVE after ``label``; return the exit code."""
     for index, report in enumerate(reports):
         print(f"branch {index}: {report.summary()}")
         for detail in report.details:
             print(f"    {detail}")
-        all_ok = all_ok and report.unsafe_positive and report.inductive
-    print("audit result:", "PASS" if all_ok else "FAIL")
-    return 0 if all_ok else 1
+    statuses = {report.status for report in reports}
+    status = next((s for s in ("FAIL", "INCONCLUSIVE") if s in statuses), "PASS")
+    print(f"{label}:", status)
+    return 0 if status == "PASS" else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -331,13 +344,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 return 1 if corrupt else 0
             service = SynthesisService(store=store)
             env = _load_environment(args.env, args.overrides) if args.env else None
-            all_ok, reports = service.reverify(
+            _all_ok, reports = service.reverify(
                 args.key, env=env, engine=args.engine, max_boxes=args.max_boxes
             )
-            for index, report in enumerate(reports):
-                print(f"branch {index}: {report.summary()}")
-            print("re-verification:", "PASS" if all_ok else "FAIL")
-            return 0 if all_ok else 1
+            return _print_audit(reports, "re-verification")
 
         if args.store_command == "rm":
             key = store.delete(args.key)

@@ -702,12 +702,15 @@ def _check_backends(payload: Dict[str, Any]) -> Optional[str]:
                 f"backend {backend.name} reported SAFE but branch-and-bound "
                 f"refutes safe-positivity: {report.details}"
             )
-        if not report.inductive and report.counterexample is not None and not any(
-            "inconclusive" in detail for detail in report.details
-        ):
+        refutations = [
+            verdict.counterexample
+            for verdict in report.failures
+            if verdict.obligation.kind == "induction" and verdict.refuted
+        ]
+        if refutations:
             return (
                 f"backend {backend.name} reported SAFE but branch-and-bound "
-                f"found an induction counterexample: {report.counterexample}"
+                f"found an induction counterexample: {refutations[0]}"
             )
     return None
 

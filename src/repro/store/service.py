@@ -253,6 +253,7 @@ class SynthesisService:
     ):
         """Re-check a stored shield against conditions (8)-(10), no synthesis.
 
+        Each branch's condition (9) is checked on its recorded region.
         Returns ``(all_ok, reports)``; the environment is reconstructed from
         the artifact's recorded registry name unless one is supplied.
         """
@@ -266,9 +267,14 @@ class SynthesisService:
                     f"stored shield {key[:12]} does not record an environment name"
                 )
             env = make_environment(artifact.environment, **artifact.environment_overrides)
-        reports = audit_shield(env, artifact.program, engine=engine, max_boxes=max_boxes)
-        all_ok = all(report.unsafe_positive and report.inductive for report in reports)
-        return all_ok, reports
+        reports = audit_shield(
+            env,
+            artifact.program,
+            engine=engine,
+            max_boxes=max_boxes,
+            regions=branch_regions(artifact),
+        )
+        return all(report.all_hold for report in reports), reports
 
     # ------------------------------------------------------------- internals
     def _artifact_for(

@@ -7,10 +7,20 @@ import pytest
 
 from repro import make_environment, verify_program
 from repro.baselines import make_lqr_policy
-from repro.certificates import audit_invariant, audit_shield
+from repro.certificates import (
+    BarrierCertificateSynthesizer,
+    SafetyProblem,
+    audit_invariant,
+    audit_shield,
+)
+from repro.cli import main
 from repro.core import VerificationConfig
-from repro.lang import AffineProgram, GuardedProgram, Invariant
+from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantSketch
 from repro.polynomials import Polynomial
+from repro.store import ShieldStore, branch_regions
+
+CORPUS_STORE = "tests/data/counterexamples/store"
+PENDULUM_FIXTURE = "perfbench/fixtures/pendulum"
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +58,10 @@ class TestAuditInvariant:
         self, satellite, satellite_program, satellite_outcome
     ):
         # The Farkas engine discharges conditions (8) and (9) with Handelman
-        # certificates (it may be incomplete at a fixed degree but must never be
-        # unsound); condition (10) always goes through branch-and-bound.
+        # certificates (it may be incomplete but must never be unsound);
+        # condition (10) always goes through branch-and-bound.
         report = audit_invariant(
-            satellite,
-            satellite_program,
-            satellite_outcome.invariant,
-            engine="farkas",
-            farkas_degree=2,
+            satellite, satellite_program, satellite_outcome.invariant, engine="farkas"
         )
         assert report.engine == "farkas"
         assert report.inductive
@@ -98,6 +104,45 @@ class TestAuditInvariant:
             satellite, unstable, satellite_outcome.invariant, max_boxes=20_000
         )
         assert not report.inductive
+        assert "FAIL" in report.summary()
+        # The audit and the barrier search discharge one obligation list: the
+        # first failing condition and its witness are the same.
+        problem = SafetyProblem.from_env(satellite, unstable)
+        search = BarrierCertificateSynthesizer(
+            InvariantSketch(state_dim=satellite.state_dim, degree=2),
+            problem,
+            verifier=problem.verifier(20_000),
+        )
+        kind, witness = search._sound_check(satellite_outcome.invariant)
+        assert report.failures[0].obligation.kind == kind == "induction"
+        assert np.array_equal(report.counterexample, witness)
+
+    def test_audit_models_the_disturbance(self, satellite, satellite_program):
+        # A barrier certificate found without a disturbance is not inductive
+        # once a disturbance 10x the domain's widest side acts on every step.
+        blind = verify_program(
+            satellite, satellite_program, config=VerificationConfig(backend="barrier")
+        )
+        assert blind.verified
+        assert audit_invariant(satellite, satellite_program, blind.invariant).all_hold
+        bound = 10.0 * float(np.max(satellite.domain.widths))
+        disturbed = make_environment("satellite", disturbance_bound=[bound, bound])
+        report = audit_invariant(disturbed, satellite_program, blind.invariant)
+        assert report.inductive is False
+        assert report.counterexample is not None
+        assert report.counterexample.shape == (satellite.state_dim,)
+
+    def test_exhausted_budget_is_inconclusive(
+        self, satellite, satellite_program, satellite_outcome
+    ):
+        report = audit_invariant(
+            satellite, satellite_program, satellite_outcome.invariant, max_boxes=1
+        )
+        assert not report.all_hold
+        assert not report.refuted
+        assert report.status == "INCONCLUSIVE"
+        assert "INCONCLUSIVE" in report.summary()
+        assert any("inconclusive" in detail for detail in report.details)
 
     def test_nonlinear_environment_audit_rejects_unsafe_invariant(self):
         # Pendulum (polynomial dynamics): an invariant that spills past the safe
@@ -121,3 +166,34 @@ class TestAuditShield:
         reports = audit_shield(satellite, guarded)
         assert len(reports) == 1
         assert reports[0].all_hold
+
+    def test_condition_9_is_checked_on_each_branch_region(self):
+        # CEGIS proves each branch of the 6-branch pendulum fixture shield on
+        # its own region only; against the whole S0 no branch holds (9).
+        store = ShieldStore(PENDULUM_FIXTURE)
+        artifact = store.get(store.list()[0].key)
+        env = make_environment(artifact.environment, **artifact.environment_overrides)
+        regions = branch_regions(artifact)
+        assert len(regions) == len(artifact.program.branches) == 6
+        per_region = audit_shield(env, artifact.program, max_boxes=20_000, regions=regions)
+        assert all(report.init_nonpositive for report in per_region)
+        on_s0 = audit_shield(env, artifact.program, max_boxes=20_000)
+        assert not any(report.init_nonpositive for report in on_s0)
+
+
+class TestAuditCommand:
+    def test_farkas_audit_of_corpus_shield_passes(self, tmp_path, capsys):
+        exported = tmp_path / "satellite.json"
+        export = ["store", "--store", CORPUS_STORE, "export", "667f7003890c", str(exported)]
+        assert main(export) == 0
+        assert main(["audit", str(exported), "--engine", "farkas"]) == 0
+        output = capsys.readouterr().out
+        assert "(8) unsafe>0: True  (9) init<=0: True  (10) inductive: True" in output
+        assert "audit result: PASS" in output
+
+    def test_budget_exhaustion_reads_inconclusive(self, tmp_path, capsys):
+        exported = tmp_path / "tape.json"
+        export = ["store", "--store", CORPUS_STORE, "export", "86686d78bf37", str(exported)]
+        assert main(export) == 0
+        assert main(["audit", str(exported), "--max-boxes", "2000"]) == 1
+        assert "audit result: INCONCLUSIVE" in capsys.readouterr().out

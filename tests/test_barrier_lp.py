@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 
 import repro.faults
 from repro.baselines import make_lqr_policy
-from repro.certificates import Box, BranchAndBoundVerifier
+from repro.certificates import Box, BranchAndBoundVerifier, SafetyProblem
 from repro.certificates import barrier as barrier_module
 from repro.certificates.barrier import BarrierCertificateSynthesizer, BarrierSynthesisConfig
 from repro.envs import make_environment
@@ -43,8 +43,7 @@ def _synthesizer(
     env = make_environment(name)
     program = AffineProgram(gain=make_lqr_policy(env).gain)
     init = env.init_region
-    return BarrierCertificateSynthesizer(
-        sketch=InvariantSketch(state_dim=env.state_dim, degree=degree),
+    problem = SafetyProblem(
         closed_loop=env.closed_loop_polynomials(program),
         init_box=Box(
             tuple(init_fraction * np.asarray(init.low)),
@@ -53,19 +52,23 @@ def _synthesizer(
         unsafe_boxes=env.unsafe_cover_boxes(),
         safe_box=env.safe_box,
         domain_box=env.domain,
-        config=config,
-        verifier=verifier,
         disturbance_bound=disturbance_bound,
         disturbance_scale=env.dt,
+    )
+    return BarrierCertificateSynthesizer(
+        sketch=InvariantSketch(state_dim=env.state_dim, degree=degree),
+        problem=problem,
+        config=config,
+        verifier=verifier,
     )
 
 
 def _samples(synthesizer, scale=1.0):
     rng = synthesizer._rng
     return [
-        synthesizer.init_box.sample(rng, int(barrier_module.SAMPLES_INIT * scale)),
+        synthesizer.problem.init_box.sample(rng, int(barrier_module.SAMPLES_INIT * scale)),
         synthesizer._sample_unsafe(int(barrier_module.SAMPLES_UNSAFE * scale)),
-        synthesizer.safe_box.sample(rng, int(barrier_module.SAMPLES_INDUCTION * scale)),
+        synthesizer.problem.safe_box.sample(rng, int(barrier_module.SAMPLES_INDUCTION * scale)),
     ]
 
 

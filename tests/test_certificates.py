@@ -14,6 +14,7 @@ from repro.certificates import (
     BranchAndBoundVerifier,
     EmptyRegion,
     QuadraticCertificateSynthesizer,
+    SafetyProblem,
     UnionRegion,
     box_difference,
     closed_loop_matrix,
@@ -315,11 +316,7 @@ class TestBarrierSynthesis:
         monkeypatch.setattr(barrier_module, "SAMPLES_INDUCTION", 300)
         return BarrierCertificateSynthesizer(
             sketch,
-            closed_polys,
-            init,
-            unsafe,
-            safe,
-            domain,
+            SafetyProblem(closed_polys, init, unsafe, safe, domain),
             verifier=BranchAndBoundVerifier(max_boxes=40_000, min_width=0.02),
         )
 
@@ -335,10 +332,10 @@ class TestBarrierSynthesis:
         synthesizer = self._setup(monkeypatch)
         result = synthesizer.search()
         rng = np.random.default_rng(1)
-        init_samples = synthesizer.init_box.sample(rng, 200)
+        init_samples = synthesizer.problem.init_box.sample(rng, 200)
         assert (result.invariant.barrier.evaluate_batch(init_samples) <= 1e-6).all()
         unsafe_samples = np.concatenate(
-            [box.sample(rng, 50) for box in synthesizer.unsafe_boxes], axis=0
+            [box.sample(rng, 50) for box in synthesizer.problem.unsafe_boxes], axis=0
         )
         assert (result.invariant.barrier.evaluate_batch(unsafe_samples) > 0).all()
 
@@ -353,11 +350,7 @@ class TestBarrierSynthesis:
         domain = Box((-2, -2), (2, 2))
         synthesizer = BarrierCertificateSynthesizer(
             sketch,
-            closed_polys,
-            init,
-            box_difference(domain, safe),
-            safe,
-            domain,
+            SafetyProblem(closed_polys, init, box_difference(domain, safe), safe, domain),
             config=BarrierSynthesisConfig(max_refinements=3),
             verifier=BranchAndBoundVerifier(max_boxes=10_000, min_width=0.05),
         )
@@ -373,11 +366,16 @@ class TestBarrierSynthesis:
         def make():
             return BarrierCertificateSynthesizer(
                 InvariantSketch(state_dim=2, degree=2),
-                [Polynomial.affine([1.05, 0.0], 0.0, 2), Polynomial.affine([0.0, 1.05], 0.0, 2)],
-                Box((-0.5, -0.5), (0.5, 0.5)),
-                box_difference(Box((-2, -2), (2, 2)), Box((-1, -1), (1, 1))),
-                Box((-1, -1), (1, 1)),
-                Box((-2, -2), (2, 2)),
+                SafetyProblem(
+                    [
+                        Polynomial.affine([1.05, 0.0], 0.0, 2),
+                        Polynomial.affine([0.0, 1.05], 0.0, 2),
+                    ],
+                    Box((-0.5, -0.5), (0.5, 0.5)),
+                    box_difference(Box((-2, -2), (2, 2)), Box((-1, -1), (1, 1))),
+                    Box((-1, -1), (1, 1)),
+                    Box((-2, -2), (2, 2)),
+                ),
                 config=BarrierSynthesisConfig(max_refinements=5),
                 verifier=BranchAndBoundVerifier(max_boxes=10_000, min_width=0.05),
                 on_counterexample=lambda kind, point: seen.append((kind, point)),

@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.certificates import backend as backend_module
+from repro.certificates import conditions as conditions_module
 from repro.certificates import barrier as barrier_module
 from repro.certificates.barrier import BarrierSynthesisConfig
 from repro.core import distance as distance_module
@@ -70,7 +70,7 @@ CONSTANTS = [
         True,
     ),
     (DistanceConfig, "unsafe_penalty", distance_module, "UNSAFE_PENALTY", 1000.0),
-    (VerificationConfig, "verifier_tolerance", backend_module, "VERIFIER_TOLERANCE", 1e-6),
+    (VerificationConfig, "verifier_tolerance", conditions_module, "VERIFIER_TOLERANCE", 1e-6),
     (BarrierSynthesisConfig, "samples_init", barrier_module, "SAMPLES_INIT", 300),
     (BarrierSynthesisConfig, "samples_unsafe", barrier_module, "SAMPLES_UNSAFE", 300),
     (BarrierSynthesisConfig, "samples_induction", barrier_module, "SAMPLES_INDUCTION", 600),

@@ -12,6 +12,7 @@ from repro.certificates import (
     BarrierCertificateSynthesizer,
     Box,
     BranchAndBoundVerifier,
+    SafetyProblem,
     available_backends,
     backend_names,
 )
@@ -141,16 +142,16 @@ class TestVerificationConfig:
     def test_barrier_leaf_width_is_a_two_hundredth_of_the_widest_side(self, monkeypatch):
         """The branch-and-bound verifier of the barrier backend stops splitting
         boxes narrower than 1/200 of the domain's widest side."""
-        import repro.certificates.backend as backend_module
+        import repro.certificates.conditions as conditions_module
 
         built = []
-        real = backend_module.BranchAndBoundVerifier
+        real = conditions_module.BranchAndBoundVerifier
 
         def recording(**kwargs):
             built.append(kwargs)
             return real(**kwargs)
 
-        monkeypatch.setattr(backend_module, "BranchAndBoundVerifier", recording)
+        monkeypatch.setattr(conditions_module, "BranchAndBoundVerifier", recording)
         env = make_environment("duffing")
         program = AffineProgram(gain=np.array([[-1.0, -1.5]]))
         verify_program(
@@ -158,7 +159,7 @@ class TestVerificationConfig:
         )
         assert built
         assert built[0]["min_width"] == float(np.max(env.domain.widths)) / 200.0
-        assert built[0]["tolerance"] == backend_module.VERIFIER_TOLERANCE
+        assert built[0]["tolerance"] == conditions_module.VERIFIER_TOLERANCE
         assert built[0]["max_boxes"] == VerificationConfig().verifier_max_boxes
 
 
@@ -188,24 +189,24 @@ class TestDisturbanceAwareBarrier:
             min_width=float(np.max(env.domain.widths)) / 200.0,
         )
         common = dict(
-            sketch=sketch,
             closed_loop=closed,
             init_box=env.init_region,
             unsafe_boxes=env.unsafe_cover_boxes(),
             safe_box=env.safe_box,
             domain_box=env.domain,
-            verifier=verifier,
         )
-        blind = BarrierCertificateSynthesizer(**common).search()
+        blind = BarrierCertificateSynthesizer(
+            sketch, SafetyProblem(**common), verifier=verifier
+        ).search()
         assert blind.verified  # the old, disturbance-blind verdict
 
         from repro.certificates import BarrierSynthesisConfig
 
         aware = BarrierCertificateSynthesizer(
-            **common,
+            sketch,
+            SafetyProblem(**common, disturbance_bound=[0.4, 0.4], disturbance_scale=env.dt),
             config=BarrierSynthesisConfig(max_refinements=2),
-            disturbance_bound=[0.4, 0.4],
-            disturbance_scale=env.dt,
+            verifier=verifier,
         )
         # The blind certificate is not inductive once the worst-case
         # disturbance of condition (10) is modelled...
