@@ -27,6 +27,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.analysis import lint_store
 from repro.baselines import make_lqr_policy
@@ -103,7 +104,7 @@ def measure_prefilter() -> tuple:
 
 
 def write_artifact(rows: dict) -> None:
-    ARTIFACT.write_text(json.dumps(rows, indent=2) + "\n")
+    ARTIFACT.write_text(json.dumps({"host": host_metadata(), **rows}, indent=2) + "\n")
 
 
 def test_analysis_speed_artifact():

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.compile import kernel_cache_stats
 from repro.core import Shield
@@ -103,7 +104,11 @@ def measure_compile_speedup(env_name: str, episodes: int = EPISODES, steps: int 
 
 
 def write_artifact(rows) -> None:
-    payload = {"campaigns": list(rows), "kernel_cache": kernel_cache_stats()}
+    payload = {
+        "host": host_metadata(),
+        "campaigns": list(rows),
+        "kernel_cache": kernel_cache_stats(),
+    }
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -32,6 +32,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.core import Shield
 from repro.envs import make_environment
@@ -142,7 +143,7 @@ def measure_recovery() -> dict:
     env = make_environment(ENV_NAME)
     return {
         "env": ENV_NAME,
-        "cpus": os.cpu_count() or 1,
+        "host": host_metadata(),
         "single_crash": _single_crash_row(env),
         "scenarios": [_scenario_row(name) for name in SCENARIOS],
     }

@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.core import Shield
 from repro.envs import make_environment
@@ -106,7 +107,8 @@ def measure_monitoring_speedup(env_name: str, episodes: int = EPISODES, steps: i
 
 
 def write_artifact(rows) -> None:
-    ARTIFACT.write_text(json.dumps({"campaigns": list(rows)}, indent=2) + "\n")
+    payload = {"host": host_metadata(), "campaigns": list(rows)}
+    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def test_batched_monitoring_speedup_artifact():

@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.core import Shield
 from repro.envs import make_environment
@@ -87,7 +88,8 @@ def measure_campaign_speedup(env_name: str, episodes: int = EPISODES, steps: int
 
 
 def write_artifact(rows) -> None:
-    ARTIFACT.write_text(json.dumps({"campaigns": list(rows)}, indent=2) + "\n")
+    payload = {"host": host_metadata(), "campaigns": list(rows)}
+    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def test_batched_campaign_speedup_artifact():

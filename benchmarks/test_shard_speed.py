@@ -11,7 +11,7 @@ checked, with very different strictness:
   contract and holds on any machine.
 * **Throughput scales** — ≥1.7x at 2 workers and ≥3x at 8 on the shielded
   campaign.  Speedup is only asserted when the machine actually exposes that
-  many cores (``os.sched_getaffinity``); a 1-core CI runner still produces the
+  many cores (the ``host`` header's ``cpus``); a 1-core CI runner still produces the
   artifact and the identity assertions, but cannot meaningfully gate scaling.
 
 Row sizes and worker counts are overridable for CI smoke runs:
@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from hostinfo import host_metadata
 
 from repro.core import Shield
 from repro.envs import make_disturbance, make_environment
@@ -50,13 +51,6 @@ SEED = 0
 
 #: Scaling bars, gated on the machine actually exposing that many cores.
 MIN_SPEEDUP = {2: 1.7, 4: 2.2, 8: 3.0}
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _make_shield(env, seed: int = 0) -> Shield:
@@ -148,7 +142,7 @@ def measure_scaling() -> dict:
         "env": ENV_NAME,
         "episodes": EPISODES,
         "steps": STEPS,
-        "cpus": _available_cpus(),
+        "host": host_metadata(),
         "shielded": shielded,
         "monitored": monitored,
     }
@@ -159,7 +153,7 @@ def write_artifact(payload: dict) -> None:
 
 
 def _check(payload: dict) -> None:
-    cpus = payload["cpus"]
+    cpus = payload["host"]["cpus"]
     for section in ("shielded", "monitored"):
         rows = payload[section]
         reference = rows[0]

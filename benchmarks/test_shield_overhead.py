@@ -1,25 +1,14 @@
-"""Ablation: per-decision cost of the paper's shield vs. alternative safety mechanisms.
+"""Ablation: per-decision cost of the paper's shield against the bare network.
 
 Table 1's "Overhead" column reports the relative cost of running the shielded
 network instead of the bare network.  These micro-benchmarks break that down to
-per-decision latency and put it next to the alternatives discussed in §5/§6:
-
-* the bare neural policy,
-* the paper's shield (invariant membership check + one-step model prediction),
-* a receding-horizon MPC controller (optimisation per decision), and
-* the finite-abstraction shield (grid lookup per decision, after an expensive
-  offline construction whose safe set collapses on this benchmark).
+per-decision latency of the bare neural policy, the paper's shield (invariant
+membership check + one-step model prediction) and the program alone.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FiniteAbstractionConfig,
-    FiniteAbstractionShield,
-    MPCConfig,
-    MPCController,
-)
 from repro.core import Shield
 from repro.envs import make_environment
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
@@ -68,31 +57,6 @@ def test_shielded_decision_latency(benchmark, shield):
 def test_programmatic_decision_latency(benchmark, shield):
     program = shield.program
     benchmark(lambda: [program.act(state) for state in _STATES])
-
-
-def test_mpc_decision_latency(benchmark, pendulum):
-    controller = MPCController(pendulum, MPCConfig(horizon=8, max_optimizer_iterations=15))
-    benchmark.pedantic(
-        lambda: [controller.act(state) for state in _STATES], rounds=3, iterations=1
-    )
-
-
-def test_finite_abstraction_construction_and_latency(benchmark, pendulum, oracle):
-    """Offline construction dominates; the per-decision lookup itself is cheap."""
-
-    def build_and_query():
-        abstraction = FiniteAbstractionShield(
-            pendulum, FiniteAbstractionConfig(cells_per_dim=9, actions_per_dim=5)
-        )
-        policy = abstraction.shield_policy(oracle)
-        for state in _STATES:
-            policy(state)
-        return abstraction
-
-    abstraction = benchmark.pedantic(build_and_query, rounds=1, iterations=1)
-    # The §6 point: at this (already coarse) resolution the certified safe set is
-    # essentially empty for the continuous pendulum.
-    assert abstraction.safe_cell_fraction < 0.05
 
 
 def test_shield_overhead_relative_to_bare_network(benchmark, pendulum, oracle, shield):

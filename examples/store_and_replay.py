@@ -8,8 +8,8 @@ This example runs the full service-layer loop on the satellite benchmark:
    :class:`~repro.store.ShieldStore`;
 2. ask the service for the *same* shield again — a store hit that skips
    CEGIS entirely and deserializes in milliseconds;
-3. re-verify the stored shield against the paper's conditions (8)-(10)
-   without re-running synthesis (what ``repro store verify <key>`` does);
+3. re-check the stored shield against the paper's conditions (8)-(10)
+   without re-running synthesis (what ``repro audit <key> --store DIR`` does);
 4. demonstrate the replay cache: record a trajectory witness from a
    destabilizing candidate and watch it refute the next candidate by a
    single batched rollout instead of a certificate search.
@@ -24,6 +24,7 @@ import tempfile
 import numpy as np
 
 from repro.baselines import make_lqr_policy
+from repro.certificates import audit_shield
 from repro.core import (
     CEGISConfig,
     CounterexampleCache,
@@ -33,7 +34,7 @@ from repro.core import (
 )
 from repro.envs import make_environment
 from repro.lang import AffineProgram
-from repro.store import ShieldStore, SynthesisService
+from repro.store import ShieldStore, SynthesisService, branch_regions, resolve_shield
 
 
 def main() -> int:
@@ -65,8 +66,12 @@ def main() -> int:
         f" (no CEGIS ran)"
     )
 
-    # -- 3. re-verify the stored shield, no synthesis ----------------------
-    all_ok, reports = service.reverify(first.key)
+    # -- 3. re-check the stored shield, no synthesis -----------------------
+    stored = resolve_shield(first.key, store)
+    reports = audit_shield(
+        stored.env, stored.artifact.program, regions=branch_regions(stored.artifact)
+    )
+    all_ok = all(report.all_hold for report in reports)
     print(f"re-verified  {'PASS' if all_ok else 'FAIL'} ({len(reports)} branch(es))")
 
     # -- 4. the replay cache in isolation ----------------------------------

@@ -1,22 +1,9 @@
 """Baseline controllers the paper compares against.
 
 * LQR synthesis (§6: LQR-tree discussion) — also the behaviour-cloning teacher;
-* direct linear RL (§5, via :mod:`repro.rl.random_search`);
-* a short-horizon MPC controller (optimisation-based alternative);
-* a finite-abstraction shield (the Alshiekh et al. 2018 style discrete shield).
+* direct linear RL (§5, via :mod:`repro.rl.random_search`).
 """
 
-from .finite_shield import FiniteAbstractionConfig, FiniteAbstractionShield
 from .lqr import LQRResult, linearize, lqr_gain, make_lqr_policy
-from .mpc import MPCConfig, MPCController
 
-__all__ = [
-    "LQRResult",
-    "lqr_gain",
-    "linearize",
-    "make_lqr_policy",
-    "MPCConfig",
-    "MPCController",
-    "FiniteAbstractionConfig",
-    "FiniteAbstractionShield",
-]
+__all__ = ["LQRResult", "lqr_gain", "linearize", "make_lqr_policy"]

@@ -11,15 +11,16 @@ any Python:
                     synthesized program, and optionally persist the shield to
                     the artifact store or a JSON file;
 * ``evaluate``    — load a saved artifact and run a shielded evaluation campaign;
-* ``audit``       — re-check a saved artifact against verification conditions (8)-(10);
+* ``audit``       — re-check a saved shield (an artifact file, or a store key)
+  against verification conditions (8)-(10);
 * ``verify``      — re-verify a stored shield through the verification kernel
   with a chosen certificate backend (or the auto sequence),
   printing per-branch backend provenance, margins, wall-clock, and
   verdict-cache hits;
 * ``store``       — manage the persistent shield store: ``list``, ``show``,
-  ``export``, ``verify`` (re-check a stored shield without re-synthesizing),
-  and ``rm``.  The store root comes from ``--store``, the ``REPRO_STORE``
-  environment variable, or ``./.repro_store``;
+  ``export``, ``verify`` (integrity-check every stored object), and ``rm``.
+  The store root comes from ``--store``, the ``REPRO_STORE`` environment
+  variable, or ``./.repro_store``;
 * ``lint``        — run the abstract-interpretation analyzer over stored
   shields (a key prefix, one benchmark's shields, or the whole store) and
   print coded diagnostics ``A001``–``A007``; exit 1 on errors (``--strict``:
@@ -41,6 +42,9 @@ any Python:
 * ``chaos``       — run named fault-injection scenarios (worker crash storms,
   hung workers, flaky IO, store corruption, SIGKILL + resume) against the
   execution substrate and verify the recovered results are bit-identical.
+
+Bad input (a missing or malformed artifact, an unknown store key or
+benchmark, malformed ``--overrides``) prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -57,17 +61,88 @@ __all__ = ["build_parser", "main"]
 
 
 # --------------------------------------------------------------------------- helpers
-def _load_environment(name: str, overrides: Optional[str]):
-    from .envs import make_environment
+def _overrides(text: Optional[str]) -> Optional[dict]:
+    """Parse ``--overrides``: a JSON object, or ``None`` when the flag is absent."""
+    from .store.service import InputError
 
-    kwargs = json.loads(overrides) if overrides else {}
-    return make_environment(name, **kwargs)
+    if not text:
+        return None
+    try:
+        overrides = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise InputError(f"--overrides is not valid JSON: {error}") from None
+    if not isinstance(overrides, dict):
+        raise InputError(f"--overrides must be a JSON object, not {text!r}")
+    return overrides
 
 
-def _experiment_scale(name: str):
-    from .experiments import ExperimentScale
+def _resolve(source: str, args: argparse.Namespace, store=None):
+    """Open ``source`` (an artifact file, or a key in ``store``) on its environment."""
+    from .store import resolve_shield
 
-    return getattr(ExperimentScale, name)()
+    return resolve_shield(source, store, args.env, _overrides(args.overrides))
+
+
+def _obtain_shield(args, verbose=False, degree=None, workers=1, extra_metadata=None):
+    """Train an oracle for ``args.env`` and obtain its shield (steps 1 and 2).
+
+    The one oracle→shield path of ``synthesize`` (``verbose``: four steps,
+    with training and CEGIS details) and of ``run``, ``monitor`` and
+    ``adapt`` (three steps).  The synthesis service reloads the shield from
+    ``args.store`` on a hit and synthesizes and persists it otherwise.
+    """
+    from .core import CEGISConfig, SynthesisConfig, VerificationConfig
+    from .core.distance import DistanceConfig
+    from .envs import BENCHMARKS
+    from .rl import train_oracle
+    from .store.service import SynthesisService, load_environment
+
+    overrides = _overrides(args.overrides)
+    env = load_environment(args.env, overrides)
+    spec = BENCHMARKS[args.env]
+    steps = 4 if verbose else 3
+    print(f"[1/{steps}] training neural oracle ({args.oracle}) for {args.env} ...")
+    trained = train_oracle(env, method=args.oracle, seed=args.seed)
+    if verbose:
+        print(f"      trained in {trained.training_seconds:.1f}s ({trained.network_size})")
+        print("[2/4] synthesizing and verifying a deterministic program (CEGIS) ...")
+    else:
+        print("[2/3] obtaining a verified shield (store lookup, CEGIS on miss) ...")
+    config = CEGISConfig(
+        max_counterexamples=args.max_counterexamples,
+        synthesis=SynthesisConfig(
+            iterations=args.synthesis_iterations, distance=DistanceConfig(), seed=args.seed
+        ),
+        verification=VerificationConfig(
+            backend=spec.certificate_backend,
+            invariant_degree=spec.invariant_degree if degree is None else degree,
+        ),
+        seed=args.seed,
+        workers=workers,
+    )
+    service = SynthesisService(store=args.store, workers=workers)
+    result = service.synthesize(
+        env,
+        trained.policy,
+        config=config,
+        environment=args.env,
+        environment_overrides=overrides,
+        extra_metadata=extra_metadata,
+    )
+    if not verbose:
+        origin = "reloaded from store" if result.from_store else "synthesized"
+        print(f"      {origin}: {result.program_size} branch(es)")
+    elif result.from_store:
+        print(f"      reloaded stored shield {result.key[:12]} (no synthesis needed)")
+    else:
+        cegis = result.cegis
+        print(
+            f"      {result.program_size} branch(es) in {result.synthesis_seconds:.1f}s"
+            f" (workers={cegis.workers}, replay hits/misses={cegis.cache_hits}/{cegis.cache_misses})"
+        )
+        if result.key:
+            print(f"      stored as {result.key[:12]} in {service.store.root}")
+    return env, trained.policy, result, service, config, overrides
 
 
 # -------------------------------------------------------------------------- commands
@@ -95,7 +170,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    env = _load_environment(args.env, args.overrides)
+    from .store.service import load_environment
+
+    env = load_environment(args.env, _overrides(args.overrides))
     print(env.describe())
     print(f"  dt                = {env.dt}")
     print(f"  action bounds     = [{env.action_low}, {env.action_high}]")
@@ -106,55 +183,16 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    from .core import CEGISConfig, SynthesisConfig, VerificationConfig
-    from .core.distance import DistanceConfig
-    from .envs import get_benchmark
     from .lang import save_artifact
-    from .rl import train_oracle
     from .runtime import EvaluationProtocol, compare_shielded
-    from .store import SynthesisService
 
-    spec = get_benchmark(args.env)
-    env = _load_environment(args.env, args.overrides)
-    print(f"[1/4] training neural oracle ({args.oracle}) for {args.env} ...")
-    oracle_result = train_oracle(env, method=args.oracle, seed=args.seed)
-    oracle = oracle_result.policy
-    print(f"      trained in {oracle_result.training_seconds:.1f}s ({oracle_result.network_size})")
-
-    degree = args.degree if args.degree is not None else spec.invariant_degree
-    config = CEGISConfig(
-        max_counterexamples=args.max_counterexamples,
-        synthesis=SynthesisConfig(
-            iterations=args.synthesis_iterations,
-            distance=DistanceConfig(),
-            seed=args.seed,
-        ),
-        verification=VerificationConfig(
-            backend=spec.certificate_backend, invariant_degree=degree
-        ),
-        seed=args.seed,
+    env, oracle, result, *_ = _obtain_shield(
+        args,
+        verbose=True,
+        degree=args.degree,
         workers=args.workers,
-    )
-    service = SynthesisService(store=args.store, workers=args.workers)
-    print("[2/4] synthesizing and verifying a deterministic program (CEGIS) ...")
-    result = service.synthesize(
-        env,
-        oracle,
-        config=config,
-        environment=args.env,
-        environment_overrides=json.loads(args.overrides) if args.overrides else None,
         extra_metadata={"oracle": args.oracle},
     )
-    if result.from_store:
-        print(f"      reloaded stored shield {result.key[:12]} (no synthesis needed)")
-    else:
-        cegis = result.cegis
-        print(
-            f"      {result.program_size} branch(es) in {result.synthesis_seconds:.1f}s"
-            f" (workers={cegis.workers}, replay hits/misses={cegis.cache_hits}/{cegis.cache_misses})"
-        )
-        if result.key:
-            print(f"      stored as {result.key[:12]} in {service.store.root}")
     print("[3/4] synthesized program:")
     print(result.program.pretty(env.state_names))
 
@@ -176,21 +214,16 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from .lang import load_artifact
     from .rl import train_oracle
     from .runtime import EvaluationProtocol, compare_shielded
 
-    artifact = load_artifact(args.artifact)
-    env_name = args.env or artifact.environment
-    if not env_name:
-        print("error: the artifact does not record an environment; pass --env", file=sys.stderr)
-        return 2
-    env = _load_environment(env_name, args.overrides)
-    print(f"loaded artifact for {env_name!r} ({len(artifact.invariant)} invariant branch(es))")
+    shield = _resolve(args.artifact, args)
+    env = shield.env
+    branches = len(shield.artifact.invariant)
+    print(f"loaded artifact for {shield.environment!r} ({branches} invariant branch(es))")
     oracle = train_oracle(env, method=args.oracle, seed=args.seed).policy
-    shield = artifact.build_shield(env, oracle)
     protocol = EvaluationProtocol(episodes=args.episodes, steps=args.steps, seed=args.seed)
-    comparison = compare_shielded(env, oracle, shield, protocol)
+    comparison = compare_shielded(env, oracle, shield.artifact.build_shield(env, oracle), protocol)
     summary = {
         "neural": comparison.neural.summary(),
         "shielded": comparison.shielded.summary(),
@@ -202,72 +235,62 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    """Print each branch's audit, then PASS, FAIL (some branch refuted) or
+    INCONCLUSIVE; exit 0 only on PASS."""
     from .certificates import audit_shield
-    from .lang import load_artifact
-    from .store import branch_regions
+    from .store import ShieldStore, branch_regions
 
-    artifact = load_artifact(args.artifact)
-    env_name = args.env or artifact.environment
-    if not env_name:
-        print("error: the artifact does not record an environment; pass --env", file=sys.stderr)
-        return 2
-    env = _load_environment(env_name, args.overrides)
+    shield = _resolve(args.artifact, args, ShieldStore(args.store))
     reports = audit_shield(
-        env,
-        artifact.program,
+        shield.env,
+        shield.artifact.program,
         engine=args.engine,
         max_boxes=args.max_boxes,
-        regions=branch_regions(artifact),
+        regions=branch_regions(shield.artifact),
     )
-    return _print_audit(reports, "audit result")
-
-
-def _print_audit(reports, label: str) -> int:
-    """Print each branch's audit, then PASS, FAIL (some branch refuted) or
-    INCONCLUSIVE after ``label``; return the exit code."""
     for index, report in enumerate(reports):
         print(f"branch {index}: {report.summary()}")
         for detail in report.details:
             print(f"    {detail}")
     statuses = {report.status for report in reports}
     status = next((s for s in ("FAIL", "INCONCLUSIVE") if s in statuses), "PASS")
-    print(f"{label}:", status)
+    print("audit result:", status)
     return 0 if status == "PASS" else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .certificates.backend import get_backend
     from .core import VerificationConfig
     from .envs import BENCHMARKS
-    from .store import ShieldStore, StoreError, SynthesisService
+    from .store import ShieldStore
+    from .store.service import InputError, SynthesisService
 
     # ShieldStore resolves a missing --store to $REPRO_STORE / ./.repro_store;
     # SynthesisService(store=None) would mean "no store at all".
     service = SynthesisService(
         store=ShieldStore(args.store), use_verdict_cache=not args.no_cache
     )
-    env = _load_environment(args.env, args.overrides) if args.env else None
+    shield = _resolve(args.key, args, service.store)
+    # Same rule as `repro synthesize`: the benchmark's own degree bound.
+    degree = args.degree
+    if degree is None:
+        degree = BENCHMARKS[shield.environment].invariant_degree
     try:
-        degree = args.degree
-        if degree is None:
-            # Same rule as `repro synthesize`: the benchmark's own degree bound.
-            name = args.env or service.store.get_entry(args.key).environment
-            spec = BENCHMARKS.get(name)
-            degree = spec.invariant_degree if spec is not None else 2
+        if args.backend != "auto":
+            get_backend(args.backend)
         config = VerificationConfig(
             backend=args.backend,
             invariant_degree=degree,
             backend_time_budget_seconds=args.backend_budget,
         )
-        all_ok, outcomes, artifact = service.verify_stored(
-            args.key, env=env, verification=config, use_cache=not args.no_cache
-        )
-    except (StoreError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    except ValueError as error:
+        raise InputError(str(error)) from None
+    all_ok, outcomes, _artifact = service.verify_stored(
+        shield, verification=config, use_cache=not args.no_cache
+    )
     print(
-        f"shield {service.store.resolve(args.key)[:12]} "
-        f"({artifact.environment or 'unrecorded environment'}, "
-        f"{len(outcomes)} branch(es))"
+        f"shield {shield.key[:12] or args.key} "
+        f"({shield.environment}, {len(outcomes)} branch(es))"
     )
     for index, outcome in enumerate(outcomes):
         status = "VERIFIED" if outcome.verified else "FAILED"
@@ -296,85 +319,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from .experiments import format_table
-    from .store import ShieldStore, StoreError, SynthesisService
+    from .store import ShieldStore
 
     store = ShieldStore(args.store)
-    try:
-        if args.store_command == "list":
-            entries = store.list()
-            if not entries:
-                print(f"(no stored shields under {store.root})")
-                return 0
-            print(format_table([entry.summary() for entry in entries]))
+    if args.store_command == "list":
+        entries = store.list()
+        if not entries:
+            print(f"(no stored shields under {store.root})")
             return 0
+        print(format_table([entry.summary() for entry in entries]))
+        return 0
 
-        if args.store_command == "show":
-            entry = store.get_entry(args.key)
-            artifact = store.get(args.key)
-            print(f"key          {entry.key}")
-            print(f"environment  {entry.environment or '(unrecorded)'}")
-            for field in sorted(entry.metadata):
-                print(f"{field:<12} {entry.metadata[field]}")
-            print("program:")
-            print(artifact.program.pretty())
-            return 0
+    if args.store_command == "show":
+        entry = store.get_entry(args.key)
+        artifact = store.get(args.key)
+        print(f"key          {entry.key}")
+        print(f"environment  {entry.environment or '(unrecorded)'}")
+        for field in sorted(entry.metadata):
+            print(f"{field:<12} {entry.metadata[field]}")
+        print("program:")
+        print(artifact.program.pretty())
+        return 0
 
-        if args.store_command == "export":
-            from .lang import save_artifact
+    if args.store_command == "export":
+        from .lang import save_artifact
 
-            artifact = store.get(args.key)
-            path = save_artifact(artifact, args.output)
-            print(f"exported {store.resolve(args.key)[:12]} to {path}")
-            return 0
+        artifact = store.get(args.key)
+        path = save_artifact(artifact, args.output)
+        print(f"exported {store.resolve(args.key)[:12]} to {path}")
+        return 0
 
-        if args.store_command == "verify":
-            if args.key is None:
-                # Whole-store integrity check (fsck): hash + schema of every
-                # object; --delete-corrupt quarantines failures for post-mortem.
-                ok_keys, corrupt = store.fsck(delete_corrupt=args.delete_corrupt)
-                print(f"checked {len(ok_keys) + len(corrupt)} object(s): {len(ok_keys)} ok")
-                for entry in corrupt:
-                    action = (
-                        f"quarantined to {entry['quarantined']}"
-                        if entry["quarantined"]
-                        else "left in place (pass --delete-corrupt to quarantine)"
-                    )
-                    print(f"CORRUPT {entry['key'][:12]}: {entry['reason']}")
-                    print(f"        {action}")
-                return 1 if corrupt else 0
-            service = SynthesisService(store=store)
-            env = _load_environment(args.env, args.overrides) if args.env else None
-            _all_ok, reports = service.reverify(
-                args.key, env=env, engine=args.engine, max_boxes=args.max_boxes
+    if args.store_command == "verify":
+        # Whole-store integrity check (fsck): hash + schema of every object;
+        # --delete-corrupt quarantines failures for post-mortem.
+        ok_keys, corrupt = store.fsck(delete_corrupt=args.delete_corrupt)
+        print(f"checked {len(ok_keys) + len(corrupt)} object(s): {len(ok_keys)} ok")
+        for entry in corrupt:
+            action = (
+                f"quarantined to {entry['quarantined']}"
+                if entry["quarantined"]
+                else "left in place (pass --delete-corrupt to quarantine)"
             )
-            return _print_audit(reports, "re-verification")
+            print(f"CORRUPT {entry['key'][:12]}: {entry['reason']}")
+            print(f"        {action}")
+        return 1 if corrupt else 0
 
-        if args.store_command == "rm":
-            key = store.delete(args.key)
-            print(f"removed {key[:12]}")
-            return 0
-    except StoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.store_command == "rm":
+        key = store.delete(args.key)
+        print(f"removed {key[:12]}")
+        return 0
     raise ValueError(f"unknown store command {args.store_command!r}")  # pragma: no cover
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import AnalysisConfig, lint_store
-    from .store import ShieldStore, StoreError
+    from .store import ShieldStore
 
     store = ShieldStore(args.store)
     config = AnalysisConfig(coverage_samples=args.coverage_samples)
-    try:
-        results = lint_store(
-            store,
-            keys=args.keys or None,
-            environment=args.env,
-            config=config,
-        )
-    except StoreError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    results = lint_store(store, keys=args.keys or None, environment=args.env, config=config)
 
     if args.json:
         print(json.dumps([report.to_dict() for _entry, report in results], indent=2))
@@ -399,69 +402,31 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if failing else 0
 
 
-def _deployed_shield(args: argparse.Namespace):
-    """Train an oracle and obtain a (store-backed) shield for a registry benchmark.
-
-    Shared front half of the ``monitor`` and ``adapt`` commands: the shield is
-    reloaded from the store when available, synthesized and persisted otherwise.
-    """
-    from .core import CEGISConfig, SynthesisConfig, VerificationConfig
-    from .core.distance import DistanceConfig
-    from .envs import get_benchmark
-    from .rl import train_oracle
-    from .store import SynthesisService
-
-    spec = get_benchmark(args.env)
-    env = _load_environment(args.env, args.overrides)
-    print(f"[1/3] training neural oracle ({args.oracle}) for {args.env} ...")
-    oracle = train_oracle(env, method=args.oracle, seed=args.seed).policy
-    config = CEGISConfig(
-        max_counterexamples=args.max_counterexamples,
-        synthesis=SynthesisConfig(
-            iterations=args.synthesis_iterations, distance=DistanceConfig(), seed=args.seed
-        ),
-        verification=VerificationConfig(
-            backend=spec.certificate_backend, invariant_degree=spec.invariant_degree
-        ),
-        seed=args.seed,
-    )
-    service = SynthesisService(store=args.store)
-    print("[2/3] obtaining a verified shield (store lookup, CEGIS on miss) ...")
-    result = service.synthesize(
-        env,
-        oracle,
-        config=config,
-        environment=args.env,
-        environment_overrides=json.loads(args.overrides) if args.overrides else None,
-    )
-    origin = "reloaded from store" if result.from_store else "synthesized"
-    print(f"      {origin}: {result.program_size} branch(es)")
-    return env, oracle, result, service, config
-
-
 def _fleet_disturbance(args: argparse.Namespace, env):
+    """The disturbance model that stresses the fleet, and its progress label."""
     from .envs import make_disturbance
 
     if args.disturbance == "none":
-        return None
-    return make_disturbance(
+        return None, ""
+    model = make_disturbance(
         args.disturbance,
         env.state_dim,
         magnitude=args.magnitude,
         episodes=args.episodes,
         rng=np.random.default_rng(args.seed + 1),
     )
+    return model, f" under {args.disturbance} disturbance (|d| <= {args.magnitude})"
 
 
 def _fleet_dtype(args: argparse.Namespace):
-    return np.float32 if getattr(args, "float32", False) else None
+    return np.float32 if args.float32 else None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .faults import RetryPolicy
     from .shard import run_sharded_campaign
 
-    env, _oracle, result, _service, _config = _deployed_shield(args)
+    env, _oracle, result, *_ = _obtain_shield(args)
     workers = args.workers if args.workers is not None else 1
     retry = RetryPolicy(
         max_attempts=args.max_attempts, deadline_seconds=args.deadline, seed=args.seed
@@ -486,14 +451,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import SCENARIOS, run_scenario
+    from .store.service import InputError
 
     if args.list_scenarios:
         for name in SCENARIOS:
             print(name)
         return 0
     if not args.scenario:
-        print("error: name a scenario or pass --list", file=sys.stderr)
-        return 2
+        raise InputError("name a scenario or pass --list")
     results = []
     for name in args.scenario:
         print(f"chaos: running {name} (seed {args.seed}) ...", file=sys.stderr)
@@ -513,9 +478,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from .runtime import monitor_fleet
 
-    env, _oracle, result, _service, _config = _deployed_shield(args)
-    model = _fleet_disturbance(args, env)
-    stress = f" under {args.disturbance} disturbance (|d| <= {args.magnitude})" if model else ""
+    env, _oracle, result, *_ = _obtain_shield(args)
+    model, stress = _fleet_disturbance(args, env)
     print(f"[3/3] monitoring a {args.episodes}x{args.steps} fleet{stress} ...")
     report = monitor_fleet(
         result.shield,
@@ -534,9 +498,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_adapt(args: argparse.Namespace) -> int:
     from .runtime import adapt_shield
 
-    env, oracle, result, service, config = _deployed_shield(args)
-    model = _fleet_disturbance(args, env)
-    stress = f" under {args.disturbance} disturbance (|d| <= {args.magnitude})" if model else ""
+    env, oracle, result, service, config, overrides = _obtain_shield(args)
+    model, stress = _fleet_disturbance(args, env)
     print(f"[3/3] monitored adaptation over a {args.episodes}x{args.steps} fleet{stress} ...")
     outcome = adapt_shield(
         result.shield,
@@ -548,7 +511,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         service=service,
         config=config,
         environment=args.env,
-        environment_overrides=json.loads(args.overrides) if args.overrides else None,
+        environment_overrides=overrides,
         confidence_sigmas=args.confidence_sigmas,
         bound_floor=args.bound_floor,
         prior_key=result.key,
@@ -606,6 +569,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import (
+        ExperimentScale,
         format_table,
         run_fig3,
         run_fig6,
@@ -615,14 +579,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         run_table3,
     )
 
-    scale = _experiment_scale(args.scale)
-    scale.workers = getattr(args, "workers", None)
-    store = getattr(args, "store", None)
-    sweep_kwargs = {
-        "store": store,
-        "journal": getattr(args, "journal", None),
-        "resume": getattr(args, "resume", False),
-        "timing": not getattr(args, "no_timing", False),
+    scale = getattr(ExperimentScale, args.scale)()
+    scale.workers = args.workers
+    if args.experiment in ("fig3", "fig6"):
+        run_figure = run_fig3 if args.experiment == "fig3" else run_fig6
+        print(json.dumps(_jsonable(run_figure(scale=scale)), indent=2))
+        return 0
+    sweep = {
+        "store": args.store,
+        "journal": args.journal,
+        "resume": args.resume,
+        "timing": not args.no_timing,
     }
     if args.experiment == "robustness":
         rows = run_robustness(
@@ -630,24 +597,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             kinds=args.kinds or None,
             scale=scale,
             magnitude=args.magnitude,
-            **sweep_kwargs,
+            **sweep,
         )
-        print(format_table(rows))
     elif args.experiment == "table1":
-        print(format_table(run_table1(args.benchmarks or None, scale, **sweep_kwargs)))
+        rows = run_table1(args.benchmarks or None, scale, **sweep)
     elif args.experiment == "table2":
-        rows = run_table2(args.benchmarks or None, args.degrees or None, scale, **sweep_kwargs)
-        print(format_table(rows))
-    elif args.experiment == "table3":
-        print(format_table(run_table3(args.changes or None, scale, **sweep_kwargs)))
-    elif args.experiment == "fig3":
-        result = run_fig3(scale=scale)
-        print(json.dumps(_jsonable(result), indent=2))
-    elif args.experiment == "fig6":
-        result = run_fig6(scale=scale)
-        print(json.dumps(_jsonable(result), indent=2))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown experiment {args.experiment}")
+        rows = run_table2(args.benchmarks or None, args.degrees or None, scale, **sweep)
+    else:
+        rows = run_table3(args.changes or None, scale, **sweep)
+    print(format_table(rows))
     return 0
 
 
@@ -669,70 +627,106 @@ def _jsonable(value):
 
 
 # ---------------------------------------------------------------------------- parser
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group that subcommands inherit through ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _env_options(recorded: bool) -> argparse.ArgumentParser:
+    """The benchmark to build (``env``), or ``--env`` replacing an artifact's
+    recorded one, with its constructor ``--overrides``."""
+    options = _options()
+    if recorded:
+        options.add_argument("--env", help="benchmark name (default: recorded in the artifact)")
+    else:
+        options.add_argument("env", help="benchmark name (see 'repro list')")
+    options.add_argument("--overrides", help="JSON dict of environment constructor overrides")
+    return options
+
+
+def _campaign_options(episodes: int, steps: int, episodes_help: str) -> argparse.ArgumentParser:
+    options = _options()
+    options.add_argument("--episodes", type=int, default=episodes, help=episodes_help)
+    options.add_argument("--steps", type=int, default=steps, help="steps per episode")
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .envs.disturbance import DISTURBANCE_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Verifiable reinforcement learning via inductive program synthesis (PLDI 2019 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser("list", help="list the registered benchmarks")
-    list_parser.set_defaults(handler=_cmd_list)
+    oracle = _options()
+    oracle.add_argument("--oracle", default="cloned", choices=("cloned", "ddpg", "ars"))
+    oracle.add_argument("--seed", type=int, default=0)
 
-    describe = subparsers.add_parser("describe", help="print one benchmark's specification")
-    describe.add_argument("env", help="benchmark name (see 'repro list')")
-    describe.add_argument("--overrides", help="JSON dict of environment constructor overrides")
-    describe.set_defaults(handler=_cmd_describe)
-
-    synthesize = subparsers.add_parser(
-        "synthesize", help="synthesize a verified program + shield for a benchmark"
-    )
-    synthesize.add_argument("env", help="benchmark name")
-    synthesize.add_argument("--oracle", default="cloned", choices=("cloned", "ddpg", "ars"))
-    synthesize.add_argument("--degree", type=int, default=None, help="invariant degree bound")
-    synthesize.add_argument("--synthesis-iterations", type=int, default=10)
-    synthesize.add_argument("--max-counterexamples", type=int, default=8)
-    synthesize.add_argument("--episodes", type=int, default=5, help="evaluation episodes (0 to skip)")
-    synthesize.add_argument("--steps", type=int, default=150, help="steps per evaluation episode")
-    synthesize.add_argument("--seed", type=int, default=0)
-    synthesize.add_argument("--output", help="path to save the shield artifact (JSON)")
-    synthesize.add_argument("--overrides", help="JSON dict of environment constructor overrides")
-    synthesize.add_argument(
-        "--workers", type=int, default=1, help="concurrent CEGIS branch syntheses per round"
-    )
-    synthesize.add_argument(
+    # What `_obtain_shield` reads: the benchmark, its oracle and the CEGIS budget.
+    shield = _options(_env_options(recorded=False), oracle)
+    shield.add_argument("--synthesis-iterations", type=int, default=10)
+    shield.add_argument("--max-counterexamples", type=int, default=8)
+    shield.add_argument(
         "--store",
         nargs="?",
         const="",
         default=None,
         help="persist/reuse shields in this store directory (default: $REPRO_STORE or ./.repro_store)",
     )
+
+    store_dir = _options()
+    store_dir.add_argument(
+        "--store",
+        default=None,
+        help="store directory (default: $REPRO_STORE or ./.repro_store)",
+    )
+
+    list_parser = subparsers.add_parser("list", help="list the registered benchmarks")
+    list_parser.set_defaults(handler=_cmd_list)
+
+    describe = subparsers.add_parser(
+        "describe", parents=[_env_options(recorded=False)], help="print one benchmark's specification"
+    )
+    describe.set_defaults(handler=_cmd_describe)
+
+    synthesize = subparsers.add_parser(
+        "synthesize",
+        parents=[shield, _campaign_options(5, 150, "evaluation episodes (0 to skip)")],
+        help="synthesize a verified program + shield for a benchmark",
+    )
+    synthesize.add_argument("--degree", type=int, default=None, help="invariant degree bound")
+    synthesize.add_argument("--output", help="path to save the shield artifact (JSON)")
+    synthesize.add_argument(
+        "--workers", type=int, default=1, help="concurrent CEGIS branch syntheses per round"
+    )
     synthesize.set_defaults(handler=_cmd_synthesize)
 
-    evaluate = subparsers.add_parser("evaluate", help="evaluate a saved shield artifact")
+    recorded_env = _env_options(recorded=True)
+    evaluate = subparsers.add_parser(
+        "evaluate",
+        parents=[recorded_env, oracle, _campaign_options(5, 150, "evaluation episodes")],
+        help="evaluate a saved shield artifact",
+    )
     evaluate.add_argument("artifact", help="path to a shield artifact JSON")
-    evaluate.add_argument("--env", help="benchmark name (default: recorded in the artifact)")
-    evaluate.add_argument("--oracle", default="cloned", choices=("cloned", "ddpg", "ars"))
-    evaluate.add_argument("--episodes", type=int, default=5)
-    evaluate.add_argument("--steps", type=int, default=150)
-    evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--overrides", help="JSON dict of environment constructor overrides")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     audit = subparsers.add_parser(
-        "audit", help="re-check a saved artifact against verification conditions (8)-(10)"
+        "audit",
+        parents=[recorded_env, store_dir],
+        help="re-check a saved shield against verification conditions (8)-(10)",
     )
-    audit.add_argument("artifact", help="path to a shield artifact JSON")
-    audit.add_argument("--env", help="benchmark name (default: recorded in the artifact)")
+    audit.add_argument("artifact", help="path to a shield artifact JSON, or a store key")
     audit.add_argument("--engine", default="bnb", choices=("bnb", "farkas"))
     audit.add_argument(
         "--max-boxes", type=int, default=120_000, help="branch-and-bound exploration budget"
     )
-    audit.add_argument("--overrides", help="JSON dict of environment constructor overrides")
     audit.set_defaults(handler=_cmd_audit)
 
     verify_cmd = subparsers.add_parser(
         "verify",
+        parents=[recorded_env, store_dir],
         help="re-verify a stored shield through the verification kernel "
         "(backend provenance, margins, wall-clock, verdict-cache hits)",
     )
@@ -740,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--backend",
         default="auto",
-        # Validated against the registry at dispatch time (unknown names exit
-        # 2 listing the registered backends) — resolving the registry here
+        # Validated against the registry when the command runs (unknown names
+        # exit 2 listing the registered backends) — resolving the registry here
         # would drag the whole certificates stack into every CLI invocation.
         help="certificate backend to run alone: lyapunov/sos/barrier/farkas, or "
         "'auto' (lyapunov on linear closed loops, then barrier)",
@@ -750,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree",
         type=int,
         default=None,
-        help="invariant degree bound (default: the benchmark's, else 2)",
+        help="invariant degree bound (default: the benchmark's)",
     )
     verify_cmd.add_argument(
         "--backend-budget",
@@ -761,20 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--no-cache", action="store_true", help="bypass the store-backed verdict cache"
     )
-    verify_cmd.add_argument("--env", help="benchmark name (default: recorded in the artifact)")
-    verify_cmd.add_argument("--overrides", help="JSON dict of environment constructor overrides")
-    verify_cmd.add_argument(
-        "--store",
-        default=None,
-        help="store directory (default: $REPRO_STORE or ./.repro_store)",
-    )
     verify_cmd.set_defaults(handler=_cmd_verify)
 
-    store = subparsers.add_parser("store", help="manage the persistent shield artifact store")
-    store.add_argument(
-        "--store",
-        default=None,
-        help="store directory (default: $REPRO_STORE or ./.repro_store)",
+    store = subparsers.add_parser(
+        "store", parents=[store_dir], help="manage the persistent shield artifact store"
     )
     store_commands = store.add_subparsers(dest="store_command", required=True)
     store_commands.add_parser("list", help="list all stored shields")
@@ -785,19 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("output", help="destination file")
     verify = store_commands.add_parser(
         "verify",
-        help="re-verify a stored shield against conditions (8)-(10); with no "
-        "key, integrity-check (fsck) every stored object instead",
+        help="integrity-check (fsck) every stored object; "
+        "`repro audit KEY` re-checks one shield against (8)-(10)",
     )
-    verify.add_argument("key", nargs="?", default=None)
     verify.add_argument(
         "--delete-corrupt",
         action="store_true",
-        help="move corrupt objects to <store>/quarantine/ (whole-store check only)",
+        help="move corrupt objects to <store>/quarantine/",
     )
-    verify.add_argument("--engine", default="bnb", choices=("bnb", "farkas"))
-    verify.add_argument("--max-boxes", type=int, default=120_000)
-    verify.add_argument("--env", help="benchmark name (default: recorded in the artifact)")
-    verify.add_argument("--overrides", help="JSON dict of environment constructor overrides")
     rm = store_commands.add_parser("rm", help="delete a stored shield")
     rm.add_argument("key")
     store.set_defaults(handler=_cmd_store)
@@ -833,60 +812,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(handler=_cmd_lint)
 
-    from .envs.disturbance import DISTURBANCE_KINDS
+    fleet = _options(shield, _campaign_options(50, 250, "fleet width"))
+    fleet.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="shard the fleet over N worker processes (counters are "
+        "identical for every N; default: single-process)",
+    )
+    fleet.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        help="episode shards per sharded run (default: 8, clamped to the fleet)",
+    )
+    fleet.add_argument(
+        "--float32",
+        action="store_true",
+        help="run rollout workspaces in float32 (sharded runs only)",
+    )
 
-    def _add_fleet_arguments(sub, episodes=50, steps=250):
-        sub.add_argument("env", help="benchmark name")
-        sub.add_argument("--oracle", default="cloned", choices=("cloned", "ddpg", "ars"))
-        sub.add_argument("--episodes", type=int, default=episodes, help="fleet width")
-        sub.add_argument("--steps", type=int, default=steps, help="decisions per episode")
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--synthesis-iterations", type=int, default=10)
-        sub.add_argument("--max-counterexamples", type=int, default=8)
-        sub.add_argument("--overrides", help="JSON dict of environment constructor overrides")
-        sub.add_argument(
-            "--store",
-            nargs="?",
-            const="",
-            default=None,
-            help="persist/reuse shields in this store directory (default: $REPRO_STORE or ./.repro_store)",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="shard the fleet over N worker processes (counters are "
-            "identical for every N; default: single-process)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="episode shards per sharded run (default: 8, clamped to the fleet)",
-        )
-        sub.add_argument(
-            "--float32",
-            action="store_true",
-            help="run rollout workspaces in float32 (sharded runs only)",
-        )
-
-    def _add_disturbance_arguments(sub):
-        sub.add_argument(
-            "--disturbance",
-            default="none",
-            choices=DISTURBANCE_KINDS,
-            help="disturbance class to stress the fleet with",
-        )
-        sub.add_argument(
-            "--magnitude", type=float, default=0.05, help="disturbance magnitude per dimension"
-        )
+    disturbance = _options()
+    disturbance.add_argument(
+        "--disturbance",
+        default="none",
+        choices=DISTURBANCE_KINDS,
+        help="disturbance class to stress the fleet with",
+    )
+    disturbance.add_argument(
+        "--magnitude", type=float, default=0.05, help="disturbance magnitude per dimension"
+    )
 
     run_cmd = subparsers.add_parser(
         "run",
+        parents=[fleet],
         help="deploy a shield over a sharded fleet campaign and report "
         "failures / interventions / episodes-per-second",
     )
-    _add_fleet_arguments(run_cmd)
     run_cmd.add_argument(
         "--checkpoint",
         default=None,
@@ -913,20 +875,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     monitor = subparsers.add_parser(
         "monitor",
+        parents=[fleet, disturbance],
         help="deploy a shield over a monitored batched fleet and report "
         "interventions / model mismatches / invariant excursions / disturbance estimate",
     )
-    _add_fleet_arguments(monitor)
-    _add_disturbance_arguments(monitor)
     monitor.set_defaults(handler=_cmd_monitor)
 
     adapt = subparsers.add_parser(
         "adapt",
+        parents=[fleet, disturbance],
         help="monitor a deployed fleet, fit the disturbance estimate, re-verify the "
         "certificate under the widened bound, and re-synthesize + persist on failure",
     )
-    _add_fleet_arguments(adapt)
-    _add_disturbance_arguments(adapt)
     adapt.add_argument(
         "--confidence-sigmas", type=float, default=3.0, help="k in the |mean| + k*std bound"
     )
@@ -1052,6 +1012,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """Run one command.  Bad input (an unknown file, key, benchmark or
+    ``--overrides``) prints one ``error:`` line and exits 2; program errors
+    raise."""
+    args = build_parser().parse_args(argv)
+    from .store import StoreError
+    from .store.service import InputError
+
+    try:
+        return args.handler(args)
+    except (InputError, StoreError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cegis import CEGISConfig
 from ..core.distance import DistanceConfig
@@ -25,6 +25,7 @@ __all__ = [
     "TIMING_COLUMNS",
     "normalize_timing",
     "open_row_journal",
+    "run_sweep",
 ]
 
 Row = Dict[str, object]
@@ -85,6 +86,42 @@ def open_row_journal(
     }
     row_journal = RowJournal(journal, meta=meta)
     return row_journal, row_journal.begin(resume=resume)
+
+
+def run_sweep(
+    experiment: str,
+    scale: "ExperimentScale",
+    cells: Sequence[Tuple[str, Callable[[], Row]]],
+    store=None,
+    journal=None,
+    resume: bool = False,
+    timing: bool = True,
+) -> List[Row]:
+    """Run a sweep's cells in order through its crash-safe row journal.
+
+    ``cells`` pairs each row key with the call that computes the row.  With a
+    ``journal`` every finished row is checkpointed to a
+    :class:`~repro.faults.RowJournal`; with ``resume=True`` rows already in
+    the journal are reused verbatim and only unfinished cells run, so a
+    SIGKILL mid-sweep costs at most one row.  ``timing=False`` zeroes the
+    wall-clock columns, making resumed and uninterrupted reports
+    byte-identical.
+    """
+    row_journal, completed = open_row_journal(
+        journal, resume, experiment, scale, [key for key, _ in cells], store
+    )
+    rows: List[Row] = []
+    for key, run_cell in cells:
+        if key in completed:
+            rows.append(completed[key])
+            continue
+        row = run_cell()
+        if not timing:
+            row = normalize_timing(row)
+        rows.append(row)
+        if row_journal is not None:
+            row_journal.record(key, row)
+    return rows
 
 
 @dataclass

@@ -13,7 +13,8 @@ trigger signal of the adaptive maintenance loop
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from ..rl.training import train_oracle
 from ..runtime.adaptation import recheck_certificate, widened_environment
 from ..runtime.monitored import monitor_fleet
 from ..store import SynthesisService, branch_regions
-from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, run_sweep
 
 __all__ = ["ROBUSTNESS_BENCHMARKS", "run_robustness_cell", "run_robustness"]
 
@@ -51,7 +52,6 @@ def run_robustness_cell(
     scale: ExperimentScale | None = None,
     service: SynthesisService | None = None,
     magnitude: float = 0.05,
-    recheck: bool = True,
     _deployment=None,
 ) -> Row:
     """One sweep cell: deploy ``benchmark``'s shield under disturbance ``kind``."""
@@ -89,7 +89,7 @@ def run_robustness_cell(
             else None
         ),
     }
-    if recheck and report.disturbance_estimate is not None:
+    if report.disturbance_estimate is not None:
         widened = widened_environment(env, report.disturbance_estimate.bound)
         cache = getattr(service, "verdict_cache", None)
         hits_before = cache.hits if cache is not None else 0
@@ -118,63 +118,36 @@ def run_robustness(
     scale: ExperimentScale | None = None,
     store=None,
     magnitude: float = 0.05,
-    recheck: bool = True,
     journal=None,
     resume: bool = False,
     timing: bool = True,
 ) -> List[Row]:
     """The full sweep (one row per benchmark × disturbance class).
 
-    With a ``journal``, every finished cell is checkpointed; on ``resume`` a
-    benchmark whose cells are all journaled skips oracle training and shield
-    synthesis entirely.
+    Each benchmark trains its oracle and obtains its shield once, on its
+    first cell that is not journaled already, so on ``resume`` a benchmark
+    whose cells are all journaled skips both.
     """
     scale = scale or ExperimentScale.smoke()
-    service = SynthesisService(store=store) if store is not None else SynthesisService()
-    bench_names = list(benchmarks or ROBUSTNESS_BENCHMARKS)
-    kind_names = list(kinds or DISTURBANCE_KINDS)
-    keys = [f"{b}:{k}" for b in bench_names for k in kind_names]
-    row_journal, completed = open_row_journal(
-        journal, resume, "robustness", scale, keys, store
-    )
-    rows: List[Row] = []
-    for benchmark in bench_names:
-        pending_kinds = [k for k in kind_names if f"{benchmark}:{k}" not in completed]
-        if not pending_kinds:
-            # Every cell of this benchmark is journaled; skip oracle training
-            # and synthesis entirely.
-            rows.extend(completed[f"{benchmark}:{k}"] for k in kind_names)
-            continue
-        try:
-            deployment = _prepare_deployment(benchmark, scale, service)
-        except RuntimeError as error:
-            for kind in kind_names:
-                key = f"{benchmark}:{kind}"
-                if key in completed:
-                    rows.append(completed[key])
-                    continue
-                row = {"benchmark": benchmark, "disturbance": kind, "error": str(error)[:100]}
-                rows.append(row)
-                if row_journal is not None:
-                    row_journal.record(key, row)
-            continue
-        for kind in kind_names:
-            key = f"{benchmark}:{kind}"
-            if key in completed:
-                rows.append(completed[key])
-                continue
-            row = run_robustness_cell(
-                benchmark,
-                kind,
-                scale=scale,
-                service=service,
-                magnitude=magnitude,
-                recheck=recheck,
-                _deployment=deployment,
-            )
-            if not timing:
-                row = normalize_timing(row)
-            rows.append(row)
-            if row_journal is not None:
-                row_journal.record(key, row)
-    return rows
+    service = SynthesisService(store=store)
+    deployments: Dict[str, object] = {}
+
+    def cell(benchmark: str, kind: str) -> Row:
+        if benchmark not in deployments:
+            try:
+                deployments[benchmark] = _prepare_deployment(benchmark, scale, service)
+            except RuntimeError as error:
+                deployments[benchmark] = error
+        deployment = deployments[benchmark]
+        if isinstance(deployment, RuntimeError):
+            return {"benchmark": benchmark, "disturbance": kind, "error": str(deployment)[:100]}
+        return run_robustness_cell(
+            benchmark, kind, scale, service, magnitude, _deployment=deployment
+        )
+
+    cells = [
+        (f"{benchmark}:{kind}", partial(cell, benchmark, kind))
+        for benchmark in benchmarks or ROBUSTNESS_BENCHMARKS
+        for kind in kinds or DISTURBANCE_KINDS
+    ]
+    return run_sweep("robustness", scale, cells, store, journal, resume, timing)

@@ -16,6 +16,7 @@ Run from the command line: ``python -m repro table1 [--scale smoke|medium|paper]
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..compile import kernel_cache_stats
@@ -23,7 +24,7 @@ from ..envs.registry import BENCHMARKS, get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, run_sweep
 
 __all__ = ["run_benchmark_row", "run_table1"]
 
@@ -150,47 +151,27 @@ def _recheck_columns(env, shield_result, config, service) -> Row:
 def run_table1(
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale | None = None,
-    skip_failures: bool = True,
     store=None,
     journal=None,
     resume: bool = False,
     timing: bool = True,
 ) -> List[Row]:
-    """Run the Table 1 sweep.
+    """Run the Table 1 sweep (see :func:`~repro.experiments.reporting.run_sweep`).
 
-    ``skip_failures=True`` records a row with an ``error`` column instead of
-    aborting the whole sweep when one benchmark's CEGIS run fails (the paper's
-    tool can also time out, cf. Table 2's "TO" entries).  ``store`` (a path or
+    A benchmark whose row fails records an ``error`` column instead of
+    aborting the whole sweep (the paper's tool can also time out, cf. Table
+    2's "TO" entries).  ``store`` (a path or
     :class:`~repro.store.ShieldStore`) makes the sweep resumable: finished
     benchmarks reload their shields, only missing ones synthesize.
-
-    ``journal`` checkpoints every finished row to a crash-safe
-    :class:`~repro.faults.RowJournal`; with ``resume=True`` rows already in
-    the journal are reused verbatim and only unfinished benchmarks execute,
-    so a SIGKILL mid-sweep costs at most one row.  ``timing=False`` zeroes
-    the wall-clock columns, making resumed and uninterrupted reports
-    byte-identical.
     """
     scale = scale or ExperimentScale.smoke()
     service = SynthesisService(store=store) if store is not None else None
-    names = list(benchmarks or TABLE1_BENCHMARKS)
-    row_journal, completed = open_row_journal(
-        journal, resume, "table1", scale, names, store
-    )
-    rows: List[Row] = []
-    for name in names:
-        if name in completed:
-            rows.append(completed[name])
-            continue
+
+    def row(name: str) -> Row:
         try:
-            row = run_benchmark_row(name, scale, service=service)
+            return run_benchmark_row(name, scale, service=service)
         except Exception as error:  # noqa: BLE001 - sweep robustness
-            if not skip_failures:
-                raise
-            row = {"benchmark": name, "error": str(error)[:120]}
-        if not timing:
-            row = normalize_timing(row)
-        rows.append(row)
-        if row_journal is not None:
-            row_journal.record(name, row)
-    return rows
+            return {"benchmark": name, "error": str(error)[:120]}
+
+    cells = [(name, partial(row, name)) for name in benchmarks or TABLE1_BENCHMARKS]
+    return run_sweep("table1", scale, cells, store, journal, resume, timing)

@@ -10,13 +10,14 @@ no invariant found (TO).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..envs.registry import get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, run_sweep
 
 __all__ = ["run_degree_row", "run_table2"]
 
@@ -90,23 +91,8 @@ def run_table2(
     scale = scale or ExperimentScale.smoke()
     service = SynthesisService(store=store) if store is not None else None
     cells = [
-        (name, degree)
+        (f"{name}:{degree}", partial(run_degree_row, name, degree, scale, service=service))
         for name in (benchmarks or TABLE2_BENCHMARKS)
         for degree in (degrees or TABLE2_DEGREES)
     ]
-    row_journal, completed = open_row_journal(
-        journal, resume, "table2", scale, [f"{n}:{d}" for n, d in cells], store
-    )
-    rows: List[Row] = []
-    for name, degree in cells:
-        key = f"{name}:{degree}"
-        if key in completed:
-            rows.append(completed[key])
-            continue
-        row = run_degree_row(name, degree, scale, service=service)
-        if not timing:
-            row = normalize_timing(row)
-        rows.append(row)
-        if row_journal is not None:
-            row_journal.record(key, row)
-    return rows
+    return run_sweep("table2", scale, cells, store, journal, resume, timing)

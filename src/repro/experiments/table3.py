@@ -10,6 +10,7 @@ the new shield removes the failures the stale oracle now exhibits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..envs.cartpole import make_cartpole
@@ -18,7 +19,7 @@ from ..envs.pendulum import make_pendulum
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
 from ..store import SynthesisService
-from .reporting import ExperimentScale, Row, normalize_timing, open_row_journal
+from .reporting import ExperimentScale, Row, run_sweep
 
 __all__ = ["ENVIRONMENT_CHANGES", "run_environment_change", "run_table3"]
 
@@ -136,17 +137,8 @@ def run_table3(
 ) -> List[Row]:
     scale = scale or ExperimentScale.smoke()
     service = SynthesisService(store=store) if store is not None else None
-    keys = list(changes or ENVIRONMENT_CHANGES)
-    row_journal, completed = open_row_journal(journal, resume, "table3", scale, keys, store)
-    rows: List[Row] = []
-    for key in keys:
-        if key in completed:
-            rows.append(completed[key])
-            continue
-        row = run_environment_change(key, scale, service=service)
-        if not timing:
-            row = normalize_timing(row)
-        rows.append(row)
-        if row_journal is not None:
-            row_journal.record(key, row)
-    return rows
+    cells = [
+        (key, partial(run_environment_change, key, scale, service=service))
+        for key in changes or ENVIRONMENT_CHANGES
+    ]
+    return run_sweep("table3", scale, cells, store, journal, resume, timing)

@@ -1,6 +1,6 @@
 """Persistent shield artifact store, verdict cache, and the synthesis service."""
 
-from .service import ServiceResult, SynthesisService, branch_regions
+from .service import ServiceResult, SynthesisService, branch_regions, resolve_shield
 from .store import (
     DEFAULT_STORE_DIR,
     CorruptArtifactError,
@@ -25,6 +25,7 @@ __all__ = [
     "ServiceResult",
     "SynthesisService",
     "branch_regions",
+    "resolve_shield",
     "VerdictCache",
     "environment_fingerprint",
     "verdict_key",

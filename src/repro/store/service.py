@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -32,10 +33,10 @@ from ..lang.invariant import InvariantUnion
 from ..lang.program import GuardedProgram
 from ..lang.serialize import ShieldArtifact
 from ..lang.sketch import ProgramSketch
-from .store import ShieldStore, config_hash
+from .store import ShieldStore, StoreError, config_hash
 from .verdicts import VerdictCache
 
-__all__ = ["ServiceResult", "SynthesisService", "branch_regions"]
+__all__ = ["ServiceResult", "SynthesisService", "branch_regions", "resolve_shield"]
 
 
 def branch_regions(artifact: ShieldArtifact):
@@ -53,6 +54,77 @@ def branch_regions(artifact: ShieldArtifact):
     if not regions:
         return None
     return [Box(low=tuple(low), high=tuple(high)) for low, high in regions]
+
+
+class InputError(ValueError):
+    """Outside input that names no usable shield or environment.
+
+    A missing or malformed artifact file, a benchmark name the registry does
+    not know, or malformed constructor overrides.  ``repro`` prints it on one
+    ``error:`` line and exits 2.
+    """
+
+
+@dataclass
+class ResolvedShield:
+    """A saved shield and the environment it is checked or deployed on."""
+
+    artifact: ShieldArtifact
+    env: EnvironmentContext
+    #: The registry name ``env`` was built from.
+    environment: str
+    #: The store key, or ``""`` for an artifact file.
+    key: str = ""
+
+
+def load_environment(name: str, overrides: Optional[Dict[str, Any]] = None) -> EnvironmentContext:
+    """Build registry benchmark ``name`` with constructor ``overrides``.
+
+    An unknown name is an :class:`InputError`.
+    """
+    from ..envs import BENCHMARKS, make_environment
+
+    if name not in BENCHMARKS:
+        raise InputError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
+    return make_environment(name, **dict(overrides or {}))
+
+
+def resolve_shield(
+    source: str,
+    store: ShieldStore | None = None,
+    environment: Optional[str] = None,
+    overrides: Optional[Dict[str, Any]] = None,
+) -> ResolvedShield:
+    """Open a saved shield on the environment it was verified against.
+
+    ``source`` is an artifact file, or else a key (or unique prefix) in
+    ``store``.  The artifact's recorded environment name and constructor
+    overrides apply unless ``environment`` or ``overrides`` replaces them;
+    the recorded overrides belong to the recorded name, so naming another
+    environment drops them.
+    """
+    from ..lang.serialize import ArtifactError, load_artifact
+
+    key = ""
+    if Path(source).is_file():
+        try:
+            artifact = load_artifact(source)
+        except ArtifactError as error:
+            raise InputError(str(error)) from None
+    elif store is None:
+        raise InputError(f"no artifact file {source}")
+    else:
+        try:
+            key = store.resolve(source)
+        except StoreError as error:
+            raise InputError(f"no artifact file {source}, and {error}") from None
+        artifact = store.get(key)
+    name = environment or artifact.environment
+    if not name:
+        raise InputError("the artifact does not record an environment; pass --env")
+    if overrides is None:
+        overrides = artifact.environment_overrides if name == artifact.environment else {}
+    return ResolvedShield(artifact, load_environment(name, overrides), name, key)
 
 
 @dataclass
@@ -208,73 +280,37 @@ class SynthesisService:
 
     def verify_stored(
         self,
-        key: str,
-        env: EnvironmentContext | None = None,
+        source: "ResolvedShield | str",
         verification: Optional["VerificationConfig"] = None,
         use_cache: bool = True,
     ):
         """Re-prove a stored shield's branches through the verification kernel.
 
-        Each branch is re-verified on its recorded synthesis region (artifacts
-        persisted since the kernel refactor carry ``branch_regions``; older
-        ones fall back to the environment's full initial region), with verdicts
-        served from the service's store-backed verdict cache when possible —
-        re-verifying an unchanged shield costs cache reads, not proofs.
+        ``source`` is a :class:`ResolvedShield`, or a store key (or artifact
+        file) that :func:`resolve_shield` opens on its recorded environment.
+        Each branch is re-verified on its recorded synthesis region
+        (artifacts persisted since the kernel refactor carry
+        ``branch_regions``; older ones fall back to the environment's full
+        initial region), with verdicts served from the service's store-backed
+        verdict cache when possible — re-verifying an unchanged shield costs
+        cache reads, not proofs.
 
         Returns ``(all_ok, outcomes, artifact)`` where ``outcomes`` are the
         per-branch :class:`~repro.core.verification.VerificationOutcome`\\ s
         with full backend provenance.
         """
-        from ..envs import make_environment
         from ..runtime.adaptation import recheck_certificate
 
-        artifact = self.store.get(key)
-        if env is None:
-            if not artifact.environment:
-                raise ValueError(
-                    f"stored shield {key[:12]} does not record an environment name"
-                )
-            env = make_environment(artifact.environment, **artifact.environment_overrides)
+        if isinstance(source, str):
+            source = resolve_shield(source, self.store)
         all_ok, outcomes = recheck_certificate(
-            env,
-            artifact.program,
+            source.env,
+            source.artifact.program,
             verification=verification,
             verdict_cache=self.verdict_cache if use_cache else None,
-            regions=branch_regions(artifact),
+            regions=branch_regions(source.artifact),
         )
-        return all_ok, outcomes, artifact
-
-    def reverify(
-        self,
-        key: str,
-        env: EnvironmentContext | None = None,
-        engine: str = "bnb",
-        max_boxes: int = 120_000,
-    ):
-        """Re-check a stored shield against conditions (8)-(10), no synthesis.
-
-        Each branch's condition (9) is checked on its recorded region.
-        Returns ``(all_ok, reports)``; the environment is reconstructed from
-        the artifact's recorded registry name unless one is supplied.
-        """
-        from ..certificates import audit_shield
-        from ..envs import make_environment
-
-        artifact = self.store.get(key)
-        if env is None:
-            if not artifact.environment:
-                raise ValueError(
-                    f"stored shield {key[:12]} does not record an environment name"
-                )
-            env = make_environment(artifact.environment, **artifact.environment_overrides)
-        reports = audit_shield(
-            env,
-            artifact.program,
-            engine=engine,
-            max_boxes=max_boxes,
-            regions=branch_regions(artifact),
-        )
-        return all(report.all_hold for report in reports), reports
+        return all_ok, outcomes, source.artifact
 
     # ------------------------------------------------------------- internals
     def _artifact_for(

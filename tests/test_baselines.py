@@ -1,4 +1,4 @@
-"""Tests for the baseline controllers (repro.baselines): LQR, MPC, finite-abstraction shield."""
+"""Tests for the LQR baseline (repro.baselines), the behaviour-cloning teacher."""
 
 from __future__ import annotations
 
@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 from repro import make_environment
-from repro.baselines import (
-    FiniteAbstractionConfig,
-    FiniteAbstractionShield,
-    MPCConfig,
-    MPCController,
-    linearize,
-    lqr_gain,
-    make_lqr_policy,
-)
-from repro.lang import AffineProgram
+from repro.baselines import linearize, lqr_gain, make_lqr_policy
 
 
 @pytest.fixture(scope="module")
@@ -54,161 +45,3 @@ class TestLQR:
         result = lqr_gain(a, b)
         eigenvalues = np.linalg.eigvalsh(result.riccati)
         assert np.all(eigenvalues > 0)
-
-
-# ------------------------------------------------------------------------------ MPC
-class TestMPC:
-    def test_rejects_bad_horizon(self, pendulum):
-        with pytest.raises(ValueError, match="horizon"):
-            MPCController(pendulum, MPCConfig(horizon=0))
-
-    def test_plan_shape_and_bounds(self, pendulum):
-        controller = MPCController(pendulum, MPCConfig(horizon=5))
-        plan = controller.plan(np.array([0.2, 0.0]))
-        assert plan.shape == (5, pendulum.action_dim)
-        action = controller.act(np.array([0.2, 0.0]))
-        assert np.all(action >= pendulum.action_low - 1e-9)
-        assert np.all(action <= pendulum.action_high + 1e-9)
-
-    def test_mpc_regulates_simple_integrator(self):
-        env = _easy_integrator()
-        controller = MPCController(env, MPCConfig(horizon=8, max_optimizer_iterations=25))
-        state = np.array([0.8])
-        for _ in range(40):
-            state = env.step(state, controller.act(state))
-        assert np.abs(state[0]) < 0.1
-
-    def test_mpc_keeps_pendulum_safe(self, pendulum):
-        # The receding horizon is deliberately short (myopic), so we only require
-        # safety and boundedness here, not fast regulation.
-        controller = MPCController(
-            pendulum, MPCConfig(horizon=8, max_optimizer_iterations=25)
-        )
-        state = np.array([0.2, 0.0])
-        for _ in range(150):
-            state = pendulum.step(state, controller.act(state))
-            assert not pendulum.is_unsafe(state)
-        assert np.abs(state[0]) <= 0.25
-
-    def test_warm_start_reuses_previous_plan(self, pendulum):
-        controller = MPCController(pendulum, MPCConfig(horizon=4, warm_start=True))
-        controller.act(np.array([0.1, 0.0]))
-        assert controller._previous_plan is not None
-        controller.reset()
-        assert controller._previous_plan is None
-
-    def test_mpc_is_slower_than_synthesized_program(self, pendulum):
-        """The per-decision cost gap the ablation benchmark quantifies."""
-        import time
-
-        program = AffineProgram(gain=[[-12.05, -5.87]])
-        controller = MPCController(pendulum, MPCConfig(horizon=8))
-        state = np.array([0.15, 0.0])
-
-        start = time.perf_counter()
-        for _ in range(5):
-            controller.act(state)
-        mpc_time = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for _ in range(5):
-            program.act(state)
-        program_time = time.perf_counter() - start
-        assert mpc_time > program_time
-
-
-# ----------------------------------------------------------------- finite abstraction
-def _easy_integrator():
-    """A 1D single integrator ``ẋ = a`` — easy enough for a coarse abstraction."""
-    from repro.certificates import Box
-    from repro.envs import LinearEnvironment
-
-    return LinearEnvironment(
-        a_matrix=[[0.0]],
-        b_matrix=[[1.0]],
-        init_region=Box((-0.5,), (0.5,)),
-        safe_box=Box((-1.0,), (1.0,)),
-        domain=Box((-2.0,), (2.0,)),
-        dt=0.1,
-        action_low=[-1.0],
-        action_high=[1.0],
-    )
-
-
-class TestFiniteAbstractionShield:
-    @pytest.fixture(scope="class")
-    def easy_env(self):
-        return _easy_integrator()
-
-    @pytest.fixture(scope="class")
-    def easy_abstraction(self, easy_env):
-        return FiniteAbstractionShield(
-            easy_env, FiniteAbstractionConfig(cells_per_dim=9, actions_per_dim=5)
-        )
-
-    @pytest.fixture(scope="class")
-    def pendulum_abstraction(self, pendulum):
-        return FiniteAbstractionShield(
-            pendulum, FiniteAbstractionConfig(cells_per_dim=9, actions_per_dim=5)
-        )
-
-    def test_rejects_too_fine_grid(self):
-        env = make_environment("8_car_platoon")
-        with pytest.raises(ValueError, match="explosion"):
-            FiniteAbstractionShield(env, FiniteAbstractionConfig(cells_per_dim=8, max_cells=10_000))
-
-    def test_rejects_degenerate_config(self):
-        with pytest.raises(ValueError, match="cells_per_dim"):
-            FiniteAbstractionConfig(cells_per_dim=1)
-        with pytest.raises(ValueError, match="actions_per_dim"):
-            FiniteAbstractionConfig(actions_per_dim=1)
-
-    def test_grid_size_bookkeeping(self, easy_abstraction):
-        assert easy_abstraction.num_cells == 9
-        assert easy_abstraction.num_abstract_actions == 5
-        assert 0.0 < easy_abstraction.safe_cell_fraction <= 1.0
-        assert "cells=9" in easy_abstraction.describe()
-
-    def test_cell_index_inside_and_outside(self, easy_abstraction, easy_env):
-        assert easy_abstraction.cell_index(np.zeros(1)) is not None
-        assert easy_abstraction.cell_index(np.asarray(easy_env.domain.high) * 10.0) is None
-
-    def test_origin_is_abstractly_safe_on_easy_system(self, easy_abstraction):
-        assert easy_abstraction.is_abstractly_safe(np.zeros(1))
-        assert easy_abstraction.safe_action_for(np.zeros(1)) is not None
-        assert easy_abstraction.covers_initial_states(samples=100)
-
-    def test_unsafe_region_is_not_safe(self, easy_abstraction, easy_env):
-        corner = np.asarray(easy_env.domain.high) * 0.99
-        assert easy_env.is_unsafe(corner)
-        assert not easy_abstraction.is_abstractly_safe(corner)
-
-    def test_shielded_policy_prevents_failures_on_easy_system(self, easy_abstraction, easy_env):
-        # A policy that races towards the unsafe region fails unshielded but is
-        # kept safe by the abstract shield.
-        bad_policy = AffineProgram(gain=[[0.0]], bias=[1.0])
-        shielded = easy_abstraction.shield_policy(bad_policy)
-        state = np.array([0.0])
-        bare_state = state.copy()
-        for _ in range(200):
-            state = easy_env.step(state, shielded(state))
-            bare_state = easy_env.step(bare_state, bad_policy(bare_state))
-        assert easy_env.is_unsafe(bare_state)
-        assert not easy_env.is_unsafe(state)
-        assert easy_abstraction.interventions > 0
-        assert easy_abstraction.decisions == 200
-
-    def test_pendulum_abstraction_is_too_coarse_to_be_useful(self, pendulum_abstraction):
-        """The §6 claim: at tractable resolutions the finite abstraction of a
-        continuous benchmark over-approximates so aggressively that its maximal
-        safe set collapses (here: to the empty set), whereas the paper's symbolic
-        shield certifies a non-trivial invariant for the same system."""
-        assert pendulum_abstraction.safe_cell_fraction < 0.05
-        assert not pendulum_abstraction.covers_initial_states(samples=50)
-
-    def test_shield_falls_back_to_proposal_outside_safe_set(self, pendulum_abstraction, pendulum):
-        policy = AffineProgram(gain=[[-12.05, -5.87]])
-        shielded = pendulum_abstraction.shield_policy(policy)
-        state = np.array([0.1, 0.0])
-        action = shielded(state)
-        np.testing.assert_allclose(action, policy.act(state))

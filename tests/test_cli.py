@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,9 +118,9 @@ class TestListAndDescribe:
         assert main(["describe", "pendulum", "--overrides", '{"safe_angle_deg": 30.0}']) == 0
         assert "pendulum" in capsys.readouterr().out
 
-    def test_describe_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["describe", "warp_drive"])
+    def test_describe_unknown_benchmark_raises(self, capsys):
+        assert main(["describe", "warp_drive"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown benchmark 'warp_drive'")
 
 
 class TestEvaluateAndAudit:
@@ -236,12 +237,16 @@ class TestStoreCommands:
         assert main(["store", "--store", str(store.root), "show", "deadbeef"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_store_verify_corpus_shield(self, capsys):
+    def test_audit_corpus_shield_by_store_key(self, capsys):
         from repro.store import ShieldStore
 
         key = ShieldStore(self.CORPUS_STORE).find(environment="satellite")[0].key
-        assert main(["store", "--store", self.CORPUS_STORE, "verify", key]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert main(["audit", key, "--store", self.CORPUS_STORE]) == 0
+        assert "audit result: PASS" in capsys.readouterr().out
+
+    def test_store_verify_takes_no_key(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["store", "verify", "abcdef12"])
 
     def test_monitor_parser_defaults(self):
         args = build_parser().parse_args(["monitor", "satellite"])
@@ -441,3 +446,108 @@ class TestVerifyCommand:
         monkeypatch.setenv("REPRO_STORE", store + "-missing")
         assert main(["verify", key[:12]]) == 2  # handled error, not a traceback
         assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ recorded environment
+PENDULUM_30 = str(Path(__file__).parent / "data" / "pendulum_safe30_shield.json")
+
+
+class TestRecordedEnvironment:
+    """A pendulum shield synthesized with ``safe_angle_deg`` 30.  Its invariant
+    reaches past the registry default's 23° safe box, so checking it on the
+    bare benchmark refutes condition (8); every command that opens a saved
+    shield must rebuild the environment the artifact records."""
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        from repro.lang import load_artifact
+        from repro.store import ShieldStore
+
+        store = ShieldStore(tmp_path / "store")
+        return str(store.root), store.put(load_artifact(PENDULUM_30))
+
+    def test_audit_file_passes(self, capsys):
+        assert main(["audit", PENDULUM_30]) == 0
+        assert "audit result: PASS" in capsys.readouterr().out
+
+    def test_audit_store_key_passes(self, stored, capsys):
+        store, key = stored
+        assert main(["audit", key[:12], "--store", store]) == 0
+        assert "audit result: PASS" in capsys.readouterr().out
+
+    def test_naming_the_recorded_environment_keeps_its_overrides(self, capsys):
+        assert main(["audit", PENDULUM_30, "--env", "pendulum"]) == 0
+        assert "audit result: PASS" in capsys.readouterr().out
+
+    def test_audit_overrides_replace_the_recorded_ones(self, capsys):
+        assert main(["audit", PENDULUM_30, "--overrides", "{}"]) == 1
+        assert "condition (8) failed" in capsys.readouterr().out
+
+    def test_evaluate_runs_on_the_recorded_environment(self, monkeypatch, capsys):
+        import repro.runtime
+
+        campaign_envs = []
+        compare_shielded = repro.runtime.compare_shielded
+
+        def recording(env, *args, **kwargs):
+            campaign_envs.append(env)
+            return compare_shielded(env, *args, **kwargs)
+
+        monkeypatch.setattr(repro.runtime, "compare_shielded", recording)
+        assert main(["evaluate", PENDULUM_30, "--episodes", "2", "--steps", "20"]) == 0
+        (env,) = campaign_envs
+        assert env.safe_box.high[0] == pytest.approx(np.radians(30.0))
+
+    def test_verify_applies_overrides_without_env(self, stored, capsys):
+        store, key = stored
+        argv = ["verify", key[:12], "--store", store, "--no-cache"]
+        assert main(argv) == 0
+        assert "kernel re-verification: PASS" in capsys.readouterr().out
+        assert main(argv + ["--overrides", '{"safe_angle_deg": 23.0}']) == 1
+        assert "kernel re-verification: FAIL" in capsys.readouterr().out
+
+
+# -------------------------------------------------------------------- bad input
+class TestInputErrors:
+    """Bad outside input exits 2 with one ``error:`` line, not a traceback."""
+
+    @pytest.fixture()
+    def malformed(self, tmp_path):
+        (tmp_path / "truncated.json").write_text('{"program": ')
+        (tmp_path / "schema.json").write_text('{"program": 1}')
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "{dir}/missing.json"],
+            ["evaluate", "{dir}/missing.json"],
+            ["audit", "{dir}/truncated.json"],
+            ["audit", "{dir}/schema.json"],
+            ["evaluate", "{dir}/truncated.json"],
+            ["describe", "warp_drive"],
+            ["audit", PENDULUM_30, "--env", "warp_drive"],
+            ["describe", "pendulum", "--overrides", "{bad"],
+            ["describe", "pendulum", "--overrides", "[1]"],
+            ["audit", PENDULUM_30, "--overrides", "{bad"],
+            ["synthesize", "pendulum", "--overrides", "{bad"],
+            ["monitor", "pendulum", "--overrides", "{bad"],
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, argv, malformed, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_STORE", str(malformed / "store"))
+        assert main([arg.replace("{dir}", str(malformed)) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_program_errors_still_raise(self, monkeypatch):
+        import repro.experiments
+
+        def broken(*args, **kwargs):
+            raise ValueError("a program error")
+
+        monkeypatch.setattr(repro.experiments, "format_table", broken)
+        with pytest.raises(ValueError, match="a program error"):
+            main(["list"])

@@ -107,8 +107,8 @@ def test_table1_store_sweep_hits_verdict_cache(tmp_path):
     from repro.experiments.table1 import run_table1
 
     store = str(tmp_path / "store")
-    first = run_table1(["satellite"], TINY, skip_failures=False, store=store)[0]
-    second = run_table1(["satellite"], TINY, skip_failures=False, store=store)[0]
+    first = run_table1(["satellite"], TINY, store=store)[0]
+    second = run_table1(["satellite"], TINY, store=store)[0]
     assert not first["from_store"] and second["from_store"]
     assert first["certificate_valid"] and second["certificate_valid"]
     # CEGIS itself populated the cache, so even the first sweep's recheck hits;

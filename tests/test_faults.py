@@ -608,6 +608,49 @@ class TestSweepResume:
         assert calls == ["tape"]
         assert resumed == rows
 
+    def test_robustness_prepares_each_benchmark_once_and_only_when_needed(
+        self, tmp_path, monkeypatch
+    ):
+        """A benchmark's oracle and shield are made once for all its cells; a
+        failed deployment becomes an error row per cell; on resume a
+        benchmark whose cells are all journaled is not prepared at all."""
+        from repro.experiments import robustness
+
+        prepared = []
+
+        def fake_prepare(benchmark, scale, service):
+            prepared.append(benchmark)
+            if benchmark == "dcmotor":
+                raise RuntimeError("no program")
+            return benchmark
+
+        def fake_cell(benchmark, kind, scale, service, magnitude, _deployment):
+            assert _deployment == benchmark
+            return {"benchmark": benchmark, "disturbance": kind, "monitor_s": 2.5}
+
+        monkeypatch.setattr(robustness, "_prepare_deployment", fake_prepare)
+        monkeypatch.setattr(robustness, "run_robustness_cell", fake_cell)
+        journal = tmp_path / "robustness.journal"
+        kwargs = dict(
+            benchmarks=["satellite", "dcmotor", "tape"],
+            kinds=["none", "uniform"],
+            journal=journal,
+            timing=False,
+        )
+        rows = robustness.run_robustness(**kwargs)
+        assert prepared == ["satellite", "dcmotor", "tape"]
+        errors = [row.get("error") for row in rows]
+        assert errors == [None, None, "no program", "no program", None, None]
+        assert rows[0]["monitor_s"] == 0.0  # timing zeroed
+
+        # Simulate a kill after the first three cells.
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:4]) + "\n")
+        prepared.clear()
+        resumed = robustness.run_robustness(resume=True, **kwargs)
+        assert prepared == ["dcmotor", "tape"]
+        assert resumed == rows
+
     def test_table2_markers_survive_timing_normalization(self):
         from repro.experiments.reporting import normalize_timing
 
