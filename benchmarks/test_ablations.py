@@ -1,4 +1,4 @@
-"""Benchmarks for the design-choice ablations called out in DESIGN.md §5.
+"""Benchmarks for the reproduction's design-choice ablations.
 
 * LQR ignores unsafe regions and can violate safety (paper §6 related work);
 * directly training a bounded linear policy with random search is brittle,

@@ -1,4 +1,4 @@
-"""Ablation: certificate backends and decision procedures (DESIGN.md §5, item 1).
+"""Ablation: certificate backends and decision procedures (README, "Verification kernel").
 
 Compares, on the same verification problems,
 

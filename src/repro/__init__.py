@@ -3,8 +3,11 @@ Reinforcement Learning" (Zhu, Xiong, Magill, Jagannathan; PLDI 2019).
 
 The package synthesizes deterministic policy programs from neural reinforcement
 learning policies, verifies them with inductive invariants, and deploys the
-pair as a runtime safety shield.  See ``DESIGN.md`` for the system inventory
-and ``EXPERIMENTS.md`` for the paper-vs-measured results.
+pair as a runtime safety shield.  The README's "Architecture" section lists
+the packages layer by layer, and ``PAPER.md`` has the paper's abstract.
+
+``import repro`` loads no SciPy solver: the LP, Lyapunov and Riccati solvers
+are imported by the functions that call them, during synthesis.
 
 Typical usage::
 

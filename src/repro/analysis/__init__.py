@@ -3,7 +3,7 @@
 The abstract domain is the interval box (reusing :func:`polynomial_range`,
 the soundness core of the branch-and-bound verifier).  Three consumers:
 
-* ``repro lint`` / :func:`lint_store` — coded diagnostics (``A001``–``A007``)
+* ``repro lint`` / :func:`lint_store` — coded diagnostics (``A001``–``A008``)
   over stored artifacts;
 * the :class:`~repro.store.ShieldStore` validation gate — error-severity
   findings reject an artifact at ``put`` time, warnings are recorded in
@@ -29,7 +29,6 @@ from .lint import (
     analyze_invariant,
     analyze_program,
     lint_store,
-    resolve_artifact_environment,
 )
 from .refute import statically_refuted
 
@@ -50,6 +49,5 @@ __all__ = [
     "lint_store",
     "polyblock_output_intervals",
     "program_output_intervals",
-    "resolve_artifact_environment",
     "statically_refuted",
 ]

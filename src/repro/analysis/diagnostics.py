@@ -1,7 +1,7 @@
 """Coded diagnostics and reports of the static shield analyzer.
 
 Every finding the abstract interpreter produces is a :class:`Diagnostic` with
-a stable code (``A001``–``A007``), a severity, a human-readable location
+a stable code (``A001``–``A008``), a severity, a human-readable location
 inside the artifact (``branches[2].guard``, ``outputs[0]``), and optionally a
 concrete witness state.  Severity semantics:
 
@@ -25,6 +25,8 @@ A005    error     dimension mismatch against the environment
 A006    error/    non-finite coefficients (error); ill-conditioned
         warning   magnitudes or degree blow-up (warning)
 A007    warning   lowering-plan float-error bound exceeds the tolerance
+A008    error     the recorded environment cannot be rebuilt from its
+                  recorded overrides
 ======  ========  =====================================================
 """
 
@@ -46,6 +48,7 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "A005": "dimension mismatch",
     "A006": "non-finite or ill-conditioned coefficients",
     "A007": "lowering float-error bound exceeded",
+    "A008": "recorded environment cannot be rebuilt",
 }
 
 

@@ -539,38 +539,36 @@ def analyze_invariant(
     return report
 
 
-def resolve_artifact_environment(artifact):
-    """Reconstruct the registry environment an artifact was verified against.
-
-    Returns ``None`` when the artifact names no registry environment or the
-    reconstruction fails — analysis then degrades to the env-free checks.
-    """
-    from ..envs import BENCHMARKS, make_environment
-
-    name = artifact.environment
-    if not name or name not in BENCHMARKS:
-        return None
-    try:
-        return make_environment(name, **dict(artifact.environment_overrides or {}))
-    except Exception:
-        return None
-
-
 def analyze_artifact(
     artifact,
     env=None,
     config: Optional[AnalysisConfig] = None,
     subject: Optional[str] = None,
 ) -> AnalysisReport:
-    """Run the full static analysis over one stored shield artifact."""
+    """Run the full static analysis over one stored shield artifact.
+
+    Without ``env``, an artifact that records a registry environment is
+    checked against that environment, rebuilt with its recorded overrides;
+    one whose overrides do not rebuild it gets an A008 error.  An artifact
+    naming no registry environment gets the env-free checks only.
+    """
+    from ..envs import BENCHMARKS
+    from ..store.service import InputError, load_environment
+
     config = config or DEFAULT_CONFIG
-    if env is None:
-        env = resolve_artifact_environment(artifact)
+    rebuild_error = None
+    if env is None and artifact.environment in BENCHMARKS:
+        try:
+            env = load_environment(artifact.environment, artifact.environment_overrides)
+        except InputError as error:
+            rebuild_error = str(error)
     if subject is None:
         subject = artifact.environment or "artifact"
     report = analyze_program(
         artifact.program, env=env, config=config, subject=subject
     )
+    if rebuild_error is not None:
+        report.add("error", "A008", "environment", rebuild_error)
     state_dim = env.state_dim if env is not None else getattr(
         artifact.program, "state_dim", None
     )

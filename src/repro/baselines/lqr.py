@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from ..envs.base import EnvironmentContext
 from ..rl.policies import LinearPolicy
@@ -43,6 +42,8 @@ def lqr_gain(
     is ``u = -K x``; callers wanting the closed-loop feedback matrix should use
     ``-K`` as the policy gain.
     """
+    from scipy.linalg import solve_continuous_are
+
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = a.shape[0]

@@ -70,13 +70,13 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..lang.invariant import Invariant
 from ..lang.sketch import InvariantSketch
 from ..polynomials import basis_design_matrix
 from .conditions import SafetyProblem
 from .smt import BranchAndBoundVerifier
+from .solvers import linprog
 
 __all__ = ["BarrierSynthesisConfig", "BarrierSearchResult", "BarrierCertificateSynthesizer"]
 

@@ -34,10 +34,10 @@ from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..polynomials import Monomial, Polynomial, polynomial_range
 from .regions import Box
+from .solvers import linprog
 
 __all__ = [
     "FarkasResult",

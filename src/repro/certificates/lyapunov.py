@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from ..lang.invariant import Invariant
 from ..polynomials import Polynomial
@@ -122,6 +121,8 @@ class QuadraticCertificateSynthesizer:
 
     # -------------------------------------------------------------- helpers
     def _try_shape(self, q: np.ndarray) -> QuadraticCertificateResult:
+        from scipy.linalg import solve_discrete_lyapunov
+
         m = self.closed_loop
         try:
             p = solve_discrete_lyapunov(m.T, q)

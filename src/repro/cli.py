@@ -23,7 +23,7 @@ any Python:
   variable, or ``./.repro_store``;
 * ``lint``        — run the abstract-interpretation analyzer over stored
   shields (a key prefix, one benchmark's shields, or the whole store) and
-  print coded diagnostics ``A001``–``A007``; exit 1 on errors (``--strict``:
+  print coded diagnostics ``A001``–``A008``; exit 1 on errors (``--strict``:
   warnings too), 2 on store errors;
 * ``monitor``     — deploy a (store-backed) shield over a monitored batched
   fleet, optionally stressed by a named disturbance class, and report
@@ -459,6 +459,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     if not args.scenario:
         raise InputError("name a scenario or pass --list")
+    _check_names(args.scenario, SCENARIOS, "chaos scenario")
     results = []
     for name in args.scenario:
         print(f"chaos: running {name} (seed {args.seed}) ...", file=sys.stderr)
@@ -567,7 +568,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_names(names: Sequence[str], known, kind: str) -> None:
+    """Refuse positional names outside ``known`` before any work starts."""
+    from .store.service import InputError
+
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise InputError(f"unknown {kind} {', '.join(map(repr, unknown))}; known: {sorted(known)}")
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .envs import BENCHMARKS
     from .experiments import (
         ExperimentScale,
         format_table,
@@ -578,7 +589,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         run_table2,
         run_table3,
     )
+    from .experiments.table3 import ENVIRONMENT_CHANGES
 
+    if args.experiment == "table3":
+        _check_names(args.changes or (), ENVIRONMENT_CHANGES, "environment change")
+    elif args.experiment not in ("fig3", "fig6"):
+        _check_names(args.benchmarks or (), BENCHMARKS, "benchmark")
     scale = getattr(ExperimentScale, args.scale)()
     scale.workers = args.workers
     if args.experiment in ("fig3", "fig6"):
@@ -783,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="statically analyze stored shields (coded diagnostics A001-A007)",
+        help="statically analyze stored shields (coded diagnostics A001-A008)",
     )
     lint.add_argument(
         "keys",

@@ -45,6 +45,7 @@ from ..analysis.refute import statically_refuted
 from ..faults import FaultLog, RetryPolicy, fault_site
 from ..faults.runner import ForkRunner
 from ..certificates.regions import Box
+from ..certificates.solvers import load_solvers
 from ..certificates.smt import BranchAndBoundVerifier
 from ..envs.base import EnvironmentContext
 from ..lang.invariant import Invariant, InvariantUnion
@@ -322,6 +323,10 @@ class CEGISLoop:
             slot: (slot, np.asarray(point, dtype=float), first_round_index + slot)
             for slot, point in enumerate(points)
         }
+        if runner.forks(len(tasks)):
+            # Workers inherit the parent's modules; loaded here, the solvers
+            # are imported once per loop instead of once per worker per round.
+            load_solvers()
         try:
             done = runner.run(tasks, self._fault_log, self._started_at)
         finally:

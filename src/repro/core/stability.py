@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from ..certificates.lyapunov import closed_loop_matrix
 from ..certificates.regions import Box
@@ -136,6 +135,8 @@ def verify_stability(
             ),
             wall_clock_seconds=time.perf_counter() - start,
         )
+    from scipy.linalg import solve_discrete_lyapunov
+
     lyapunov = solve_discrete_lyapunov(closed.T, np.eye(env.state_dim))
     lyapunov = 0.5 * (lyapunov + lyapunov.T)
     if float(np.min(np.linalg.eigvalsh(lyapunov))) <= 0.0:

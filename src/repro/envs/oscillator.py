@@ -9,9 +9,9 @@ We model the oscillator core as a lightly damped rotational system driven by
 the control input, and the filter as a chain of sixteen first-order lags whose
 first stage is driven by the oscillator's first coordinate.  The paper treats
 the switching behaviour as part of the plant; here the mode-dependent drift is
-conservatively folded into a bounded disturbance on the oscillator states (see
-DESIGN.md, substitution table), keeping the transition relation polynomial so
-the same verification path is exercised.
+conservatively folded into a bounded disturbance on the oscillator states,
+keeping the transition relation polynomial so the same verification path is
+exercised.
 
 Safety: the filter output (the last chain stage) and the oscillator states must
 stay below a threshold.

@@ -3,13 +3,14 @@
 This is the single place that maps the 15 benchmark names of Table 1 (plus the
 Duffing oscillator of Example 4.3) onto environment constructors, the program /
 invariant sketch defaults used for them, the preferred certificate backend, and
-the numbers the paper reports (used by ``EXPERIMENTS.md`` generation for the
-paper-vs-measured comparison).
+the numbers the paper reports (``repro list`` prints them, and the Table 1
+rows carry them next to the measured ones).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -151,7 +152,7 @@ _register(
 _register(
     BenchmarkSpec(
         name="pendulum",
-        factory=lambda **kw: make_pendulum(safe_angle_deg=kw.pop("safe_angle_deg", 23.0), **kw),
+        factory=partial(make_pendulum, safe_angle_deg=23.0),
         certificate_backend="barrier",
         invariant_degree=4,
         description="Inverted pendulum (restricted 23-degree safety, the §5 case study)",

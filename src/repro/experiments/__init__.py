@@ -1,4 +1,4 @@
-"""Experiment harness: one module per paper table/figure (see DESIGN.md §4)."""
+"""Experiment harness: one module per paper table/figure (see the README's "Commands")."""
 
 from .fig3 import run_fig3, run_fig3_variant
 from .fig6 import run_fig6

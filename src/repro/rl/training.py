@@ -13,7 +13,7 @@ spectrum of oracle trainers with the same black-box interface:
   synthesis/verification/shielding pipeline requires (the oracle is treated as
   a black box throughout).
 
-The choice is recorded in experiment outputs so EXPERIMENTS.md can note which
+The choice is recorded in experiment outputs, so a report can say which
 trainer produced each row.
 """
 

@@ -16,6 +16,7 @@ directly.  For every request it
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,13 +81,25 @@ class ResolvedShield:
 def load_environment(name: str, overrides: Optional[Dict[str, Any]] = None) -> EnvironmentContext:
     """Build registry benchmark ``name`` with constructor ``overrides``.
 
-    An unknown name is an :class:`InputError`.
+    An unknown name, an override the benchmark's constructor does not take,
+    and overrides the environment rejects (say, initial states outside the
+    safe box) are each an :class:`InputError`.
     """
     from ..envs import BENCHMARKS, make_environment
 
     if name not in BENCHMARKS:
         raise InputError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
-    return make_environment(name, **dict(overrides or {}))
+    overrides = dict(overrides or {})
+    # ``make_environment`` applies ``disturbance_bound`` itself, for every benchmark.
+    keywords = {key: value for key, value in overrides.items() if key != "disturbance_bound"}
+    try:
+        inspect.signature(BENCHMARKS[name].factory).bind(**keywords)
+    except TypeError as error:
+        raise InputError(f"bad overrides for {name}: {error}") from None
+    try:
+        return make_environment(name, **overrides)
+    except ValueError as error:
+        raise InputError(f"{name} rejects overrides {overrides}: {error}") from None
 
 
 def resolve_shield(

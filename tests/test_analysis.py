@@ -48,6 +48,7 @@ from repro.lang import (
     Mul,
     ShieldArtifact,
     Var,
+    load_artifact,
     program_to_dict,
 )
 from repro.polynomials import Interval, Polynomial
@@ -66,7 +67,7 @@ def ball_guard(radius_sq: float, center: float = 0.0, dim: int = 2) -> Invariant
 # --------------------------------------------------------------- diagnostics
 class TestDiagnostics:
     def test_codes_are_documented(self):
-        assert set(DIAGNOSTIC_CODES) == {f"A00{i}" for i in range(1, 8)}
+        assert set(DIAGNOSTIC_CODES) == {f"A00{i}" for i in range(1, 9)}
 
     def test_invalid_severity_rejected(self):
         with pytest.raises(ValueError):
@@ -509,9 +510,46 @@ class TestLintCLI:
         assert len(results) == 2
         assert sum(1 for _e, report in results if report.errors) == 1
 
+    def test_unbuildable_environment_is_an_error(self, tmp_path, capsys):
+        # At 10 degrees the pendulum's S0 leaves the safe box, so the
+        # recorded overrides no longer build the environment.
+        store = ShieldStore(tmp_path)
+        store.put(_unbuildable_pendulum(), validate=False)
+        assert main(["lint", "--store", str(store.root)]) == 1
+        out = capsys.readouterr().out
+        assert "A008" in out and "initial states must be safe" in out
+        assert "clean" not in out
+
 
 # ----------------------------------------------------- artifact-level analysis
+PENDULUM_30 = Path(__file__).parent / "data" / "pendulum_safe30_shield.json"
+
+
+def _unbuildable_pendulum() -> ShieldArtifact:
+    """The 30-degree pendulum shield, recorded with overrides its constructor rejects."""
+    artifact = load_artifact(PENDULUM_30)
+    artifact.environment_overrides = {"safe_angle_deg": 10.0}
+    return artifact
+
+
 class TestAnalyzeArtifact:
+    def test_recorded_overrides_rebuild_the_environment(self):
+        report = analyze_artifact(load_artifact(PENDULUM_30))
+        assert not report.select(code="A008")
+        assert report.environment_fingerprint
+
+    def test_unbuildable_environment_is_an_a008_error(self):
+        report = analyze_artifact(_unbuildable_pendulum())
+        (finding,) = report.select(code="A008")
+        assert finding.severity == "error"
+        assert "safe_angle_deg" in finding.message
+
+    def test_store_rejects_an_unbuildable_environment(self, tmp_path):
+        store = ShieldStore(tmp_path)
+        with pytest.raises(StoreError, match="A008"):
+            store.put(_unbuildable_pendulum())
+        assert len(store) == 0
+
     def test_registry_environment_is_resolved(self):
         artifact = _artifact(
             AffineProgram(gain=[[-0.1, -0.1]]), ball_guard(1.0), environment="satellite"

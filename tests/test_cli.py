@@ -532,6 +532,11 @@ class TestInputErrors:
             ["audit", PENDULUM_30, "--overrides", "{bad"],
             ["synthesize", "pendulum", "--overrides", "{bad"],
             ["monitor", "pendulum", "--overrides", "{bad"],
+            ["describe", "pendulum", "--overrides", '{"nosuch": 1}'],
+            ["describe", "pendulum", "--overrides", '{"safe_angle_deg": 10.0}'],
+            ["chaos", "nosuch"],
+            ["table3", "nosuch"],
+            ["table1", "nosuch"],
         ],
     )
     def test_exits_2_with_one_error_line(self, argv, malformed, monkeypatch, capsys):

@@ -53,7 +53,7 @@ def test_table1_row_shape(name):
     assert row["shielded_failures"] == 0
     assert row["program_size"] >= 1
     assert row["vars"] == 2
-    # Paper reference numbers are attached for EXPERIMENTS.md comparison.
+    # Paper reference numbers are attached for the paper-vs-measured comparison.
     assert "paper_overhead_pct" in row
 
 
