@@ -30,6 +30,7 @@ from pathlib import Path
 
 from hostinfo import host_metadata
 
+from repro import obs
 from repro.baselines import make_lqr_policy
 from repro.certificates import backend_names
 from repro.core import VerificationConfig, verify_program
@@ -79,6 +80,7 @@ def measure(tmp_dir: Path) -> tuple:
     # Verdict cache: fresh barrier proof vs cached repeats of the same query.
     cache = VerdictCache(tmp_dir / "verdicts")
     config = VerificationConfig(backend="barrier")
+    since = obs.snapshot()
     fresh, fresh_seconds = _timed_verify(env, program, config, verdict_cache=cache)
     repeat_seconds = []
     cached_outcomes = []
@@ -86,6 +88,7 @@ def measure(tmp_dir: Path) -> tuple:
         outcome, seconds = _timed_verify(env, program, config, verdict_cache=cache)
         cached_outcomes.append(outcome)
         repeat_seconds.append(seconds)
+    counts = obs.delta(since)
     nocache_seconds = []
     for _ in range(REPEATS):
         _outcome, seconds = _timed_verify(env, program, config)
@@ -94,8 +97,8 @@ def measure(tmp_dir: Path) -> tuple:
         "fresh_seconds": round(fresh_seconds, 6),
         "cached_repeat_seconds": [round(s, 6) for s in repeat_seconds],
         "uncached_repeat_seconds": [round(s, 6) for s in nocache_seconds],
-        "hits": cache.hits,
-        "misses": cache.misses,
+        "hits": counts.get("verdicts.hits", 0),
+        "misses": counts.get("verdicts.misses", 0),
         "speedup": round(min(nocache_seconds) / max(min(repeat_seconds), 1e-9), 2),
     }
     return rows, outcomes, fresh, cached_outcomes

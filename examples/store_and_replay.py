@@ -23,6 +23,7 @@ import tempfile
 
 import numpy as np
 
+from repro import obs
 from repro.baselines import make_lqr_policy
 from repro.certificates import audit_shield
 from repro.core import (
@@ -78,10 +79,12 @@ def main() -> int:
     cache = CounterexampleCache(environment="satellite", horizon=300)
     unstable = AffineProgram(gain=-4.0 * np.asarray(oracle.gain))
     cache.probe(env, unstable, env.init_region)  # harvest witnesses by simulation
+    since = obs.snapshot()
     refuter = cache.replay(env, unstable, env.init_region)
+    hits = obs.delta(since).get("replay.hits", 0)
     print(
         f"replay       {cache.witness_count} witness(es); candidate refuted from "
-        f"{np.round(refuter, 3).tolist()} (hits={cache.hits}) — verification skipped"
+        f"{np.round(refuter, 3).tolist()} (hits={hits}) — verification skipped"
     )
     safe_check = cache.replay(env, oracle, env.init_region)
     print(f"replay       safe program not refuted (result={safe_check}) — verifier runs")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import make_environment
+from repro import make_environment, obs
 from repro.baselines import make_lqr_policy
 from repro.certificates import available_backends
 from repro.core import VerificationConfig, verify_program
@@ -55,14 +55,17 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cache = VerdictCache(Path(tmp) / "verdicts")
         config = VerificationConfig(backend="barrier")
+        since = obs.snapshot()
         fresh = verify_program(env, program, config=config, verdict_cache=cache)
         cached = verify_program(env, program, config=config, verdict_cache=cache)
+        counts = obs.delta(since)
+        stats = {key: counts.get(f"verdicts.{key}", 0) for key in ("hits", "misses", "puts")}
         print(
             f"  fresh:  {fresh.wall_clock_seconds:.4f}s from_cache={fresh.from_cache}"
         )
         print(
             f"  cached: identical invariant={cached.invariant == fresh.invariant} "
-            f"from_cache={cached.from_cache}  stats={cache.stats()}"
+            f"from_cache={cached.from_cache}  stats={stats}"
         )
 
 

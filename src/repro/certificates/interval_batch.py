@@ -40,17 +40,15 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .. import obs
+
 __all__ = [
     "IntervalTable",
     "lower_interval",
     "range_boxes",
     "centred_boxes",
     "eval_points",
-    "lowering_cache_info",
 ]
-
-_LOWERINGS = 0
-_CACHE_HITS = 0
 
 
 class IntervalTable:
@@ -88,14 +86,14 @@ def lower_interval(polynomial) -> IntervalTable:
     The cache lives on the ``Polynomial`` object (``_interval_table`` slot), so
     re-checking the same certificate — the barrier refinement loop proves four
     conditions against one candidate, CEGIS re-proves deployed invariants every
-    round — never re-walks the term dictionary.
+    round — never re-walks the term dictionary.  Lookups count as
+    ``interval_table.hits``/``interval_table.misses`` in :mod:`repro.obs`.
     """
-    global _LOWERINGS, _CACHE_HITS
     cached = getattr(polynomial, "_interval_table", None)
     if cached is not None:
-        _CACHE_HITS += 1
+        obs.count("interval_table.hits")
         return cached
-    _LOWERINGS += 1
+    obs.count("interval_table.misses")
     coefficients: List[float] = []
     plans: List[Tuple[Tuple[int, int], ...]] = []
     for monomial, coeff in polynomial.terms.items():
@@ -109,11 +107,6 @@ def lower_interval(polynomial) -> IntervalTable:
     except AttributeError:  # pragma: no cover - foreign polynomial-likes
         pass
     return table
-
-
-def lowering_cache_info() -> Tuple[int, int]:
-    """``(lowerings, cache_hits)`` process-wide counters (for tests/benchmarks)."""
-    return _LOWERINGS, _CACHE_HITS
 
 
 # ------------------------------------------------------------- interval ranges

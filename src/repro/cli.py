@@ -259,6 +259,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import obs
     from .certificates.backend import get_backend
     from .core import VerificationConfig
     from .envs import BENCHMARKS
@@ -285,9 +286,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise InputError(str(error)) from None
+    since = obs.snapshot()
     all_ok, outcomes, _artifact = service.verify_stored(
         shield, verification=config, use_cache=not args.no_cache
     )
+    counts = obs.delta(since)
     print(
         f"shield {shield.key[:12] or args.key} "
         f"({shield.environment}, {len(outcomes)} branch(es))"
@@ -311,8 +314,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not outcome.verified and outcome.failure_reason:
             print(f"    {outcome.failure_reason}")
     if service.verdict_cache is not None:
-        stats = service.verdict_cache.stats()
-        print(f"verdict cache: {stats['hits']} hit(s), {stats['misses']} miss(es)")
+        hits, misses = (counts.get(f"verdicts.{key}", 0) for key in ("hits", "misses"))
+        print(f"verdict cache: {hits} hit(s), {misses} miss(es)")
     print("kernel re-verification:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

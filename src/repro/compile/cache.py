@@ -8,8 +8,8 @@ kernels by the same content fingerprint the shield store uses
 so ``SynthesisService`` and ``BatchedCampaign`` compile each artifact once per
 process no matter how many runs touch it.
 
-``hits``/``misses`` counters are exposed through :func:`kernel_cache_stats`;
-the CI smoke asserts the second campaign over a stored shield is a pure hit.
+Lookups count as ``kernel_cache.hits``/``misses`` in :mod:`repro.obs`; the CI
+smoke asserts the second campaign over a stored shield is a pure hit.
 Objects that cannot be fingerprinted or lowered (custom program classes,
 non-polynomial invariants) simply return ``None`` and the caller stays on the
 interpreted path.
@@ -21,6 +21,7 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
+from .. import obs
 from .kernels import lower_guards, lower_program
 from .lowering import LoweringError
 
@@ -36,7 +37,7 @@ __all__ = [
 
 
 class KernelCache:
-    """A fingerprint-keyed memo table with hit/miss accounting.
+    """A fingerprint-keyed memo table; lookups count in :mod:`repro.obs`.
 
     Bounded LRU: CEGIS replays witnesses against hundreds of *transient*
     candidate programs per synthesis run, each of which compiles exactly once
@@ -49,17 +50,15 @@ class KernelCache:
     def __init__(self, max_entries: int = 512) -> None:
         self._entries: Dict[Any, Any] = {}
         self.max_entries = int(max_entries)
-        self.hits = 0
-        self.misses = 0
 
     def get_or_build(self, key: Any, builder):
         try:
             kernel = self._entries.pop(key)
         except KeyError:
-            self.misses += 1
+            obs.count("kernel_cache.misses")
             kernel = builder()
         else:
-            self.hits += 1
+            obs.count("kernel_cache.hits")
         self._entries[key] = kernel  # (re)insert at the warm end
         while len(self._entries) > self.max_entries:
             self._entries.pop(next(iter(self._entries)))
@@ -68,13 +67,8 @@ class KernelCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}
-
     def clear(self) -> None:
         self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 KERNEL_CACHE = KernelCache()
@@ -127,18 +121,22 @@ def compiled_guards_for(invariant):
         return None
 
 
-def warm_kernel_cache(program=None, invariant=None) -> Dict[str, int]:
+def warm_kernel_cache(program=None, invariant=None) -> None:
     """Pre-compile a shield's kernels (used by the synthesis service on load)."""
     if program is not None:
         compiled_program_for(program)
     if invariant is not None:
         compiled_guards_for(invariant)
-    return kernel_cache_stats()
 
 
 def kernel_cache_stats() -> Dict[str, int]:
-    """Entries/hits/misses of the process-wide kernel cache."""
-    return KERNEL_CACHE.stats()
+    """Entries of the process-wide kernel cache, and this process's lookups."""
+    counts = obs.snapshot()
+    return {
+        "entries": len(KERNEL_CACHE),
+        "hits": counts.get("kernel_cache.hits", 0),
+        "misses": counts.get("kernel_cache.misses", 0),
+    }
 
 
 def clear_kernel_cache() -> None:

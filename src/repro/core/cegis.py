@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..analysis.refute import statically_refuted
 from ..faults import FaultLog, RetryPolicy, fault_site
 from ..faults.runner import ForkRunner
@@ -119,6 +120,7 @@ class CEGISResult:
     counterexamples_used: int
     uncovered_witness: Optional[np.ndarray] = None
     failure_reason: str = ""
+    #: Replay hits and misses during the run (``replay.*`` in :mod:`repro.obs`).
     cache_hits: int = 0
     cache_misses: int = 0
     cache_records: int = 0
@@ -210,9 +212,6 @@ class CEGISLoop:
             min_width=COVERAGE_MIN_WIDTH,
             seed=self.config.seed,
         )
-        self._cache_hits_at_start = 0
-        self._cache_misses_at_start = 0
-        self._pruned = 0
         self._started_at = time.perf_counter()
 
     # ------------------------------------------------------------------ api
@@ -225,11 +224,9 @@ class CEGISLoop:
         """
         cfg = self.config
         cache = self.replay_cache
-        self._pruned = 0
         self._fault_log = FaultLog()
         self._started_at = time.perf_counter()
-        self._cache_hits_at_start = cache.hits
-        self._cache_misses_at_start = cache.misses
+        since = obs.snapshot()
         if cfg.replay_prewarm_samples > 0:
             prewarm = CounterexampleCache(
                 environment=cache.environment,
@@ -251,24 +248,16 @@ class CEGISLoop:
             width = min(cfg.workers, cfg.max_counterexamples - used)
             points = self._find_uncovered_points(branches, width, rounds)
             if not points:
-                return self._result(branches, True, start, used, rounds=rounds)
+                return self._result(branches, True, start, since, used, rounds=rounds)
             rounds += 1
             outcomes = self._run_round(points, first_round_index=used)
             used += len(points)
             any_verified = False
-            for lane, (branch, records, hits, misses, verdict_delta, pruned) in outcomes:
+            for lane, (branch, records), _counts in outcomes:
                 if lane == "fork":
-                    # A forked worker counted in its own copy of the loop and
-                    # caches (its verdict entries reached the disk store, its
-                    # counters died with it); fold its deltas in.  Inline
-                    # slots already counted here.
+                    # A forked worker recorded into its own copy of the
+                    # replay cache; inline slots recorded here.
                     cache.absorb(records, emit=True)
-                    cache.hits += hits
-                    cache.misses += misses
-                    if self.verdict_cache is not None:
-                        self.verdict_cache.hits += verdict_delta[0]
-                        self.verdict_cache.misses += verdict_delta[1]
-                    self._pruned += pruned
                 if branch is None:
                     continue
                 any_verified = True
@@ -288,7 +277,7 @@ class CEGISLoop:
         if not failure_reason:
             final_uncovered = self._find_uncovered_initial_state(branches)
             if final_uncovered is None:
-                return self._result(branches, True, start, used, rounds=rounds)
+                return self._result(branches, True, start, since, used, rounds=rounds)
             uncovered = final_uncovered
             failure_reason = "counterexample budget exhausted before covering S0"
 
@@ -296,6 +285,7 @@ class CEGISLoop:
             branches,
             False,
             start,
+            since,
             used,
             uncovered=uncovered,
             failure_reason=failure_reason,
@@ -334,30 +324,13 @@ class CEGISLoop:
         return [done[slot] for slot in sorted(done)]
 
     def _branch_task(self, task: _BranchTask, attempt: int, inline: bool):
-        """The runner's work unit: one branch plus the counter deltas it caused."""
+        """The runner's work unit: one branch and the replay records it added."""
         slot, point, round_index = task
         fault_site("cegis.worker", index=slot, attempt=attempt, inline=inline)
-        cache = self.replay_cache
-        verdicts = self.verdict_cache
-        records_before = len(cache.records)
-        hits_before = cache.hits
-        misses_before = cache.misses
-        verdict_before = (verdicts.hits, verdicts.misses) if verdicts is not None else (0, 0)
-        pruned_before = self._pruned
+        records = self.replay_cache.records
+        known = len(records)
         branch = self._synthesize_branch(point, round_index)
-        verdict_delta = (
-            (verdicts.hits - verdict_before[0], verdicts.misses - verdict_before[1])
-            if verdicts is not None
-            else (0, 0)
-        )
-        return (
-            branch,
-            list(cache.records[records_before:]),
-            cache.hits - hits_before,
-            cache.misses - misses_before,
-            verdict_delta,
-            self._pruned - pruned_before,
-        )
+        return branch, records[known:]
 
     # ------------------------------------------------------------ internals
     def _result(
@@ -365,12 +338,13 @@ class CEGISLoop:
         branches: List[CEGISBranch],
         covered: bool,
         start: float,
+        since: obs.Counts,
         counterexamples_used: int,
         uncovered: Optional[np.ndarray] = None,
         failure_reason: str = "",
         rounds: int = 0,
     ) -> CEGISResult:
-        cache = self.replay_cache
+        counts = obs.delta(since)
         return CEGISResult(
             branches=branches,
             covered=covered,
@@ -378,12 +352,12 @@ class CEGISLoop:
             counterexamples_used=counterexamples_used,
             uncovered_witness=uncovered,
             failure_reason=failure_reason,
-            cache_hits=cache.hits - self._cache_hits_at_start,
-            cache_misses=cache.misses - self._cache_misses_at_start,
-            cache_records=len(cache.records),
+            cache_hits=counts.get("replay.hits", 0),
+            cache_misses=counts.get("replay.misses", 0),
+            cache_records=len(self.replay_cache.records),
             workers=self.config.workers,
             rounds=rounds,
-            statically_pruned=self._pruned,
+            statically_pruned=counts.get("prefilter.refuted", 0),
             fault_log=self._fault_log.to_dicts(),
         )
 
@@ -485,7 +459,7 @@ class CEGISLoop:
                 # could have verified this candidate and a replay hit would
                 # only have reconfirmed it: shrink exactly as the unfiltered
                 # loop would after the (now skipped) failed verification.
-                self._pruned += 1
+                obs.count("prefilter.refuted")
                 radius /= 2.0
                 if radius < min_radius:
                     break

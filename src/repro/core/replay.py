@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..certificates.regions import Box
 from ..envs.base import EnvironmentContext, as_batch_policy
 
@@ -147,9 +148,9 @@ def batch_reaches_unsafe(
 class CounterexampleCache:
     """Records counterexamples and replays trajectory witnesses vectorized.
 
-    ``hits`` counts candidates refuted by replay (each one is an expensive
-    certificate search skipped); ``misses`` counts replays that found no
-    refutation and fell through to the real checker.
+    Replays count in :mod:`repro.obs`: ``replay.hits`` (candidates refuted,
+    each an expensive certificate search skipped), ``replay.misses`` (fell
+    through to the real checker) and ``replay.states`` (witnesses simulated).
     """
 
     def __init__(
@@ -166,9 +167,6 @@ class CounterexampleCache:
         self.max_witnesses = int(max_witnesses)
         self.seed = int(seed)
         self.records: List[CounterexampleRecord] = []
-        self.hits = 0
-        self.misses = 0
-        self.replayed_states = 0
         # Probing uses a dedicated generator so recording witnesses never
         # perturbs the synthesis/verification random streams — cache-on and
         # cache-off runs must consume exactly the same randomness elsewhere.
@@ -227,12 +225,12 @@ class CounterexampleCache:
             inside = region.contains_batch(witnesses)
             candidates = witnesses[inside]
             if candidates.size:
-                self.replayed_states += int(candidates.shape[0])
+                obs.count("replay.states", int(candidates.shape[0]))
                 refuted = batch_reaches_unsafe(env, program, candidates, self.horizon)
                 if np.any(refuted):
-                    self.hits += 1
+                    obs.count("replay.hits")
                     return candidates[int(np.argmax(refuted))]
-        self.misses += 1
+        obs.count("replay.misses")
         return None
 
     def probe(
@@ -296,12 +294,3 @@ class CounterexampleCache:
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> "CounterexampleCache":
         return cls.from_dict(json.loads(Path(path).read_text()), **kwargs)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "recorded": len(self.records),
-            "witnesses": len(self._witnesses),
-            "replayed_states": self.replayed_states,
-        }

@@ -190,6 +190,8 @@ class EnvironmentContext:
         self.steady_state_tolerance = float(steady_state_tolerance)
         self.unsafe_penalty = float(unsafe_penalty)
         self.extra_unsafe_boxes = list(extra_unsafe_boxes)
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"the time step dt must be positive and finite, not {dt}")
         if init_region.dim != state_dim or safe_box.dim != state_dim or domain.dim != state_dim:
             raise ValueError("region dimensions must match state_dim")
         if not safe_box.is_subset_of(domain):

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..envs.disturbance import DISTURBANCE_KINDS, make_disturbance
 from ..envs.registry import get_benchmark, make_environment
 from ..rl.training import train_oracle
@@ -92,8 +93,7 @@ def run_robustness_cell(
     if report.disturbance_estimate is not None:
         widened = widened_environment(env, report.disturbance_estimate.bound)
         cache = getattr(service, "verdict_cache", None)
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
+        since = obs.snapshot()
         valid, outcomes = recheck_certificate(
             widened,
             result.shield,
@@ -107,8 +107,9 @@ def run_robustness_cell(
         # backend provenance instead of a blindness flag.
         row["recheck_backends"] = ",".join(outcome.backend for outcome in outcomes)
         if cache is not None:
-            row["verdict_hits"] = cache.hits - hits_before
-            row["verdict_misses"] = cache.misses - misses_before
+            counts = obs.delta(since)
+            row["verdict_hits"] = counts.get("verdicts.hits", 0)
+            row["verdict_misses"] = counts.get("verdicts.misses", 0)
     return row
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional, Sequence
 
-from ..compile import kernel_cache_stats
+from .. import obs
 from ..envs.registry import BENCHMARKS, get_benchmark
 from ..rl.training import train_oracle
 from ..runtime.simulation import compare_shielded
@@ -80,7 +80,7 @@ def run_benchmark_row(
     # The three campaigns run on the compiled execution layer; the kernel-cache
     # hit delta shows the shield compiling at most once per process — the
     # service already warmed the cache on store hits.
-    kernel_hits_before = kernel_cache_stats()["hits"]
+    since = obs.snapshot()
     comparison = compare_shielded(env, oracle, shield_result.shield, scale.protocol())
     campaign_seconds = (
         comparison.neural.total_seconds
@@ -104,7 +104,7 @@ def run_benchmark_row(
         "from_store": shield_result.from_store,
         "overhead_pct": round(100.0 * comparison.overhead, 2),
         "campaign_s": round(campaign_seconds, 3),
-        "kernel_cache_hits": kernel_cache_stats()["hits"] - kernel_hits_before,
+        "kernel_cache_hits": obs.delta(since).get("kernel_cache.hits", 0),
         "interventions": comparison.shielded.interventions,
         "shielded_failures": comparison.shielded.failures,
         "nn_steps": round(comparison.shielded.mean_steps_to_steady, 1),
@@ -132,7 +132,7 @@ def _recheck_columns(env, shield_result, config, service) -> Row:
     from ..runtime.adaptation import recheck_certificate
     from ..store import branch_regions
 
-    hits_before, misses_before = cache.hits, cache.misses
+    since = obs.snapshot()
     valid, outcomes = recheck_certificate(
         env,
         shield_result.shield,
@@ -140,11 +140,12 @@ def _recheck_columns(env, shield_result, config, service) -> Row:
         verdict_cache=cache,
         regions=branch_regions(shield_result.artifact),
     )
+    counts = obs.delta(since)
     return {
         "certificate_valid": valid,
         "recheck_backends": ",".join(outcome.backend for outcome in outcomes),
-        "verdict_hits": cache.hits - hits_before,
-        "verdict_misses": cache.misses - misses_before,
+        "verdict_hits": counts.get("verdicts.hits", 0),
+        "verdict_misses": counts.get("verdicts.misses", 0),
     }
 
 

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 __all__ = ["JournalError", "RowJournal", "ShardManifest"]
 
 _ROW_MAGIC = "repro-row-journal/v1"
-_SHARD_MAGIC = "repro-shard-manifest/v1"
+_SHARD_MAGIC = "repro-shard-manifest/v2"
 
 
 class JournalError(ValueError):

@@ -23,10 +23,11 @@ task; the shard pool (:mod:`repro.shard.pool`) and the parallel CEGIS driver
 * Every recovery decision lands in the caller's :class:`FaultLog` and a
   ``RuntimeWarning``.
 
-Results come back tagged with the lane they ran on.  An inline task mutated
-this process's counters directly, so callers fold counter deltas only from
-``"fork"`` results.  An executor lives until the runner is closed or a
-failure retires it; workers see the job as it was when they forked.
+Results come back tagged with the lane they ran on and the :mod:`repro.obs`
+delta the task counted; the runner merges a forked task's delta into this
+process (an inline one counted here already).  An executor lives until the
+runner is closed or a failure retires it; workers see the job as it was when
+they forked.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
 
+from .. import obs
 from .plan import active_plan
 from .retry import FaultLog, RetryPolicy
 
@@ -53,14 +55,22 @@ def fork_available() -> bool:
 
 
 class Done(NamedTuple):
-    """One finished task: the lane it ran on (``"fork"`` or ``"inline"``)."""
+    """One finished task: its lane (``"fork"``, ``"inline"``, or a caller's
+    name for a resumed task), value, and counter delta."""
 
     lane: str
     value: Any
+    counts: obs.Counts
+
+
+def _counted(work: Callable[..., Any], *args: Any):
+    since = obs.snapshot()
+    value = work(*args)
+    return value, obs.delta(since)
 
 
 def _forked_task(payload: Any, attempt: int) -> Any:
-    return _JOB.work(payload, attempt, False)
+    return _counted(_JOB.work, payload, attempt, False)
 
 
 class ForkRunner:
@@ -108,23 +118,32 @@ class ForkRunner:
         tasks: Mapping[int, Any],
         log: FaultLog,
         started_at: float,
-        on_done: Optional[Callable[[int, Any], None]] = None,
+        on_done: Optional[Callable[[int, Done], None]] = None,
+        resumed: Optional[Mapping[int, Done]] = None,
     ) -> Dict[int, Done]:
-        """Run every task; returns ``{index: Done(lane, value)}``.
+        """Run every task; returns ``{index: Done(lane, value, counts)}``.
 
-        ``on_done(index, value)`` is called as each task completes.  Recovery
+        ``on_done(index, done)`` is called as each task completes.  Recovery
         events are appended to ``log`` with times relative to ``started_at``.
+        ``resumed`` tasks (finished by an earlier process) are merged like
+        forked ones and returned with the rest.
         """
         done: Dict[int, Done] = {}
+        for index, record in (resumed or {}).items():
+            obs.merge(record.counts)
+            done[index] = record
 
-        def finish(index: int, lane: str, value: Any) -> None:
-            done[index] = Done(lane, value)
+        def finish(index: int, lane: str, outcome) -> None:
+            value, counts = outcome
+            if lane != "inline":
+                obs.merge(counts)
+            done[index] = Done(lane, value, counts)
             if on_done is not None:
-                on_done(index, value)
+                on_done(index, done[index])
 
         if not self.forks(len(tasks)):
             for index in sorted(tasks):
-                finish(index, "inline", self.work(tasks[index], 0, True))
+                finish(index, "inline", _counted(self.work, tasks[index], 0, True))
             return done
 
         attempts = dict.fromkeys(tasks, 0)
@@ -147,9 +166,9 @@ class ForkRunner:
             )
 
         def run_inline(index: int) -> None:
-            finish(index, "inline", self.work(tasks[index], attempts[index], True))
+            finish(index, "inline", _counted(self.work, tasks[index], attempts[index], True))
 
-        while len(done) < len(tasks):
+        while any(index not in done for index in tasks):
             batch = [index for index in sorted(tasks) if index not in done]
             failed = []
             try:
@@ -169,11 +188,11 @@ class ForkRunner:
                 for future in sorted(finished, key=futures.get):
                     index = futures[future]
                     try:
-                        value = future.result()
+                        outcome = future.result()
                     except (BrokenProcessPool, OSError) as error:
                         failed.append((index, f"{type(error).__name__}: {error}"))
                         continue
-                    finish(index, "fork", value)
+                    finish(index, "fork", outcome)
                 for future in sorted(late, key=futures.get):
                     failed.append(
                         (futures[future], f"no result within the {timeout:.3g}s watchdog deadline")

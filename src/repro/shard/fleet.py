@@ -10,12 +10,13 @@ order by construction.  What does need care:
   triples *in shard order* and fits mean/covariance from the totals
   (:func:`disturbance_estimate_from_moments`).  The summation order is fixed,
   so the fitted estimate is bit-identical for every worker count.
-* **Process-wide counters.**  Kernel-cache hits/misses and shield
-  decision/intervention counters incremented inside a forked worker die with
-  the fork; workers return deltas and the pool folds them into the parent's
-  counters.  The fork runner tags each result with its lane, and in-process
-  shards, which mutated the parent directly, are not folded (the CEGIS
-  replay-cache merge follows the same rule).
+* **Counters.**  Shield decision/intervention counters incremented inside a
+  forked worker die with the fork; workers return deltas and the pool folds
+  them into the parent's shield.  The fork runner tags each result with its
+  lane, and in-process shards, which mutated the parent directly, are not
+  folded (the CEGIS replay-cache merge follows the same rule).  Process
+  counters (:mod:`repro.obs`) need no fold here: the runner merges each
+  forked shard's delta itself.
 """
 
 from __future__ import annotations

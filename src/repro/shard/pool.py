@@ -15,11 +15,12 @@ its campaigns as contiguous episode shards over forked workers of one
   :mod:`multiprocessing.shared_memory` arena per run (:mod:`repro.shard.memory`);
   the task pickle carries only shard bounds, the seed stream, the arena spec,
   and the shard's slice of any per-episode disturbance model.
-* Workers return small delta dicts (wall-clock, kernel-cache and
-  shield-counter deltas, residual moments); the parent folds the deltas into
-  its process-wide counters and merges moments in shard order
-  (:mod:`repro.shard.fleet`), so ``workers=1`` and ``workers=N`` report
-  bit-identical counters and disturbance estimates.
+* Workers return small records (wall-clock, shield-counter deltas, residual
+  moments); the parent folds the shield counters into its shield and merges
+  moments in shard order (:mod:`repro.shard.fleet`), so ``workers=1`` and
+  ``workers=N`` report bit-identical counters and disturbance estimates.
+  Process counters (the kernel cache's) reach the parent through the
+  runner, which merges each forked shard's :mod:`repro.obs` delta.
 * Where the runner does not fork (``workers=1``, one pending shard, or no
   ``fork``), the same shard tasks run in-process against a private arena —
   identical code path, identical results.
@@ -30,8 +31,8 @@ its campaigns as contiguous episode shards over forked workers of one
   so recovered runs match fault-free runs on every counter and estimate.
   Every recovery decision lands in the run's :class:`~repro.faults.FaultLog`
   (``stats["faults"]``) and a ``RuntimeWarning``.
-* With ``checkpoint=<path>`` each completed shard (result slice + counter
-  deltas) is journaled to a :class:`~repro.faults.ShardManifest`;
+* With ``checkpoint=<path>`` each completed shard (result slice, record and
+  counter delta) is journaled to a :class:`~repro.faults.ShardManifest`;
   ``resume=True`` pre-fills the arena from the manifest and executes only the
   missing shards — a SIGKILL mid-campaign costs at most one shard of work.
 
@@ -42,13 +43,14 @@ the policy afterwards is invisible to them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..faults import FaultLog, RetryPolicy, ShardManifest, fault_site
-from ..faults.runner import ForkRunner
+from ..faults.runner import Done, ForkRunner
 from .fleet import (
     ShardedCampaignResult,
     disturbance_estimate_from_moments,
@@ -79,25 +81,18 @@ class _ShardTask:
 def _execute_shard(
     job: "ShardPool", task: _ShardTask, arena: ShardArena, attempt: int, inline: bool
 ):
-    """Run one shard against the arena; returns the shard's delta record.
+    """Run one shard against the arena; returns the shard's record.
 
     The ``shard_executions`` arena slot counts actual executions of this
     shard — the recovery tests assert from it that only failed shards re-ran.
     """
-    from ..compile.cache import KERNEL_CACHE
-
     arena.view("shard_executions")[task.index] += 1
     fault_site("shard.worker", index=task.index, attempt=attempt, inline=inline)
     rng = np.random.default_rng(task.seed)
     count = task.stop - task.start
     window = slice(task.start, task.stop)
-    cache_before = (KERNEL_CACHE.hits, KERNEL_CACHE.misses)
     stats = job.shield.statistics if job.shield is not None else None
-    stats_before = (
-        (stats.decisions, stats.interventions, stats.neural_seconds, stats.shield_seconds)
-        if stats is not None
-        else None
-    )
+    stats_at_entry = astuple(stats) if stats is not None else None
     initial = None
     if task.has_initial_states:
         initial = np.array(arena.view("initial_states")[window], dtype=float)
@@ -136,28 +131,20 @@ def _execute_shard(
         raise ValueError(f"unknown shard mode {task.mode!r}")
     elapsed = time.perf_counter() - start
 
-    if stats_before is None:
-        stats_delta = None
-    else:
-        stats_delta = (
-            stats.decisions - stats_before[0],
-            stats.interventions - stats_before[1],
-            stats.neural_seconds - stats_before[2],
-            stats.shield_seconds - stats_before[3],
-        )
-    cache_delta = (KERNEL_CACHE.hits - cache_before[0], KERNEL_CACHE.misses - cache_before[1])
+    stats_delta = (
+        None
+        if stats is None
+        else tuple(now - then for now, then in zip(astuple(stats), stats_at_entry))
+    )
     return {
-        "index": task.index,
-        "episodes": count,
         "elapsed": elapsed,
-        "kernel_cache": cache_delta,
         "shield": stats_delta,
         "moments": moments,
     }
 
 
-def _manifest_entry(task: _ShardTask, arena: ShardArena, result_fields, record: dict) -> dict:
-    """One checkpoint line: the shard's result slices plus its delta record.
+def _manifest_entry(task: _ShardTask, arena: ShardArena, result_fields, done: Done) -> dict:
+    """One checkpoint line: the shard's result slices, record and counts.
 
     Floats survive the JSON round trip exactly (shortest-repr serialization),
     so a resumed campaign is bit-identical to an uninterrupted one.
@@ -166,16 +153,16 @@ def _manifest_entry(task: _ShardTask, arena: ShardArena, result_fields, record: 
         name: arena.view(name)[task.start:task.stop].tolist()
         for name, _shape, _dtype in result_fields
     }
+    record = done.value
     moments = record["moments"]
     return {
         "index": task.index,
         "start": task.start,
         "stop": task.stop,
         "views": views,
+        "counts": done.counts,
         "record": {
-            "episodes": record["episodes"],
             "elapsed": record["elapsed"],
-            "kernel_cache": list(record["kernel_cache"]),
             "shield": None if record["shield"] is None else list(record["shield"]),
             "moments": None
             if moments is None
@@ -188,18 +175,19 @@ def _manifest_entry(task: _ShardTask, arena: ShardArena, result_fields, record: 
     }
 
 
-def _restore_manifest_entry(entry: dict, arena: ShardArena, result_fields) -> dict:
-    """Rebuild a completed shard from its checkpoint line (arena + record)."""
+def _restore_manifest_entry(entry: dict, arena: ShardArena, result_fields) -> Done:
+    """Rebuild a completed shard from its checkpoint line (arena + record).
+
+    The checkpointed counts were counted in a dead process; the runner merges
+    them into this one, whatever lane originally executed the shard.
+    """
     window = slice(int(entry["start"]), int(entry["stop"]))
     for name, _shape, dtype in result_fields:
         arena.view(name)[window] = np.asarray(entry["views"][name], dtype=dtype)
     rec = entry["record"]
     moments = rec.get("moments")
-    return {
-        "index": int(entry["index"]),
-        "episodes": int(rec["episodes"]),
+    record = {
         "elapsed": float(rec["elapsed"]),
-        "kernel_cache": tuple(rec["kernel_cache"]),
         "shield": None if rec.get("shield") is None else tuple(rec["shield"]),
         "moments": None
         if moments is None
@@ -208,10 +196,8 @@ def _restore_manifest_entry(entry: dict, arena: ShardArena, result_fields) -> di
             np.asarray(moments["total"], dtype=float),
             np.asarray(moments["outer"], dtype=float),
         ),
-        # The checkpointed counters live in a dead process; this (fresh)
-        # process folds them, whatever lane originally executed the shard.
-        "origin": "manifest",
     }
+    return Done("manifest", record, entry["counts"])
 
 
 class ShardPool:
@@ -430,8 +416,6 @@ class ShardPool:
     ):
         if self._closed:
             raise RuntimeError("this shard pool is closed")
-        from ..compile.cache import KERNEL_CACHE
-
         episodes = shards[-1].stop
         result_fields = [(name, shape, dtype) for name, shape, dtype in fields]
         fields = list(fields) + [("shard_executions", (len(shards),), np.int64)]
@@ -458,12 +442,12 @@ class ShardPool:
         try:
             if initial_states is not None:
                 arena.view("initial_states")[:] = initial_states
-            records: Dict[int, dict] = {}
+            resumed: Dict[int, Done] = {}
             pending: Dict[int, _ShardTask] = {}
             for shard in shards:
                 entry = completed.get(shard.index)
                 if entry is not None:
-                    records[shard.index] = _restore_manifest_entry(entry, arena, result_fields)
+                    resumed[shard.index] = _restore_manifest_entry(entry, arena, result_fields)
                     continue
                 pending[shard.index] = _ShardTask(
                     mode=mode,
@@ -482,41 +466,40 @@ class ShardPool:
                     has_initial_states=initial_states is not None,
                 )
 
-            def on_done(index: int, record: dict) -> None:
-                manifest.append(_manifest_entry(pending[index], arena, result_fields, record))
+            def on_done(index: int, done: Done) -> None:
+                manifest.append(_manifest_entry(pending[index], arena, result_fields, done))
 
+            since = obs.snapshot()
             # Compile in the parent before any fork: workers inherit the warm
             # kernel cache and the constructed stepper itself.
-            cache_before = (KERNEL_CACHE.hits, KERNEL_CACHE.misses)
             self._stepper()
             start = time.perf_counter()
             finished = self._runner.run(
-                pending, self._fault_log, start, on_done if manifest is not None else None
+                pending,
+                self._fault_log,
+                start,
+                on_done if manifest is not None else None,
+                resumed=resumed,
             )
-            for index, (lane, record) in finished.items():
+            for lane, record, _counts in finished.values():
                 record["origin"] = lane
-                records[index] = record
-            pool_mode = (
-                "fork-pool"
-                if any(r["origin"] == "fork" for r in records.values())
-                else "in-process"
-            )
-            # Inline shards already mutated this process's counters; fold the
-            # deltas of the others (forked workers and manifest-restored shards).
-            self._fold([r for r in records.values() if r["origin"] != "inline"])
+            results = [finished[shard.index].value for shard in shards]
+            pool_mode = "fork-pool" if any(r["origin"] == "fork" for r in results) else "in-process"
+            # Inline shards already counted on this process's shield; fold the
+            # shield counters of the others (forked and manifest-restored).
+            self._fold([r for r in results if r["origin"] != "inline"])
             elapsed = time.perf_counter() - start
-            results = [records[shard.index] for shard in shards]
             arrays = arena.take()
             arrays.pop("initial_states", None)
             self._last_executions = arrays.pop("shard_executions")
         finally:
             self._arena = None
             arena.destroy()
-        cache_delta = {
-            "hits": KERNEL_CACHE.hits - cache_before[0],
-            "misses": KERNEL_CACHE.misses - cache_before[1],
+        counts = obs.delta(since)
+        self._last_cache_delta = {
+            "hits": counts.get("kernel_cache.hits", 0),
+            "misses": counts.get("kernel_cache.misses", 0),
         }
-        self._last_cache_delta = cache_delta
         return arrays, results, elapsed, pool_mode
 
     def _execute(self, task: _ShardTask, attempt: int, inline: bool) -> dict:
@@ -540,20 +523,12 @@ class ShardPool:
         }
 
     def _fold(self, results) -> None:
-        """Fold forked workers' counter deltas into the parent's counters."""
-        from ..compile.cache import KERNEL_CACHE
-
+        """Fold other processes' shield counters into this pool's shield."""
         for record in results:
-            hits, misses = record["kernel_cache"]
-            KERNEL_CACHE.hits += hits
-            KERNEL_CACHE.misses += misses
             if self.shield is not None and record["shield"] is not None:
-                decisions, interventions, neural_s, shield_s = record["shield"]
                 stats = self.shield.statistics
-                stats.decisions += decisions
-                stats.interventions += interventions
-                stats.neural_seconds += neural_s
-                stats.shield_seconds += shield_s
+                for field, n in zip(fields(stats), record["shield"]):
+                    setattr(stats, field.name, getattr(stats, field.name) + n)
 
     def _stats(self, shards: Sequence[Shard], results, pool_mode: str) -> dict:
         executions = (

@@ -82,8 +82,9 @@ def load_environment(name: str, overrides: Optional[Dict[str, Any]] = None) -> E
     """Build registry benchmark ``name`` with constructor ``overrides``.
 
     An unknown name, an override the benchmark's constructor does not take,
-    and overrides the environment rejects (say, initial states outside the
-    safe box) are each an :class:`InputError`.
+    a value of the wrong type (``{"mass": null}``) and overrides the
+    environment rejects (say, initial states outside the safe box) are each
+    an :class:`InputError`.
     """
     from ..envs import BENCHMARKS, make_environment
 
@@ -98,7 +99,7 @@ def load_environment(name: str, overrides: Optional[Dict[str, Any]] = None) -> E
         raise InputError(f"bad overrides for {name}: {error}") from None
     try:
         return make_environment(name, **overrides)
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise InputError(f"{name} rejects overrides {overrides}: {error}") from None
 
 

@@ -25,7 +25,8 @@ Two properties make a cache hit *exactly* equivalent to a fresh proof:
 
 Entries are JSON files under ``<root>/<key[:2]>/<key>.json`` (one directory
 per shard, like the object store) plus an in-memory layer; a
-:class:`VerdictCache` constructed with ``root=None`` is memory-only.
+:class:`VerdictCache` constructed with ``root=None`` is memory-only.  It counts
+``verdicts.hits``/``misses``/``puts`` in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..certificates.backend import VerificationOutcome
 from ..lang.serialize import (
     invariant_from_dict,
@@ -116,7 +118,7 @@ def verdict_key(program, env, init_box, config) -> Optional[str]:
 
 
 class VerdictCache:
-    """Content-addressed verification verdicts with hit/miss accounting."""
+    """Content-addressed verification verdicts."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else None
@@ -124,9 +126,6 @@ class VerdictCache:
         # Keys whose on-disk entry exists but failed to load — the next put()
         # overwrites them instead of treating the file as authoritative.
         self._corrupt: set = set()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
 
     # ------------------------------------------------------------------ keys
     def key(self, env, program, init_box, config) -> Optional[str]:
@@ -161,10 +160,10 @@ class VerdictCache:
                 self._memory.pop(key, None)
                 self._corrupt.add(key)
         if entry is None:
-            self.misses += 1
+            obs.count("verdicts.misses")
             return None
         self._memory[key] = entry
-        self.hits += 1
+        obs.count("verdicts.hits")
         return outcome, list(entry.get("records", []))
 
     def put(
@@ -176,7 +175,7 @@ class VerdictCache:
         """File a fresh verdict (idempotent; the first write wins)."""
         entry = self._entry_for(outcome, records)
         self._memory.setdefault(key, entry)
-        self.puts += 1
+        obs.count("verdicts.puts")
         if self.root is None:
             return
         path = self._path_for(key)
@@ -189,9 +188,6 @@ class VerdictCache:
             json.dumps({"format": _FORMAT, "key": key, "entry": entry}, sort_keys=True)
         )
         tmp.replace(path)
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "puts": self.puts}
 
     def __len__(self) -> int:
         count = len(self._memory)

@@ -534,6 +534,11 @@ class TestInputErrors:
             ["monitor", "pendulum", "--overrides", "{bad"],
             ["describe", "pendulum", "--overrides", '{"nosuch": 1}'],
             ["describe", "pendulum", "--overrides", '{"safe_angle_deg": 10.0}'],
+            ["describe", "pendulum", "--overrides", '{"mass": [1, 2]}'],
+            ["describe", "pendulum", "--overrides", '{"mass": null}'],
+            ["describe", "pendulum", "--overrides", '{"dt": -1}'],
+            ["describe", "pendulum", "--overrides", '{"dt": 0}'],
+            ["describe", "pendulum", "--overrides", '{"dt": NaN}'],
             ["chaos", "nosuch"],
             ["table3", "nosuch"],
             ["table1", "nosuch"],

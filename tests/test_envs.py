@@ -113,6 +113,11 @@ class TestSpecificDynamics:
         action = np.array([0.0])
         assert not np.allclose(short.rate_numeric(state, action), long.rate_numeric(state, action))
 
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_time_step_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="time step"):
+            make_pendulum(dt=dt)
+
     def test_platoon_dimensions(self):
         assert make_car_platoon(4).state_dim == 8
         assert make_car_platoon(8).state_dim == 16

@@ -144,7 +144,7 @@ def test_forking_cegis_round_loads_the_solvers_before_it_forks():
                 "forks": self.forks(len(tasks)),
                 "loaded": [name in sys.modules for name in ("scipy.optimize", "scipy.linalg")],
             })
-            return {index: Done("inline", None) for index in tasks}
+            return {index: Done("inline", None, {}) for index in tasks}
 
         ForkRunner.run = run
         env = make_environment("satellite")

@@ -23,6 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import make_lqr_policy
 from repro.core import (
     CEGISConfig,
@@ -236,9 +237,10 @@ class TestCounterexampleCache:
         cache = CounterexampleCache(environment="satellite", horizon=200)
         witness = env.init_region.sample(np.random.default_rng(0), 1)[0]
         cache.record(witness, kind="trajectory")
+        since = obs.snapshot()
         refuter = cache.replay(env, unstable, env.init_region)
         assert refuter is not None
-        assert cache.hits == 1
+        assert obs.delta(since).get("replay.hits", 0) == 1
         # Soundness: the returned state really does reach unsafe.
         assert batch_reaches_unsafe(env, unstable, refuter[None, :], 200)[0]
 
@@ -246,8 +248,9 @@ class TestCounterexampleCache:
         env, stable, _unstable = self._env_and_programs()
         cache = CounterexampleCache(environment="satellite", horizon=200)
         cache.record(env.init_region.center, kind="trajectory")
+        since = obs.snapshot()
         assert cache.replay(env, stable, env.init_region) is None
-        assert cache.misses == 1
+        assert obs.delta(since).get("replay.misses", 0) == 1
 
     def test_out_of_region_witnesses_are_not_replayed(self):
         env, _stable, unstable = self._env_and_programs()
@@ -292,7 +295,8 @@ class TestCounterexampleCache:
         env = make_environment("satellite")
         oracle = make_lqr_policy(env)
         cache = CounterexampleCache(environment="satellite")
+        since = obs.snapshot()
         for _ in range(2):
             result = CEGISLoop(env, oracle, config=FAST, replay_cache=cache).run()
             assert result.covered
-        assert cache.misses >= 2
+        assert obs.delta(since).get("replay.misses", 0) >= 2

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import make_lqr_policy
 from repro.certificates import (
     BarrierCertificateSynthesizer,
@@ -238,12 +239,19 @@ class TestDisturbanceAwareBarrier:
 
 
 # ----------------------------------------------------------------- verdict cache
+def _verdict_counts(since):
+    """The verdict-cache counts in :mod:`repro.obs` after the snapshot ``since``."""
+    counts = obs.delta(since)
+    return {key: counts.get(f"verdicts.{key}", 0) for key in ("hits", "misses", "puts")}
+
+
 class TestVerdictCache:
     def test_hit_returns_bit_identical_outcome_and_record_stream(self, tmp_path):
         env, program = _satellite()
         cache = VerdictCache(tmp_path / "verdicts")
         config = VerificationConfig(backend="barrier")
         fresh_records, cached_records = [], []
+        since = obs.snapshot()
         fresh = verify_program(
             env,
             program,
@@ -258,7 +266,7 @@ class TestVerdictCache:
             recorder=lambda kind, state: cached_records.append((kind, tuple(state))),
             verdict_cache=cache,
         )
-        assert cache.stats() == {"hits": 1, "misses": 1, "puts": 1}
+        assert _verdict_counts(since) == {"hits": 1, "misses": 1, "puts": 1}
         assert not fresh.from_cache and cached.from_cache
         assert cached.verified == fresh.verified
         assert cached.backend == fresh.backend
@@ -287,9 +295,10 @@ class TestVerdictCache:
             env, program, config=config, verdict_cache=VerdictCache(tmp_path / "v")
         )
         reopened = VerdictCache(tmp_path / "v")
+        since = obs.snapshot()
         outcome = verify_program(env, program, config=config, verdict_cache=reopened)
         assert outcome.from_cache
-        assert reopened.stats()["hits"] == 1
+        assert _verdict_counts(since)["hits"] == 1
         assert len(reopened) == 1
 
     def test_environment_fingerprint_captures_dynamics(self):
@@ -317,11 +326,12 @@ class TestVerdictCache:
         cache = VerdictCache(tmp_path / "v")
         config = VerificationConfig(backend="barrier")
         config.barrier.time_budget_seconds = 0.0
+        since = obs.snapshot()
         outcome = verify_program(
             env, program, init_box=DUFFING_BOX, config=config, verdict_cache=cache
         )
         assert not outcome.verified
-        assert cache.puts == 0  # the budget failure was not memoised
+        assert _verdict_counts(since)["puts"] == 0  # the budget failure was not memoised
         # The same query under the same (budgeted) config re-proves fresh.
         again = verify_program(
             env, program, init_box=DUFFING_BOX, config=config, verdict_cache=cache
@@ -337,9 +347,10 @@ class TestVerdictCache:
         path.write_text("{ truncated")  # simulate a torn write
 
         reopened = VerdictCache(tmp_path / "v")
+        since = obs.snapshot()
         fresh = verify_program(env, program, config=config, verdict_cache=reopened)
         assert not fresh.from_cache  # corrupt entry counted as a miss...
-        assert reopened.misses == 1
+        assert _verdict_counts(since)["misses"] == 1
         repaired = verify_program(env, program, config=config, verdict_cache=reopened)
         assert repaired.from_cache  # ...and put() repaired the file
         assert VerdictCache(tmp_path / "v").get(outcome.cache_key) is not None
@@ -357,9 +368,10 @@ class TestVerdictCache:
         path.write_text(json.dumps(wrapper))
 
         reopened = VerdictCache(tmp_path / "v")
+        since = obs.snapshot()
         fresh = verify_program(env, program, config=config, verdict_cache=reopened)
         assert not fresh.from_cache
-        assert reopened.stats()["misses"] == 1
+        assert _verdict_counts(since)["misses"] == 1
 
     def test_non_polynomial_dynamics_bypass_the_cache(self, tmp_path):
         env, program = _satellite()
@@ -378,6 +390,7 @@ class TestVerdictCache:
         )
         assert environment_fingerprint(weird) is None
         cache = VerdictCache(tmp_path / "v")
+        since = obs.snapshot()
         outcome = verify_program(
             weird,
             program,
@@ -385,7 +398,7 @@ class TestVerdictCache:
             verdict_cache=cache,
         )
         assert outcome.cache_key == ""  # never keyed
-        assert cache.stats() == {"hits": 0, "misses": 0, "puts": 0}
+        assert _verdict_counts(since) == {"hits": 0, "misses": 0, "puts": 0}
 
 
 # --------------------------------------------------- cache through the service
@@ -406,16 +419,17 @@ class TestServiceVerdictCache:
         env = make_environment("satellite")
         service = SynthesisService(store=ShieldStore(tmp_path / "store"))
         assert service.verdict_cache is not None
+        since = obs.snapshot()
         result = service.synthesize(env, self._oracle(env), config=FAST_CEGIS)
         assert not result.from_store
-        assert service.verdict_cache.puts >= 1
+        assert _verdict_counts(since)["puts"] >= 1
         assert result.artifact.metadata["branch_regions"]
 
     def test_verify_stored_hits_the_cache(self, tmp_path):
         env = make_environment("satellite")
         service = SynthesisService(store=ShieldStore(tmp_path / "store"))
         result = service.synthesize(env, self._oracle(env), config=FAST_CEGIS)
-        hits_before = service.verdict_cache.hits
+        since = obs.snapshot()
         all_ok, outcomes, artifact = service.verify_stored(
             result.key, verification=FAST_CEGIS.verification
         )
@@ -423,7 +437,7 @@ class TestServiceVerdictCache:
         assert all(outcome.verified for outcome in outcomes)
         # The CEGIS proofs populated the cache under the same keys the
         # recorded branch regions reproduce — the recheck is free.
-        assert service.verdict_cache.hits > hits_before
+        assert _verdict_counts(since)["hits"] > 0
         assert all(outcome.from_cache for outcome in outcomes)
 
     def test_verify_stored_without_cache_reproves_identically(self, tmp_path):
@@ -446,10 +460,10 @@ class TestServiceVerdictCache:
         oracle = self._oracle(env)
         cache = VerdictCache(tmp_path / "verdicts")
         first = CEGISLoop(env, oracle, config=FAST_CEGIS, verdict_cache=cache).run()
-        hits_after_first = cache.hits
+        since = obs.snapshot()
         second = CEGISLoop(env, oracle, config=FAST_CEGIS, verdict_cache=cache).run()
         plain = CEGISLoop(env, oracle, config=FAST_CEGIS).run()
-        assert cache.hits > hits_after_first  # re-synthesis served from cache
+        assert _verdict_counts(since)["hits"] > 0  # re-synthesis served from cache
         for other in (second, plain):
             assert other.covered == first.covered
             assert other.counterexamples_used == first.counterexamples_used
