@@ -36,13 +36,22 @@ notes for its own CEGIS loop.
 
 Frontier engine and determinism contract
 ----------------------------------------
-The verifier advances the whole frontier of open boxes per round as
+The verifier advances the frontier of open boxes round by round as
 ``(n_boxes, dim)`` endpoint arrays — constraint pruning, target bounding,
 centre/corner falsification, resolution-limit handling, and splitting are all
 batched array operations over lowered monomial tables
 (:mod:`repro.certificates.interval_batch`).  Its differential oracle, the
 scalar engine in :mod:`repro.reference.bnb`, walks the same queue one box at
 a time.
+
+A round is processed in chunks of :data:`CHUNK_BOXES` boxes, in canonical
+order; a chunk never splits a sibling pair.  Each chunk runs every step
+above and writes its children into the next frontier's buffer, and the round
+ends at the first chunk that holds a terminal event.  So a query's memory is
+the frontier's endpoint arrays (the open boxes, and room for two children
+each) plus a working set bounded by the chunk: bounds, candidate points and
+samples are never held for the whole frontier at once.  A round smaller than
+a chunk is one chunk.
 
 Both engines explore the canonical frontier order — breadth-first: the initial
 boxes in the order given, then each surviving box's lower/upper children in
@@ -65,7 +74,7 @@ once per pair with an open child, and a box's first witness is its centre
 or else its pair's first violating face corner — the first violating
 candidate in the scalar walk's order.  Constraint and target bounds are
 computed only on the boxes the previous test left open; rows do not depend
-on batch size, so this changes no value.
+on batch size, so neither this nor the chunking changes any value.
 
 Resolution-limit sampling draws from a generator derived from ``seed``, a
 canonical hash of the query (sense, lowered polynomials, boxes), and the
@@ -73,18 +82,19 @@ ordinal of the limit box in canonical order — never from shared verifier
 state — so verdicts are reproducible regardless of how many queries the
 verifier answered before, and identical across the two engines.  Every limit
 box takes an ordinal, including those the centred form then proves, so a
-box that is sampled draws the same stream as it would without that proof.
-A proved box has (up to rounding) no feasible point with a violating value,
-so its samples could never have produced a witness: under ``"sample"`` the
-centred form changes no verdict, counterexample, ``boxes_explored`` or
-``max_depth_reached``, only how many boxes rest on sampling.
+box that is sampled draws the same stream as it would without that proof,
+and ordinals keep counting across chunks and rounds.  A proved box has (up
+to rounding) no feasible point with a violating value, so its samples could
+never have produced a witness: under ``"sample"`` the centred form changes
+no verdict, counterexample, ``boxes_explored`` or ``max_depth_reached``,
+only how many boxes rest on sampling.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +115,11 @@ __all__ = [
     "prove_positive",
     "find_uncovered_point",
 ]
+
+#: Boxes of a branch-and-bound round processed at a time (rounded up to an
+#: even count, so that a chunk holds whole sibling pairs).  Everything a
+#: chunk allocates scales with it rather than with the frontier.
+CHUNK_BOXES = 4096
 
 
 @dataclass
@@ -220,29 +235,67 @@ def _face_points(low: np.ndarray, high: np.ndarray, axes: np.ndarray) -> np.ndar
 
 
 def _split_batch(
-    low: np.ndarray, high: np.ndarray
+    low: np.ndarray,
+    high: np.ndarray,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect ``(n, d)`` boxes along their widest axes.
 
     Returns the children, interleaved ``[lower_0, upper_0, lower_1, upper_1,
     ...]`` — the canonical frontier order — and the ``(n,)`` split axes.
+    The children are written into ``out``'s ``(2n, d)`` arrays when given.
     """
     count, dim = low.shape
-    widths = high - low
-    axes = np.argmax(widths, axis=1)
+    axes = np.argmax(high - low, axis=1)
     rows = np.arange(count)
     mids = 0.5 * (low[rows, axes] + high[rows, axes])
-    left_high = high.copy()
-    left_high[rows, axes] = mids
-    right_low = low.copy()
-    right_low[rows, axes] = mids
-    new_low = np.empty((2 * count, dim))
-    new_high = np.empty((2 * count, dim))
+    if out is None:
+        out = np.empty((2 * count, dim)), np.empty((2 * count, dim))
+    new_low, new_high = out
     new_low[0::2] = low
-    new_low[1::2] = right_low
-    new_high[0::2] = left_high
+    new_low[1::2] = low
+    new_low[1::2][rows, axes] = mids  # the upper child starts at the split
+    new_high[0::2] = high
     new_high[1::2] = high
+    new_high[0::2][rows, axes] = mids  # the lower child ends there
     return new_low, new_high, axes
+
+
+def _chunks(count: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of a round's chunks of :data:`CHUNK_BOXES` boxes, in
+    canonical order; starts are even, so no chunk splits a sibling pair."""
+    step = CHUNK_BOXES + (CHUNK_BOXES & 1)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+class _Children:
+    """The next round's frontier, written chunk by chunk in canonical order.
+
+    It has room for two children per box of the round; only the rows the
+    splits write are touched.
+    """
+
+    def __init__(self, boxes: int, dim: int) -> None:
+        self.low = np.empty((2 * boxes, dim))
+        self.high = np.empty((2 * boxes, dim))
+        self.axes = np.empty(boxes, dtype=np.intp)
+        self.pairs = 0
+
+    def split(self, low: np.ndarray, high: np.ndarray) -> None:
+        """Append the children of the ``(n, d)`` boxes."""
+        start, stop = self.pairs, self.pairs + low.shape[0]
+        rows = slice(2 * start, 2 * stop)
+        _, _, self.axes[start:stop] = _split_batch(
+            low, high, out=(self.low[rows], self.high[rows])
+        )
+        self.pairs = stop
+
+    def frontier(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(low, high, axes)``: the children and their parents' split axes."""
+        rows = 2 * self.pairs
+        return self.low[:rows], self.high[:rows], self.axes[: self.pairs]
+
 
 
 def _lower_query(
@@ -374,128 +427,157 @@ class BranchAndBoundVerifier:
         digest: int,
     ) -> CheckResult:
         explored = 0
-        limit_ordinal = 0
+        ordinal = 0  # the next resolution-limit box's sampling ordinal
         sampled = 0
-        tol = self.tolerance
-        dim = low.shape[1]
         axes: Optional[np.ndarray] = None  # parents' split axes, one per sibling pair
         while low.shape[0]:
-            remaining = self.max_boxes - explored
-            if remaining <= 0:
-                return CheckResult(
-                    False,
-                    counterexample=0.5 * (low[0] + high[0]),
-                    boxes_explored=explored,
-                    max_depth_reached=True,
-                    sampled_boxes=sampled,
+            # Boxes past the budget are not examined; the first of them is
+            # returned unresolved.
+            count = min(low.shape[0], self.max_boxes - explored)
+            overflow = low.shape[0] > count
+            children = _Children(0 if overflow else count, low.shape[1])
+            for start, stop in _chunks(count):
+                event, limits, n_sampled, wide_low, wide_high = self._prove_chunk(
+                    target,
+                    ctables,
+                    sense,
+                    digest,
+                    low[start:stop],
+                    high[start:stop],
+                    None if axes is None else axes[start >> 1 : (stop + 1) >> 1],
+                    ordinal,
                 )
-            overflow: Optional[Tuple[np.ndarray, np.ndarray]] = None
-            if low.shape[0] > remaining:
-                overflow = (low[remaining], high[remaining])
-                low, high = low[:remaining], high[:remaining]
-            count = low.shape[0]
-
-            # Constraint pruning, then target bounding, each batched over the
-            # boxes still open.
-            open_idx = np.arange(count)
-            open_low, open_high = low, high
-            for table in ctables:
-                bound_low, _ = range_boxes(table, open_low, open_high)
-                keep = ~(bound_low > tol)
-                open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
-            bound_low, bound_high = range_boxes(target, open_low, open_high)
-            keep = ~(bound_high <= tol) if sense == "<=" else ~(bound_low > -tol)
-            open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
-
-            # Per-box terminal events, in canonical (frontier) order.  The
-            # earliest event wins — exactly where the scalar walk would stop.
-            event_box = count  # sentinel: no event
-            event: Optional[CheckResult] = None
-            if open_idx.size:
-                faces = pair = None
-                if axes is not None and _candidate_count(dim) > 1:
-                    # Face corners once per sibling pair with an open child;
-                    # ``pair`` maps each open box to its pair's row.  This is
-                    # ``np.unique(open_idx >> 1, return_inverse=True)`` for
-                    # sorted input, at about two thirds of its per-round cost.
-                    pair_of = open_idx >> 1
-                    first = np.empty(pair_of.size, dtype=bool)
-                    first[0] = True
-                    np.not_equal(pair_of[1:], pair_of[:-1], out=first[1:])
-                    pairs, pair = pair_of[first], np.cumsum(first) - 1
-                    faces = _face_points(low[2 * pairs], high[2 * pairs], axes[pairs])
-                witness = self._first_witness(
-                    target, ctables, sense, open_idx, open_low, open_high, faces, pair
-                )
-                if witness is not None:
-                    event_box, point = witness
-                    event = CheckResult(False, counterexample=point)
-
-            # Resolution-limit boxes: open, below min_width, and ahead of the
-            # witness box (which stops the walk before its own limit check).
-            # Each keeps the ordinal of its place among them; then those the
-            # centred form proves are dropped, and only the rest are sampled
-            # (or, under "reject", refuted).
-            narrow = (open_high - open_low).max(axis=1) <= self.min_width
-            limit_idx = open_idx[narrow]
-            ahead = limit_idx if event is None else limit_idx[limit_idx < event_box]
-            if ahead.size:
-                ordinals = limit_ordinal + np.arange(ahead.size)
-                unproved = ~self._centred_proved(target, ctables, sense, low[ahead], high[ahead])
-                ahead, ordinals = ahead[unproved], ordinals[unproved]
-            if ahead.size:
-                if self.resolution_limit_policy == "sample":
-                    k = self.resolution_samples
-                    samples = np.empty((ahead.size, k, dim))
-                    for j, (i, ordinal) in enumerate(zip(ahead, ordinals)):
-                        rng = _box_rng(self.seed, digest, int(ordinal))
-                        samples[j] = rng.uniform(low[i], high[i], (k, dim))
-                    viol = self._violation_mask(
-                        target, ctables, samples.reshape(-1, dim), sense
-                    ).reshape(ahead.size, -1)
-                    hits = np.flatnonzero(viol.any(axis=1))
-                    if hits.size:
-                        j = int(hits[0])
-                        sampled += j
-                        event_box = int(ahead[j])
-                        event = CheckResult(
-                            False, counterexample=samples[j, int(np.argmax(viol[j]))].copy()
-                        )
-                    else:
-                        sampled += ahead.size
-                else:
-                    centers = 0.5 * (low[ahead] + high[ahead])
-                    hits = np.flatnonzero(self._feasible_mask(ctables, centers))
-                    if hits.size:
-                        j = int(hits[0])
-                        event_box = int(ahead[j])
-                        event = CheckResult(
-                            False, counterexample=centers[j].copy(), max_depth_reached=True
-                        )
-
-            if event is not None:
-                event.boxes_explored = explored + event_box + 1
-                event.sampled_boxes = sampled
-                return event
-
+                if event is not None:
+                    event.boxes_explored += explored + start
+                    event.sampled_boxes += sampled
+                    return event
+                ordinal += limits
+                sampled += n_sampled
+                if not overflow:
+                    children.split(wide_low, wide_high)
             explored += count
-            if self.resolution_limit_policy == "sample":
-                limit_ordinal += int(limit_idx.size)
-            if overflow is not None:
+            if overflow:
                 return CheckResult(
                     False,
-                    counterexample=0.5 * (overflow[0] + overflow[1]),
+                    counterexample=0.5 * (low[count] + high[count]),
                     boxes_explored=explored,
                     max_depth_reached=True,
                     sampled_boxes=sampled,
                 )
-
-            wide = ~narrow
-            if not wide.any():
-                break
-            low, high, axes = _split_batch(open_low[wide], open_high[wide])
+            low, high, axes = children.frontier()
 
         return CheckResult(True, boxes_explored=explored, sampled_boxes=sampled)
+
+    def _prove_chunk(
+        self,
+        target: IntervalTable,
+        ctables: Sequence[IntervalTable],
+        sense: str,
+        digest: int,
+        low: np.ndarray,
+        high: np.ndarray,
+        axes: Optional[np.ndarray],
+        ordinal: int,
+    ) -> Tuple[Optional[CheckResult], int, int, Optional[np.ndarray], Optional[np.ndarray]]:
+        """One chunk of a round: the boxes ``low``/``high``, whole sibling
+        pairs split along ``axes`` (``None`` in the initial round), whose
+        first resolution-limit box takes sampling ordinal ``ordinal``.
+
+        Returns ``(event, limits, sampled, wide_low, wide_high)``: the
+        chunk's first terminal event, with ``boxes_explored`` and
+        ``sampled_boxes`` counted from the chunk's start, or ``None``; the
+        number of resolution-limit boxes (ordinals taken) and of those
+        accepted on samples; and the open boxes above the resolution limit,
+        which the round splits.
+        """
+        count, dim = low.shape
+        tol = self.tolerance
+
+        # Constraint pruning, then target bounding, each batched over the
+        # boxes still open.
+        open_idx = np.arange(count)
+        open_low, open_high = low, high
+        for table in ctables:
+            bound_low, _ = range_boxes(table, open_low, open_high)
+            keep = ~(bound_low > tol)
+            open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
+        bound_low, bound_high = range_boxes(target, open_low, open_high)
+        keep = ~(bound_high <= tol) if sense == "<=" else ~(bound_low > -tol)
+        open_idx, open_low, open_high = open_idx[keep], open_low[keep], open_high[keep]
+
+        # Per-box terminal events, in canonical (frontier) order.  The
+        # earliest event wins — exactly where the scalar walk would stop.
+        event_box = count  # sentinel: no event
+        event: Optional[CheckResult] = None
+        if open_idx.size:
+            faces = pair = None
+            if axes is not None and _candidate_count(dim) > 1:
+                # Face corners once per sibling pair with an open child;
+                # ``pair`` maps each open box to its pair's row.  This is
+                # ``np.unique(open_idx >> 1, return_inverse=True)`` for
+                # sorted input, at about two thirds of its per-round cost.
+                pair_of = open_idx >> 1
+                first = np.empty(pair_of.size, dtype=bool)
+                first[0] = True
+                np.not_equal(pair_of[1:], pair_of[:-1], out=first[1:])
+                pairs, pair = pair_of[first], np.cumsum(first) - 1
+                faces = _face_points(low[2 * pairs], high[2 * pairs], axes[pairs])
+            witness = self._first_witness(
+                target, ctables, sense, open_idx, open_low, open_high, faces, pair
+            )
+            if witness is not None:
+                event_box, point = witness
+                event = CheckResult(False, counterexample=point)
+
+        # Resolution-limit boxes: open, below min_width, and ahead of the
+        # witness box (which stops the walk before its own limit check).
+        # Each keeps the ordinal of its place among them; then those the
+        # centred form proves are dropped, and only the rest are sampled
+        # (or, under "reject", refuted).
+        narrow = (open_high - open_low).max(axis=1) <= self.min_width
+        limit_idx = open_idx[narrow]
+        ahead = limit_idx if event is None else limit_idx[limit_idx < event_box]
+        sampled = 0
+        if ahead.size:
+            ordinals = ordinal + np.arange(ahead.size)
+            unproved = ~self._centred_proved(target, ctables, sense, low[ahead], high[ahead])
+            ahead, ordinals = ahead[unproved], ordinals[unproved]
+        if ahead.size:
+            if self.resolution_limit_policy == "sample":
+                k = self.resolution_samples
+                samples = np.empty((ahead.size, k, dim))
+                for j, (i, box_ordinal) in enumerate(zip(ahead, ordinals)):
+                    rng = _box_rng(self.seed, digest, int(box_ordinal))
+                    samples[j] = rng.uniform(low[i], high[i], (k, dim))
+                viol = self._violation_mask(
+                    target, ctables, samples.reshape(-1, dim), sense
+                ).reshape(ahead.size, -1)
+                hits = np.flatnonzero(viol.any(axis=1))
+                if hits.size:
+                    j = int(hits[0])
+                    sampled = j
+                    event_box = int(ahead[j])
+                    event = CheckResult(
+                        False, counterexample=samples[j, int(np.argmax(viol[j]))].copy()
+                    )
+                else:
+                    sampled = ahead.size
+            else:
+                centers = 0.5 * (low[ahead] + high[ahead])
+                hits = np.flatnonzero(self._feasible_mask(ctables, centers))
+                if hits.size:
+                    j = int(hits[0])
+                    event_box = int(ahead[j])
+                    event = CheckResult(
+                        False, counterexample=centers[j].copy(), max_depth_reached=True
+                    )
+
+        if event is not None:
+            event.boxes_explored = event_box + 1
+            event.sampled_boxes = sampled
+            return event, 0, 0, None, None
+        wide = ~narrow
+        return None, int(limit_idx.size), sampled, open_low[wide], open_high[wide]
 
     def _first_witness(
         self,
@@ -622,43 +704,35 @@ class BranchAndBoundVerifier:
     ) -> Optional[np.ndarray]:
         explored = 0
         while low.shape[0]:
-            remaining = self.max_boxes - explored
-            if remaining <= 0:
-                candidate = 0.5 * (low[0] + high[0])
-                if not self._covered_mask(tables, margins, candidate[None, :])[0]:
-                    return candidate
-                return None
-            overflow: Optional[Tuple[np.ndarray, np.ndarray]] = None
-            if low.shape[0] > remaining:
-                overflow = (low[remaining], high[remaining])
-                low, high = low[:remaining], high[:remaining]
-            count = low.shape[0]
+            count = min(low.shape[0], self.max_boxes - explored)
+            overflow = low.shape[0] > count
+            children = _Children(0 if overflow else count, low.shape[1])
+            for start, stop in _chunks(count):
+                chunk_low, chunk_high = low[start:stop], high[start:stop]
+                open_mask = np.ones(stop - start, dtype=bool)
+                for table, margin in zip(tables, margins):
+                    _, bound_high = range_boxes(table, chunk_low, chunk_high)
+                    open_mask &= ~(bound_high <= margin + self.tolerance)
+                open_idx = np.flatnonzero(open_mask)
 
-            open_mask = np.ones(count, dtype=bool)
-            for table, margin in zip(tables, margins):
-                _, bound_high = range_boxes(table, low, high)
-                open_mask &= ~(bound_high <= margin + self.tolerance)
-            open_idx = np.flatnonzero(open_mask)
+                if open_idx.size:
+                    centers = 0.5 * (chunk_low[open_idx] + chunk_high[open_idx])
+                    uncovered = ~self._covered_mask(tables, margins, centers)
+                    hits = np.flatnonzero(uncovered)
+                    if hits.size:
+                        return centers[int(hits[0])].copy()
 
-            if open_idx.size:
-                centers = 0.5 * (low[open_idx] + high[open_idx])
-                uncovered = ~self._covered_mask(tables, margins, centers)
-                hits = np.flatnonzero(uncovered)
-                if hits.size:
-                    return centers[int(hits[0])].copy()
-
+                if not overflow:
+                    split = open_mask & ~((chunk_high - chunk_low).max(axis=1) <= self.min_width)
+                    children.split(chunk_low[split], chunk_high[split])
             explored += count
-            if overflow is not None:
-                candidate = 0.5 * (overflow[0] + overflow[1])
+            if overflow:
+                # Budget exhausted: fall back to the centre of an unresolved box.
+                candidate = 0.5 * (low[count] + high[count])
                 if not self._covered_mask(tables, margins, candidate[None, :])[0]:
                     return candidate
                 return None
-
-            limit_mask = (high - low).max(axis=1) <= self.min_width
-            split_idx = np.flatnonzero(open_mask & ~limit_mask)
-            if not split_idx.size:
-                break
-            low, high, _ = _split_batch(low[split_idx], high[split_idx])
+            low, high, _ = children.frontier()
         return None
 
     def _covered_mask(

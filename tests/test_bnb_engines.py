@@ -16,19 +16,28 @@ exactly, not just approximately.  The suite drives both engines through:
 * randomized polynomial/box/constraint queries;
 * the CEGIS cover query ``find_uncovered_point``.
 
+Every frontier query runs twice: at the default ``CHUNK_BOXES`` and at a
+tiny odd chunk, so that most rounds span many chunks (witnesses, sampling
+ordinals, budget cuts and sibling pairs all meet chunk edges), and both must
+equal the scalar walk.
+
 It also pins the supporting contracts: the numeric kernels are batch-size
 independent (row values never depend on frontier size), the centred
-(mean-value) enclosure contains the polynomial, and resolution-limit sampling
-is a pure function of the query (no verifier call-history dependence).
+(mean-value) enclosure contains the polynomial, a query's traced memory is
+bounded by its frontier plus one chunk, and resolution-limit sampling is a
+pure function of the query (no verifier call-history dependence).
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.baselines import make_lqr_policy
-from repro.certificates import Box, BranchAndBoundVerifier
+from repro.certificates import Box, BranchAndBoundVerifier, smt
 from repro.certificates.interval_batch import (
     centred_boxes,
     eval_points,
@@ -42,6 +51,9 @@ from repro.polynomials.monomial import Monomial
 from repro.reference import ScalarBranchAndBoundVerifier
 
 ENGINES = (ScalarBranchAndBoundVerifier, BranchAndBoundVerifier)
+#: Boxes per chunk in the second frontier run: tiny, and odd, so that it must
+#: be rounded up to whole sibling pairs.
+TINY_CHUNK = 5
 
 
 def _assert_identical(result_a, result_b, context=""):
@@ -55,10 +67,18 @@ def _assert_identical(result_a, result_b, context=""):
         assert np.array_equal(result_a.counterexample, result_b.counterexample), context
 
 
+def _tiny_chunks(query, verifier):
+    """``query(verifier)`` with rounds cut into :data:`TINY_CHUNK`-box chunks."""
+    with mock.patch.object(smt, "CHUNK_BOXES", TINY_CHUNK):
+        return query(verifier)
+
+
 def _both(query, **verifier_kwargs):
     scalar = query(ScalarBranchAndBoundVerifier(**verifier_kwargs))
     frontier = query(BranchAndBoundVerifier(**verifier_kwargs))
     _assert_identical(scalar, frontier, context=repr(verifier_kwargs))
+    chunked = _tiny_chunks(query, BranchAndBoundVerifier(**verifier_kwargs))
+    _assert_identical(scalar, chunked, context=f"chunk {TINY_CHUNK}, {verifier_kwargs!r}")
     return frontier
 
 
@@ -414,6 +434,164 @@ def test_multi_box_initial_query_identical():
     _both(lambda v: v.prove_positive(disk - 1.0, boxes, [x - 2.5]), max_boxes=2_000)
 
 
+# ----------------------------------------------------------- chunked rounds
+# A round is processed in chunks of ``CHUNK_BOXES`` boxes, rounded up to
+# whole sibling pairs.  These queries put events on chunk edges at a tiny odd
+# chunk and check the chunks the frontier engine ran.
+_CHUNKS, _PROVE_CHUNK = smt._chunks, BranchAndBoundVerifier._prove_chunk
+
+
+def _chunked(monkeypatch, query, **verifier_kwargs):
+    """The frontier result at :data:`TINY_CHUNK`, checked against the scalar
+    walk, and its chunks as ``[start, stop, event]`` lists in run order."""
+    monkeypatch.setattr(smt, "CHUNK_BOXES", TINY_CHUNK)
+    log = []
+
+    def logged_chunks(count):
+        for start, stop in _CHUNKS(count):
+            log.append([start, stop, False])
+            yield start, stop
+
+    def logged_prove_chunk(self, *args):
+        outcome = _PROVE_CHUNK(self, *args)
+        log[-1][2] = outcome[0] is not None
+        return outcome
+
+    monkeypatch.setattr(smt, "_chunks", logged_chunks)
+    monkeypatch.setattr(BranchAndBoundVerifier, "_prove_chunk", logged_prove_chunk)
+    scalar = query(ScalarBranchAndBoundVerifier(**verifier_kwargs))
+    frontier = query(BranchAndBoundVerifier(**verifier_kwargs))
+    _assert_identical(scalar, frontier, context=repr(verifier_kwargs))
+    return frontier, log
+
+
+def _face_edge_query():
+    """Round 4 of [0, 8] x [0, 1] holds the eight unit boxes along x, all
+    open (the y terms keep every enclosure inconclusive).  The target is
+    positive only near (7, 1), the split-face corner of pair (6, 7), which no
+    earlier round evaluates."""
+    x, y = _plane()
+    target = 0.01 - 0.02 * (x - 7.0) ** 2 - (y - 1.0) ** 2
+    return target, Box((0.0, 0.0), (8.0, 1.0))
+
+
+def test_chunks_hold_whole_sibling_pairs():
+    """An odd chunk size is rounded up: every chunk starts on an even box."""
+    with mock.patch.object(smt, "CHUNK_BOXES", TINY_CHUNK):
+        spans = list(smt._chunks(20))
+    assert spans == [(0, 6), (6, 12), (12, 18), (18, 20)]
+
+
+def test_sibling_pair_at_a_chunk_edge_identical(monkeypatch):
+    """Five-box chunks would cut pair (4, 5) and leave pair (6, 7) without
+    its own face corners; six-box chunks start pair (6, 7) at a chunk edge,
+    and the witness is its face corner, found in the round's second chunk."""
+    target, box = _face_edge_query()
+    result, log = _chunked(monkeypatch, lambda v: v.prove_nonpositive(target, [box]))
+    assert np.array_equal(result.counterexample, (7.0, 1.0))
+    assert result.boxes_explored == 1 + 2 + 4 + 7
+    assert log[-2:] == [[0, 6, False], [6, 8, True]]
+    assert all(start % 2 == 0 for start, _, _ in log)
+
+
+def test_witness_in_a_later_chunk_identical(monkeypatch):
+    """The disk is found deep in a round that spans many chunks."""
+    x, y = _plane()
+    disk = 1e-3 - (x - 0.3) ** 2 - (y - 0.7) ** 2
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    result, log = _chunked(monkeypatch, lambda v: v.prove_nonpositive(disk, [box]))
+    assert not result.verified and not result.max_depth_reached
+    event_start = log[-1][0]
+    assert log[-1][2] and event_start >= 4 * (TINY_CHUNK + 1)
+    assert not any(event for _, _, event in log[:-1])
+
+
+def test_limit_ordinals_across_chunk_edges_identical(monkeypatch):
+    """Sampling ordinals keep counting across chunks.
+
+    Fourteen copies of [-0.6, -0.2] are limit boxes that the centred form
+    cannot prove and the samples accept: ordinals 0-13, over the chunks
+    [0, 6) and [6, 12) and into [12, 15).  [0, 2] takes ordinal 14 and its
+    draws give the witness; a chunk that restarted the count would hand it
+    ordinal 2's stream.
+    """
+    boxes = [Box((-0.6,), (-0.2,))] * 14 + [Box((0.0,), (2.0,))]
+    result, log = _chunked(
+        monkeypatch, lambda v: v.prove_nonpositive(_band_poly(), boxes), min_width=2.5, seed=2
+    )
+    assert not result.verified
+    assert result.sampled_boxes == 14 and result.boxes_explored == 15
+    assert log == [[0, 6, False], [6, 12, False], [12, 15, True]]
+
+
+def test_budget_cut_mid_chunk_identical(monkeypatch):
+    """Budgets that end a round inside a chunk (and inside a sibling pair)
+    return the same unresolved box as the scalar walk."""
+    target, box = _face_edge_query()
+    cut = set()
+    for max_boxes in range(1, 14):
+        result, log = _chunked(
+            monkeypatch, lambda v: v.prove_nonpositive(target, [box]), max_boxes=max_boxes
+        )
+        assert result.max_depth_reached and result.boxes_explored == max_boxes
+        start, stop, _ = log[-1]
+        cut.add(stop - start)
+    assert cut >= {1, 3, 5}  # last chunks shorter than a whole chunk
+
+
+def test_cover_query_in_chunks_identical(monkeypatch):
+    """The cover query walks its rounds in the same chunks."""
+    monkeypatch.setattr(smt, "CHUNK_BOXES", TINY_CHUNK)
+    x, y = _plane()
+    barriers = [x * x + y * y - 1.0, (x - 1.5) ** 2 + y * y - 0.5]
+    box = Box((-1.0, -1.0), (2.5, 1.0))
+    for max_boxes in (5, 11, 40, 5_000):
+        kwargs = dict(max_boxes=max_boxes, min_width=0.01)
+        scalar = ScalarBranchAndBoundVerifier(**kwargs).find_uncovered_point(box, barriers)
+        frontier = BranchAndBoundVerifier(**kwargs).find_uncovered_point(box, barriers)
+        assert (scalar is None) == (frontier is None)
+        if scalar is not None:
+            assert np.array_equal(scalar, frontier)
+
+
+def test_traced_peak_bounded_by_chunk_and_frontier():
+    """A 4-d query with face corners whose rounds exceed 20k boxes keeps its
+    traced peak within the frontier's endpoint arrays plus a working set
+    proportional to the chunk, not to the frontier.
+
+    Proving ``(x0 + x1 - x2 - x3)**2 > 0`` on [-1, 1]^4 leaves every box on
+    the hyperplane open, so the frontier grows until the budget ends the
+    query.  The frontier term counts eight ``(F, d)`` float arrays: the
+    round's boxes in their buffer (two rows per parent) and room for two
+    children per box.  The chunk term counts four sets of a chunk's candidate
+    points (centre and corners).
+    """
+    xs = [Polynomial.variable(i, 4) for i in range(4)]
+    plane = xs[0] + xs[1] - xs[2] - xs[3]
+    target, box = plane * plane, Box((-1.0,) * 4, (1.0,) * 4)
+    verifier = BranchAndBoundVerifier(max_boxes=100_000, min_width=0.03)
+    rounds = []
+    chunks = smt._chunks
+
+    def counted_chunks(count):
+        rounds.append(count)
+        return chunks(count)
+
+    with mock.patch.object(smt, "_chunks", counted_chunks):
+        tracemalloc.start()
+        try:
+            result = verifier.prove_positive(target, [box])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result.max_depth_reached and result.boxes_explored == 100_000
+    frontier, dim = max(rounds), 4
+    assert frontier > 20_000
+    frontier_bytes = 8 * frontier * dim * 8
+    chunk_bytes = 4 * smt.CHUNK_BOXES * (1 + 2**dim) * dim * 8
+    assert peak < frontier_bytes + chunk_bytes, (peak, frontier_bytes, chunk_bytes)
+
+
 # ------------------------------------------------------- randomized queries
 @pytest.mark.parametrize("policy", ["sample", "reject"])
 def test_randomized_queries_identical(policy):
@@ -457,12 +635,16 @@ def test_find_uncovered_point_identical():
         scalar = ScalarBranchAndBoundVerifier(**kwargs).find_uncovered_point(
             box, barriers, margins
         )
-        frontier = BranchAndBoundVerifier(**kwargs).find_uncovered_point(
-            box, barriers, margins
-        )
-        assert (scalar is None) == (frontier is None)
-        if scalar is not None:
-            assert np.array_equal(scalar, frontier)
+        for frontier in (
+            BranchAndBoundVerifier(**kwargs).find_uncovered_point(box, barriers, margins),
+            _tiny_chunks(
+                lambda v: v.find_uncovered_point(box, barriers, margins),
+                BranchAndBoundVerifier(**kwargs),
+            ),
+        ):
+            assert (scalar is None) == (frontier is None)
+            if scalar is not None:
+                assert np.array_equal(scalar, frontier)
 
 
 def test_find_uncovered_point_empty_barriers():

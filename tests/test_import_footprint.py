@@ -9,14 +9,19 @@ interpreter.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SOLVERS = ("scipy.optimize", "scipy.linalg")
 
@@ -158,3 +163,22 @@ def test_forking_cegis_round_loads_the_solvers_before_it_forks():
     inline, parallel = seen
     assert inline == {"forks": False, "loaded": [False, False]}
     assert parallel == {"forks": True, "loaded": [True, True]}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10), reason="needs sys.stdlib_module_names")
+def test_every_third_party_import_is_a_declared_dependency():
+    """``pip install .`` brings every package that ``src/`` imports."""
+    block = re.search(
+        r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S
+    )
+    declared = {re.split(r"[<>=!~ ]", name)[0] for name in re.findall(r'"([^"]+)"', block[1])}
+    imported = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert {"numpy", "scipy"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)
