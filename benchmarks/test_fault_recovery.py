@@ -41,7 +41,7 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
-from repro.shard import run_sharded_campaign
+from repro.shard import ShardPool
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
 ENV_NAME = "pendulum"
@@ -87,15 +87,8 @@ def _make_shield(env, seed: int = 0) -> Shield:
 def _run(env):
     shield = _make_shield(env, seed=SEED)
     start = time.perf_counter()
-    result = run_sharded_campaign(
-        env,
-        shield=shield,
-        episodes=EPISODES,
-        steps=STEPS,
-        seed=SEED,
-        workers=WORKERS,
-        shards=SHARDS,
-    )
+    with ShardPool(env, shield=shield, workers=WORKERS, shards=SHARDS) as pool:
+        result = pool.run_campaign(EPISODES, STEPS, seed=SEED)
     return result, time.perf_counter() - start
 
 

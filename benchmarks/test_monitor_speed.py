@@ -26,7 +26,7 @@ from repro.core import Shield
 from repro.envs import make_environment
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
-from repro.reference import monitor_episode
+from repro.reference import monitor_episode, shard_streams
 from repro.rl import train_oracle
 from repro.runtime import monitor_fleet
 
@@ -67,15 +67,14 @@ def measure_monitoring_speedup(env_name: str, episodes: int = EPISODES, steps: i
     oracle = train_oracle(env, hidden_sizes=(48, 32), seed=0).policy
 
     # Sequential reference: one monitored episode at a time over the same
-    # initial-state stream the batched fleet will see.
+    # shard plan (generators and initial states) the batched fleet will see.
     shield = _make_shield(env, oracle)
-    initial_states = env.sample_initial_states(np.random.default_rng(0), episodes)
+    streams = list(shard_streams(env, episodes, np.random.default_rng(0)))
     start = time.perf_counter()
     reports = [
-        monitor_episode(
-            shield, steps=steps, rng=np.random.default_rng(0), initial_state=s0
-        )
-        for s0 in initial_states
+        monitor_episode(shield, steps=steps, rng=generator, initial_state=s0)
+        for _shard, generator, states in streams
+        for s0 in states
     ]
     scalar_seconds = time.perf_counter() - start
 

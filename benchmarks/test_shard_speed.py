@@ -38,7 +38,7 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
-from repro.shard import monitor_fleet_sharded, run_sharded_campaign
+from repro.shard import ShardPool
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
 ENV_NAME = "pendulum"
@@ -97,9 +97,8 @@ def _monitor_counters(report) -> dict:
 def _shielded_row(env, workers: int) -> dict:
     shield = _make_shield(env, seed=SEED)
     start = time.perf_counter()
-    result = run_sharded_campaign(
-        env, shield=shield, episodes=EPISODES, steps=STEPS, seed=SEED, workers=workers
-    )
+    with ShardPool(env, shield=shield, workers=workers) as pool:
+        result = pool.run_campaign(EPISODES, STEPS, seed=SEED)
     elapsed = time.perf_counter() - start
     return {
         "workers": workers,
@@ -116,14 +115,8 @@ def _monitored_row(env, workers: int) -> dict:
         "uniform", env.state_dim, magnitude=0.02, rng=np.random.default_rng(SEED + 1)
     )
     start = time.perf_counter()
-    report = monitor_fleet_sharded(
-        shield,
-        episodes=EPISODES,
-        steps=STEPS,
-        seed=SEED,
-        disturbance=disturbance,
-        workers=workers,
-    )
+    with ShardPool(env, shield=shield, workers=workers) as pool:
+        report = pool.run_monitored(EPISODES, STEPS, seed=SEED, disturbance=disturbance)
     elapsed = time.perf_counter() - start
     return {
         "workers": workers,

@@ -29,7 +29,7 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
-from repro.shard import run_sharded_campaign
+from repro.shard import ShardPool
 from repro.store import CorruptArtifactError, ShieldStore
 
 FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
@@ -57,18 +57,9 @@ def make_shield(env, seed=0):
 
 
 def campaign(env, checkpoint=None, resume=False):
-    return run_sharded_campaign(
-        env,
-        shield=make_shield(env),
-        episodes=400,
-        steps=60,
-        seed=0,
-        workers=2,
-        shards=4,
-        retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05),
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    retry = RetryPolicy(max_attempts=3, backoff_seconds=0.05)
+    with ShardPool(env, shield=make_shield(env), workers=2, shards=4, retry=retry) as pool:
+        return pool.run_campaign(400, 60, seed=0, checkpoint=checkpoint, resume=resume)
 
 
 def identical(a, b):

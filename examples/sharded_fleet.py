@@ -19,7 +19,7 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
-from repro.shard import ShardPool, monitor_fleet_sharded, run_sharded_campaign
+from repro.shard import ShardPool
 
 
 def make_shield(env, seed=0):
@@ -50,9 +50,8 @@ def main():
     # 1. The same shielded campaign at two worker counts — identical counters.
     results = {}
     for workers in (1, 4):
-        result = run_sharded_campaign(
-            env, shield=make_shield(env), episodes=episodes, steps=steps, seed=0, workers=workers
-        )
+        with ShardPool(env, shield=make_shield(env), workers=workers) as pool:
+            result = pool.run_campaign(episodes, steps, seed=0)
         results[workers] = result
         print(
             f"workers={workers} ({result.stats['mode']:>10}): "
@@ -64,7 +63,7 @@ def main():
     assert np.array_equal(results[1].unsafe_counts, results[4].unsafe_counts)
     print("counters bit-identical across worker counts\n")
 
-    # 2. A persistent pool amortises worker fork + kernel compilation across
+    # 2. A pool kept open amortises worker fork + kernel compilation across
     #    runs — the natural shape for sweeping seeds or fleet widths.
     with ShardPool(env, shield=make_shield(env), workers=4) as pool:
         for seed in range(3):
@@ -77,9 +76,8 @@ def main():
 
     # 3. Monitored fleets shard too: residual moments merge in shard order, so
     #    the disturbance estimate matches the single-process fit exactly.
-    report = monitor_fleet_sharded(
-        make_shield(env), episodes=episodes, steps=steps, seed=0, workers=4
-    )
+    with ShardPool(env, shield=make_shield(env), workers=4) as pool:
+        report = pool.run_monitored(episodes, steps, seed=0)
     estimate = report.disturbance_estimate
     print(
         f"monitored: interventions={report.total_interventions}, "
@@ -89,15 +87,8 @@ def main():
 
     # 4. Float32 workspaces halve rollout memory traffic; safety counters stay
     #    validated against the float64 reference in tests/test_shard.py.
-    f32 = run_sharded_campaign(
-        env,
-        shield=make_shield(env),
-        episodes=episodes,
-        steps=steps,
-        seed=0,
-        workers=4,
-        dtype=np.float32,
-    )
+    with ShardPool(env, shield=make_shield(env), workers=4, dtype=np.float32) as pool:
+        f32 = pool.run_campaign(episodes, steps, seed=0)
     print(f"float32: {f32.episodes_per_second:.0f} episodes/s (dtype={f32.stats['dtype']})")
 
 

@@ -57,7 +57,7 @@ from .runtime import (
     compare_shielded,
     evaluate_policy,
 )
-from .shard import ShardPool, monitor_fleet_sharded, run_sharded_campaign
+from .shard import ShardPool
 
 __version__ = "0.2.0"
 
@@ -100,6 +100,4 @@ __all__ = [
     "RuntimeMonitor",
     "kernel_cache_stats",
     "ShardPool",
-    "run_sharded_campaign",
-    "monitor_fleet_sharded",
 ]

@@ -45,6 +45,8 @@ any Python:
 
 Bad input (a missing or malformed artifact, an unknown store key or
 benchmark, malformed ``--overrides``) prints one ``error:`` line and exits 2.
+A count below 1 (``--workers``, ``--shards``, a fleet's ``--episodes``) is
+refused by the parser, also with exit 2, before any synthesis runs.
 """
 
 from __future__ import annotations
@@ -427,27 +429,31 @@ def _fleet_dtype(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .faults import RetryPolicy
-    from .shard import run_sharded_campaign
+    from .shard import ShardPool
 
     env, _oracle, result, *_ = _obtain_shield(args)
-    workers = args.workers if args.workers is not None else 1
     retry = RetryPolicy(
         max_attempts=args.max_attempts, deadline_seconds=args.deadline, seed=args.seed
     )
-    print(f"[3/3] running a {args.episodes}x{args.steps} shielded fleet ({workers} worker(s)) ...")
-    campaign = run_sharded_campaign(
+    print(
+        f"[3/3] running a {args.episodes}x{args.steps} shielded fleet "
+        f"({args.workers} worker(s)) ..."
+    )
+    with ShardPool(
         env,
         shield=result.shield,
-        episodes=args.episodes,
-        steps=args.steps,
-        seed=args.seed,
-        workers=workers,
+        workers=args.workers,
         shards=args.shards,
         dtype=_fleet_dtype(args),
         retry=retry,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-    )
+    ) as pool:
+        campaign = pool.run_campaign(
+            args.episodes,
+            args.steps,
+            seed=args.seed,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+        )
     print(json.dumps(campaign.summary(), indent=2, default=float))
     return 0
 
@@ -663,9 +669,19 @@ def _env_options(recorded: bool) -> argparse.ArgumentParser:
     return options
 
 
-def _campaign_options(episodes: int, steps: int, episodes_help: str) -> argparse.ArgumentParser:
+def positive_int(text: str) -> int:
+    """The argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _campaign_options(
+    episodes: int, steps: int, episodes_help: str, episodes_type=int
+) -> argparse.ArgumentParser:
     options = _options()
-    options.add_argument("--episodes", type=int, default=episodes, help=episodes_help)
+    options.add_argument("--episodes", type=episodes_type, default=episodes, help=episodes_help)
     options.add_argument("--steps", type=int, default=steps, help="steps per episode")
     return options
 
@@ -718,14 +734,21 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument("--degree", type=int, default=None, help="invariant degree bound")
     synthesize.add_argument("--output", help="path to save the shield artifact (JSON)")
     synthesize.add_argument(
-        "--workers", type=int, default=1, help="concurrent CEGIS branch syntheses per round"
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="concurrent CEGIS branch syntheses per round",
     )
     synthesize.set_defaults(handler=_cmd_synthesize)
 
     recorded_env = _env_options(recorded=True)
     evaluate = subparsers.add_parser(
         "evaluate",
-        parents=[recorded_env, oracle, _campaign_options(5, 150, "evaluation episodes")],
+        parents=[
+            recorded_env,
+            oracle,
+            _campaign_options(5, 150, "evaluation episodes", positive_int),
+        ],
         help="evaluate a saved shield artifact",
     )
     evaluate.add_argument("artifact", help="path to a shield artifact JSON")
@@ -831,24 +854,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(handler=_cmd_lint)
 
-    fleet = _options(shield, _campaign_options(50, 250, "fleet width"))
+    fleet = _options(shield, _campaign_options(50, 250, "fleet width", positive_int))
     fleet.add_argument(
         "--workers",
-        type=int,
-        default=None,
-        help="shard the fleet over N worker processes (counters are "
-        "identical for every N; default: single-process)",
+        type=positive_int,
+        default=1,
+        help="processes that run the fleet's shards (counters are identical "
+        "for every N; default: 1, in-process)",
     )
     fleet.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         default=None,
-        help="episode shards per sharded run (default: 8, clamped to the fleet)",
+        help="episode shards (default: 8, but at most one per 500 episodes)",
     )
     fleet.add_argument(
         "--float32",
         action="store_true",
-        help="run rollout workspaces in float32 (sharded runs only)",
+        help="run rollout workspaces in float32",
     )
 
     disturbance = _options()
@@ -978,9 +1001,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         experiment_parser.add_argument(
             "--workers",
-            type=int,
-            default=None,
-            help="shard evaluation fleets over N worker processes",
+            type=positive_int,
+            default=1,
+            help="processes that run each evaluation fleet's shards "
+            "(counters are identical for every N)",
         )
         if experiment == "table2":
             experiment_parser.add_argument("--degrees", type=int, nargs="*", default=None)

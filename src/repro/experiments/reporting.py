@@ -137,9 +137,8 @@ class ExperimentScale:
     oracle_method: str = "cloned"
     oracle_hidden: tuple = (64, 48)
     seed: int = 0
-    #: ``None`` = single-process campaigns; an int routes fleet evaluation
-    #: through the sharded runtime (:mod:`repro.shard`) with that many workers.
-    workers: object = None
+    #: Processes that run each evaluation fleet's shards (:mod:`repro.shard`).
+    workers: int = 1
 
     @classmethod
     def smoke(cls) -> "ExperimentScale":

@@ -60,23 +60,15 @@ def _campaign(seed: int, retry: RetryPolicy):
     so fault-free and faulted runs start from identical state.
     """
     from ..fuzz import generators as gen
-    from ..shard import run_sharded_campaign
+    from ..shard import ShardPool
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(101,)))
     env_payload = gen.random_env_payload(rng)
     shield_payload = gen.random_shield_payload(rng, env_payload)
     env = gen.env_from_payload(env_payload)
     shield = gen.shield_from_payload(env, shield_payload)
-    return run_sharded_campaign(
-        env,
-        shield=shield,
-        episodes=_EPISODES,
-        steps=_STEPS,
-        seed=int(seed),
-        workers=_WORKERS,
-        shards=_SHARDS,
-        retry=retry,
-    )
+    with ShardPool(env, shield=shield, workers=_WORKERS, shards=_SHARDS, retry=retry) as pool:
+        return pool.run_campaign(_EPISODES, _STEPS, seed=int(seed))
 
 
 _CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")

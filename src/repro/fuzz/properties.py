@@ -754,7 +754,7 @@ def _gen_shard(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _check_shard(payload: Dict[str, Any]) -> Optional[str]:
-    from ..shard import monitor_fleet_sharded, run_sharded_campaign
+    from ..shard import ShardPool
 
     episodes = int(payload["episodes"])
     steps = int(payload["steps"])
@@ -773,16 +773,8 @@ def _check_shard(payload: Dict[str, Any]) -> Optional[str]:
         for workers in (1, int(payload["workers"])):
             env = gen.env_from_payload(payload["env"])
             shield = gen.shield_from_payload(env, payload["shield"])
-            results.append(
-                monitor_fleet_sharded(
-                    shield,
-                    episodes=episodes,
-                    steps=steps,
-                    seed=seed,
-                    workers=workers,
-                    shards=shards,
-                )
-            )
+            with ShardPool(env, shield=shield, workers=workers, shards=shards) as pool:
+                results.append(pool.run_monitored(episodes, steps, seed=seed))
         reference, other = results
         for field in fields:
             if not np.array_equal(getattr(reference, field), getattr(other, field)):
@@ -806,17 +798,8 @@ def _check_shard(payload: Dict[str, Any]) -> Optional[str]:
     for workers in (1, int(payload["workers"])):
         env = gen.env_from_payload(payload["env"])
         shield = gen.shield_from_payload(env, payload["shield"])
-        results.append(
-            run_sharded_campaign(
-                env,
-                shield=shield,
-                episodes=episodes,
-                steps=steps,
-                seed=seed,
-                workers=workers,
-                shards=shards,
-            )
-        )
+        with ShardPool(env, shield=shield, workers=workers, shards=shards) as pool:
+            results.append(pool.run_campaign(episodes, steps, seed=seed))
     reference, other = results
     for field in fields:
         if not np.array_equal(getattr(reference, field), getattr(other, field)):
@@ -1057,7 +1040,7 @@ def _gen_faults(rng: np.random.Generator) -> Dict[str, Any]:
 
 def _check_faults(payload: Dict[str, Any]) -> Optional[str]:
     from ..faults import FaultPlan, FaultSpec, RetryPolicy, fault_plan
-    from ..shard import run_sharded_campaign
+    from ..shard import ShardPool
 
     retry = RetryPolicy(
         max_attempts=2,
@@ -1069,16 +1052,18 @@ def _check_faults(payload: Dict[str, Any]) -> Optional[str]:
     def run_once():
         env = gen.env_from_payload(payload["env"])
         shield = gen.shield_from_payload(env, payload["shield"])
-        return run_sharded_campaign(
+        with ShardPool(
             env,
             shield=shield,
-            episodes=int(payload["episodes"]),
-            steps=int(payload["steps"]),
-            seed=int(payload["campaign_seed"]),
             workers=int(payload["workers"]),
             shards=int(payload["shards"]),
             retry=retry,
-        )
+        ) as pool:
+            return pool.run_campaign(
+                int(payload["episodes"]),
+                int(payload["steps"]),
+                seed=int(payload["campaign_seed"]),
+            )
 
     reference = run_once()
     plan = FaultPlan(

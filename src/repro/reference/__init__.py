@@ -13,7 +13,8 @@ code path and no flag can reach them.
 * :mod:`repro.reference.campaigns` — :class:`InterpretedStepper`, the
   interpreted lockstep campaign loops behind the compiled stepper's interface,
   with :func:`evaluate_policy_interpreted` and
-  :func:`monitor_fleet_interpreted`;
+  :func:`monitor_fleet_interpreted`, and :func:`shard_streams`, the walk over
+  the shard plan that every campaign reference shares;
 * :mod:`repro.reference.distance` — :func:`program_oracle_distance_scalar`
   and :func:`trajectory_distance`, the Algorithm 1 objective one program and
   one state at a time, which the population objective of
@@ -24,11 +25,16 @@ code path and no flag can reach them.
   must reach while satisfying every row;
 * :mod:`repro.reference.scalar` — :func:`run_episode_scalar`,
   :func:`evaluate_policy_scalar` and :func:`monitor_episode`, one state at a
-  time.
+  time (the campaign reference over the same shard plan).
 """
 
 from .bnb import ScalarBranchAndBoundVerifier
-from .campaigns import InterpretedStepper, evaluate_policy_interpreted, monitor_fleet_interpreted
+from .campaigns import (
+    InterpretedStepper,
+    evaluate_policy_interpreted,
+    monitor_fleet_interpreted,
+    shard_streams,
+)
 from .distance import program_oracle_distance_scalar, trajectory_distance
 from .lp import full_lp_rows, solve_barrier_lp_full
 from .scalar import evaluate_policy_scalar, monitor_episode, run_episode_scalar
@@ -38,6 +44,7 @@ __all__ = [
     "InterpretedStepper",
     "evaluate_policy_interpreted",
     "monitor_fleet_interpreted",
+    "shard_streams",
     "program_oracle_distance_scalar",
     "trajectory_distance",
     "full_lp_rows",

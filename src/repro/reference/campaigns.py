@@ -4,25 +4,57 @@
 :class:`~repro.compile.stepper.CompiledStepper` — ``run_campaign`` and
 ``run_monitored`` — written as plain lockstep loops over the batch APIs
 (``Shield.decide_batch``, ``env.step_batch``, ``holds_batch``) with no lowered
-kernel.  Passed as the ``stepper`` of :meth:`BatchedCampaign.run_arrays` or
-:meth:`MonitoredBatchedCampaign.run_arrays`, it runs a campaign exactly as the
-product engines do except for the execution layer, so the compiled path can be
-held to identical counters (``tests/test_compile.py``, the ``compiled`` fuzz
-family).
+kernel.  :func:`evaluate_policy_interpreted` and
+:func:`monitor_fleet_interpreted` drive it over the shard plan the product
+engines run (:func:`shard_streams`), so a campaign differs from the product
+one only in the execution layer and the compiled path can be held to
+identical counters (``tests/test_compile.py``, the ``compiled`` fuzz family).
 """
 
 from __future__ import annotations
 
 import time
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from ..envs.base import as_batch_policy
-from ..runtime.batched import BatchedCampaign
+from ..envs.disturbance import DisturbanceEstimator
 from ..runtime.metrics import DeploymentMetrics
-from ..runtime.monitored import FleetMonitorReport, MonitoredBatchedCampaign
+from ..runtime.monitored import FleetMonitorReport
+from ..shard import (
+    Shard,
+    ShardedCampaignResult,
+    disturbance_estimate_from_moments,
+    merge_moments,
+    plan_shards,
+    seed_sequence_for,
+)
 
-__all__ = ["InterpretedStepper", "evaluate_policy_interpreted", "monitor_fleet_interpreted"]
+__all__ = [
+    "InterpretedStepper",
+    "evaluate_policy_interpreted",
+    "monitor_fleet_interpreted",
+    "shard_streams",
+]
+
+
+def shard_streams(
+    env, episodes: int, rng: np.random.Generator, initial_states=None
+) -> Iterator[Tuple[Shard, np.random.Generator, np.ndarray]]:
+    """Walk the default shard plan a ``ShardPool`` runs for ``rng``.
+
+    Yields each shard with its own generator and its initial states: the
+    shard's rows of ``initial_states`` when given, otherwise one
+    ``sample_initial_states`` draw from the shard's generator.
+    """
+    for shard in plan_shards(episodes, None, seed_sequence_for(rng)):
+        generator = np.random.default_rng(shard.seed)
+        if initial_states is not None:
+            states = np.array(initial_states[shard.start:shard.stop], dtype=float)
+        else:
+            states = env.sample_initial_states(generator, shard.episodes)
+        yield shard, generator, states
 
 
 class InterpretedStepper:
@@ -117,15 +149,24 @@ class InterpretedStepper:
 
 
 def evaluate_policy_interpreted(env, policy, protocol, shield=None) -> DeploymentMetrics:
-    """:func:`~repro.runtime.simulation.evaluate_policy` on the interpreted loop.
-
-    Runs the single-stream engine: ``protocol.workers`` is not consulted.
-    """
-    rng = np.random.default_rng(protocol.seed)
-    campaign = BatchedCampaign(env=env, policy=policy, steps=protocol.steps, shield=shield)
+    """:func:`~repro.runtime.simulation.evaluate_policy` on the interpreted loop."""
     stepper = InterpretedStepper(env, policy=policy, shield=shield)
-    arrays = campaign.run_arrays(protocol.episodes, rng, stepper=stepper)
-    return campaign._package(protocol.episodes, *arrays)
+    rng = np.random.default_rng(protocol.seed)
+    parts = [
+        stepper.run_campaign(states, protocol.steps, generator)
+        for _shard, generator, states in shard_streams(env, protocol.episodes, rng)
+    ]
+    rewards, unsafe, interventions, steady_at, elapsed = zip(*parts)
+    return ShardedCampaignResult(
+        episodes=protocol.episodes,
+        steps=protocol.steps,
+        total_rewards=np.concatenate(rewards),
+        unsafe_counts=np.concatenate(unsafe),
+        interventions=np.concatenate(interventions),
+        steady_at=np.concatenate(steady_at),
+        elapsed=sum(elapsed),
+        stats={},
+    ).metrics()
 
 
 def monitor_fleet_interpreted(
@@ -139,19 +180,30 @@ def monitor_fleet_interpreted(
     initial_states=None,
 ) -> FleetMonitorReport:
     """:func:`~repro.runtime.monitored.monitor_fleet` on the interpreted loop."""
-    campaign = MonitoredBatchedCampaign(
-        shield=shield,
-        steps=steps,
-        disturbance=disturbance,
-        estimate_disturbance=estimate_disturbance,
-        confidence_sigmas=confidence_sigmas,
-    )
-    estimator = campaign._estimator()
-    arrays = campaign.run_arrays(
+    env = shield.env
+    stepper = InterpretedStepper(env, shield=shield)
+    parts, moments = [], []
+    streams = shard_streams(env, episodes, rng or np.random.default_rng(), initial_states)
+    for shard, generator, states in streams:
+        model = None if disturbance is None else disturbance.shard(shard.start, shard.stop)
+        if model is not None:
+            model.reset()
+        estimator = DisturbanceEstimator(env.state_dim) if estimate_disturbance else None
+        parts.append(
+            stepper.run_monitored(states, steps, generator, disturbance=model, estimator=estimator)
+        )
+        if estimator is not None and len(estimator):
+            moments.append(estimator.moments())
+    *columns, elapsed = zip(*parts)
+    estimate = None
+    if estimate_disturbance:
+        estimate = disturbance_estimate_from_moments(
+            *merge_moments(moments, env.state_dim), confidence_sigmas=confidence_sigmas
+        )
+    return FleetMonitorReport(
         episodes,
-        rng or np.random.default_rng(),
-        initial_states=initial_states,
-        estimator=estimator,
-        stepper=InterpretedStepper(shield.env, shield=shield),
+        steps,
+        *(np.concatenate(column) for column in columns),
+        disturbance_estimate=estimate,
+        wall_clock_seconds=sum(elapsed),
     )
-    return campaign._report(episodes, arrays, estimator)

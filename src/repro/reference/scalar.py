@@ -1,8 +1,8 @@
 """One-state-at-a-time reference loops for campaigns and monitored episodes.
 
 :func:`run_episode_scalar` and :func:`evaluate_policy_scalar` are the original
-sequential rollout that the batched engine (:mod:`repro.runtime.batched`) is
-property-tested against (``tests/test_batched.py``) and that
+sequential rollout, walked over the same shard plan, that the batched engine
+(:mod:`repro.runtime.batched`) is property-tested against (``tests/test_batched.py``) and that
 ``benchmarks/test_rollout_speed.py`` measures its speedup from.
 :func:`monitor_episode` drives a :class:`~repro.runtime.monitor.RuntimeMonitor`
 through one episode: the reference for fleet monitoring
@@ -21,6 +21,7 @@ from ..envs.base import EnvironmentContext
 from ..runtime.metrics import DeploymentMetrics, EpisodeMetrics
 from ..runtime.monitor import MonitorReport, RuntimeMonitor
 from ..runtime.simulation import EvaluationProtocol
+from .campaigns import shard_streams
 
 __all__ = ["run_episode_scalar", "evaluate_policy_scalar", "monitor_episode"]
 
@@ -79,13 +80,17 @@ def evaluate_policy_scalar(
     protocol: EvaluationProtocol,
     shield: Optional[Shield] = None,
 ) -> DeploymentMetrics:
-    """Reference implementation: run the campaign one episode at a time."""
+    """Reference implementation: run the campaign one episode at a time, over
+    the shard plan the batched engine runs."""
     rng = np.random.default_rng(protocol.seed)
     metrics = DeploymentMetrics()
-    for _ in range(protocol.episodes):
-        metrics.add(
-            run_episode_scalar(env, policy, steps=protocol.steps, rng=rng, shield=shield)
-        )
+    for _shard, generator, states in shard_streams(env, protocol.episodes, rng):
+        for state in states:
+            metrics.add(
+                run_episode_scalar(
+                    env, policy, protocol.steps, generator, shield=shield, initial_state=state
+                )
+            )
     return metrics
 
 

@@ -140,7 +140,7 @@ def adapt_shield(
     confidence_sigmas: float = 3.0,
     bound_floor: float = 0.0,
     prior_key: str = "",
-    workers: Optional[int] = None,
+    workers: int = 1,
     shards: Optional[int] = None,
 ) -> AdaptationOutcome:
     """One pass of the maintenance loop over a deployed shield.

@@ -13,15 +13,15 @@ advances all episodes as one ``(episodes, state_dim)`` block through
   stayed inside φ but the observed one left it,
 * per-episode **invariant excursions** and **unsafe steps**,
 * per-episode **peak barrier values** at decision states, and
-* the fleet-wide residual stream feeding one
-  :class:`~repro.envs.disturbance.DisturbanceEstimator` (the paper's runtime
-  multivariate-normal estimate, fitted over the whole fleet at once).
+* the fleet-wide residual stream feeding the paper's runtime
+  multivariate-normal disturbance estimate, fitted over the whole fleet from
+  per-shard moments merged in shard order.
 
-The per-episode counters reproduce the scalar
-:func:`repro.reference.monitor_episode` counts
-bit-for-bit under the same seed for disturbance-free environments (same
-initial-state stream, same decision logic, same verdicts), which
-``tests/test_monitored_batched.py`` property-tests across the registry.
+The fleet runs on the shard plan of :mod:`repro.shard`.  Its per-episode
+counters reproduce the scalar :func:`repro.reference.monitor_episode` counts
+bit-for-bit for disturbance-free environments when the scalar loop walks the
+same plan (same initial-state streams, same decision logic, same verdicts),
+which ``tests/test_monitored_batched.py`` property-tests across the registry.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..compile import compile_stepper
 from ..core.shield import Shield
-from ..envs.disturbance import DisturbanceEstimate, DisturbanceEstimator, DisturbanceModel
+from ..envs.disturbance import DisturbanceEstimate, DisturbanceModel
+from ..shard import ShardPool
 
 __all__ = ["FleetMonitorReport", "MonitoredBatchedCampaign", "monitor_fleet"]
 
@@ -53,7 +53,7 @@ class FleetMonitorReport:
     disturbance_estimate: Optional[DisturbanceEstimate] = None
     wall_clock_seconds: float = 0.0
     #: Sharded-execution provenance (shard widths, pool mode, fold-in of the
-    #: shard workers' kernel-cache deltas); ``None`` for unsharded campaigns.
+    #: shard workers' kernel-cache deltas).
     shard_stats: Optional[dict] = None
 
     @property
@@ -123,9 +123,7 @@ class MonitoredBatchedCampaign:
     disturbance: Optional[DisturbanceModel] = None
     estimate_disturbance: bool = True
     confidence_sigmas: float = 3.0
-    #: ``None`` keeps the legacy single-stream engine; any integer (including
-    #: 1) routes through :mod:`repro.shard` with per-shard seed streams.
-    workers: Optional[int] = None
+    workers: int = 1
     shards: Optional[int] = None
     dtype: Optional[object] = None
 
@@ -143,97 +141,22 @@ class MonitoredBatchedCampaign:
         rng: np.random.Generator,
         initial_states: np.ndarray | None = None,
     ) -> FleetMonitorReport:
-        if self.workers is not None:
-            from ..shard import ShardPool
-
-            with ShardPool(
-                self.shield.env,
-                shield=self.shield,
-                workers=self.workers,
-                shards=self.shards,
-                dtype=self.dtype,
-            ) as pool:
-                return pool.run_monitored(
-                    episodes,
-                    self.steps,
-                    rng=rng,
-                    disturbance=self.disturbance,
-                    estimate_disturbance=self.estimate_disturbance,
-                    confidence_sigmas=self.confidence_sigmas,
-                    initial_states=initial_states,
-                )
-
-        estimator = self._estimator()
-        arrays = self.run_arrays(
-            episodes, rng, initial_states=initial_states, estimator=estimator
-        )
-        return self._report(episodes, arrays, estimator)
-
-    def _estimator(self) -> Optional[DisturbanceEstimator]:
-        if not self.estimate_disturbance:
-            return None
-        return DisturbanceEstimator(
-            self.shield.env.state_dim, confidence_sigmas=self.confidence_sigmas
-        )
-
-    def _report(
-        self, episodes: int, arrays: tuple, estimator: Optional[DisturbanceEstimator]
-    ) -> FleetMonitorReport:
-        """The fleet report over :meth:`run_arrays`' output."""
-        interventions, mismatches, excursions, unsafe, barrier_peak, states, elapsed = arrays
-        estimate = None
-        if estimator is not None and len(estimator) >= 2:
-            estimate = estimator.estimate()
-        return FleetMonitorReport(
-            episodes=episodes,
-            steps=self.steps,
-            interventions=interventions,
-            model_mismatches=mismatches,
-            invariant_excursions=excursions,
-            unsafe_steps=unsafe,
-            peak_barrier_values=barrier_peak,
-            final_states=states,
-            disturbance_estimate=estimate,
-            wall_clock_seconds=elapsed,
-        )
-
-    def run_arrays(
-        self,
-        episodes: int,
-        rng: np.random.Generator,
-        initial_states: np.ndarray | None = None,
-        estimator: Optional[DisturbanceEstimator] = None,
-        stepper=None,
-    ) -> tuple:
-        """Raw per-episode monitor arrays ``(interventions, mismatches,
-        excursions, unsafe, barrier_peak, final_states, elapsed)``.
-
-        Shard workers call this per contiguous episode shard with their own
-        ``estimator`` (shard-local residual moments) and cached compiled
-        ``stepper``; ``stepper=None`` compiles one for this call.
-        """
-        env = self.shield.env
-        if initial_states is not None:
-            states = np.atleast_2d(np.asarray(initial_states, dtype=float))
-            if states.shape != (episodes, env.state_dim):
-                raise ValueError(
-                    f"initial states must have shape ({episodes}, {env.state_dim})"
-                )
-        else:
-            states = env.sample_initial_states(rng, episodes)
-
-        if self.disturbance is not None:
-            self.disturbance.reset()
-
-        if stepper is None:
-            stepper = compile_stepper(env, shield=self.shield, dtype=self.dtype)
-        return stepper.run_monitored(
-            states,
-            self.steps,
-            rng,
-            disturbance=self.disturbance,
-            estimator=estimator,
-        )
+        with ShardPool(
+            self.shield.env,
+            shield=self.shield,
+            workers=self.workers,
+            shards=self.shards,
+            dtype=self.dtype,
+        ) as pool:
+            return pool.run_monitored(
+                episodes,
+                self.steps,
+                rng=rng,
+                disturbance=self.disturbance,
+                estimate_disturbance=self.estimate_disturbance,
+                confidence_sigmas=self.confidence_sigmas,
+                initial_states=initial_states,
+            )
 
 
 def monitor_fleet(
@@ -245,15 +168,15 @@ def monitor_fleet(
     estimate_disturbance: bool = True,
     confidence_sigmas: float = 3.0,
     initial_states: np.ndarray | None = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     shards: Optional[int] = None,
     dtype=None,
 ) -> FleetMonitorReport:
     """Run one monitored batched campaign and return its fleet report.
 
-    ``workers`` routes the fleet through the sharded multi-core engine
-    (:mod:`repro.shard`); ``workers=1`` and ``workers=N`` report bit-identical
-    counters and disturbance estimates.
+    The fleet runs on the shard plan of :mod:`repro.shard`; ``workers`` only
+    chooses how many processes run the shards, so every ``workers`` value
+    reports bit-identical counters and disturbance estimates.
     """
     campaign = MonitoredBatchedCampaign(
         shield=shield,

@@ -8,7 +8,8 @@ campaigns while the full protocol remains a single call away
 
 Campaigns are executed by the batched engine in :mod:`repro.runtime.batched`:
 all episodes advance in lockstep as ``(episodes, state_dim)`` arrays, which
-makes the full paper protocol tractable in pure NumPy.  The original
+makes the full paper protocol tractable in pure NumPy, and every campaign runs
+on the shard plan of :mod:`repro.shard`.  The original
 one-state-at-a-time loop lives on in :mod:`repro.reference.scalar` as the
 semantic reference the batched engine is property-tested against.
 """
@@ -37,16 +38,15 @@ __all__ = [
 class EvaluationProtocol:
     """How many episodes of how many steps to simulate.
 
-    ``workers`` switches the campaign onto the sharded multi-core runtime
-    (:mod:`repro.shard`); ``None`` keeps the single-process batched engine.
-    The shard plan is worker-count independent, so any ``workers`` value
-    reports the same counters for a given seed.
+    ``workers`` is the number of processes that run the campaign's shards
+    (:mod:`repro.shard`).  The shard plan is worker-count independent, so any
+    ``workers`` value reports the same counters for a given seed.
     """
 
     episodes: int = 20
     steps: int = 250
     seed: int = 0
-    workers: Optional[int] = None
+    workers: int = 1
 
     @classmethod
     def paper(cls) -> "EvaluationProtocol":

@@ -15,15 +15,21 @@ from .fleet import (
     ShardedCampaignResult,
     disturbance_estimate_from_moments,
     merge_moments,
-    monitor_fleet_sharded,
-    run_sharded_campaign,
 )
 from .memory import ArenaField, ArenaSpec, ShardArena, attach_arena, create_arena
-from .plan import DEFAULT_SHARDS, Shard, plan_shards, resolve_shards, seed_sequence_for
+from .plan import (
+    DEFAULT_SHARDS,
+    MIN_SHARD_EPISODES,
+    Shard,
+    plan_shards,
+    resolve_shards,
+    seed_sequence_for,
+)
 from .pool import ShardPool
 
 __all__ = [
     "DEFAULT_SHARDS",
+    "MIN_SHARD_EPISODES",
     "Shard",
     "plan_shards",
     "resolve_shards",
@@ -35,8 +41,6 @@ __all__ = [
     "attach_arena",
     "ShardPool",
     "ShardedCampaignResult",
-    "run_sharded_campaign",
-    "monitor_fleet_sharded",
     "merge_moments",
     "disturbance_estimate_from_moments",
 ]

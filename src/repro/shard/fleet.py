@@ -30,8 +30,6 @@ from ..envs.disturbance import DisturbanceEstimate
 
 __all__ = [
     "ShardedCampaignResult",
-    "run_sharded_campaign",
-    "monitor_fleet_sharded",
     "merge_moments",
     "disturbance_estimate_from_moments",
 ]
@@ -65,7 +63,7 @@ def disturbance_estimate_from_moments(
     Algebraically the same sample mean / (n−1)-normalised covariance that
     :meth:`DisturbanceEstimator.estimate` fits from the raw residual matrix;
     computed from moments it is reproduced bit-for-bit by any shard split.
-    Returns ``None`` below the two-sample minimum, like the unsharded path.
+    Returns ``None`` below the two-sample minimum, like the raw-residual fit.
     """
     if count < 2:
         return None
@@ -139,69 +137,3 @@ class ShardedCampaignResult:
             "episodes_per_second": self.episodes_per_second,
             "shard_stats": self.stats,
         }
-
-
-def run_sharded_campaign(
-    env,
-    policy=None,
-    shield=None,
-    episodes: int = 100,
-    steps: int = 250,
-    rng=None,
-    seed=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    dtype=None,
-    initial_states=None,
-    retry=None,
-    checkpoint=None,
-    resume: bool = False,
-) -> ShardedCampaignResult:
-    """One-shot sharded campaign (builds and closes a :class:`ShardPool`)."""
-    from .pool import ShardPool
-
-    with ShardPool(
-        env, policy=policy, shield=shield, workers=workers, shards=shards, dtype=dtype,
-        retry=retry,
-    ) as pool:
-        return pool.run_campaign(
-            episodes, steps, rng=rng, seed=seed, initial_states=initial_states,
-            checkpoint=checkpoint, resume=resume,
-        )
-
-
-def monitor_fleet_sharded(
-    shield,
-    episodes: int = 100,
-    steps: int = 250,
-    rng=None,
-    seed=None,
-    disturbance=None,
-    estimate_disturbance: bool = True,
-    confidence_sigmas: float = 3.0,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    dtype=None,
-    initial_states=None,
-    retry=None,
-    checkpoint=None,
-    resume: bool = False,
-):
-    """One-shot sharded monitored fleet (builds and closes a :class:`ShardPool`)."""
-    from .pool import ShardPool
-
-    with ShardPool(
-        shield.env, shield=shield, workers=workers, shards=shards, dtype=dtype, retry=retry
-    ) as pool:
-        return pool.run_monitored(
-            episodes,
-            steps,
-            rng=rng,
-            seed=seed,
-            disturbance=disturbance,
-            estimate_disturbance=estimate_disturbance,
-            confidence_sigmas=confidence_sigmas,
-            initial_states=initial_states,
-            checkpoint=checkpoint,
-            resume=resume,
-        )

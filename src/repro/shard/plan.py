@@ -4,7 +4,8 @@ A fleet of ``episodes`` rollouts splits into contiguous ``[start, stop)``
 ranges, one per shard.  Two properties make the split safe to parallelise:
 
 * the shard *count* is independent of the worker count (it defaults to
-  :data:`DEFAULT_SHARDS`, clamped to the fleet width), so the same plan is
+  :data:`DEFAULT_SHARDS`, lowered so that no default shard is narrower than
+  :data:`MIN_SHARD_EPISODES`), so the same plan is
   executed whether one worker drains every shard or eight workers steal them —
   the per-shard work is literally identical;
 * every shard draws from its own child of one root
@@ -22,11 +23,23 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-__all__ = ["DEFAULT_SHARDS", "Shard", "plan_shards", "resolve_shards", "seed_sequence_for"]
+__all__ = [
+    "DEFAULT_SHARDS",
+    "MIN_SHARD_EPISODES",
+    "Shard",
+    "plan_shards",
+    "resolve_shards",
+    "seed_sequence_for",
+]
 
 #: Default shard count: fine enough to keep 8 cores busy, coarse enough that
 #: per-shard kernel launches stay large.  Chosen independently of ``workers``.
 DEFAULT_SHARDS = 8
+
+#: Narrowest shard the default plan makes.  Each shard is one lockstep
+#: rollout with a fixed cost per step of about 100-160 episodes' work on the
+#: pendulum fleet, so a fleet narrower than twice this runs as one shard.
+MIN_SHARD_EPISODES = 500
 
 
 @dataclass(frozen=True)
@@ -44,8 +57,12 @@ class Shard:
 
 
 def resolve_shards(episodes: int, shards: Optional[int] = None) -> int:
-    """The effective shard count: requested (or default), clamped to the fleet."""
-    count = DEFAULT_SHARDS if shards is None else int(shards)
+    """The effective shard count: requested, clamped to the fleet; or by default
+    :data:`DEFAULT_SHARDS`, but no more than one per :data:`MIN_SHARD_EPISODES`
+    episodes."""
+    if shards is None:
+        return min(DEFAULT_SHARDS, max(1, int(episodes) // MIN_SHARD_EPISODES))
+    count = int(shards)
     if count < 1:
         raise ValueError(f"shard count must be positive, got {count}")
     return min(count, max(int(episodes), 1))

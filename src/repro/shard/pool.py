@@ -93,18 +93,16 @@ def _execute_shard(
     window = slice(task.start, task.stop)
     stats = job.shield.statistics if job.shield is not None else None
     stats_at_entry = astuple(stats) if stats is not None else None
-    initial = None
     if task.has_initial_states:
         initial = np.array(arena.view("initial_states")[window], dtype=float)
+    else:
+        initial = job.env.sample_initial_states(rng, count)
+    stepper = job._stepper()
     moments = None
 
     start = time.perf_counter()
     if task.mode == "campaign":
-        if initial is None:
-            initial = job.env.sample_initial_states(rng, count)
-        rewards, unsafe, intervened, steady, _ = job._campaign(task.steps).run_arrays(
-            count, rng, initial_states=initial, stepper=job._stepper()
-        )
+        rewards, unsafe, intervened, steady, _ = stepper.run_campaign(initial, task.steps, rng)
         arena.view("total_rewards")[window] = rewards
         arena.view("unsafe_counts")[window] = unsafe
         arena.view("interventions")[window] = intervened
@@ -112,12 +110,11 @@ def _execute_shard(
     elif task.mode == "monitored":
         from ..envs.disturbance import DisturbanceEstimator
 
-        if initial is None:
-            initial = job.env.sample_initial_states(rng, count)
+        if task.disturbance is not None:
+            task.disturbance.reset()
         estimator = DisturbanceEstimator(job.env.state_dim) if task.estimate else None
-        campaign = job._monitored(task.steps, task.disturbance)
-        intervened, mismatches, excursions, unsafe, peak, finals, _ = campaign.run_arrays(
-            count, rng, initial_states=initial, estimator=estimator, stepper=job._stepper()
+        intervened, mismatches, excursions, unsafe, peak, finals, _ = stepper.run_monitored(
+            initial, task.steps, rng, disturbance=task.disturbance, estimator=estimator
         )
         arena.view("interventions")[window] = intervened
         arena.view("model_mismatches")[window] = mismatches
@@ -226,7 +223,9 @@ class ShardPool:
         self.env = env
         self.policy = policy
         self.shield = shield
-        self.workers = max(1, int(workers))
+        if int(workers) < 1:
+            raise ValueError(f"a shard pool needs at least one worker, got {workers}")
+        self.workers = int(workers)
         self.shards = shards
         self.dtype = None if dtype is None else np.dtype(dtype)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -382,25 +381,6 @@ class ShardPool:
                 dtype=self.dtype,
             )
         return self._stepper_obj
-
-    def _campaign(self, steps: int):
-        from ..runtime.batched import BatchedCampaign
-
-        acting = self.shield if self.shield is not None else self.policy
-        return BatchedCampaign(
-            env=self.env, policy=acting, steps=steps, shield=self.shield, dtype=self.dtype
-        )
-
-    def _monitored(self, steps: int, disturbance):
-        from ..runtime.monitored import MonitoredBatchedCampaign
-
-        return MonitoredBatchedCampaign(
-            shield=self.shield,
-            steps=steps,
-            disturbance=disturbance,
-            estimate_disturbance=False,  # the shard estimator is passed explicitly
-            dtype=self.dtype,
-        )
 
     def _run(
         self,

@@ -2,7 +2,8 @@
 
 The batched engine (``repro.runtime.batched``) must reproduce the sequential
 ``run_episode_scalar`` semantics exactly: same initial states under the same
-seed, same per-step rewards, same unsafe/steady bookkeeping, and — for
+seed (both walk the shard plan, ``repro.reference.shard_streams``), same
+per-step rewards, same unsafe/steady bookkeeping, and — for
 shielded campaigns — the same per-episode intervention counts.  These tests
 pin that contract on a linear (satellite) and a nonlinear (pendulum)
 environment, plus the per-layer batch primitives the engine is built from.
@@ -18,7 +19,7 @@ from repro.envs.base import LinearEnvironment
 from repro.envs.registry import BENCHMARKS
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
-from repro.reference import evaluate_policy_scalar, run_episode_scalar
+from repro.reference import evaluate_policy_scalar, run_episode_scalar, shard_streams
 from repro.rl.policies import LinearPolicy
 from repro.runtime import EvaluationProtocol, evaluate_policy
 
@@ -58,8 +59,9 @@ class TestBatchedScalarEquivalence:
         """episodes=1 through the batched engine == the scalar reference."""
         env = make_environment(name)
         policy = make_lqr_policy(env)
+        (_shard, generator, states), = shard_streams(env, 1, np.random.default_rng(seed))
         scalar = run_episode_scalar(
-            env, policy, steps=120, rng=np.random.default_rng(seed)
+            env, policy, steps=120, rng=generator, initial_state=states[0]
         )
         protocol = EvaluationProtocol(episodes=1, steps=120, seed=seed)
         batched = evaluate_policy(env, policy, protocol).episodes[0]

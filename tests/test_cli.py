@@ -59,6 +59,52 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--scale", "enormous"])
 
+    @pytest.mark.parametrize("command", ["run", "monitor", "adapt"])
+    @pytest.mark.parametrize("flag", ["--episodes", "--shards", "--workers"])
+    def test_fleet_count_below_one_exits_2_before_synthesis(
+        self, command, flag, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the count was refused")
+
+        monkeypatch.setattr(repro.cli, "_obtain_shield", no_synthesis)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "pendulum", flag, "0"])
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "pendulum"],
+            ["run", "pendulum"],
+            ["table1"],
+            ["table2"],
+            ["table3"],
+            ["fig3"],
+            ["fig6"],
+            ["robustness"],
+        ],
+    )
+    def test_workers_below_one_exits_2_on_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--workers", "-1"])
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_evaluate_episodes_below_one_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "shield.json", "--episodes", "0"])
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_synthesize_accepts_zero_episodes(self):
+        # ``synthesize --episodes 0`` skips the evaluation campaign.
+        args = build_parser().parse_args(["synthesize", "pendulum", "--episodes", "0"])
+        assert args.episodes == 0
+
 
 class TestExperimentCommands:
     """The experiment subcommands hand their selections to the sweep runners."""

@@ -22,18 +22,18 @@ SURFACE = {
         'confidence_sigmas': (('--confidence-sigmas',), 3.0, None, None, None, 'float'),
         'disturbance': (('--disturbance',), 'none', ('none', 'uniform', 'gaussian', 'sinusoidal'), None, None, None),
         'env': ((), None, None, None, None, None),
-        'episodes': (('--episodes',), 50, None, None, None, 'int'),
+        'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
         'float32': (('--float32',), False, None, 0, True, None),
         'magnitude': (('--magnitude',), 0.05, None, None, None, 'float'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),
         'overrides': (('--overrides',), None, None, None, None, None),
         'seed': (('--seed',), 0, None, None, None, 'int'),
-        'shards': (('--shards',), None, None, None, None, 'int'),
+        'shards': (('--shards',), None, None, None, None, 'positive_int'),
         'steps': (('--steps',), 250, None, None, None, 'int'),
         'store': (('--store',), None, None, '?', '', None),
         'synthesis_iterations': (('--synthesis-iterations',), 10, None, None, None, 'int'),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'audit': {
         'artifact': ((), None, None, None, None, None),
@@ -57,7 +57,7 @@ SURFACE = {
     'evaluate': {
         'artifact': ((), None, None, None, None, None),
         'env': (('--env',), None, None, None, None, None),
-        'episodes': (('--episodes',), 5, None, None, None, 'int'),
+        'episodes': (('--episodes',), 5, None, None, None, 'positive_int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),
         'overrides': (('--overrides',), None, None, None, None, None),
         'seed': (('--seed',), 0, None, None, None, 'int'),
@@ -66,12 +66,12 @@ SURFACE = {
     'fig3': {
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'fig6': {
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'fuzz': {
         'corpus': (('--corpus',), None, None, None, None, None),
@@ -95,18 +95,18 @@ SURFACE = {
     'monitor': {
         'disturbance': (('--disturbance',), 'none', ('none', 'uniform', 'gaussian', 'sinusoidal'), None, None, None),
         'env': ((), None, None, None, None, None),
-        'episodes': (('--episodes',), 50, None, None, None, 'int'),
+        'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
         'float32': (('--float32',), False, None, 0, True, None),
         'magnitude': (('--magnitude',), 0.05, None, None, None, 'float'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),
         'overrides': (('--overrides',), None, None, None, None, None),
         'seed': (('--seed',), 0, None, None, None, 'int'),
-        'shards': (('--shards',), None, None, None, None, 'int'),
+        'shards': (('--shards',), None, None, None, None, 'positive_int'),
         'steps': (('--steps',), 250, None, None, None, 'int'),
         'store': (('--store',), None, None, '?', '', None),
         'synthesis_iterations': (('--synthesis-iterations',), 10, None, None, None, 'int'),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'robustness': {
         'benchmarks': ((), None, None, '*', None, None),
@@ -117,13 +117,13 @@ SURFACE = {
         'resume': (('--resume',), False, None, 0, True, None),
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'run': {
         'checkpoint': (('--checkpoint',), None, None, None, None, None),
         'deadline': (('--deadline',), None, None, None, None, 'float'),
         'env': ((), None, None, None, None, None),
-        'episodes': (('--episodes',), 50, None, None, None, 'int'),
+        'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
         'float32': (('--float32',), False, None, 0, True, None),
         'max_attempts': (('--max-attempts',), 3, None, None, None, 'int'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
@@ -131,11 +131,11 @@ SURFACE = {
         'overrides': (('--overrides',), None, None, None, None, None),
         'resume': (('--resume',), False, None, 0, True, None),
         'seed': (('--seed',), 0, None, None, None, 'int'),
-        'shards': (('--shards',), None, None, None, None, 'int'),
+        'shards': (('--shards',), None, None, None, None, 'positive_int'),
         'steps': (('--steps',), 250, None, None, None, 'int'),
         'store': (('--store',), None, None, '?', '', None),
         'synthesis_iterations': (('--synthesis-iterations',), 10, None, None, None, 'int'),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'store': {
         'store': (('--store',), None, None, None, None, None),
@@ -167,7 +167,7 @@ SURFACE = {
         'steps': (('--steps',), 150, None, None, None, 'int'),
         'store': (('--store',), None, None, '?', '', None),
         'synthesis_iterations': (('--synthesis-iterations',), 10, None, None, None, 'int'),
-        'workers': (('--workers',), 1, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'table1': {
         'benchmarks': ((), None, None, '*', None, None),
@@ -176,7 +176,7 @@ SURFACE = {
         'resume': (('--resume',), False, None, 0, True, None),
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'table2': {
         'benchmarks': ((), None, None, '*', None, None),
@@ -186,7 +186,7 @@ SURFACE = {
         'resume': (('--resume',), False, None, 0, True, None),
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'table3': {
         'changes': ((), None, None, '*', None, None),
@@ -195,7 +195,7 @@ SURFACE = {
         'resume': (('--resume',), False, None, 0, True, None),
         'scale': (('--scale',), 'smoke', ('smoke', 'medium', 'paper'), None, None, None),
         'store': (('--store',), None, None, None, None, None),
-        'workers': (('--workers',), None, None, None, None, 'int'),
+        'workers': (('--workers',), 1, None, None, None, 'positive_int'),
     },
     'verify': {
         'backend': (('--backend',), 'auto', None, None, None, None),

@@ -42,7 +42,7 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
-from repro.shard import ShardPool, run_sharded_campaign
+from repro.shard import ShardPool
 
 CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
 
@@ -69,18 +69,16 @@ def _make_shield(env, seed=0):
 def _campaign(workers=2, shards=4, retry=None, checkpoint=None, resume=False):
     env = make_environment("satellite")
     shield = _make_shield(env)
-    return run_sharded_campaign(
-        env,
-        shield=shield,
-        episodes=8,
-        steps=25,
-        seed=7,
-        workers=workers,
-        shards=shards,
-        retry=retry,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    with ShardPool(env, shield=shield, workers=workers, shards=shards, retry=retry) as pool:
+        return pool.run_campaign(8, 25, seed=7, checkpoint=checkpoint, resume=resume)
+
+
+def _monitored(env, checkpoint=None, resume=False, disturbance=None):
+    """A 6-episode monitored fleet over 3 shards on 2 workers."""
+    with ShardPool(env, shield=_make_shield(env), workers=2, shards=3) as pool:
+        return pool.run_monitored(
+            6, 20, seed=3, disturbance=disturbance, checkpoint=checkpoint, resume=resume
+        )
 
 
 def _failed_fork(self, *args, **kwargs):
@@ -271,7 +269,6 @@ class TestShardRecovery:
 
     def test_monitored_fleet_crash_recovery_covers_disturbance_estimate(self):
         from repro.envs import make_disturbance
-        from repro.shard import monitor_fleet_sharded
 
         env = make_environment("satellite")
 
@@ -279,15 +276,7 @@ class TestShardRecovery:
             disturbance = make_disturbance(
                 "uniform", env.state_dim, magnitude=0.02, rng=np.random.default_rng(11)
             )
-            return monitor_fleet_sharded(
-                _make_shield(env),
-                episodes=6,
-                steps=20,
-                seed=3,
-                disturbance=disturbance,
-                workers=2,
-                shards=3,
-            )
+            return _monitored(env, disturbance=disturbance)
 
         baseline = run()
         plan = FaultPlan(
@@ -309,16 +298,13 @@ class TestShardRecovery:
 
     def test_genuine_worker_exceptions_still_propagate(self):
         env = make_environment("satellite")
+
+        def wrong_shape(state):
+            return np.zeros(99)
+
         with pytest.raises(ValueError):
-            run_sharded_campaign(
-                env,
-                policy=lambda s: np.zeros(99),  # wrong action shape
-                episodes=4,
-                steps=10,
-                seed=0,
-                workers=2,
-                shards=2,
-            )
+            with ShardPool(env, policy=wrong_shape, workers=2, shards=2) as pool:
+                pool.run_campaign(4, 10, seed=0)
 
     def test_no_fork_platform_falls_back_inline(self, monkeypatch):
         baseline = _campaign(workers=1)
@@ -553,25 +539,10 @@ class TestCampaignResume:
         assert all(origin == "fork" for origin in fresh.stats["shard_origins"])
 
     def test_monitored_fleet_checkpoint_resume(self, tmp_path):
-        from repro.shard import monitor_fleet_sharded
-
         env = make_environment("satellite")
         checkpoint = tmp_path / "monitor.manifest"
-
-        def run(resume):
-            return monitor_fleet_sharded(
-                _make_shield(env),
-                episodes=6,
-                steps=20,
-                seed=3,
-                workers=2,
-                shards=3,
-                checkpoint=checkpoint,
-                resume=resume,
-            )
-
-        first = run(False)
-        resumed = run(True)
+        first = _monitored(env, checkpoint=checkpoint)
+        resumed = _monitored(env, checkpoint=checkpoint, resume=True)
         assert sum(resumed.shard_stats["shard_executions"]) == 0
         np.testing.assert_array_equal(first.interventions, resumed.interventions)
         np.testing.assert_array_equal(first.final_states, resumed.final_states)

@@ -6,7 +6,9 @@ The batched monitor (``repro.runtime.monitored``) must reproduce the scalar
 model-mismatch, and invariant-excursion counts under the same seed for
 disturbance-free environments, and the same counts *and* disturbance estimate
 for single-episode disturbed deployments (where the generator streams
-coincide).  The adaptation tests pin the paper's Section 3 loop: a widened
+coincide).  The scalar side walks the fleet's shard plan
+(``repro.reference.shard_streams``): one generator and one initial-state draw
+per shard.  The adaptation tests pin the paper's Section 3 loop: a widened
 runtime disturbance estimate invalidates a weak deployed certificate, which
 triggers store-backed re-synthesis with provenance.
 """
@@ -32,7 +34,7 @@ from repro.envs import (
 )
 from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
-from repro.reference import monitor_episode
+from repro.reference import monitor_episode, shard_streams
 from repro.rl.policies import LinearPolicy
 from repro.runtime import (
     MonitoredBatchedCampaign,
@@ -75,20 +77,16 @@ def _make_shield(env, neural_scale=2.0, invariant_level=0.25):
     )
 
 
-def _scalar_reports(name, episodes, steps, seed, disturbance=None):
-    """The sequential reference: same initial-state stream as the fleet."""
+def _scalar_reports(name, episodes, steps, seed):
+    """The sequential reference: same shard plan and initial states as the fleet."""
     env = make_environment(name)
     shield = _make_shield(env)
-    inits = env.sample_initial_states(np.random.default_rng(seed), episodes)
     return [
-        monitor_episode(
-            shield,
-            steps=steps,
-            rng=np.random.default_rng(seed),
-            initial_state=s0,
-            disturbance=disturbance,
+        monitor_episode(shield, steps=steps, rng=generator, initial_state=s0)
+        for _shard, generator, states in shard_streams(
+            env, episodes, np.random.default_rng(seed)
         )
-        for s0 in inits
+        for s0 in states
     ]
 
 
@@ -141,10 +139,13 @@ class TestFleetScalarEquivalence:
         env = make_environment(name)
         steps, seed = 120, 7
         initial = env.sample_initial_states(np.random.default_rng(99), 1)
+        (_shard, generator, _states), = shard_streams(
+            env, 1, np.random.default_rng(seed), initial_states=initial
+        )
         scalar = monitor_episode(
             _make_shield(make_environment(name)),
             steps=steps,
-            rng=np.random.default_rng(seed),
+            rng=generator,
             initial_state=initial[0],
             disturbance=disturbance_factory(env.state_dim),
         )

@@ -23,16 +23,16 @@ from repro.lang import AffineProgram, GuardedProgram, Invariant, InvariantUnion
 from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
+from repro.runtime import EvaluationProtocol, evaluate_policy, monitor_fleet
 from repro.runtime.batched import BatchedCampaign
 from repro.shard import (
     DEFAULT_SHARDS,
+    MIN_SHARD_EPISODES,
     ShardPool,
     create_arena,
     disturbance_estimate_from_moments,
     merge_moments,
-    monitor_fleet_sharded,
     plan_shards,
-    run_sharded_campaign,
 )
 
 #: Six cheap registry environments spanning 2-7 state dimensions.
@@ -76,6 +76,18 @@ def _linear_policy(env, seed=0):
     )
 
 
+def _campaign(env, episodes, steps, seed, initial_states=None, **pool_options):
+    """One campaign on a fresh pool (``pool_options`` go to ``ShardPool``)."""
+    with ShardPool(env, **pool_options) as pool:
+        return pool.run_campaign(episodes, steps, seed=seed, initial_states=initial_states)
+
+
+def _monitored(shield, episodes, steps, seed, disturbance=None, **pool_options):
+    """One monitored fleet on a fresh pool."""
+    with ShardPool(shield.env, shield=shield, **pool_options) as pool:
+        return pool.run_monitored(episodes, steps, seed=seed, disturbance=disturbance)
+
+
 # -------------------------------------------------------------------- the plan
 class TestShardPlan:
     def test_plan_covers_every_episode_exactly_once(self):
@@ -91,9 +103,17 @@ class TestShardPlan:
                 assert sum(widths) == episodes
 
     def test_shard_count_clamps_to_fleet_and_defaults(self):
-        assert len(plan_shards(3, None)) == 3
-        assert len(plan_shards(100, None)) == DEFAULT_SHARDS
+        assert len(plan_shards(3, None)) == 1
+        assert len(plan_shards(10_000, None)) == DEFAULT_SHARDS
         assert len(plan_shards(5, 200)) == 5
+        assert len(plan_shards(3, 3)) == 3  # an explicit count is only clamped
+
+    def test_default_plan_keeps_small_fleets_to_one_shard(self):
+        assert MIN_SHARD_EPISODES == 500
+        assert [shard.episodes for shard in plan_shards(5)] == [5]
+        assert [shard.episodes for shard in plan_shards(999)] == [999]
+        assert [shard.episodes for shard in plan_shards(1000)] == [500, 500]
+        assert [shard.episodes for shard in plan_shards(4000)] == [500] * 8
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(ValueError):
@@ -142,13 +162,9 @@ class TestWorkerCountInvariance:
         env = make_environment(name)
         policy = _linear_policy(env)
         # 19 episodes over 5 shards: uneven widths (4,4,4,4,3).
-        reference = run_sharded_campaign(
-            env, policy=policy, episodes=19, steps=15, seed=11, workers=1, shards=5
-        )
+        reference = _campaign(env, 19, 15, seed=11, policy=policy, workers=1, shards=5)
         for workers in (2, 4):
-            other = run_sharded_campaign(
-                env, policy=policy, episodes=19, steps=15, seed=11, workers=workers, shards=5
-            )
+            other = _campaign(env, 19, 15, seed=11, policy=policy, workers=workers, shards=5)
             for field in CAMPAIGN_FIELDS:
                 assert np.array_equal(
                     getattr(reference, field), getattr(other, field)
@@ -161,9 +177,7 @@ class TestWorkerCountInvariance:
         for workers in (1, 2, 4):
             shield = _make_shield(env)
             results.append(
-                run_sharded_campaign(
-                    env, shield=shield, episodes=13, steps=12, seed=3, workers=workers, shards=4
-                )
+                _campaign(env, 13, 12, seed=3, shield=shield, workers=workers, shards=4)
             )
             statistics.append(
                 (shield.statistics.decisions, shield.statistics.interventions)
@@ -192,15 +206,8 @@ class TestWorkerCountInvariance:
                 )
             )
             reports.append(
-                monitor_fleet_sharded(
-                    shield,
-                    episodes=17,  # odd width over 4 shards: (5,4,4,4)
-                    steps=14,
-                    seed=13,
-                    disturbance=model,
-                    workers=workers,
-                    shards=4,
-                )
+                # odd width over 4 shards: (5,4,4,4)
+                _monitored(shield, 17, 14, seed=13, disturbance=model, workers=workers, shards=4)
             )
         for other in reports[1:]:
             for field in MONITOR_FIELDS:
@@ -222,7 +229,7 @@ class TestWorkerCountInvariance:
             "sinusoidal", env.state_dim, episodes=10, rng=np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="10 episodes"):
-            monitor_fleet_sharded(shield, episodes=12, steps=5, seed=0, disturbance=model)
+            _monitored(shield, 12, 5, seed=0, disturbance=model)
 
     def test_pool_reuse_across_runs_is_deterministic(self):
         env = make_environment("pendulum")
@@ -234,39 +241,81 @@ class TestWorkerCountInvariance:
             assert np.array_equal(getattr(first, field), getattr(second, field))
 
 
+# ------------------------------------------------ one seeding discipline
+class TestOneSeedingDiscipline:
+    """The front ends have one path: the default, ``workers=1`` and
+    ``workers=2`` run the same shard plan, so per-episode results agree."""
+
+    def test_evaluate_policy_default_equals_every_worker_count(self):
+        env = make_environment("pendulum")
+        runs = []
+        for workers in (None, 1, 2):
+            options = {} if workers is None else {"workers": workers}
+            shield = _make_shield(env)
+            protocol = EvaluationProtocol(episodes=1200, steps=20, seed=4, **options)
+            metrics = evaluate_policy(env, shield, protocol, shield=shield)
+            runs.append(
+                [
+                    (e.unsafe_steps, e.interventions, e.steps_to_steady, e.total_reward)
+                    for e in metrics.episodes
+                ]
+            )
+        assert runs[0] == runs[1] == runs[2]
+        assert sum(episode[1] for episode in runs[0]) > 0
+
+    def test_monitor_fleet_default_equals_every_worker_count(self):
+        env = make_environment("pendulum")
+        reports = []
+        for workers in (None, 1, 2):
+            options = {} if workers is None else {"workers": workers}
+            model = make_disturbance(
+                "uniform", env.state_dim, magnitude=0.05, rng=np.random.default_rng(2)
+            )
+            reports.append(
+                monitor_fleet(
+                    _make_shield(env),
+                    episodes=1200,
+                    steps=20,
+                    rng=np.random.default_rng(4),
+                    disturbance=model,
+                    **options,
+                )
+            )
+        for other in reports[1:]:
+            for field in MONITOR_FIELDS:
+                assert np.array_equal(getattr(reports[0], field), getattr(other, field)), field
+            assert np.array_equal(
+                reports[0].disturbance_estimate.bound, other.disturbance_estimate.bound
+            )
+        assert reports[0].shard_stats["shards"] == 2
+        assert [report.shard_stats["workers"] for report in reports] == [1, 1, 2]
+
+
 # ------------------------------------------- agreement with the batched engine
 class TestShardedVsUnsharded:
     @pytest.mark.parametrize("name", ("satellite", "cartpole"))
     def test_explicit_initial_states_reproduce_the_batched_engine(self, name):
         # Dynamics are deterministic given the initial states, so pinning them
-        # makes sharded and single-stream campaigns directly comparable.
+        # makes a one-shard and a four-shard campaign directly comparable.
         env = make_environment(name)
         policy = _linear_policy(env)
         states = env.sample_initial_states(np.random.default_rng(4), 15)
-        plain = BatchedCampaign(env=env, policy=policy, steps=12)
-        rewards, unsafe, interventions, steady, _ = plain.run_arrays(
+        plain = BatchedCampaign(env=env, policy=policy, steps=12).run(
             15, np.random.default_rng(0), initial_states=states.copy()
         )
-        sharded = run_sharded_campaign(
-            env,
-            policy=policy,
-            episodes=15,
-            steps=12,
-            seed=0,
-            workers=2,
-            shards=4,
-            initial_states=states.copy(),
+        sharded = _campaign(
+            env, 15, 12, seed=0, initial_states=states.copy(), policy=policy, workers=2, shards=4
         )
-        assert np.array_equal(sharded.total_rewards, rewards)
-        assert np.array_equal(sharded.unsafe_counts, unsafe)
-        assert np.array_equal(sharded.interventions, interventions)
-        assert np.array_equal(sharded.steady_at, steady)
+        assert np.array_equal(sharded.total_rewards, [e.total_reward for e in plain.episodes])
+        assert np.array_equal(sharded.unsafe_counts, [e.unsafe_steps for e in plain.episodes])
+        assert np.array_equal(sharded.interventions, [e.interventions for e in plain.episodes])
+        assert [None if s < 0 else s for s in sharded.steady_at] == [
+            e.steps_to_steady for e in plain.episodes
+        ]
 
     def test_metrics_package_matches_batched_conventions(self):
         env = make_environment("pendulum")
-        result = run_sharded_campaign(
-            env, policy=_linear_policy(env), episodes=8, steps=10, seed=1, workers=1
-        )
+        result = _campaign(env, 8, 10, seed=1, policy=_linear_policy(env))
         metrics = result.metrics()
         assert len(metrics.episodes) == 8
         assert metrics.failures == result.failures
@@ -310,18 +359,9 @@ class TestFloat32Workspaces:
     def test_float32_counters_match_float64_on_stable_fleets(self):
         env = make_environment("pendulum")
         policy = _linear_policy(env)
-        f64 = run_sharded_campaign(
-            env, policy=policy, episodes=13, steps=12, seed=6, workers=2, shards=4
-        )
-        f32 = run_sharded_campaign(
-            env,
-            policy=policy,
-            episodes=13,
-            steps=12,
-            seed=6,
-            workers=2,
-            shards=4,
-            dtype=np.float32,
+        f64 = _campaign(env, 13, 12, seed=6, policy=policy, workers=2, shards=4)
+        f32 = _campaign(
+            env, 13, 12, seed=6, policy=policy, workers=2, shards=4, dtype=np.float32
         )
         assert f32.stats["dtype"] == "float32"
         for field in ("unsafe_counts", "interventions", "steady_at"):
@@ -388,14 +428,21 @@ class TestCLIWorkersKnob:
         args = parser.parse_args(["robustness", "--workers", "2"])
         assert args.workers == 2
 
-    def test_workers_default_keeps_legacy_path(self):
+    def test_workers_default_is_one_in_process_worker(self):
         parser = build_parser()
-        args = parser.parse_args(["monitor", "pendulum"])
-        assert args.workers is None
+        for command in ("run", "monitor", "adapt", "table1", "robustness"):
+            argv = [command, "pendulum"] if command in ("run", "monitor", "adapt") else [command]
+            assert parser.parse_args(argv).workers == 1
 
 
 # ----------------------------------------------------------------- pool misc
 class TestShardPoolContracts:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_non_positive_worker_count_rejected(self, workers):
+        env = make_environment("pendulum")
+        with pytest.raises(ValueError, match="at least one worker"):
+            ShardPool(env, policy=_linear_policy(env), workers=workers)
+
     def test_policy_and_shield_both_set_rejected(self):
         env = make_environment("pendulum")
         with pytest.raises(ValueError, match="not both"):
