@@ -8,9 +8,10 @@ kernels evaluate them as pure array math (:mod:`~repro.compile.kernels`), a
 process-wide cache keyed by program fingerprint compiles each artifact once
 (:mod:`~repro.compile.cache`), and a fused closed-loop stepper advances whole
 ``(episodes, state_dim)`` fleets one step per call with a single dynamics
-evaluation (:mod:`~repro.compile.stepper`).  The dynamics themselves are the
-environment's ``rate_batch``, which evaluates its symbolic ``rate`` on
-NumPy columns.
+evaluation (:mod:`~repro.compile.stepper`).  The dynamics, unsafe test and
+actuator clip are the environment's trusted-input
+:class:`~repro.envs.fleet.FleetStep`, which evaluates the symbolic ``rate``
+on NumPy columns.
 
 The kernels are always on.  Their semantic references are the pure tree walks
 (``Expr.evaluate_interpreted``, ``GuardedProgram.act_interpreted``) and the
@@ -39,7 +40,6 @@ from .stepper import (
     CompiledStepper,
     RolloutWorkspace,
     compile_stepper,
-    compiled_batch_policy,
     fused_policy_returns,
 )
 
@@ -55,7 +55,6 @@ __all__ = [
     "RolloutWorkspace",
     "clear_kernel_cache",
     "compile_stepper",
-    "compiled_batch_policy",
     "compiled_guards_for",
     "compiled_program_for",
     "fused_policy_returns",

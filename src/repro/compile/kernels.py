@@ -12,9 +12,8 @@ Each kernel is the array-shaped twin of one interpreter object:
   — first-satisfied branch dispatch, fallback, and the lenient closest-branch
   rule, reproduced mask-for-mask.
 
-Environment dynamics need no kernel: every environment's ``rate_batch``
-already evaluates its symbolic ``rate`` on NumPy columns (see
-:mod:`repro.envs.base`).
+Environment dynamics need no kernel: :class:`~repro.envs.fleet.FleetStep`
+already evaluates each environment's symbolic ``rate`` on NumPy columns.
 
 Affine programs keep their own gain/bias arrays and clip order so the compiled
 action path runs the *same dtype-ordered operations* as

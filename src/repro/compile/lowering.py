@@ -61,7 +61,8 @@ class PolyBlock:
         "coefficients",
         "intercept",
         "degree",
-        "_plan",
+        "_top_exponent",
+        "_factor_vars",
         "_affine_weights",
         "_quad_matrices",
     )
@@ -93,10 +94,8 @@ class PolyBlock:
             self._affine_weights = weights
         elif self.degree == 2:
             self._quad_matrices = self._build_quadratic_plan()
-        self._plan: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple((var, int(exp)) for var, exp in enumerate(expos) if exp)
-            for expos in self.exponents
-        )
+        self._top_exponent = max(int(self.exponents.max()) if count else 0, 1)
+        self._factor_vars = tuple(int(var) for var in np.flatnonzero(self.exponents.any(axis=0)))
 
     # ------------------------------------------------------------ construction
     @staticmethod
@@ -189,32 +188,28 @@ class PolyBlock:
     def _design_matrix(self, states: np.ndarray) -> np.ndarray:
         """The ``(n, monomials)`` matrix of monomial values at ``states``.
 
-        Powers are built by multiplication chains shared across monomials
-        (``x^3`` reuses ``x^2``), never through float ``**``.
+        A power table ``P[:, v, e] = x_v^e`` is filled by the multiplication
+        chain ``x^(e-1) * x`` from ``P[:, v, 0] = 1.0``, never through float
+        ``**``.  Each used variable then contributes one gathered
+        ``(n, monomials)`` factor, multiplied in variable order.  A factor of
+        1.0 is exact, so every column is the product of its powers in variable
+        order, as a per-monomial fold would compute it.
         """
         count = states.shape[0]
-        design = np.empty((count, len(self._plan)))
-        powers: dict = {}
-        for column, plan in enumerate(self._plan):
-            value: np.ndarray | None = None
-            for var, exp in plan:
-                power = self._power(powers, states, var, exp)
-                value = power if value is None else value * power
-            design[:, column] = value if value is not None else 1.0
-        return design
-
-    @staticmethod
-    def _power(powers: dict, states: np.ndarray, var: int, exp: int) -> np.ndarray:
-        key = (var, exp)
-        cached = powers.get(key)
-        if cached is not None:
-            return cached
-        if exp == 1:
-            value = states[:, var]
-        else:
-            value = PolyBlock._power(powers, states, var, exp - 1) * states[:, var]
-        powers[key] = value
-        return value
+        top = self._top_exponent
+        powers = np.empty((count, self.num_vars, top + 1), dtype=states.dtype)
+        powers[:, :, 0] = 1.0
+        powers[:, :, 1] = states
+        for exp in range(2, top + 1):
+            np.multiply(powers[:, :, exp - 1], states, out=powers[:, :, exp])
+        if not self._factor_vars:
+            return np.empty((count, 0))
+        first, *rest = self._factor_vars
+        design = powers[:, first, self.exponents[:, first]]
+        for var in rest:
+            design *= powers[:, var, self.exponents[:, var]]
+        # Products run in the states' precision; the matrix is float64.
+        return design.astype(float, copy=False)
 
     def evaluate_single(self, state: Sequence[float]) -> np.ndarray:
         """Evaluate at one state, returning the ``(k,)`` output vector."""

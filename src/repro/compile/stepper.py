@@ -29,10 +29,11 @@ across the registry.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from ..envs.fleet import FleetStep
 from .cache import compiled_guards_for, compiled_program_for
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "CompiledStepper",
     "compile_stepper",
     "fused_policy_returns",
-    "compiled_batch_policy",
 ]
 
 
@@ -141,44 +141,6 @@ def _batch_action_fn(policy, action_dim: int, workspace: RolloutWorkspace, tag: 
     return as_batch_policy(policy, action_dim)
 
 
-def _clip_fn(env):
-    low, high = env.action_low, env.action_high
-
-    def clip(actions: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if out is not actions:
-            np.copyto(out, actions)
-        if low is not None:
-            np.maximum(out, low, out=out)
-        if high is not None:
-            np.minimum(out, high, out=out)
-        return out
-
-    return clip
-
-
-def _unsafe_fn(env):
-    """Fleet unsafe mask; inlined box tests when the env uses the stock ones."""
-    from ..envs.base import EnvironmentContext
-
-    if type(env).is_unsafe_batch is not EnvironmentContext.is_unsafe_batch:
-        return env.is_unsafe_batch
-    safe_low = np.asarray(env.safe_box.low, dtype=float)
-    safe_high = np.asarray(env.safe_box.high, dtype=float)
-    extra = [
-        (np.asarray(box.low, dtype=float), np.asarray(box.high, dtype=float))
-        for box in env.extra_unsafe_boxes
-    ]
-
-    def unsafe(states: np.ndarray) -> np.ndarray:
-        inside = ((states >= safe_low) & (states <= safe_high)).all(axis=1)
-        result = ~inside
-        for low, high in extra:
-            result |= ((states >= low) & (states <= high)).all(axis=1)
-        return result
-
-    return unsafe
-
-
 def _steady_fn(env):
     from ..envs.base import EnvironmentContext
 
@@ -227,9 +189,12 @@ class CompiledStepper:
             raise ValueError(f"stepper dtype must be a float type, got {self.dtype}")
         self.workspace = RolloutWorkspace(default_dtype=self.dtype)
         self.dt = env.dt
-        self._rate = env.rate_batch
-        self._clip = _clip_fn(env)
-        self._unsafe = _unsafe_fn(env)
+        step = FleetStep(env)
+        # The trusted rate takes float64 blocks; a float32 fleet keeps
+        # rate_batch, which computes in float64.
+        self._rate = step.rate if self.dtype == np.float64 else env.rate_batch
+        self._clip = step.clip
+        self._unsafe = step.unsafe
         self._steady = _steady_fn(env)
         self._reward = _reward_fn(env)
         if shield is not None:
@@ -440,7 +405,8 @@ def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledSteppe
 
     Every component factory degrades to its interpreted counterpart on its own
     (``as_batch_policy``, ``holds_batch``), and the dynamics are always the
-    environment's own ``rate_batch``, so assembly never refuses a deployment.
+    environment's own ``rate`` (through :class:`~repro.envs.fleet.FleetStep`),
+    so assembly never refuses a deployment.
     """
     return CompiledStepper(env, policy, shield, dtype=dtype)
 
@@ -458,23 +424,3 @@ def fused_policy_returns(env, policy, episodes: int, steps: int, rng) -> np.ndar
     stepper = CompiledStepper(env, policy, None)
     states = np.ascontiguousarray(env.sample_initial_states(rng, episodes), dtype=float)
     return stepper.run_returns(states, steps, rng)
-
-
-def compiled_batch_policy(program, action_dim: int) -> Optional[Callable]:
-    """A compiled ``(n, d) → (n, m)`` callable for a policy program, or ``None``.
-
-    Used by hot loops (counterexample replay above all) that currently adapt
-    programs through ``as_batch_policy``; unlike the stepper paths this one
-    coerces its input, so it is a drop-in replacement.  ``None`` means the
-    program cannot be lowered and the caller adapts it through
-    ``as_batch_policy``.
-    """
-    kernel = compiled_program_for(program)
-    if kernel is None:
-        return None
-
-    def act(states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        return kernel.act(states)
-
-    return act

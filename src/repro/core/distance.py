@@ -16,7 +16,13 @@ one state at a time (:func:`repro.reference.program_oracle_distance_scalar`),
 and the generator ends in the same state.  Three rules make that so:
 
 * randomness is drawn per row in the scalar order: a row's initial state, then
-  its disturbances, one per step, as one block;
+  its disturbances, one per step, as one block (:func:`draw_rows`).  By
+  default :func:`program_oracle_distance` draws its fleet's rows itself,
+  program by program.  A caller may instead draw the rows in groups, with
+  other draws in between, and pass them in as :class:`RolloutRows`:
+  Algorithm 1 draws the updated θ's rows, then the next perturbation
+  directions, then the perturbed programs' rows, and scores all of them as
+  one fleet (:mod:`repro.core.synthesis`);
 * a row's gaps and penalties are subtracted step by step, and a program's rows
   are averaged left to right;
 * every matrix product runs per row, as ``np.matmul`` over stacked operands.  A
@@ -27,6 +33,10 @@ and the generator ends in the same state.  Three rules make that so:
   programs, linear dynamics, MLP oracles and the l2 norm.  Programs other than
   :class:`~repro.lang.program.AffineProgram`, and oracles not backed by an
   :class:`~repro.rl.networks.MLP`, run their own single-state call per row.
+
+Each step's unsafe test, actuator clip and rate come from the trusted-input
+:class:`~repro.envs.fleet.FleetStep` that replay and the compiled stepper use
+too; its ``rowwise`` rate keeps the linear dynamics per row.
 """
 
 from __future__ import annotations
@@ -36,12 +46,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..envs.base import EnvironmentContext, LinearEnvironment
+from ..envs.base import EnvironmentContext
+from ..envs.fleet import FleetStep
 from ..lang.program import AffineProgram, PolicyProgram
 from ..rl.networks import MLP
 from ..rl.policies import NeuralPolicy
 
-__all__ = ["DistanceConfig", "oracle_actions", "program_oracle_distance"]
+__all__ = [
+    "DistanceConfig",
+    "RolloutRows",
+    "draw_rows",
+    "oracle_actions",
+    "program_oracle_distance",
+]
 
 
 #: The per-step loss ``MAX`` of a state in ``Su``.
@@ -110,59 +127,110 @@ def _program_actions(
     return row_by_row
 
 
-def _rates(env: EnvironmentContext, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """``f(s, a)`` per row, bit-equal to :meth:`~EnvironmentContext.rate_numeric`."""
-    if isinstance(env, LinearEnvironment):
-        rates = np.matmul(env.a_matrix, states[:, :, None]) + np.matmul(
-            env.b_matrix, actions[:, :, None]
-        )
-        return rates[:, :, 0]
-    return env.rate_batch(states, actions)
-
-
 def _action_gaps(program_actions: np.ndarray, oracle_actions: np.ndarray) -> np.ndarray:
     gaps = program_actions - oracle_actions
     # The per-row dot that a 1-D np.linalg.norm takes the root of.
     return np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0])
 
 
+@dataclass(frozen=True)
+class RolloutRows:
+    """The random inputs of a fleet's rollouts, one row per rollout.
+
+    ``initial_states`` is ``(rows, state_dim)``; ``disturbances`` is
+    ``(rows, trajectory_length, state_dim)``, one draw per step (zeros for an
+    undisturbed environment).
+    """
+
+    initial_states: np.ndarray
+    disturbances: np.ndarray
+
+    def __len__(self) -> int:
+        return self.initial_states.shape[0]
+
+    def then(self, later: "RolloutRows") -> "RolloutRows":
+        """These rows followed by ``later``'s, as one fleet."""
+        return RolloutRows(
+            np.concatenate([self.initial_states, later.initial_states]),
+            np.concatenate([self.disturbances, later.disturbances]),
+        )
+
+
+def draw_rows(
+    env: EnvironmentContext,
+    count: int,
+    rng: np.random.Generator,
+    config: DistanceConfig | None = None,
+    init_region=None,
+) -> RolloutRows:
+    """``count`` rollout rows, drawn from ``rng`` in the scalar order.
+
+    Row by row: the initial state from ``init_region`` (the environment's
+    initial region by default), then the row's disturbances, one per step, as
+    one block.
+    """
+    config = config or DistanceConfig()
+    region = init_region if init_region is not None else env.init_region
+    steps = config.trajectory_length
+    states = np.empty((count, env.state_dim))
+    disturbances = np.empty((count, steps, env.state_dim))
+    for row in range(count):
+        states[row] = region.sample(rng, 1)[0]
+        disturbances[row] = env.sample_disturbance_batch(rng, steps)
+    return RolloutRows(states, disturbances)
+
+
 def program_oracle_distance(
     env: EnvironmentContext,
     programs: Sequence[PolicyProgram],
     oracle: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     config: DistanceConfig | None = None,
     init_region=None,
+    rows: RolloutRows | None = None,
 ) -> np.ndarray:
     """Monte-Carlo estimates of ``d(π_w, P, C)``, one per program in ``programs``.
 
     Each program is rolled out ``num_trajectories`` times in ``C[P]`` for
     ``trajectory_length`` steps; the score averages the rollouts' distances.
-    ``init_region`` overrides the environment's initial region; Algorithm 2
-    passes the shrunk region of the current CEGIS iteration here.
+    Row ``r`` of the fleet follows ``programs[r // num_trajectories]``.  By
+    default the rows are drawn here from ``rng`` (:func:`draw_rows`), from
+    ``init_region`` if given; Algorithm 2 passes the shrunk region of the
+    current CEGIS iteration there.  A caller that interleaves other draws with
+    the fleet's passes the ``rows`` it drew instead, and no ``rng``.
     """
     config = config or DistanceConfig()
-    region = init_region if init_region is not None else env.init_region
-    repeats, steps = config.num_trajectories, config.trajectory_length
-    rows = len(programs) * repeats
-    states = np.empty((rows, env.state_dim))
-    disturbances = np.empty((rows, steps, env.state_dim))
-    for row in range(rows):
-        states[row] = region.sample(rng, 1)[0]
-        disturbances[row] = env.sample_disturbance_batch(rng, steps)
+    repeats = config.num_trajectories
+    if rows is None:
+        rows = draw_rows(env, len(programs) * repeats, rng, config, init_region)
+    elif len(rows) != len(programs) * repeats:
+        raise ValueError(
+            f"{len(rows)} rows cannot score {len(programs)} programs "
+            f"x {repeats} trajectories"
+        )
+    count = len(rows)
+    states, disturbances = rows.initial_states, rows.disturbances
+    step = FleetStep(env, rowwise=True)
     act = _program_actions(programs, repeats, env.action_dim)
-    totals = np.zeros(rows)
-    for step in range(steps + 1):
+    totals = np.zeros(count)
+    steps = disturbances.shape[1]
+    for index in range(steps + 1):
         actions = act(states)
-        safe = ~env.is_unsafe_batch(states)
-        losses = np.full(rows, UNSAFE_PENALTY)
-        if safe.any():
-            expert = oracle_actions(oracle, states[safe]).reshape(-1, env.action_dim)
-            losses[safe] = _action_gaps(actions[safe], expert)
+        unsafe = step.unsafe(states)
+        if unsafe.any():
+            losses = np.full(count, UNSAFE_PENALTY)
+            safe = ~unsafe
+            if safe.any():
+                expert = oracle_actions(oracle, states[safe]).reshape(-1, env.action_dim)
+                losses[safe] = _action_gaps(actions[safe], expert)
+        else:
+            expert = oracle_actions(oracle, states).reshape(-1, env.action_dim)
+            losses = _action_gaps(actions, expert)
         totals -= losses
-        if step < steps:
-            rates = _rates(env, states, env.clip_action_batch(actions))
-            states = states + env.dt * (rates + disturbances[:, step])
+        if index < steps:
+            # The program's own actions are spent: clip them in place.
+            rates = step.rate(states, step.clip(actions, actions))
+            states = states + step.dt * (rates + disturbances[:, index])
     scores = np.empty(len(programs))
     for index, block in enumerate(totals.reshape(len(programs), repeats)):
         # A plain loop, as the scalar estimate adds: sum() compensates its

@@ -46,6 +46,7 @@ import numpy as np
 from .. import obs
 from ..certificates.regions import Box
 from ..envs.base import EnvironmentContext, as_batch_policy
+from ..envs.fleet import FleetStep
 
 __all__ = [
     "CounterexampleRecord",
@@ -116,32 +117,33 @@ def batch_reaches_unsafe(
 ) -> np.ndarray:
     """Disturbance-free closed-loop rollout: which rows reach an unsafe state?
 
-    All rows advance in lockstep through ``predict_batch`` (one vectorised
-    policy call + one vectorised transition per step); rows already flagged
-    unsafe are frozen so a diverging trajectory cannot overflow the floats of
-    the still-running ones.  Returns a boolean array over the rows.
+    All rows advance in lockstep, one vectorised policy call and one
+    :class:`~repro.envs.fleet.FleetStep` transition per step; rows already
+    flagged unsafe are frozen so a diverging trajectory cannot overflow the
+    floats of the still-running ones.  Returns a boolean array over the rows.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:
         return np.zeros(0, dtype=bool)
     # Witness replay is on the CEGIS hot path: use the compiled program kernel
     # when it is available so each replayed candidate skips the AST walk.
-    from ..compile import compiled_batch_policy
+    from ..compile import compiled_program_for
 
-    act = compiled_batch_policy(program, env.action_dim)
-    if act is None:
-        act = as_batch_policy(program, env.action_dim)
-    unsafe = env.is_unsafe_batch(states).astype(bool).copy()
+    kernel = compiled_program_for(program)
+    act = kernel.act if kernel is not None else as_batch_policy(program, env.action_dim)
+    step = FleetStep(env)
+    unsafe = step.unsafe(states)
     current = states.copy()
     for _ in range(int(horizon)):
         alive = ~unsafe
-        if not np.any(alive):
+        if not alive.any():
             break
-        actions = np.asarray(act(current[alive]), dtype=float)
-        current[alive] = env.predict_batch(current[alive], actions)
-        newly = env.is_unsafe_batch(current[alive]).astype(bool)
-        alive_idx = np.flatnonzero(alive)
-        unsafe[alive_idx[newly]] = True
+        rows = current[alive]
+        actions = np.asarray(act(rows), dtype=float)
+        rates = step.rate(rows, step.clip(actions, np.empty_like(actions)))
+        rows = rows + step.dt * rates
+        current[alive] = rows
+        unsafe[np.flatnonzero(alive)[step.unsafe(rows)]] = True
     return unsafe
 
 

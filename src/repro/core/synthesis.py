@@ -7,12 +7,21 @@ imitation-with-safety objective (equation (6)):
 
     θ ← θ + α · [ (d(π, P_{θ+νδ}, C₁) − d(π, P_{θ−νδ}, C₂)) / ν ] · δ
 
-Each iteration scores its ``2·DIRECTIONS`` perturbed programs with one call of
-:func:`~repro.core.distance.program_oracle_distance`, which rolls them all out
-as one lockstep fleet, in the order ``plus₀, minus₀, plus₁, …`` that scoring
-them one at a time would take; the history score of the updated θ is one more
-call.  The scores are bit-equal to the one-at-a-time objective, so the search
-path and the synthesized program do not depend on the batching.
+Each iteration scores its ``2·DIRECTIONS`` perturbed programs, in the order
+``plus₀, minus₀, plus₁, …`` that scoring them one at a time would take, as one
+lockstep fleet: one call of
+:func:`~repro.core.distance.program_oracle_distance`.  From the second
+iteration on, the same fleet also carries the history score of the θ the
+iteration starts from, in its first rows.  The generator is consumed as if
+each score were its own fleet: θ's history rows right after θ's update, then
+the next directions δ, then the perturbed programs' rows.  When θ's history
+score ends the search, the generator is set back to just after θ's rows and
+the perturbed programs' scores are dropped; after the last iteration θ is
+scored alone.  A search of ``n`` iterations thus scores ``n + 1`` fleets,
+not ``2n``.  The scores are bit-equal to the one-at-a-time objective, so the
+search path and the synthesized program do not depend on the batching
+(:class:`repro.reference.UnfusedProgramSynthesizer` is the unfused loop the
+tests hold this one to).
 """
 
 from __future__ import annotations
@@ -27,7 +36,13 @@ from ..envs.base import EnvironmentContext
 from ..lang.program import PolicyProgram
 from ..lang.sketch import AffineSketch, PolynomialSketch, ProgramSketch
 from ..polynomials import basis_design_matrix
-from .distance import DistanceConfig, oracle_actions, program_oracle_distance
+from .distance import (
+    DistanceConfig,
+    RolloutRows,
+    draw_rows,
+    oracle_actions,
+    program_oracle_distance,
+)
 
 __all__ = [
     "SynthesisConfig",
@@ -135,63 +150,98 @@ class ProgramSynthesizer:
         warm-starts the search (used when re-synthesizing after an
         environment change, §5 'Handling Environment Changes').
         """
-        cfg = self.config
-        if initial_parameters is not None:
-            theta = np.asarray(initial_parameters, dtype=float).copy()
-        else:
-            theta = self.sketch.initial_parameters()
-            if WARM_START_WITH_REGRESSION:
-                warm = regression_warm_start(
-                    self.env, self.oracle, self.sketch, self._rng, cfg.warm_start_samples
-                )
-                if warm is not None:
-                    theta = warm
+        theta = self._initial_parameters(initial_parameters)
         start = time.perf_counter()
         history: List[float] = []
         converged = False
-
-        for iteration in range(1, cfg.iterations + 1):
+        # θ's history rows, drawn right after its update, and the generator
+        # state just after them; they ride in front of the next fleet.
+        held: Optional[RolloutRows] = None
+        resume = None
+        for _ in range(self.config.iterations):
             deltas = self._rng.normal(size=(DIRECTIONS, theta.size))
-            perturbations = NOISE_SCALE * deltas
-            # Scored in the order plus₀, minus₀, plus₁, minus₁, ….
-            candidates = np.empty((2 * DIRECTIONS, theta.size))
-            candidates[0::2] = theta + perturbations
-            candidates[1::2] = theta - perturbations
-            scores = self._scores(candidates, init_region)
-            plus_scores, minus_scores = scores[0::2], scores[1::2]
-            # Normalise the finite-difference update by the score dispersion, as in
-            # the augmented-random-search estimator the paper builds on [29, 30];
-            # without it the large unsafe penalty makes raw updates blow up.
-            sigma = float(np.std(np.concatenate([plus_scores, minus_scores])))
-            sigma = max(sigma, 1e-8)
-            update = np.einsum("i,ij->j", plus_scores - minus_scores, deltas)
-            theta = theta + cfg.learning_rate / (DIRECTIONS * sigma) * update
-            history.append(float(self._scores(theta[None, :], init_region)[0]))
-            if self._has_converged(history):
-                converged = True
-                break
+            candidates = self._candidates(theta, deltas)
+            rows = self._draw_rows(len(candidates), init_region)
+            if held is None:
+                scores = self._scores(candidates, rows)
+            else:
+                scores = self._scores(np.vstack([theta, candidates]), held.then(rows))
+                history.append(float(scores[0]))
+                scores = scores[1:]
+                if self._has_converged(history):
+                    # The search ends at θ: undo the draws of δ and the candidates.
+                    self._rng.bit_generator.state = resume
+                    converged = True
+                    break
+            theta = self._update(theta, deltas, scores)
+            held = self._draw_rows(1, init_region)
+            resume = self._rng.bit_generator.state
+        if held is not None and not converged:
+            history.append(float(self._scores(theta[None, :], held)[0]))
+            converged = self._has_converged(history)
+        return self._result(theta, history, converged, start)
 
-        program = self.sketch.instantiate(theta)
+    # -------------------------------------------------------------- helpers
+    def _initial_parameters(self, initial_parameters: Optional[np.ndarray]) -> np.ndarray:
+        """θ₀: the given parameters, else the regression warm start or the sketch's default."""
+        if initial_parameters is not None:
+            return np.asarray(initial_parameters, dtype=float).copy()
+        theta = self.sketch.initial_parameters()
+        if WARM_START_WITH_REGRESSION:
+            warm = regression_warm_start(
+                self.env, self.oracle, self.sketch, self._rng, self.config.warm_start_samples
+            )
+            if warm is not None:
+                theta = warm
+        return theta
+
+    @staticmethod
+    def _candidates(theta: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """The perturbed programs θ ± νδ in the order plus₀, minus₀, plus₁, …."""
+        perturbations = NOISE_SCALE * deltas
+        candidates = np.empty((2 * DIRECTIONS, theta.size))
+        candidates[0::2] = theta + perturbations
+        candidates[1::2] = theta - perturbations
+        return candidates
+
+    def _update(self, theta: np.ndarray, deltas: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Equation (6): one step of θ along the finite-difference estimate."""
+        plus_scores, minus_scores = scores[0::2], scores[1::2]
+        # Normalise the finite-difference update by the score dispersion, as in
+        # the augmented-random-search estimator the paper builds on [29, 30];
+        # without it the large unsafe penalty makes raw updates blow up.
+        sigma = float(np.std(np.concatenate([plus_scores, minus_scores])))
+        sigma = max(sigma, 1e-8)
+        update = np.einsum("i,ij->j", plus_scores - minus_scores, deltas)
+        return theta + self.config.learning_rate / (DIRECTIONS * sigma) * update
+
+    def _draw_rows(self, programs: int, init_region) -> RolloutRows:
+        distance = self.config.distance
+        return draw_rows(
+            self.env, programs * distance.num_trajectories, self._rng, distance, init_region
+        )
+
+    def _scores(self, parameters: np.ndarray, rows: RolloutRows) -> np.ndarray:
+        """``d(π, P_θ, C)`` for every row θ of ``parameters``, as one fleet on ``rows``."""
+        return program_oracle_distance(
+            self.env,
+            [self.sketch.instantiate(row) for row in parameters],
+            self.oracle,
+            config=self.config.distance,
+            rows=rows,
+        )
+
+    def _result(
+        self, theta: np.ndarray, history: List[float], converged: bool, start: float
+    ) -> SynthesisResult:
         return SynthesisResult(
-            program=program,
+            program=self.sketch.instantiate(theta),
             parameters=theta,
             objective=history[-1] if history else float("-inf"),
             iterations=len(history),
             converged=converged,
             wall_clock_seconds=time.perf_counter() - start,
             objective_history=history,
-        )
-
-    # -------------------------------------------------------------- helpers
-    def _scores(self, parameters: np.ndarray, init_region) -> np.ndarray:
-        """``d(π, P_θ, C)`` for every row θ of ``parameters``, as one fleet."""
-        return program_oracle_distance(
-            self.env,
-            [self.sketch.instantiate(row) for row in parameters],
-            self.oracle,
-            self._rng,
-            config=self.config.distance,
-            init_region=init_region,
         )
 
     @staticmethod

@@ -42,6 +42,7 @@ import numpy as np
 
 from ..certificates.regions import Box, BoxComplement
 from ..polynomials import Polynomial
+from .fleet import box_bounds, unsafe_mask
 
 __all__ = [
     "Trajectory",
@@ -264,10 +265,11 @@ class EnvironmentContext:
     def is_unsafe_batch(self, states: np.ndarray) -> np.ndarray:
         """Boolean unsafe mask over rows of ``states``."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        unsafe = ~self.safe_box.contains_batch(states)
-        for box in self.extra_unsafe_boxes:
-            unsafe |= box.contains_batch(states)
-        return unsafe
+        return unsafe_mask(
+            states,
+            box_bounds(self.safe_box),
+            [box_bounds(box) for box in self.extra_unsafe_boxes],
+        )
 
     def clip_action(self, action: np.ndarray) -> np.ndarray:
         action = np.asarray(action, dtype=float).reshape(self.action_dim)

@@ -23,6 +23,10 @@ code path and no flag can reach them.
   barrier LP over every row in one solve, whose margin the cutting-plane
   solve of :class:`~repro.certificates.barrier.BarrierCertificateSynthesizer`
   must reach while satisfying every row;
+* :mod:`repro.reference.synthesis` — :class:`UnfusedProgramSynthesizer`,
+  Algorithm 1 with one fleet per score, whose θ, history and generator state
+  the fused loop of :class:`~repro.core.synthesis.ProgramSynthesizer` must
+  match;
 * :mod:`repro.reference.scalar` — :func:`run_episode_scalar`,
   :func:`evaluate_policy_scalar` and :func:`monitor_episode`, one state at a
   time (the campaign reference over the same shard plan).
@@ -38,6 +42,7 @@ from .campaigns import (
 from .distance import program_oracle_distance_scalar, trajectory_distance
 from .lp import full_lp_rows, solve_barrier_lp_full
 from .scalar import evaluate_policy_scalar, monitor_episode, run_episode_scalar
+from .synthesis import UnfusedProgramSynthesizer
 
 __all__ = [
     "ScalarBranchAndBoundVerifier",
@@ -52,4 +57,5 @@ __all__ = [
     "run_episode_scalar",
     "evaluate_policy_scalar",
     "monitor_episode",
+    "UnfusedProgramSynthesizer",
 ]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core import distance as core_distance
-from ..core.distance import DistanceConfig
+from ..core.distance import DistanceConfig, RolloutRows
 from ..envs.base import EnvironmentContext, Trajectory
 
 __all__ = ["trajectory_distance", "program_oracle_distance_scalar"]
@@ -40,27 +40,49 @@ def trajectory_distance(
     return total
 
 
+class _DrawnDisturbances:
+    """Stands in for the generator of one rollout: hands out its pre-drawn disturbances."""
+
+    def __init__(self, draws: np.ndarray) -> None:
+        self._draws = iter(draws)
+
+    def uniform(self, low, high) -> np.ndarray:
+        return next(self._draws)
+
+
 def program_oracle_distance_scalar(
     env: EnvironmentContext,
     programs: Sequence[Callable[[np.ndarray], np.ndarray]],
     oracle: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     config: DistanceConfig | None = None,
     init_region=None,
+    rows: RolloutRows | None = None,
 ) -> np.ndarray:
     """:func:`~repro.core.distance.program_oracle_distance` with one
-    :meth:`~repro.envs.base.EnvironmentContext.simulate` per rollout."""
+    :meth:`~repro.envs.base.EnvironmentContext.simulate` per rollout.
+
+    Without ``rows`` each rollout draws its initial state and then its
+    disturbances from ``rng`` as it goes; with ``rows`` rollout ``r`` starts
+    from row ``r``'s initial state and takes its disturbances step by step.
+    """
     config = config or DistanceConfig()
     region = init_region if init_region is not None else env.init_region
     scores = []
+    row = 0
     for program in programs:
         total = 0.0
         for _ in range(config.num_trajectories):
-            initial_state = region.sample(rng, 1)[0]
+            if rows is None:
+                initial_state, stream = region.sample(rng, 1)[0], rng
+            else:
+                initial_state = rows.initial_states[row]
+                stream = _DrawnDisturbances(rows.disturbances[row])
+                row += 1
             trajectory = env.simulate(
                 program,
                 steps=config.trajectory_length,
-                rng=rng,
+                rng=stream,
                 initial_state=initial_state,
             )
             total += trajectory_distance(env, trajectory, program, oracle)

@@ -35,6 +35,7 @@ from repro.core import Shield
 from repro.envs import make_environment
 from repro.envs.base import EnvironmentContext
 from repro.envs.disturbance import SinusoidalDisturbance
+from repro.envs.fleet import FleetStep
 from repro.envs.registry import BENCHMARKS
 from repro.lang import (
     AffineProgram,
@@ -172,6 +173,45 @@ class TestPolyBlockLowering:
     def test_mixed_variable_count_rejected(self):
         with pytest.raises(LoweringError):
             PolyBlock.from_polynomials([Polynomial.zero(2), Polynomial.zero(3)])
+
+    @staticmethod
+    def _folded_design_matrix(block, states):
+        """Each monomial's column as a left fold of its powers in variable
+        order, each power a multiplication chain ``x^(e-1) * x``."""
+        design = np.empty((states.shape[0], block.exponents.shape[0]))
+        for column, exponents in enumerate(block.exponents):
+            value = None
+            for var, exp in enumerate(exponents):
+                if not exp:
+                    continue
+                power = states[:, var]
+                for _ in range(int(exp) - 1):
+                    power = power * states[:, var]
+                value = power if value is None else value * power
+            design[:, column] = value
+        return design
+
+    def test_design_matrix_is_bit_equal_to_the_per_monomial_fold(self):
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, -1.5, 2.0, np.inf, -np.inf])
+        for _ in range(60):
+            num_vars = int(rng.integers(1, 7))
+            polys = [
+                _random_polynomial(rng, num_vars, degree=int(rng.integers(1, 7)), terms=8)
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            try:
+                block = PolyBlock.from_polynomials(polys)
+            except LoweringError:
+                continue
+            points = rng.normal(scale=1.5, size=(30, num_vars))
+            points[:10] = rng.choice(specials, size=(10, num_vars))
+            with np.errstate(invalid="ignore", over="ignore"):
+                fast = block._design_matrix(points)
+                slow = self._folded_design_matrix(block, points)
+            assert fast.dtype == np.float64
+            np.testing.assert_array_equal(fast, slow)
+            assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 class TestCompiledPrograms:
@@ -360,6 +400,24 @@ class TestColumnDynamics:
             rtol=1e-9,
             atol=1e-11,
         )
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS + ("rate_and_cost",))
+    def test_fleet_step_equals_the_batch_methods(self, name):
+        env = _RateAndCostEnv() if name == "rate_and_cost" else make_environment(name)
+        rng = np.random.default_rng(12)
+        states = env.domain.sample(rng, 30)
+        actions = rng.normal(scale=3.0, size=(30, env.action_dim))
+        for rowwise in (False, True):
+            step = FleetStep(env, rowwise=rowwise)
+            np.testing.assert_array_equal(step.unsafe(states), env.is_unsafe_batch(states))
+            clipped = step.clip(actions, np.empty_like(actions))
+            np.testing.assert_array_equal(clipped, env.clip_action_batch(actions))
+            rates = step.rate(states, clipped)
+            if rowwise:
+                expected = [env.rate_numeric(s, a) for s, a in zip(states, clipped)]
+            else:
+                expected = env.rate_batch(states, clipped)
+            np.testing.assert_array_equal(rates, expected)
 
     @pytest.mark.parametrize(
         "env_class", [_RateOnlyEnv, _RateAndCostEnv], ids=["rate_only", "rate_and_cost"]
