@@ -202,8 +202,6 @@ class PolyBlock:
         powers[:, :, 1] = states
         for exp in range(2, top + 1):
             np.multiply(powers[:, :, exp - 1], states, out=powers[:, :, exp])
-        if not self._factor_vars:
-            return np.empty((count, 0))
         first, *rest = self._factor_vars
         design = powers[:, first, self.exponents[:, first]]
         for var in rest:

@@ -190,9 +190,7 @@ class CompiledStepper:
         self.workspace = RolloutWorkspace(default_dtype=self.dtype)
         self.dt = env.dt
         step = FleetStep(env)
-        # The trusted rate takes float64 blocks; a float32 fleet keeps
-        # rate_batch, which computes in float64.
-        self._rate = step.rate if self.dtype == np.float64 else env.rate_batch
+        self._rate = env.rate_batch
         self._clip = step.clip
         self._unsafe = step.unsafe
         self._steady = _steady_fn(env)
@@ -405,8 +403,7 @@ def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledSteppe
 
     Every component factory degrades to its interpreted counterpart on its own
     (``as_batch_policy``, ``holds_batch``), and the dynamics are always the
-    environment's own ``rate`` (through :class:`~repro.envs.fleet.FleetStep`),
-    so assembly never refuses a deployment.
+    environment's own ``rate_batch``, so assembly never refuses a deployment.
     """
     return CompiledStepper(env, policy, shield, dtype=dtype)
 

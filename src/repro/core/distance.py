@@ -16,13 +16,13 @@ one state at a time (:func:`repro.reference.program_oracle_distance_scalar`),
 and the generator ends in the same state.  Three rules make that so:
 
 * randomness is drawn per row in the scalar order: a row's initial state, then
-  its disturbances, one per step, as one block (:func:`draw_rows`).  By
-  default :func:`program_oracle_distance` draws its fleet's rows itself,
-  program by program.  A caller may instead draw the rows in groups, with
-  other draws in between, and pass them in as :class:`RolloutRows`:
-  Algorithm 1 draws the updated θ's rows, then the next perturbation
-  directions, then the perturbed programs' rows, and scores all of them as
-  one fleet (:mod:`repro.core.synthesis`);
+  its disturbances, one per step, as one block (:func:`draw_rows`).  The
+  caller draws the rows and passes them in as :class:`RolloutRows`, so it may
+  draw them in groups with other draws in between: Algorithm 1 draws the
+  updated θ's rows, then the next perturbation directions, then the perturbed
+  programs' rows, and scores all of them as one fleet
+  (:mod:`repro.core.synthesis`).  Drawn program by program, the rows are the
+  ones scoring each program alone would draw;
 * a row's gaps and penalties are subtracted step by step, and a program's rows
   are averaged left to right;
 * every matrix product runs per row, as ``np.matmul`` over stacked operands.  A
@@ -184,26 +184,19 @@ def program_oracle_distance(
     env: EnvironmentContext,
     programs: Sequence[PolicyProgram],
     oracle: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator | None = None,
+    rows: RolloutRows,
     config: DistanceConfig | None = None,
-    init_region=None,
-    rows: RolloutRows | None = None,
 ) -> np.ndarray:
     """Monte-Carlo estimates of ``d(π_w, P, C)``, one per program in ``programs``.
 
-    Each program is rolled out ``num_trajectories`` times in ``C[P]`` for
-    ``trajectory_length`` steps; the score averages the rollouts' distances.
-    Row ``r`` of the fleet follows ``programs[r // num_trajectories]``.  By
-    default the rows are drawn here from ``rng`` (:func:`draw_rows`), from
-    ``init_region`` if given; Algorithm 2 passes the shrunk region of the
-    current CEGIS iteration there.  A caller that interleaves other draws with
-    the fleet's passes the ``rows`` it drew instead, and no ``rng``.
+    Each program is rolled out ``num_trajectories`` times in ``C[P]``, one
+    rollout per row of ``rows`` (:func:`draw_rows`); the score averages the
+    rollouts' distances.  Row ``r`` of the fleet follows
+    ``programs[r // num_trajectories]``.
     """
     config = config or DistanceConfig()
     repeats = config.num_trajectories
-    if rows is None:
-        rows = draw_rows(env, len(programs) * repeats, rng, config, init_region)
-    elif len(rows) != len(programs) * repeats:
+    if len(rows) != len(programs) * repeats:
         raise ValueError(
             f"{len(rows)} rows cannot score {len(programs)} programs "
             f"x {repeats} trajectories"

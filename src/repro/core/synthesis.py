@@ -227,8 +227,8 @@ class ProgramSynthesizer:
             self.env,
             [self.sketch.instantiate(row) for row in parameters],
             self.oracle,
-            config=self.config.distance,
-            rows=rows,
+            rows,
+            self.config.distance,
         )
 
     def _result(

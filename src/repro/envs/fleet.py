@@ -6,15 +6,16 @@ counterexample replay and probes (:func:`repro.core.replay.batch_reaches_unsafe`
 and the compiled stepper (:class:`repro.compile.stepper.CompiledStepper`).  On
 Algorithm 1's and replay's fleets of a few dozen rows, the fixed cost of each
 step outweighs the work per row.  So the three loops share
-:class:`FleetStep`: the environment's unsafe-box test, actuator clip and rate,
-bound once per fleet and applied to ``(rows, dim)`` float64 blocks that the
-loop built itself, without the ``atleast_2d``/``asarray`` coercion of the
-public ``*_batch`` methods.
+:class:`FleetStep`: the environment's unsafe-box test and actuator clip,
+bound once per fleet and applied to ``(rows, dim)`` float blocks that the
+loop built itself, without the ``atleast_2d``/``asarray`` coercion of
+``is_unsafe_batch`` and ``clip_action_batch``.  The rate is the environment's
+own ``rate_batch``, or for the objective's linear dynamics one matrix-vector
+product per row.
 
-Comparisons, ``np.maximum``/``np.minimum`` and the column-wise ``rate`` are
-exact, so a step here equals :meth:`~repro.envs.base.EnvironmentContext.is_unsafe_batch`,
-:meth:`~repro.envs.base.EnvironmentContext.clip_action_batch` and
-:meth:`~repro.envs.base.EnvironmentContext.rate_batch` bit for bit.
+Comparisons and ``np.maximum``/``np.minimum`` are exact, so a step here equals
+:meth:`~repro.envs.base.EnvironmentContext.is_unsafe_batch` and
+:meth:`~repro.envs.base.EnvironmentContext.clip_action_batch` bit for bit.
 :func:`unsafe_mask` is the one unsafe-box test; ``is_unsafe_batch`` runs it
 too.
 """
@@ -70,33 +71,19 @@ def _clip_fn(env) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 
 def _rate_fn(env, rowwise: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    from .base import EnvironmentContext, LinearEnvironment
+    from .base import LinearEnvironment
 
-    if rowwise and isinstance(env, LinearEnvironment):
-        a_matrix, b_matrix = env.a_matrix, env.b_matrix
-
-        def per_row(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-            rates = np.matmul(a_matrix, states[:, :, None]) + np.matmul(
-                b_matrix, actions[:, :, None]
-            )
-            return rates[:, :, 0]
-
-        return per_row
-    method = type(env).rate_batch
-    if method is LinearEnvironment.rate_batch:
-        a_transposed, b_transposed = env.a_matrix.T, env.b_matrix.T
-        return lambda states, actions: states @ a_transposed + actions @ b_transposed
-    if method is not EnvironmentContext.rate_batch:
+    if not (rowwise and isinstance(env, LinearEnvironment)):
         return env.rate_batch
-    rate = env.rate
+    a_matrix, b_matrix = env.a_matrix, env.b_matrix
 
-    def columns(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        rates = np.empty_like(states)
-        for index, entry in enumerate(rate(list(states.T), list(actions.T))):
-            rates[:, index] = entry
-        return rates
+    def per_row(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        rates = np.matmul(a_matrix, states[:, :, None]) + np.matmul(
+            b_matrix, actions[:, :, None]
+        )
+        return rates[:, :, 0]
 
-    return columns
+    return per_row
 
 
 class FleetStep:
@@ -105,15 +92,14 @@ class FleetStep:
     * ``unsafe(states)`` is the ``(rows,)`` unsafe mask;
     * ``clip(actions, out)`` clips ``actions`` to the actuator bounds into
       ``out``, which may be ``actions`` itself;
-    * ``rate(states, actions)`` is ``f(s, a)`` per row.
+    * ``rate(states, actions)`` is ``f(s, a)`` per row: ``env.rate_batch``.
 
-    Inputs must be C-ordered float64 ``(rows, dim)`` blocks.  A linear
-    environment's ``A s + B a`` is two matrix products over the block, as in
-    :meth:`~repro.envs.base.LinearEnvironment.rate_batch`; with ``rowwise`` it
-    is one matrix-vector product per row (``np.matmul`` over stacked
-    operands), bit-equal to :meth:`~repro.envs.base.EnvironmentContext.rate_numeric`
-    on each row.  An environment that overrides ``is_unsafe_batch`` or
-    ``rate_batch`` keeps its own method.
+    ``unsafe`` and ``clip`` take 2-D ``(rows, dim)`` float blocks as they are.
+    With ``rowwise``, a linear environment's ``A s + B a`` is one
+    matrix-vector product per row (``np.matmul`` over stacked operands),
+    bit-equal to :meth:`~repro.envs.base.EnvironmentContext.rate_numeric` on
+    each row, where ``rate_batch`` runs two matrix products over the block.
+    An environment that overrides ``is_unsafe_batch`` keeps its own method.
     """
 
     __slots__ = ("dt", "unsafe", "clip", "rate")

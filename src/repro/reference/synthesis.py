@@ -16,7 +16,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core import distance as core_distance
 from ..core import synthesis as core_synthesis
 from ..core.synthesis import ProgramSynthesizer, SynthesisResult
 
@@ -47,11 +46,4 @@ class UnfusedProgramSynthesizer(ProgramSynthesizer):
 
     def _fleet(self, parameters: np.ndarray, init_region) -> np.ndarray:
         """One fleet that draws its own rows."""
-        return core_distance.program_oracle_distance(
-            self.env,
-            [self.sketch.instantiate(row) for row in parameters],
-            self.oracle,
-            self._rng,
-            config=self.config.distance,
-            init_region=init_region,
-        )
+        return self._scores(parameters, self._draw_rows(len(parameters), init_region))

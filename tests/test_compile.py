@@ -32,6 +32,7 @@ from repro.compile import (
 )
 from repro.compile.lowering import LoweringError
 from repro.core import Shield
+from repro.core.replay import batch_reaches_unsafe
 from repro.envs import make_environment
 from repro.envs.base import EnvironmentContext
 from repro.envs.disturbance import SinusoidalDisturbance
@@ -203,6 +204,9 @@ class TestPolyBlockLowering:
             try:
                 block = PolyBlock.from_polynomials(polys)
             except LoweringError:
+                continue
+            if block.degree < 1:
+                # No monomials: evaluate returns the intercept without a design matrix.
                 continue
             points = rng.normal(scale=1.5, size=(30, num_vars))
             points[:10] = rng.choice(specials, size=(10, num_vars))
@@ -386,6 +390,13 @@ class _RateAndCostEnv(_RateOnlyEnv):
         return 2.0 * (x * x) + y * y * y * y + 0.05 * (action[0] * action[0]) + 0.3
 
 
+class _ShortRateEnv(_RateOnlyEnv):
+    """A ``rate`` that leaves out the second state entry."""
+
+    def rate(self, state, action):
+        return [state[1]]
+
+
 class TestColumnDynamics:
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_rate_batch_matches_lowered_rate(self, name):
@@ -418,6 +429,16 @@ class TestColumnDynamics:
             else:
                 expected = env.rate_batch(states, clipped)
             np.testing.assert_array_equal(rates, expected)
+
+    def test_fleet_step_rejects_a_rate_with_too_few_entries(self):
+        env = _ShortRateEnv()
+        states = env.init_region.sample(np.random.default_rng(13), 5)
+        actions = np.zeros((5, env.action_dim))
+        for rowwise in (False, True):
+            with pytest.raises(ValueError, match="one entry per state dimension"):
+                FleetStep(env, rowwise=rowwise).rate(states, actions)
+        with pytest.raises(ValueError, match="one entry per state dimension"):
+            batch_reaches_unsafe(env, AffineProgram(gain=np.zeros((1, 2))), states, horizon=3)
 
     @pytest.mark.parametrize(
         "env_class", [_RateOnlyEnv, _RateAndCostEnv], ids=["rate_only", "rate_and_cost"]

@@ -20,6 +20,7 @@ from repro.core import (
     synthesize_shield,
     verify_program,
 )
+from repro.core.distance import draw_rows
 from repro.envs import make_environment, make_quadcopter, make_satellite
 from repro.lang import AffineProgram, AffineSketch
 from repro.reference import trajectory_distance
@@ -47,8 +48,9 @@ def satellite_oracle():
 class TestDistance:
     def test_identical_policies_have_zero_distance(self, satellite_oracle):
         env, oracle = satellite_oracle
-        rng = np.random.default_rng(0)
-        value = program_oracle_distance(env, [oracle], oracle, rng, DistanceConfig(num_trajectories=2, trajectory_length=30))
+        config = DistanceConfig(num_trajectories=2, trajectory_length=30)
+        rows = draw_rows(env, 2, np.random.default_rng(0), config)
+        value = program_oracle_distance(env, [oracle], oracle, rows, config)
         assert value.shape == (1,)
         assert value[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -56,7 +58,9 @@ class TestDistance:
         env, oracle = satellite_oracle
         near = AffineProgram(gain=np.array([[-0.5, -1.0]]))
         far = AffineProgram(gain=np.array([[5.0, 5.0]]))
-        d_near, d_far = program_oracle_distance(env, [near, far], oracle, np.random.default_rng(1), DistanceConfig(num_trajectories=2, trajectory_length=30))
+        config = DistanceConfig(num_trajectories=2, trajectory_length=30)
+        rows = draw_rows(env, 4, np.random.default_rng(1), config)
+        d_near, d_far = program_oracle_distance(env, [near, far], oracle, rows, config)
         assert d_near > d_far
 
     def test_unsafe_states_incur_large_penalty(self, satellite_oracle, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import repro.core.distance
 import repro.core.synthesis
 from repro.core import DistanceConfig, ProgramSynthesizer, SynthesisConfig, program_oracle_distance
+from repro.core.distance import draw_rows
 from repro.envs import make_environment
 from repro.envs.registry import benchmark_names
 from repro.lang import AffineSketch, PolynomialSketch
@@ -54,7 +55,8 @@ def _sketches(env):
 def _assert_row_exact(env, programs, oracle, config, init_region=None, seed=7):
     fleet_rng = np.random.default_rng(seed)
     scalar_rng = np.random.default_rng(seed)
-    fleet = program_oracle_distance(env, programs, oracle, fleet_rng, config, init_region)
+    rows = draw_rows(env, len(programs) * config.num_trajectories, fleet_rng, config, init_region)
+    fleet = program_oracle_distance(env, programs, oracle, rows, config)
     scalar = program_oracle_distance_scalar(env, programs, oracle, scalar_rng, config, init_region)
     assert fleet.shape == (len(programs),)
     np.testing.assert_array_equal(fleet, scalar)
@@ -84,7 +86,8 @@ def test_unsafe_rows_score_the_penalty_at_every_step(monkeypatch):
     runaway = sketch.instantiate([50.0, 50.0])
     monkeypatch.setattr(repro.core.distance, "UNSAFE_PENALTY", 1234.0)
     config = DistanceConfig(num_trajectories=3, trajectory_length=40)
-    scores = program_oracle_distance(env, [runaway], _mlp_oracle(env), np.random.default_rng(0), config)
+    rows = draw_rows(env, config.num_trajectories, np.random.default_rng(0), config)
+    scores = program_oracle_distance(env, [runaway], _mlp_oracle(env), rows, config)
     assert scores[0] < -1234.0
     _assert_row_exact(env, [runaway], _mlp_oracle(env), config)
 
@@ -113,10 +116,21 @@ def test_synthesizer_matches_scalar_objective(name, monkeypatch):
         return [ProgramSynthesizer(env, oracle, sketch, config).synthesize(**case) for case in cases]
 
     fleet = run_all()
-    monkeypatch.setattr(
-        repro.core.synthesis, "program_oracle_distance", program_oracle_distance_scalar
-    )
+
+    def scalar_objective(env, programs, oracle, rows, config):
+        return program_oracle_distance_scalar(env, programs, oracle, config=config, rows=rows)
+
+    monkeypatch.setattr(repro.core.synthesis, "program_oracle_distance", scalar_objective)
     scalar = run_all()
     for fleet_result, scalar_result in zip(fleet, scalar):
         np.testing.assert_array_equal(fleet_result.parameters, scalar_result.parameters)
         assert fleet_result.objective_history == scalar_result.objective_history
+
+
+def test_rows_must_match_the_programs():
+    env = make_environment("satellite")
+    config = DistanceConfig(num_trajectories=2, trajectory_length=5)
+    program = AffineSketch(2, 1).instantiate([0.0, 0.0])
+    rows = draw_rows(env, 3, np.random.default_rng(0), config)
+    with pytest.raises(ValueError, match="3 rows cannot score 1 programs"):
+        program_oracle_distance(env, [program], _mlp_oracle(env), rows, config)

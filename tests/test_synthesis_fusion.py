@@ -98,9 +98,9 @@ def test_one_fleet_per_iteration_and_one_for_the_last_theta(monkeypatch, iterati
     scored = repro.core.synthesis.program_oracle_distance
     calls = []
 
-    def counting(env, programs, oracle, *args, **kwargs):
-        calls.append((len(programs), len(kwargs["rows"])))
-        return scored(env, programs, oracle, *args, **kwargs)
+    def counting(env, programs, oracle, rows, config):
+        calls.append((len(programs), len(rows)))
+        return scored(env, programs, oracle, rows, config)
 
     monkeypatch.setattr(repro.core.synthesis, "program_oracle_distance", counting)
     env = make_environment("satellite")
