@@ -87,8 +87,8 @@ def measure_compile_speedup(env_name: str, episodes: int = EPISODES, steps: int 
     protocol = EvaluationProtocol(episodes=episodes, steps=steps, seed=0)
     interpreted_seconds, interpreted_metrics = _run(env, protocol, evaluate_policy_interpreted)
     compiled_seconds, compiled_metrics = _run(env, protocol, evaluate_policy)
-    unsafe_interpreted = sum(e.unsafe_steps for e in interpreted_metrics.episodes)
-    unsafe_compiled = sum(e.unsafe_steps for e in compiled_metrics.episodes)
+    unsafe_interpreted = interpreted_metrics.unsafe_steps
+    unsafe_compiled = compiled_metrics.unsafe_steps
     return {
         "env": env_name,
         "episodes": episodes,

@@ -62,7 +62,7 @@ SEED = 0
 #: A single worker crash may cost at most this factor over the fault-free run.
 MAX_SINGLE_CRASH_OVERHEAD = 2.0
 
-CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 
 
 def _make_shield(env, seed: int = 0) -> Shield:

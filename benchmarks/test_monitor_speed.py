@@ -6,7 +6,7 @@ accumulation for the disturbance estimate — so its speedup is pinned separatel
 from the bare rollout benchmark: the same 100-episode x 250-step monitored
 campaign runs through the sequential :func:`repro.reference.monitor_episode`
 reference and the
-:class:`MonitoredBatchedCampaign` lockstep engine, and the measured speedup is
+:func:`repro.runtime.monitor_fleet` lockstep engine, and the measured speedup is
 recorded at the repository root.
 
 Run directly (``PYTHONPATH=src python benchmarks/test_monitor_speed.py``) or

@@ -76,7 +76,7 @@ def _campaign_counters(result) -> dict:
     return {
         "unsafe_steps": int(np.sum(result.unsafe_counts)),
         "failures": result.failures,
-        "interventions": result.total_interventions,
+        "interventions": result.interventions,
         "steady_episodes": int(np.sum(result.steady_at >= 0)),
         "reward_sum": float(np.sum(result.total_rewards)),
     }

@@ -32,7 +32,7 @@ from repro.rl.policies import NeuralPolicy
 from repro.shard import ShardPool
 from repro.store import CorruptArtifactError, ShieldStore
 
-FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 
 
 def make_shield(env, seed=0):
@@ -70,7 +70,7 @@ def main():
     env = make_environment("pendulum")
     baseline = campaign(env)
     print(f"fault-free: failures={baseline.failures}, "
-          f"interventions={baseline.total_interventions}")
+          f"interventions={baseline.interventions}")
 
     # 1. Crash a worker mid-shard, then inject a transient OSError.  Recovery
     #    retries only the failed shard; the counters come out bit-identical.

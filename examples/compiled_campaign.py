@@ -66,9 +66,7 @@ def main():
     print(f"compiled campaign:      {compiled_seconds * 1000:7.1f} ms")
     print(f"speedup:                {interpreted_seconds / compiled_seconds:7.2f}x")
     print(f"interventions:          {slow.interventions} == {fast.interventions}")
-    unsafe_slow = sum(e.unsafe_steps for e in slow.episodes)
-    unsafe_fast = sum(e.unsafe_steps for e in fast.episodes)
-    print(f"unsafe steps:           {unsafe_slow} == {unsafe_fast}")
+    print(f"unsafe steps:           {slow.unsafe_steps} == {fast.unsafe_steps}")
 
     # 3. What the lowering pass produced for the shield's fallback program.
     kernel = lower_program(shield.program)

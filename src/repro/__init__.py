@@ -51,7 +51,6 @@ from .lang import (
 )
 from .rl import NeuralPolicy, train_oracle
 from .runtime import (
-    BatchedCampaign,
     EvaluationProtocol,
     RuntimeMonitor,
     compare_shielded,
@@ -94,7 +93,6 @@ __all__ = [
     "Shield",
     "ShieldSynthesisResult",
     "EvaluationProtocol",
-    "BatchedCampaign",
     "evaluate_policy",
     "compare_shielded",
     "RuntimeMonitor",

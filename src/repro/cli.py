@@ -85,7 +85,7 @@ def _resolve(source: str, args: argparse.Namespace, store=None):
     return resolve_shield(source, store, args.env, _overrides(args.overrides))
 
 
-def _obtain_shield(args, verbose=False, degree=None, workers=1, extra_metadata=None):
+def _obtain_shield(args, verbose=False, degree=None, workers=1):
     """Train an oracle for ``args.env`` and obtain its shield (steps 1 and 2).
 
     The one oracle→shield path of ``synthesize`` (``verbose``: four steps,
@@ -129,7 +129,7 @@ def _obtain_shield(args, verbose=False, degree=None, workers=1, extra_metadata=N
         config=config,
         environment=args.env,
         environment_overrides=overrides,
-        extra_metadata=extra_metadata,
+        oracle_method=args.oracle,
     )
     if not verbose:
         origin = "reloaded from store" if result.from_store else "synthesized"
@@ -193,7 +193,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         verbose=True,
         degree=args.degree,
         workers=args.workers,
-        extra_metadata={"oracle": args.oracle},
     )
     print("[3/4] synthesized program:")
     print(result.program.pretty(env.state_names))
@@ -423,10 +422,6 @@ def _fleet_disturbance(args: argparse.Namespace, env):
     return model, f" under {args.disturbance} disturbance (|d| <= {args.magnitude})"
 
 
-def _fleet_dtype(args: argparse.Namespace):
-    return np.float32 if args.float32 else None
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from .faults import RetryPolicy
     from .shard import ShardPool
@@ -444,7 +439,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         shield=result.shield,
         workers=args.workers,
         shards=args.shards,
-        dtype=_fleet_dtype(args),
         retry=retry,
     ) as pool:
         campaign = pool.run_campaign(
@@ -454,7 +448,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checkpoint=args.checkpoint,
             resume=args.resume,
         )
-    print(json.dumps(campaign.summary(), indent=2, default=float))
+    summary = {**campaign.summary(), "shard_stats": campaign.stats}
+    print(json.dumps(summary, indent=2, default=float))
     return 0
 
 
@@ -499,7 +494,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         disturbance=model,
         workers=args.workers,
         shards=args.shards,
-        dtype=_fleet_dtype(args),
     )
     print(json.dumps(report.summary(), indent=2, default=float))
     return 0
@@ -518,6 +512,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
         disturbance=model,
         oracle=oracle,
+        oracle_method=args.oracle,
         service=service,
         config=config,
         environment=args.env,
@@ -867,11 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=None,
         help="episode shards (default: 8, but at most one per 500 episodes)",
-    )
-    fleet.add_argument(
-        "--float32",
-        action="store_true",
-        help="run rollout workspaces in float32",
     )
 
     disturbance = _options()

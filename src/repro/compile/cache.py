@@ -5,7 +5,7 @@ monomial tables), and a sweep compiles the *same* shield for every campaign,
 episode batch, and re-check it appears in.  This cache memoises compiled
 kernels by the same content fingerprint the shield store uses
 (:func:`~repro.lang.serialize.program_fingerprint` — canonical JSON → SHA-256)
-so ``SynthesisService`` and ``BatchedCampaign`` compile each artifact once per
+so ``SynthesisService`` and ``ShardPool`` compile each artifact once per
 process no matter how many runs touch it.
 
 Lookups count as ``kernel_cache.hits``/``misses`` in :mod:`repro.obs`; the CI

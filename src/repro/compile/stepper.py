@@ -47,30 +47,23 @@ __all__ = [
 class RolloutWorkspace:
     """Named, preallocated scratch buffers reused across steps of a campaign.
 
-    Buffers are keyed by ``(name, dtype)`` and backed by flat capacity arrays
+    Buffers are float64, keyed by name and backed by flat capacity arrays
     that only grow: a request whose element count fits the existing capacity is
     served as a reshaped view, so alternating shapes under one name — shard
     workers running different fleet widths back to back — reallocate nothing.
-
-    ``default_dtype`` is the element type handed out when a request does not
-    name one; a ``float32`` workspace turns every stepper scratch buffer into
-    single precision (the opt-in low-precision mode of the sharded runtime).
     """
 
-    def __init__(self, default_dtype=float) -> None:
-        self.default_dtype = np.dtype(default_dtype)
-        self._buffers: Dict[Tuple[str, np.dtype], np.ndarray] = {}
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
 
-    def array(self, name: str, shape: Tuple[int, ...], dtype=None) -> np.ndarray:
-        dtype = self.default_dtype if dtype is None else np.dtype(dtype)
+    def array(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         size = 1
         for extent in shape:
             size *= int(extent)
-        key = (name, dtype)
-        flat = self._buffers.get(key)
+        flat = self._buffers.get(name)
         if flat is None or flat.size < size:
-            flat = np.empty(size, dtype=dtype)
-            self._buffers[key] = flat
+            flat = np.empty(size)
+            self._buffers[name] = flat
         return flat[:size].reshape(shape)
 
     def __len__(self) -> int:
@@ -181,13 +174,10 @@ class CompiledStepper:
     method inside the fused step.
     """
 
-    def __init__(self, env, policy, shield, dtype=None) -> None:
+    def __init__(self, env, policy, shield) -> None:
         self.env = env
         self.shield = shield
-        self.dtype = np.dtype(float) if dtype is None else np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise ValueError(f"stepper dtype must be a float type, got {self.dtype}")
-        self.workspace = RolloutWorkspace(default_dtype=self.dtype)
+        self.workspace = RolloutWorkspace()
         self.dt = env.dt
         step = FleetStep(env)
         self._rate = env.rate_batch
@@ -211,14 +201,17 @@ class CompiledStepper:
             return self.guards.any_holds(states)
         return np.asarray(self.shield.invariant.holds_batch(states), dtype=bool)
 
-    def _decide(self, states: np.ndarray, stats) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _decide(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused Algorithm 3: returns (executed_actions, intervened, rates).
 
         ``rates`` are the executed actions' clipped-dynamics rates for the
         whole fleet — the caller integrates them, so the shield's safety
-        prediction is never recomputed for non-intervened rows.
+        prediction is never recomputed for non-intervened rows.  The shield's
+        decision and intervention counters always advance; its timers only
+        under ``measure_time``.
         """
-        measure = stats is not None
+        stats = self.shield.statistics
+        measure = self.shield.measure_time
         start = time.perf_counter() if measure else 0.0
         proposed = self._policy(states)
         neural_elapsed = (time.perf_counter() - start) if measure else 0.0
@@ -246,9 +239,9 @@ class CompiledStepper:
             fallback_clipped = self._clip(fallback, np.empty_like(fallback))
             rates = np.array(rates) if rates.base is not None else rates
             rates[intervened] = self._rate(subset, fallback_clipped)
+        stats.decisions += count
+        stats.interventions += int(np.count_nonzero(intervened))
         if measure:
-            stats.decisions += count
-            stats.interventions += int(np.count_nonzero(intervened))
             stats.neural_seconds += neural_elapsed
             stats.shield_seconds += time.perf_counter() - shield_start
         return actions, intervened, rates
@@ -259,13 +252,7 @@ class CompiledStepper:
             draws = self.env.sample_disturbance_batch(rng, states.shape[0])
         if draws is not None:
             rates = rates + draws
-        successors = states + self.dt * rates
-        if successors.dtype != self.dtype:
-            # The environment's rate_batch and the disturbance draws compute
-            # in float64; pin the fleet to the workspace precision so a
-            # float32 campaign stays float32 step over step.
-            successors = successors.astype(self.dtype)
-        return successors
+        return states + self.dt * rates
 
     # -------------------------------------------------------------- campaigns
     def run_campaign(
@@ -274,34 +261,25 @@ class CompiledStepper:
         steps: int,
         rng,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """The fused twin of ``BatchedCampaign.run``'s hot loop.
+        """One shard of :meth:`ShardPool.run_campaign <repro.shard.ShardPool.run_campaign>`.
 
         Returns ``(total_rewards, unsafe_counts, interventions, steady_at,
         elapsed_seconds)`` with exactly the interpreted loop's semantics:
         rewards on the pre-clip executed action, unsafe/steady bookkeeping on
         the post-step state, interventions per decision row.
         """
-        states = np.ascontiguousarray(initial_states, dtype=self.dtype)
+        states = np.ascontiguousarray(initial_states, dtype=float)
         episodes = states.shape[0]
         unsafe_counts = np.zeros(episodes, dtype=int)
         interventions = np.zeros(episodes, dtype=int)
         steady_at = np.full(episodes, -1, dtype=int)
         total_rewards = np.zeros(episodes)
-        stats = (
-            self.shield.statistics
-            if self.shield is not None and self.shield.measure_time
-            else None
-        )
-        silent_stats = self.shield.statistics if self.shield is not None else None
         unsafe_now = self._unsafe(states)
 
         start = time.perf_counter()
         for step_index in range(steps):
             if self.shield is not None:
-                actions, intervened, rates = self._decide(states, stats)
-                if stats is None and silent_stats is not None:
-                    silent_stats.decisions += episodes
-                    silent_stats.interventions += int(np.count_nonzero(intervened))
+                actions, intervened, rates = self._decide(states)
                 interventions += intervened
             else:
                 actions = self._policy(states)
@@ -324,39 +302,34 @@ class CompiledStepper:
         disturbance=None,
         estimator=None,
     ):
-        """The fused twin of ``MonitoredBatchedCampaign.run``'s hot loop.
+        """One shard of :meth:`ShardPool.run_monitored <repro.shard.ShardPool.run_monitored>`.
 
         Returns ``(interventions, mismatches, excursions, unsafe, barrier_peak,
         final_states, elapsed)``; the caller assembles the report.
         """
-        states = np.ascontiguousarray(initial_states, dtype=self.dtype)
+        states = np.ascontiguousarray(initial_states, dtype=float)
         episodes = states.shape[0]
         interventions = np.zeros(episodes, dtype=int)
         mismatches = np.zeros(episodes, dtype=int)
         excursions = np.zeros(episodes, dtype=int)
         unsafe = np.zeros(episodes, dtype=int)
         barrier_peak = np.full(episodes, -np.inf)
-        stats = self.shield.statistics if self.shield.measure_time else None
-        silent_stats = self.shield.statistics
 
         start = time.perf_counter()
         for step_index in range(steps):
             np.maximum(barrier_peak, self._barrier_values(states), out=barrier_peak)
-            actions, intervened, rates = self._decide(states, stats)
-            if stats is None:
-                silent_stats.decisions += episodes
-                silent_stats.interventions += int(np.count_nonzero(intervened))
+            actions, intervened, rates = self._decide(states)
             interventions += intervened
             # ``rates`` are the executed actions' rates, so the executed
             # prediction (decide_batch_predicted's third output) is free here.
             expected = states + self.dt * rates
-            predicted_ok = self._member_holds_any(expected)
+            predicted_ok = self._guard_holds(expected)
             if disturbance is not None:
                 draws = disturbance.sample_batch(rng, step_index, episodes)
                 states = self._advance(states, rates, None, draws=draws)
             else:
                 states = self._advance(states, rates, rng)
-            observed_ok = self._member_holds_any(states)
+            observed_ok = self._guard_holds(states)
             mismatches += predicted_ok & ~observed_ok
             excursions += ~observed_ok
             unsafe += self._unsafe(states)
@@ -372,7 +345,7 @@ class CompiledStepper:
         initial-state and disturbance streams, same clipped-action reward
         convention, no trajectory storage.  Shield-free steppers only.
         """
-        states = np.ascontiguousarray(initial_states, dtype=self.dtype)
+        states = np.ascontiguousarray(initial_states, dtype=float)
         total_rewards = np.zeros(states.shape[0])
         unsafe_now = self._unsafe(states)
         for _ in range(steps):
@@ -394,18 +367,15 @@ class CompiledStepper:
             np.stack([member.value_batch(states) for member in members], axis=0), axis=0
         )
 
-    def _member_holds_any(self, states: np.ndarray) -> np.ndarray:
-        return self._guard_holds(states)
 
-
-def compile_stepper(env, policy=None, shield=None, dtype=None) -> CompiledStepper:
+def compile_stepper(env, policy=None, shield=None) -> CompiledStepper:
     """Build the fused stepper for a campaign.
 
     Every component factory degrades to its interpreted counterpart on its own
     (``as_batch_policy``, ``holds_batch``), and the dynamics are always the
     environment's own ``rate_batch``, so assembly never refuses a deployment.
     """
-    return CompiledStepper(env, policy, shield, dtype=dtype)
+    return CompiledStepper(env, policy, shield)
 
 
 # ----------------------------------------------------------- auxiliary kernels

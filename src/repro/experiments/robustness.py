@@ -43,7 +43,9 @@ def _prepare_deployment(benchmark: str, scale: ExperimentScale, service: Synthes
     config = scale.cegis_config(
         backend=spec.certificate_backend, invariant_degree=spec.invariant_degree
     )
-    result = service.synthesize(env, oracle, config=config, environment=benchmark)
+    result = service.synthesize(
+        env, oracle, config=config, environment=benchmark, oracle_method=scale.oracle_method
+    )
     return env, result, config
 
 

@@ -74,7 +74,12 @@ def run_benchmark_row(
     )
     service = service or SynthesisService()
     shield_result = service.synthesize(
-        env, oracle, config=config, environment=name, extra_metadata={"experiment": "table1"}
+        env,
+        oracle,
+        config=config,
+        environment=name,
+        extra_metadata={"experiment": "table1"},
+        oracle_method=scale.oracle_method,
     )
     recheck_columns = _recheck_columns(env, shield_result, config, service)
     # The three campaigns run on the compiled execution layer; the kernel-cache

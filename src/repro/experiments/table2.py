@@ -51,6 +51,7 @@ def run_degree_row(
             config=config,
             environment=name,
             extra_metadata={"experiment": "table2", "invariant_degree": degree},
+            oracle_method=scale.oracle_method,
         )
     except RuntimeError as error:
         return {

@@ -102,6 +102,7 @@ def run_environment_change(
             config=config,
             environment=f"table3:{change.name}",
             extra_metadata={"experiment": "table3", "scenario": change.name},
+            oracle_method=scale.oracle_method,
         )
     except RuntimeError as error:
         return {"change": change.description, "error": str(error)[:120]}

@@ -10,9 +10,10 @@ of ``(seed, site, index, attempt)`` — so a recovered run is reproducible
 end to end, sleeps included.
 
 :class:`FaultLog` is the provenance record: one :class:`FaultEvent` per
-recovery decision (site, index, attempt, outcome, backoff), attached to
-``ShardedCampaignResult``/``CEGISResult`` stats so a campaign that survived
-faults says so instead of silently looking like a clean run.
+recovery decision (site, index, attempt, outcome, backoff), attached to the
+stats of a shard pool run (``DeploymentMetrics.stats``,
+``FleetMonitorReport.shard_stats``) and to a ``CEGISResult``, so a campaign
+that survived faults says so instead of silently looking like a clean run.
 """
 
 from __future__ import annotations

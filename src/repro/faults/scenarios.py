@@ -71,7 +71,7 @@ def _campaign(seed: int, retry: RetryPolicy):
         return pool.run_campaign(_EPISODES, _STEPS, seed=int(seed))
 
 
-_CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+_CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 
 
 def _run_campaign_scenario(
@@ -101,10 +101,10 @@ def _run_campaign_scenario(
         "detail": detail,
         "fault_events": events,
         "shard_executions": executions,
-        "fault_free_seconds": round(baseline.elapsed, 4),
-        "faulty_seconds": round(faulted.elapsed, 4),
-        "overhead": round(faulted.elapsed / baseline.elapsed, 3)
-        if baseline.elapsed > 0
+        "fault_free_seconds": round(baseline.total_seconds, 4),
+        "faulty_seconds": round(faulted.total_seconds, 4),
+        "overhead": round(faulted.total_seconds / baseline.total_seconds, 3)
+        if baseline.total_seconds > 0
         else None,
         "time_to_recover_seconds": round(
             max((event["at_seconds"] for event in events), default=0.0), 4

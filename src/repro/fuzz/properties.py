@@ -396,10 +396,12 @@ def _gen_compiled(rng: np.random.Generator) -> Dict[str, Any]:
 
 
 def _campaign_signature(metrics):
-    return [
-        (e.steps, e.unsafe_steps, e.interventions, e.steps_to_steady)
-        for e in metrics.episodes
-    ]
+    return (
+        metrics.steps,
+        metrics.unsafe_counts.tolist(),
+        metrics.intervention_counts.tolist(),
+        metrics.steady_at.tolist(),
+    )
 
 
 def _check_rate(env, states: np.ndarray, actions: np.ndarray) -> Optional[str]:
@@ -455,10 +457,9 @@ def _check_compiled(payload: Dict[str, Any]) -> Optional[str]:
             "compiled campaign counters diverge from interpreted: "
             f"{_campaign_signature(slow)} != {_campaign_signature(fast)}"
         )
-    slow_rewards = [e.total_reward for e in slow.episodes]
-    fast_rewards = [e.total_reward for e in fast.episodes]
+    slow_rewards, fast_rewards = slow.total_rewards, fast.total_rewards
     if not np.allclose(slow_rewards, fast_rewards, rtol=1e-7, atol=1e-9):
-        return f"campaign rewards diverge: {slow_rewards} != {fast_rewards}"
+        return f"campaign rewards diverge: {slow_rewards.tolist()} != {fast_rewards.tolist()}"
     if (slow_stats.decisions, slow_stats.interventions) != (
         fast_stats.decisions,
         fast_stats.interventions,
@@ -793,7 +794,7 @@ def _check_shard(payload: Dict[str, Any]) -> Optional[str]:
             return "disturbance estimate differs between worker counts"
         return None
 
-    fields = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+    fields = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
     results = []
     for workers in (1, int(payload["workers"])):
         env = gen.env_from_payload(payload["env"])
@@ -1001,7 +1002,7 @@ def _shrink_analysis(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
 
 
 # ------------------------------------------------------------ family: faults
-_FAULT_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+_FAULT_FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 
 
 def _gen_faults(rng: np.random.Generator) -> Dict[str, Any]:

@@ -24,7 +24,6 @@ from ..runtime.metrics import DeploymentMetrics
 from ..runtime.monitored import FleetMonitorReport
 from ..shard import (
     Shard,
-    ShardedCampaignResult,
     disturbance_estimate_from_moments,
     merge_moments,
     plan_shards,
@@ -156,17 +155,12 @@ def evaluate_policy_interpreted(env, policy, protocol, shield=None) -> Deploymen
         stepper.run_campaign(states, protocol.steps, generator)
         for _shard, generator, states in shard_streams(env, protocol.episodes, rng)
     ]
-    rewards, unsafe, interventions, steady_at, elapsed = zip(*parts)
-    return ShardedCampaignResult(
-        episodes=protocol.episodes,
-        steps=protocol.steps,
-        total_rewards=np.concatenate(rewards),
-        unsafe_counts=np.concatenate(unsafe),
-        interventions=np.concatenate(interventions),
-        steady_at=np.concatenate(steady_at),
-        elapsed=sum(elapsed),
-        stats={},
-    ).metrics()
+    *columns, elapsed = zip(*parts)
+    return DeploymentMetrics(
+        protocol.steps,
+        *(np.concatenate(column) for column in columns),
+        total_seconds=sum(elapsed),
+    )
 
 
 def monitor_fleet_interpreted(

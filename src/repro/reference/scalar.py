@@ -1,8 +1,8 @@
 """One-state-at-a-time reference loops for campaigns and monitored episodes.
 
 :func:`run_episode_scalar` and :func:`evaluate_policy_scalar` are the original
-sequential rollout, walked over the same shard plan, that the batched engine
-(:mod:`repro.runtime.batched`) is property-tested against (``tests/test_batched.py``) and that
+sequential rollout, walked over the same shard plan, that the lockstep engine
+(:class:`~repro.shard.ShardPool`) is property-tested against (``tests/test_batched.py``) and that
 ``benchmarks/test_rollout_speed.py`` measures its speedup from.
 :func:`monitor_episode` drives a :class:`~repro.runtime.monitor.RuntimeMonitor`
 through one episode: the reference for fleet monitoring
@@ -12,13 +12,13 @@ through one episode: the reference for fleet monitoring
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..core.shield import Shield
 from ..envs.base import EnvironmentContext
-from ..runtime.metrics import DeploymentMetrics, EpisodeMetrics
+from ..runtime.metrics import DeploymentMetrics
 from ..runtime.monitor import MonitorReport, RuntimeMonitor
 from ..runtime.simulation import EvaluationProtocol
 from .campaigns import shard_streams
@@ -33,14 +33,17 @@ def run_episode_scalar(
     rng: np.random.Generator,
     shield: Optional[Shield] = None,
     initial_state: Optional[np.ndarray] = None,
-) -> EpisodeMetrics:
+) -> Tuple[float, int, int, int, float]:
     """Reference implementation: simulate one episode state-by-state.
 
-    This is the original sequential rollout the batched engine is checked
+    This is the original sequential rollout the lockstep engine is checked
     against; production campaigns go through
-    :func:`~repro.runtime.simulation.evaluate_policy` instead.  When
-    ``policy`` *is* a shield the intervention counter is read from it;
-    otherwise interventions are zero.
+    :func:`~repro.runtime.simulation.evaluate_policy` instead.  Returns
+    ``(total_reward, unsafe_steps, interventions, steady_at, seconds)``, one
+    row of the compiled stepper's ``run_campaign`` columns (``steady_at`` is
+    -1 when the episode never reaches the steady state).  When ``policy``
+    *is* a shield the intervention counter is read from it; otherwise
+    interventions are zero.
     """
     state = (
         np.asarray(initial_state, dtype=float)
@@ -49,7 +52,7 @@ def run_episode_scalar(
     )
     interventions_before = shield.statistics.interventions if shield is not None else 0
     unsafe_steps = 0
-    steps_to_steady: Optional[int] = None
+    steady_at = -1
     total_reward = 0.0
     start = time.perf_counter()
     for step_index in range(steps):
@@ -58,20 +61,13 @@ def run_episode_scalar(
         state = env.step(state, action, rng)
         if env.is_unsafe(state):
             unsafe_steps += 1
-        if steps_to_steady is None and env.is_steady(state):
-            steps_to_steady = step_index + 1
+        if steady_at < 0 and env.is_steady(state):
+            steady_at = step_index + 1
     elapsed = time.perf_counter() - start
     interventions = (
         shield.statistics.interventions - interventions_before if shield is not None else 0
     )
-    return EpisodeMetrics(
-        steps=steps,
-        unsafe_steps=unsafe_steps,
-        interventions=interventions,
-        steps_to_steady=steps_to_steady,
-        total_reward=total_reward,
-        wall_clock_seconds=elapsed,
-    )
+    return total_reward, unsafe_steps, interventions, steady_at, elapsed
 
 
 def evaluate_policy_scalar(
@@ -81,17 +77,19 @@ def evaluate_policy_scalar(
     shield: Optional[Shield] = None,
 ) -> DeploymentMetrics:
     """Reference implementation: run the campaign one episode at a time, over
-    the shard plan the batched engine runs."""
+    the shard plan the lockstep engine runs."""
     rng = np.random.default_rng(protocol.seed)
-    metrics = DeploymentMetrics()
-    for _shard, generator, states in shard_streams(env, protocol.episodes, rng):
-        for state in states:
-            metrics.add(
-                run_episode_scalar(
-                    env, policy, protocol.steps, generator, shield=shield, initial_state=state
-                )
-            )
-    return metrics
+    rows = [
+        run_episode_scalar(
+            env, policy, protocol.steps, generator, shield=shield, initial_state=state
+        )
+        for _shard, generator, states in shard_streams(env, protocol.episodes, rng)
+        for state in states
+    ]
+    rewards, unsafe, interventions, steady_at, seconds = (np.array(c) for c in zip(*rows))
+    return DeploymentMetrics(
+        protocol.steps, rewards, unsafe, interventions, steady_at, float(np.sum(seconds))
+    )
 
 
 def monitor_episode(

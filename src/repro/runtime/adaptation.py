@@ -4,9 +4,10 @@ Section 3 of the paper notes that tight disturbance bounds "can be accurately
 estimated at runtime using multivariate normal distribution fitting methods";
 this module closes that loop for deployed fleets:
 
-1. run a :class:`~repro.runtime.monitored.MonitoredBatchedCampaign` over the
-   deployed shield (optionally stressed by an explicit disturbance model) and
-   fit the fleet's residuals into a :class:`DisturbanceEstimate`;
+1. monitor a fleet of the deployed shield through
+   :func:`~repro.runtime.monitored.monitor_fleet` (optionally stressed by an
+   explicit disturbance model) and fit the fleet's residuals into a
+   :class:`DisturbanceEstimate`;
 2. **re-check** the deployed shield's certificate under the widened bound by
    re-running invariant inference (:func:`~repro.core.verification.verify_program`)
    for every program branch on a copy of the environment whose
@@ -30,7 +31,7 @@ from ..core.shield import Shield
 from ..core.verification import VerificationConfig, VerificationOutcome, verify_program
 from ..envs.base import EnvironmentContext
 from ..envs.disturbance import DisturbanceEstimate, DisturbanceModel
-from .monitored import FleetMonitorReport, MonitoredBatchedCampaign
+from .monitored import FleetMonitorReport, monitor_fleet
 
 __all__ = [
     "AdaptationOutcome",
@@ -133,6 +134,7 @@ def adapt_shield(
     rng: Optional[np.random.Generator] = None,
     disturbance: Optional[DisturbanceModel] = None,
     oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    oracle_method: str = "",
     service=None,
     config=None,
     environment: str = "",
@@ -150,19 +152,20 @@ def adapt_shield(
     a service the loop stops after the certificate re-check (monitoring-only
     mode).  ``environment`` is the registry name recorded in the repaired
     shield's provenance; ``prior_key`` links it to the artifact it replaces.
+    ``oracle_method`` names how ``oracle`` was trained, which the service
+    makes part of the repaired shield's reuse key.
     """
-    rng = rng or np.random.default_rng()
     env = shield.env
-    campaign = MonitoredBatchedCampaign(
-        shield=shield,
-        steps=steps,
+    report = monitor_fleet(
+        shield,
+        episodes,
+        steps,
+        rng=rng,
         disturbance=disturbance,
-        estimate_disturbance=True,
         confidence_sigmas=confidence_sigmas,
         workers=workers,
         shards=shards,
     )
-    report = campaign.run(episodes, rng)
     estimate = report.disturbance_estimate
     if estimate is None:
         return AdaptationOutcome(
@@ -213,6 +216,7 @@ def adapt_shield(
             environment=environment or getattr(env, "name", ""),
             environment_overrides=overrides,
             extra_metadata=metadata,
+            oracle_method=oracle_method,
         )
     except RuntimeError as error:
         outcome.resynthesis_error = str(error)

@@ -13,8 +13,8 @@ system additionally needs to watch what actually happens:
 * the wall-clock overhead attributable to shielding.
 
 :class:`RuntimeMonitor` collects those quantities step by step;
-:class:`~repro.runtime.monitored.MonitoredBatchedCampaign` does the same for
-whole fleets.
+:func:`~repro.runtime.monitored.monitor_fleet` does the same for whole
+fleets.
 """
 
 from __future__ import annotations

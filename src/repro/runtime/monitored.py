@@ -3,10 +3,11 @@
 :class:`~repro.runtime.monitor.RuntimeMonitor` watches one deployed episode at a
 time; production serving means watching *fleets* — hundreds of concurrent
 episodes of the same shielded controller, possibly stressed by disturbance
-classes the shield was never synthesized for.  :class:`MonitoredBatchedCampaign`
-fuses the PR-1 batched rollout engine with the monitor's bookkeeping: every step
-advances all episodes as one ``(episodes, state_dim)`` block through
-:meth:`Shield.decide_batch` and one vectorised transition, while recording
+classes the shield was never synthesized for.  :func:`monitor_fleet` runs the
+monitor's bookkeeping on the lockstep fleet engine of :class:`~repro.shard.ShardPool`:
+every step advances all episodes as one ``(episodes, state_dim)`` block
+through the shield's fused decision and one vectorised transition, while
+recording
 
 * per-episode **interventions** (the shield's batched decision mask),
 * per-episode **model mismatches** — the executed action's predicted successor
@@ -35,7 +36,7 @@ from ..core.shield import Shield
 from ..envs.disturbance import DisturbanceEstimate, DisturbanceModel
 from ..shard import ShardPool
 
-__all__ = ["FleetMonitorReport", "MonitoredBatchedCampaign", "monitor_fleet"]
+__all__ = ["FleetMonitorReport", "monitor_fleet"]
 
 
 @dataclass
@@ -106,59 +107,6 @@ class FleetMonitorReport:
         return summary
 
 
-@dataclass
-class MonitoredBatchedCampaign:
-    """Advance a fleet of monitored shielded episodes in lockstep.
-
-    ``disturbance`` injects an explicit
-    :class:`~repro.envs.disturbance.DisturbanceModel` into every transition
-    (replacing the environment's built-in uniform disturbance), so fleets can be
-    stressed with disturbance classes the shield was not synthesized for —
-    including per-episode sinusoid phases via
-    :meth:`SinusoidalDisturbance.fleet`.
-    """
-
-    shield: Shield
-    steps: int
-    disturbance: Optional[DisturbanceModel] = None
-    estimate_disturbance: bool = True
-    confidence_sigmas: float = 3.0
-    workers: int = 1
-    shards: Optional[int] = None
-    dtype: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        env = self.shield.env
-        if self.disturbance is not None and self.disturbance.dim != env.state_dim:
-            raise ValueError(
-                f"disturbance dimension {self.disturbance.dim} does not match "
-                f"state dimension {env.state_dim}"
-            )
-
-    def run(
-        self,
-        episodes: int,
-        rng: np.random.Generator,
-        initial_states: np.ndarray | None = None,
-    ) -> FleetMonitorReport:
-        with ShardPool(
-            self.shield.env,
-            shield=self.shield,
-            workers=self.workers,
-            shards=self.shards,
-            dtype=self.dtype,
-        ) as pool:
-            return pool.run_monitored(
-                episodes,
-                self.steps,
-                rng=rng,
-                disturbance=self.disturbance,
-                estimate_disturbance=self.estimate_disturbance,
-                confidence_sigmas=self.confidence_sigmas,
-                initial_states=initial_states,
-            )
-
-
 def monitor_fleet(
     shield: Shield,
     episodes: int = 100,
@@ -170,22 +118,26 @@ def monitor_fleet(
     initial_states: np.ndarray | None = None,
     workers: int = 1,
     shards: Optional[int] = None,
-    dtype=None,
 ) -> FleetMonitorReport:
-    """Run one monitored batched campaign and return its fleet report.
+    """Run one monitored fleet and return its report.
 
-    The fleet runs on the shard plan of :mod:`repro.shard`; ``workers`` only
-    chooses how many processes run the shards, so every ``workers`` value
-    reports bit-identical counters and disturbance estimates.
+    ``disturbance`` injects an explicit
+    :class:`~repro.envs.disturbance.DisturbanceModel` into every transition
+    (replacing the environment's built-in uniform disturbance), so fleets can
+    be stressed with disturbance classes the shield was not synthesized for —
+    including per-episode sinusoid phases via
+    :meth:`SinusoidalDisturbance.fleet`.  The fleet runs on the shard plan of
+    :mod:`repro.shard`; ``workers`` only chooses how many processes run the
+    shards, so every ``workers`` value reports bit-identical counters and
+    disturbance estimates.
     """
-    campaign = MonitoredBatchedCampaign(
-        shield=shield,
-        steps=steps,
-        disturbance=disturbance,
-        estimate_disturbance=estimate_disturbance,
-        confidence_sigmas=confidence_sigmas,
-        workers=workers,
-        shards=shards,
-        dtype=dtype,
-    )
-    return campaign.run(episodes, rng or np.random.default_rng(), initial_states=initial_states)
+    with ShardPool(shield.env, shield=shield, workers=workers, shards=shards) as pool:
+        return pool.run_monitored(
+            episodes,
+            steps,
+            rng=rng,
+            disturbance=disturbance,
+            estimate_disturbance=estimate_disturbance,
+            confidence_sigmas=confidence_sigmas,
+            initial_states=initial_states,
+        )

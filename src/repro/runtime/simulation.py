@@ -6,12 +6,12 @@ Both numbers are parameters here so the test-suite and CI can use scaled-down
 campaigns while the full protocol remains a single call away
 (``EvaluationProtocol(episodes=1000, steps=5000)``).
 
-Campaigns are executed by the batched engine in :mod:`repro.runtime.batched`:
-all episodes advance in lockstep as ``(episodes, state_dim)`` arrays, which
-makes the full paper protocol tractable in pure NumPy, and every campaign runs
-on the shard plan of :mod:`repro.shard`.  The original
-one-state-at-a-time loop lives on in :mod:`repro.reference.scalar` as the
-semantic reference the batched engine is property-tested against.
+Every campaign runs through :class:`~repro.shard.ShardPool`: all episodes
+advance in lockstep as ``(episodes, state_dim)`` arrays through one compiled
+stepper, which makes the full paper protocol tractable in pure NumPy, on the
+pool's worker-count-independent shard plan.  The original one-state-at-a-time
+loop lives on in :mod:`repro.reference.scalar` as the semantic reference the
+lockstep engine is property-tested against.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 
 from ..core.shield import Shield
 from ..envs.base import EnvironmentContext
-from .batched import BatchedCampaign
-from .metrics import DeploymentMetrics, EpisodeMetrics
+from ..shard import ShardPool
+from .metrics import DeploymentMetrics
 
 __all__ = [
     "EvaluationProtocol",
-    "run_episode",
     "evaluate_policy",
     "compare_shielded",
 ]
@@ -54,45 +53,33 @@ class EvaluationProtocol:
         return cls(episodes=1000, steps=5000)
 
 
-def run_episode(
-    env: EnvironmentContext,
-    policy: Callable[[np.ndarray], np.ndarray],
-    steps: int,
-    rng: np.random.Generator,
-    shield: Optional[Shield] = None,
-    initial_state: Optional[np.ndarray] = None,
-) -> EpisodeMetrics:
-    """Simulate one episode and collect its metrics (batched engine, width 1).
-
-    When ``policy`` *is* a shield the intervention counter comes from the
-    shield's per-decision mask; otherwise interventions are zero.
-    """
-    initial_states = (
-        np.asarray(initial_state, dtype=float).reshape(1, env.state_dim)
-        if initial_state is not None
-        else None
-    )
-    campaign = BatchedCampaign(env=env, policy=policy, steps=steps, shield=shield)
-    metrics = campaign.run(1, rng, initial_states=initial_states)
-    return metrics.episodes[0]
-
-
 def evaluate_policy(
     env: EnvironmentContext,
     policy: Callable[[np.ndarray], np.ndarray],
     protocol: EvaluationProtocol,
     shield: Optional[Shield] = None,
 ) -> DeploymentMetrics:
-    """Run a full campaign of episodes for one policy (all episodes in lockstep)."""
-    rng = np.random.default_rng(protocol.seed)
-    campaign = BatchedCampaign(
-        env=env,
-        policy=policy,
-        steps=protocol.steps,
+    """Run a full campaign of episodes for one policy (all episodes in lockstep).
+
+    When ``shield`` is given it must be the acting ``policy``: the per-episode
+    intervention counts come from its decision mask, attributed to the
+    episode whose state triggered them.  Another callable's decisions cannot
+    be attributed to the shield.
+    """
+    if shield is not None and policy is not shield:
+        raise ValueError(
+            "shield interventions can only be attributed when the shield is "
+            "the acting policy"
+        )
+    with ShardPool(
+        env,
+        policy=None if shield is not None else policy,
         shield=shield,
         workers=protocol.workers,
-    )
-    return campaign.run(protocol.episodes, rng)
+    ) as pool:
+        return pool.run_campaign(
+            protocol.episodes, protocol.steps, rng=np.random.default_rng(protocol.seed)
+        )
 
 
 @dataclass
@@ -118,8 +105,7 @@ def compare_shielded(
     """Evaluate the bare network, the shielded network, and the program alone.
 
     Using the same protocol (and therefore the same initial-state seeds) for
-    the three campaigns reproduces the comparison behind Table 1.  Each of the
-    three campaigns runs on the batched engine.
+    the three campaigns reproduces the comparison behind Table 1.
     """
     shield.reset_statistics()
     neural_metrics = evaluate_policy(env, neural_policy, protocol)

@@ -11,11 +11,7 @@ is independent of the worker count: ``workers=1`` and ``workers=N`` are
 bit-identical under per-shard :class:`~numpy.random.SeedSequence` streams.
 """
 
-from .fleet import (
-    ShardedCampaignResult,
-    disturbance_estimate_from_moments,
-    merge_moments,
-)
+from .fleet import disturbance_estimate_from_moments, merge_moments
 from .memory import ArenaField, ArenaSpec, ShardArena, attach_arena, create_arena
 from .plan import (
     DEFAULT_SHARDS,
@@ -40,7 +36,6 @@ __all__ = [
     "create_arena",
     "attach_arena",
     "ShardPool",
-    "ShardedCampaignResult",
     "merge_moments",
     "disturbance_estimate_from_moments",
 ]

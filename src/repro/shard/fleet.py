@@ -1,9 +1,10 @@
-"""Merged results of sharded fleet runs, and the merge rules that keep them
-deterministic.
+"""The merge rules that keep sharded fleet runs deterministic.
 
 Per-episode arrays need no merging at all — shards own disjoint contiguous
 slices of the shared arena, so the assembled arrays are in global episode
-order by construction.  What does need care:
+order by construction, and the pool hands them as they are to the run's
+:class:`~repro.runtime.metrics.DeploymentMetrics` or
+:class:`~repro.runtime.monitored.FleetMonitorReport`.  What does need care:
 
 * **Disturbance residuals.**  Workers ship sufficient statistics
   ``(count, Σd, Σ d dᵀ)`` instead of raw residual lists; the parent adds the
@@ -21,18 +22,13 @@ order by construction.  What does need care:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..envs.disturbance import DisturbanceEstimate
 
-__all__ = [
-    "ShardedCampaignResult",
-    "merge_moments",
-    "disturbance_estimate_from_moments",
-]
+__all__ = ["merge_moments", "disturbance_estimate_from_moments"]
 
 #: A shard's residual sufficient statistics: (count, Σd, Σ d dᵀ).
 Moments = Tuple[int, np.ndarray, np.ndarray]
@@ -78,62 +74,3 @@ def disturbance_estimate_from_moments(
         samples=int(count),
         confidence_sigmas=confidence_sigmas,
     )
-
-
-@dataclass
-class ShardedCampaignResult:
-    """Merged per-episode arrays of one sharded shielded/bare campaign."""
-
-    episodes: int
-    steps: int
-    total_rewards: np.ndarray  # (episodes,) float
-    unsafe_counts: np.ndarray  # (episodes,) int
-    interventions: np.ndarray  # (episodes,) int
-    steady_at: np.ndarray  # (episodes,) int, -1 = never steady
-    elapsed: float  # wall-clock of the whole sharded run
-    stats: dict  # shard provenance: widths, seconds, pool mode, cache fold-in
-
-    @property
-    def failures(self) -> int:
-        return int(np.sum(self.unsafe_counts > 0))
-
-    @property
-    def total_interventions(self) -> int:
-        return int(np.sum(self.interventions))
-
-    @property
-    def episodes_per_second(self) -> float:
-        return self.episodes / self.elapsed if self.elapsed > 0 else float("inf")
-
-    def metrics(self):
-        """The campaign as :class:`~repro.runtime.metrics.DeploymentMetrics`."""
-        from ..runtime.metrics import DeploymentMetrics, EpisodeMetrics
-
-        per_episode_seconds = self.elapsed / max(self.episodes, 1)
-        metrics = DeploymentMetrics()
-        for i in range(self.episodes):
-            metrics.add(
-                EpisodeMetrics(
-                    steps=self.steps,
-                    unsafe_steps=int(self.unsafe_counts[i]),
-                    interventions=int(self.interventions[i]),
-                    steps_to_steady=int(self.steady_at[i]) if self.steady_at[i] >= 0 else None,
-                    total_reward=float(self.total_rewards[i]),
-                    wall_clock_seconds=per_episode_seconds,
-                )
-            )
-        return metrics
-
-    def summary(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "steps": self.steps,
-            "failures": self.failures,
-            "unsafe_steps": int(np.sum(self.unsafe_counts)),
-            "interventions": self.total_interventions,
-            "steady_episodes": int(np.sum(self.steady_at >= 0)),
-            "mean_return": float(np.mean(self.total_rewards)) if self.episodes else float("nan"),
-            "wall_clock_seconds": self.elapsed,
-            "episodes_per_second": self.episodes_per_second,
-            "shard_stats": self.stats,
-        }

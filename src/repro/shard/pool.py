@@ -51,11 +51,7 @@ import numpy as np
 from .. import obs
 from ..faults import FaultLog, RetryPolicy, ShardManifest, fault_site
 from ..faults.runner import Done, ForkRunner
-from .fleet import (
-    ShardedCampaignResult,
-    disturbance_estimate_from_moments,
-    merge_moments,
-)
+from .fleet import disturbance_estimate_from_moments, merge_moments
 from .memory import ShardArena, attach_arena, create_arena
 from .plan import Shard, plan_shards, seed_sequence_for
 
@@ -213,7 +209,6 @@ class ShardPool:
         shield=None,
         workers: int = 1,
         shards: Optional[int] = None,
-        dtype=None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         if shield is not None and policy is not None:
@@ -227,7 +222,6 @@ class ShardPool:
             raise ValueError(f"a shard pool needs at least one worker, got {workers}")
         self.workers = int(workers)
         self.shards = shards
-        self.dtype = None if dtype is None else np.dtype(dtype)
         self.retry = retry if retry is not None else RetryPolicy()
         self._runner = ForkRunner(
             self._execute,
@@ -265,8 +259,12 @@ class ShardPool:
         initial_states=None,
         checkpoint=None,
         resume: bool = False,
-    ) -> ShardedCampaignResult:
-        """A sharded (shielded or bare-policy) deployment campaign."""
+    ):
+        """A sharded (shielded or bare-policy) deployment campaign; returns
+        its :class:`~repro.runtime.metrics.DeploymentMetrics`, whose ``stats``
+        record the shard plan and counter fold-ins."""
+        from ..runtime.metrics import DeploymentMetrics
+
         shards = self._plan(episodes, rng, seed)
         fields = [
             ("total_rewards", (episodes,), np.float64),
@@ -278,14 +276,13 @@ class ShardPool:
             "campaign", shards, steps, fields, initial_states=initial_states,
             checkpoint=checkpoint, resume=resume,
         )
-        return ShardedCampaignResult(
-            episodes=int(episodes),
+        return DeploymentMetrics(
             steps=int(steps),
             total_rewards=arrays["total_rewards"],
             unsafe_counts=arrays["unsafe_counts"],
-            interventions=arrays["interventions"],
+            intervention_counts=arrays["interventions"],
             steady_at=arrays["steady_at"],
-            elapsed=elapsed,
+            total_seconds=elapsed,
             stats=self._stats(shards, results, mode),
         )
 
@@ -310,6 +307,11 @@ class ShardPool:
         if self.shield is None:
             raise ValueError("run_monitored requires a shield-backed pool")
         if disturbance is not None:
+            if disturbance.dim != self.env.state_dim:
+                raise ValueError(
+                    f"disturbance dimension {disturbance.dim} does not match "
+                    f"state dimension {self.env.state_dim}"
+                )
             fleet_width = getattr(disturbance, "episodes", None)
             if fleet_width is not None and fleet_width != episodes:
                 raise ValueError(
@@ -378,7 +380,6 @@ class ShardPool:
                 self.env,
                 policy=self.policy if self.shield is None else None,
                 shield=self.shield,
-                dtype=self.dtype,
             )
         return self._stepper_obj
 
@@ -397,7 +398,7 @@ class ShardPool:
         if self._closed:
             raise RuntimeError("this shard pool is closed")
         episodes = shards[-1].stop
-        result_fields = [(name, shape, dtype) for name, shape, dtype in fields]
+        result_fields = list(fields)
         fields = list(fields) + [("shard_executions", (len(shards),), np.int64)]
         if initial_states is not None:
             initial_states = np.atleast_2d(np.asarray(initial_states, dtype=float))
@@ -498,7 +499,6 @@ class ShardPool:
             "steps": int(steps),
             "shards": [[shard.start, shard.stop] for shard in shards],
             "entropy": str(shards[0].seed.entropy),
-            "dtype": str(self.dtype if self.dtype is not None else np.dtype(float)),
             "fields": [[name, list(shape), str(np.dtype(dtype))] for name, shape, dtype in result_fields],
         }
 
@@ -520,7 +520,6 @@ class ShardPool:
             "workers": self.workers,
             "shards": len(shards),
             "mode": pool_mode,
-            "dtype": str(self.dtype if self.dtype is not None else np.dtype(float)),
             "shard_episodes": [shard.episodes for shard in shards],
             "shard_seconds": [round(record["elapsed"], 6) for record in results],
             "shard_origins": [record["origin"] for record in results],

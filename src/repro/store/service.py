@@ -5,13 +5,14 @@ modules use instead of calling :func:`~repro.core.toolchain.synthesize_shield`
 directly.  For every request it
 
 1. looks the shield up in the :class:`~repro.store.ShieldStore` by
-   ``(environment, config hash, seed)`` — a hit deserializes in milliseconds
-   and skips synthesis entirely (what makes ``table1``/``table3`` reruns and
-   interrupted sweeps resumable);
+   ``(environment, config hash, seed, overrides, oracle method)`` — a hit
+   deserializes in milliseconds and skips synthesis entirely (what makes
+   ``table1``/``table3`` reruns and interrupted sweeps resumable);
 2. on a miss, runs the CEGIS loop with the service's worker count and shared
    counterexample replay cache;
 3. persists the new shield with full provenance (environment id, seed, config
-   hash, certificate backends, wall-clock, cache counters, worker count).
+   hash, oracle method, certificate backends, wall-clock, cache counters,
+   worker count).
 """
 
 from __future__ import annotations
@@ -207,12 +208,17 @@ class SynthesisService:
         environment_overrides: Optional[Dict[str, Any]] = None,
         reuse: bool = True,
         extra_metadata: Optional[Dict[str, Any]] = None,
+        oracle_method: str = "",
     ) -> ServiceResult:
         """Return a shield for ``(env, oracle, config)``, reusing the store if possible.
 
         ``environment`` should be the registry name under which the shield can
-        be reconstructed later; it defaults to ``env.name``.  ``reuse=False``
-        forces a fresh synthesis (the result is still persisted).
+        be reconstructed later; it defaults to ``env.name``.  ``oracle_method``
+        names how ``oracle`` was trained (``"ars"``, ``"ddpg"``, ...); Algorithm
+        1 imitates the oracle, so a named method is recorded as the
+        ``oracle`` provenance entry and a stored shield is reused only for the
+        same method.  ``reuse=False`` forces a fresh synthesis (the result is
+        still persisted).
         """
         from dataclasses import replace
 
@@ -227,6 +233,7 @@ class SynthesisService:
         # A shield is only valid for the exact dynamics it was verified
         # against (§2.2), so constructor overrides are part of the reuse key.
         overrides_hash = config_hash(dict(environment_overrides or {}))
+        oracle_filter = {"oracle": oracle_method} if oracle_method else {}
 
         if self.store is not None and reuse:
             entries = self.store.find(
@@ -234,6 +241,7 @@ class SynthesisService:
                 config_hash=cfg_hash,
                 seed=config.seed,
                 overrides_hash=overrides_hash,
+                **oracle_filter,
             )
             if entries:
                 artifact = self.store.get(entries[0].key)
@@ -267,7 +275,7 @@ class SynthesisService:
             cfg_hash,
             overrides_hash,
             config,
-            extra_metadata,
+            {**oracle_filter, **(extra_metadata or {})},
         )
         # Static lint before persisting: warning-severity findings are
         # recorded in provenance (only when present, so clean artifacts keep

@@ -1,6 +1,6 @@
 """Property tests: the batched rollout engine is equivalent to the scalar reference.
 
-The batched engine (``repro.runtime.batched``) must reproduce the sequential
+The lockstep engine (``repro.shard.ShardPool``) must reproduce the sequential
 ``run_episode_scalar`` semantics exactly: same initial states under the same
 seed (both walk the shard plan, ``repro.reference.shard_streams``), same
 per-step rewards, same unsafe/steady bookkeeping, and — for
@@ -43,12 +43,12 @@ def _make_shield(env, neural_policy, measure_time=False):
     )
 
 
-def _episode_signature(episode):
+def _campaign_signature(metrics):
     return (
-        episode.steps,
-        episode.unsafe_steps,
-        episode.interventions,
-        episode.steps_to_steady,
+        metrics.steps,
+        metrics.unsafe_counts.tolist(),
+        metrics.intervention_counts.tolist(),
+        metrics.steady_at.tolist(),
     )
 
 
@@ -60,13 +60,13 @@ class TestBatchedScalarEquivalence:
         env = make_environment(name)
         policy = make_lqr_policy(env)
         (_shard, generator, states), = shard_streams(env, 1, np.random.default_rng(seed))
-        scalar = run_episode_scalar(
+        reward, unsafe, interventions, steady_at, _ = run_episode_scalar(
             env, policy, steps=120, rng=generator, initial_state=states[0]
         )
         protocol = EvaluationProtocol(episodes=1, steps=120, seed=seed)
-        batched = evaluate_policy(env, policy, protocol).episodes[0]
-        assert _episode_signature(scalar) == _episode_signature(batched)
-        assert scalar.total_reward == pytest.approx(batched.total_reward, rel=1e-12)
+        batched = evaluate_policy(env, policy, protocol)
+        assert _campaign_signature(batched) == (120, [unsafe], [interventions], [steady_at])
+        assert reward == pytest.approx(batched.total_rewards[0], rel=1e-12)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_ENVS)
     def test_campaign_matches_scalar_when_disturbance_free(self, name):
@@ -77,9 +77,8 @@ class TestBatchedScalarEquivalence:
         protocol = EvaluationProtocol(episodes=6, steps=100, seed=3)
         scalar = evaluate_policy_scalar(env, policy, protocol)
         batched = evaluate_policy(env, policy, protocol)
-        for s, b in zip(scalar.episodes, batched.episodes):
-            assert _episode_signature(s) == _episode_signature(b)
-            assert s.total_reward == pytest.approx(b.total_reward, rel=1e-12)
+        assert _campaign_signature(scalar) == _campaign_signature(batched)
+        np.testing.assert_allclose(scalar.total_rewards, batched.total_rewards, rtol=1e-12)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_ENVS)
     def test_shielded_campaign_matches_scalar(self, name):
@@ -92,12 +91,8 @@ class TestBatchedScalarEquivalence:
         shield_b = _make_shield(env, destabilising)
         batched = evaluate_policy(env, shield_b, protocol, shield=shield_b)
         assert scalar.interventions > 0  # the override path must be exercised
-        assert [e.interventions for e in scalar.episodes] == [
-            e.interventions for e in batched.episodes
-        ]
-        for s, b in zip(scalar.episodes, batched.episodes):
-            assert _episode_signature(s) == _episode_signature(b)
-            assert s.total_reward == pytest.approx(b.total_reward, rel=1e-10)
+        assert _campaign_signature(scalar) == _campaign_signature(batched)
+        np.testing.assert_allclose(scalar.total_rewards, batched.total_rewards, rtol=1e-10)
 
     @pytest.mark.parametrize("name", EQUIVALENCE_ENVS)
     def test_simulate_batch_states_match_simulate(self, name):

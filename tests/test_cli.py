@@ -22,6 +22,26 @@ from repro.lang import (
 from repro.polynomials import Polynomial
 
 
+#: Every key of a campaign summary.  ``repro evaluate`` printed the first
+#: eight for each campaign, ``repro run`` the rest (and ``shard_stats``) plus
+#: episodes, failures, unsafe_steps and interventions.
+CAMPAIGN_KEYS = {
+    "episodes",
+    "failures",
+    "unsafe_steps",
+    "interventions",
+    "intervention_rate",
+    "steps_to_steady",
+    "mean_reward",
+    "seconds",
+    "steps",
+    "steady_episodes",
+    "mean_return",
+    "wall_clock_seconds",
+    "episodes_per_second",
+}
+
+
 @pytest.fixture()
 def pendulum_artifact(tmp_path):
     """A small hand-built (but safety-plausible) artifact for CLI round trips."""
@@ -186,6 +206,13 @@ class TestEvaluateAndAudit:
         assert summary["shielded"]["episodes"] == 2
         assert "overhead" in summary
 
+    def test_evaluate_prints_every_campaign_key(self, pendulum_artifact, capsys):
+        assert main(["evaluate", str(pendulum_artifact), "--episodes", "2", "--steps", "20"]) == 0
+        summary = json.loads(capsys.readouterr().out.split("loaded artifact")[1].split("\n", 1)[1])
+        assert set(summary) == {"neural", "shielded", "program", "overhead"}
+        for campaign in ("neural", "shielded", "program"):
+            assert set(summary[campaign]) == CAMPAIGN_KEYS
+
     def test_audit_saved_artifact_runs(self, pendulum_artifact, capsys):
         code = main(["audit", str(pendulum_artifact), "--max-boxes", "5000"])
         output = capsys.readouterr().out
@@ -341,6 +368,15 @@ class TestStoreCommands:
         assert summary["episodes"] == 3
         assert summary["decisions"] == 120
         assert summary["disturbance_bound"] is not None
+
+    def test_run_satellite_fleet_prints_every_campaign_key(self, capsys):
+        argv = ["run", "satellite", "--episodes", "3", "--steps", "40"]
+        assert main(argv + ["--synthesis-iterations", "3"]) == 0
+        output = capsys.readouterr().out
+        summary = json.loads("{" + output.split("{", 1)[1])
+        assert set(summary) == CAMPAIGN_KEYS | {"shard_stats"}
+        assert summary["episodes"] == 3 and summary["steps"] == 40
+        assert summary["shard_stats"]["shards"] == 1
 
     def test_adapt_satellite_certificate_still_valid(self, tmp_path, capsys):
         code = main(

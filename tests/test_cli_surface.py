@@ -23,7 +23,6 @@ SURFACE = {
         'disturbance': (('--disturbance',), 'none', ('none', 'uniform', 'gaussian', 'sinusoidal'), None, None, None),
         'env': ((), None, None, None, None, None),
         'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
-        'float32': (('--float32',), False, None, 0, True, None),
         'magnitude': (('--magnitude',), 0.05, None, None, None, 'float'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),
@@ -96,7 +95,6 @@ SURFACE = {
         'disturbance': (('--disturbance',), 'none', ('none', 'uniform', 'gaussian', 'sinusoidal'), None, None, None),
         'env': ((), None, None, None, None, None),
         'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
-        'float32': (('--float32',), False, None, 0, True, None),
         'magnitude': (('--magnitude',), 0.05, None, None, None, 'float'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),
@@ -124,7 +122,6 @@ SURFACE = {
         'deadline': (('--deadline',), None, None, None, None, 'float'),
         'env': ((), None, None, None, None, None),
         'episodes': (('--episodes',), 50, None, None, None, 'positive_int'),
-        'float32': (('--float32',), False, None, 0, True, None),
         'max_attempts': (('--max-attempts',), 3, None, None, None, 'int'),
         'max_counterexamples': (('--max-counterexamples',), 8, None, None, None, 'int'),
         'oracle': (('--oracle',), 'cloned', ('cloned', 'ddpg', 'ars'), None, None, None),

@@ -118,10 +118,12 @@ def _make_shield(env, seed=0, measure_time=False):
 
 
 def _campaign_signature(metrics):
-    return [
-        (e.steps, e.unsafe_steps, e.interventions, e.steps_to_steady)
-        for e in metrics.episodes
-    ]
+    return (
+        metrics.steps,
+        metrics.unsafe_counts.tolist(),
+        metrics.intervention_counts.tolist(),
+        metrics.steady_at.tolist(),
+    )
 
 
 # ------------------------------------------------------------------- lowering
@@ -451,12 +453,10 @@ class TestColumnDynamics:
         slow = evaluate_policy_interpreted(env, shield, protocol, shield=shield)
         shield.reset_statistics()
         fast = evaluate_policy(env, shield, protocol, shield=shield)
-        assert [e.interventions for e in slow.episodes] == [
-            e.interventions for e in fast.episodes
-        ]
+        assert slow.intervention_counts.tolist() == fast.intervention_counts.tolist()
         np.testing.assert_allclose(
-            [e.total_reward for e in slow.episodes],
-            [e.total_reward for e in fast.episodes],
+            slow.total_rewards,
+            fast.total_rewards,
             rtol=1e-8,
         )
 
@@ -479,8 +479,8 @@ class TestCampaignEquivalence:
         assert _campaign_signature(slow) == _campaign_signature(fast)
         assert slow_stats == fast_stats
         np.testing.assert_allclose(
-            [e.total_reward for e in slow.episodes],
-            [e.total_reward for e in fast.episodes],
+            slow.total_rewards,
+            fast.total_rewards,
             rtol=1e-9,
         )
 
@@ -507,8 +507,8 @@ class TestCampaignEquivalence:
         fast = evaluate_policy(env, shield, protocol, shield=shield)
         assert _campaign_signature(slow) == _campaign_signature(fast)
         np.testing.assert_allclose(
-            [e.total_reward for e in slow.episodes],
-            [e.total_reward for e in fast.episodes],
+            slow.total_rewards,
+            fast.total_rewards,
             rtol=1e-9,
         )
 
@@ -522,8 +522,8 @@ class TestCampaignEquivalence:
         fast = evaluate_policy(env, policy, protocol)
         assert _campaign_signature(slow) == _campaign_signature(fast)
         np.testing.assert_allclose(
-            [e.total_reward for e in slow.episodes],
-            [e.total_reward for e in fast.episodes],
+            slow.total_rewards,
+            fast.total_rewards,
             rtol=1e-9,
         )
 

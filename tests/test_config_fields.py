@@ -5,12 +5,15 @@ Settings that every caller left at their default are module constants with
 that same default, so the numerics of every run are unchanged; settings that
 only selected a deleted code path (the L1 action gap, the sharded ARS
 objective, the whole-dispatch verification deadline, the shard/dtype
-pass-throughs) are gone with it.
+pass-throughs) are gone with it.  The campaign entry points' parameters are
+pinned the same way, so the deleted float32 mode (a ``dtype`` on each) stays
+gone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -25,8 +28,10 @@ from repro.core.verification import VerificationConfig
 from repro.experiments.reporting import ExperimentScale
 from repro.rl import random_search as ars_module
 from repro.rl.random_search import ARSConfig
-from repro.runtime.batched import BatchedCampaign
+from repro.compile import compile_stepper
+from repro.runtime import monitor_fleet
 from repro.runtime.simulation import EvaluationProtocol
+from repro.shard import ShardPool
 
 SETTABLE_FIELDS = {
     SynthesisConfig: ("iterations", "learning_rate", "warm_start_samples", "seed", "distance"),
@@ -53,7 +58,23 @@ SETTABLE_FIELDS = {
         "seed",
         "workers",
     ),
-    BatchedCampaign: ("env", "policy", "steps", "shield", "workers", "dtype"),
+}
+
+CAMPAIGN_PARAMETERS = {
+    ShardPool.__init__: ("self", "env", "policy", "shield", "workers", "shards", "retry"),
+    monitor_fleet: (
+        "shield",
+        "episodes",
+        "steps",
+        "rng",
+        "disturbance",
+        "estimate_disturbance",
+        "confidence_sigmas",
+        "initial_states",
+        "workers",
+        "shards",
+    ),
+    compile_stepper: ("env", "policy", "shield"),
 }
 
 # (config, former field, module holding the constant, constant, former default)
@@ -108,7 +129,6 @@ DELETED = [
     (EvaluationProtocol, "shards"),
     (EvaluationProtocol, "dtype"),
     (ExperimentScale, "shards"),
-    (BatchedCampaign, "shards"),
 ]
 
 
@@ -130,7 +150,14 @@ def test_settable_fields(config):
 
 
 def test_settable_field_count():
-    assert sum(len(names) for names in SETTABLE_FIELDS.values()) == 39
+    assert sum(len(names) for names in SETTABLE_FIELDS.values()) == 33
+
+
+@pytest.mark.parametrize(
+    "function", list(CAMPAIGN_PARAMETERS), ids=lambda function: function.__qualname__
+)
+def test_campaign_parameters(function):
+    assert tuple(inspect.signature(function).parameters) == CAMPAIGN_PARAMETERS[function]
 
 
 @pytest.mark.parametrize(

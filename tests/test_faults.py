@@ -44,7 +44,7 @@ from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
 from repro.shard import ShardPool
 
-CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 
 
 def _make_shield(env, seed=0):

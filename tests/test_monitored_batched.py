@@ -37,12 +37,12 @@ from repro.polynomials import Polynomial
 from repro.reference import monitor_episode, shard_streams
 from repro.rl.policies import LinearPolicy
 from repro.runtime import (
-    MonitoredBatchedCampaign,
     adapt_shield,
     monitor_fleet,
     recheck_certificate,
 )
 from repro.runtime.adaptation import widened_environment
+from repro.shard import ShardPool
 from repro.store import ShieldStore, SynthesisService
 
 #: Environments the equivalence property is pinned on: five LTI plants plus a
@@ -204,13 +204,19 @@ class TestFleetScalarEquivalence:
     def test_dimension_and_shape_validation(self):
         env = make_environment("satellite")
         shield = _make_shield(env)
+        one_dim = BoundedUniformDisturbance(magnitude=[0.1])
         with pytest.raises(ValueError, match="disturbance dimension"):
-            MonitoredBatchedCampaign(
-                shield=shield, steps=10, disturbance=BoundedUniformDisturbance(magnitude=[0.1])
-            )
-        campaign = MonitoredBatchedCampaign(shield=shield, steps=10)
+            monitor_fleet(shield, episodes=3, steps=10, disturbance=one_dim)
+        # The pool itself checks too: one draw must not broadcast over both
+        # of the satellite's dimensions.
+        with ShardPool(env, shield=shield) as pool:
+            with pytest.raises(ValueError, match="disturbance dimension"):
+                pool.run_monitored(3, 10, seed=0, disturbance=one_dim)
         with pytest.raises(ValueError, match="initial states"):
-            campaign.run(3, np.random.default_rng(0), initial_states=np.zeros((2, 2)))
+            monitor_fleet(
+                shield, episodes=3, steps=10, rng=np.random.default_rng(0),
+                initial_states=np.zeros((2, 2)),
+            )
 
     def test_shield_statistics_accumulate_through_fleet(self):
         env = make_environment("satellite")

@@ -6,76 +6,73 @@ import pytest
 from repro.envs import make_quadcopter, make_satellite
 from repro.experiments import ExperimentScale, format_table
 from repro.rl import train_oracle
-from repro.runtime import (
-    DeploymentMetrics,
-    EpisodeMetrics,
-    EvaluationProtocol,
-    evaluate_policy,
-    run_episode,
-)
+from repro.runtime import DeploymentMetrics, EvaluationProtocol, evaluate_policy
+from repro.shard import ShardPool
+
+
+def _metrics(unsafe=(0,), interventions=(0,), steady=(-1,), steps=100, seconds=0.1):
+    """A campaign result with one entry per episode in each array."""
+    return DeploymentMetrics(
+        steps=steps,
+        total_rewards=np.full(len(unsafe), -1.0),
+        unsafe_counts=np.array(unsafe, dtype=int),
+        intervention_counts=np.array(interventions, dtype=int),
+        steady_at=np.array(steady, dtype=int),
+        total_seconds=seconds,
+    )
 
 
 class TestMetrics:
-    def _episode(self, unsafe=0, interventions=0, steady=None, steps=100, seconds=0.1):
-        return EpisodeMetrics(
-            steps=steps,
-            unsafe_steps=unsafe,
-            interventions=interventions,
-            steps_to_steady=steady,
-            total_reward=-1.0,
-            wall_clock_seconds=seconds,
-        )
-
     def test_failures_count_episodes_not_steps(self):
-        metrics = DeploymentMetrics()
-        metrics.add(self._episode(unsafe=5))
-        metrics.add(self._episode(unsafe=0))
+        metrics = _metrics(unsafe=(5, 0), interventions=(0, 0), steady=(-1, -1))
         assert metrics.failures == 1
         assert metrics.unsafe_steps == 5
 
     def test_intervention_rate(self):
-        metrics = DeploymentMetrics()
-        metrics.add(self._episode(interventions=10, steps=100))
+        metrics = _metrics(interventions=(10,), steps=100)
         assert metrics.intervention_rate == pytest.approx(0.1)
 
     def test_steps_to_steady_defaults_to_episode_length(self):
-        metrics = DeploymentMetrics()
-        metrics.add(self._episode(steady=20, steps=100))
-        metrics.add(self._episode(steady=None, steps=100))
+        metrics = _metrics(unsafe=(0, 0), interventions=(0, 0), steady=(20, -1), steps=100)
         assert metrics.mean_steps_to_steady == pytest.approx(60.0)
 
     def test_overhead_vs_baseline(self):
-        fast = DeploymentMetrics()
-        fast.add(self._episode(seconds=1.0))
-        slow = DeploymentMetrics()
-        slow.add(self._episode(seconds=1.2))
+        fast = _metrics(seconds=1.0)
+        slow = _metrics(seconds=1.2)
         assert slow.overhead_vs(fast) == pytest.approx(0.2)
 
     def test_summary_keys(self):
-        metrics = DeploymentMetrics()
-        metrics.add(self._episode())
-        summary = metrics.summary()
+        summary = _metrics().summary()
         for key in ("failures", "interventions", "steps_to_steady"):
             assert key in summary
 
     def test_empty_metrics(self):
-        metrics = DeploymentMetrics()
+        metrics = _metrics(unsafe=(), interventions=(), steady=())
+        assert metrics.num_episodes == 0
         assert metrics.intervention_rate == 0.0
         assert np.isnan(metrics.mean_steps_to_steady)
+
+
+def _one_episode(env, policy, steps, initial_state):
+    """One episode through the shard pool, from a pinned initial state."""
+    with ShardPool(env, policy=policy) as pool:
+        return pool.run_campaign(
+            1, steps, seed=0, initial_states=np.reshape(initial_state, (1, env.state_dim))
+        )
 
 
 class TestSimulation:
     def test_run_episode_counts_unsafe_steps(self):
         env = make_quadcopter()
-        rng = np.random.default_rng(0)
+        initial_state = env.sample_initial_state(np.random.default_rng(0))
 
         def runaway(state):
             return np.asarray(env.action_high)
 
-        episode = run_episode(env, runaway, steps=200, rng=rng)
-        assert episode.steps == 200
+        episode = _one_episode(env, runaway, 200, initial_state)
+        assert episode.total_decisions == 200
         assert episode.unsafe_steps > 0
-        assert episode.failed
+        assert episode.failures == 1
 
     def test_evaluate_policy_protocol_is_reproducible(self):
         env = make_satellite()
@@ -88,10 +85,11 @@ class TestSimulation:
 
     def test_steady_state_detection(self):
         env = make_satellite()
-        rng = np.random.default_rng(0)
-        episode = run_episode(env, lambda s: np.array([-2.0 * s[0] - 3.0 * s[1]]), steps=400, rng=rng)
-        assert episode.steps_to_steady is not None
-        assert episode.steps_to_steady < 400
+        initial_state = env.sample_initial_state(np.random.default_rng(0))
+        episode = _one_episode(
+            env, lambda s: np.array([-2.0 * s[0] - 3.0 * s[1]]), 400, initial_state
+        )
+        assert 0 <= episode.steady_at[0] < 400
 
     def test_paper_protocol_constants(self):
         protocol = EvaluationProtocol.paper()

@@ -6,9 +6,9 @@ shard plan under identical per-shard seed streams, so every counter — unsafe
 steps, interventions, steady-at indices, monitor mismatches, invariant
 excursions, barrier peaks — and every merged artifact (rewards, disturbance
 estimates, shield statistics) must be bit-identical.  These tests pin that
-contract across registry environments, disturbed and monitored fleets, odd
-episode counts, and the float32 workspace mode, plus the shard plan and
-shared-memory arena mechanics underneath.
+contract across registry environments, disturbed and monitored fleets and
+odd episode counts, plus the shard plan and shared-memory arena mechanics
+underneath.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.polynomials import Polynomial
 from repro.rl.networks import MLP
 from repro.rl.policies import NeuralPolicy
 from repro.runtime import EvaluationProtocol, evaluate_policy, monitor_fleet
-from repro.runtime.batched import BatchedCampaign
 from repro.shard import (
     DEFAULT_SHARDS,
     MIN_SHARD_EPISODES,
@@ -38,7 +37,7 @@ from repro.shard import (
 #: Six cheap registry environments spanning 2-7 state dimensions.
 IDENTITY_ENVS = ("satellite", "dcmotor", "tape", "pendulum", "cartpole", "oscillator")
 
-CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "interventions", "steady_at")
+CAMPAIGN_FIELDS = ("total_rewards", "unsafe_counts", "intervention_counts", "steady_at")
 MONITOR_FIELDS = (
     "interventions",
     "model_mismatches",
@@ -254,14 +253,9 @@ class TestOneSeedingDiscipline:
             shield = _make_shield(env)
             protocol = EvaluationProtocol(episodes=1200, steps=20, seed=4, **options)
             metrics = evaluate_policy(env, shield, protocol, shield=shield)
-            runs.append(
-                [
-                    (e.unsafe_steps, e.interventions, e.steps_to_steady, e.total_reward)
-                    for e in metrics.episodes
-                ]
-            )
+            runs.append([getattr(metrics, field).tolist() for field in CAMPAIGN_FIELDS])
         assert runs[0] == runs[1] == runs[2]
-        assert sum(episode[1] for episode in runs[0]) > 0
+        assert sum(runs[0][CAMPAIGN_FIELDS.index("intervention_counts")]) > 0
 
     def test_monitor_fleet_default_equals_every_worker_count(self):
         env = make_environment("pendulum")
@@ -300,28 +294,23 @@ class TestShardedVsUnsharded:
         env = make_environment(name)
         policy = _linear_policy(env)
         states = env.sample_initial_states(np.random.default_rng(4), 15)
-        plain = BatchedCampaign(env=env, policy=policy, steps=12).run(
-            15, np.random.default_rng(0), initial_states=states.copy()
-        )
+        plain = _campaign(env, 15, 12, seed=0, initial_states=states.copy(), policy=policy)
         sharded = _campaign(
             env, 15, 12, seed=0, initial_states=states.copy(), policy=policy, workers=2, shards=4
         )
-        assert np.array_equal(sharded.total_rewards, [e.total_reward for e in plain.episodes])
-        assert np.array_equal(sharded.unsafe_counts, [e.unsafe_steps for e in plain.episodes])
-        assert np.array_equal(sharded.interventions, [e.interventions for e in plain.episodes])
-        assert [None if s < 0 else s for s in sharded.steady_at] == [
-            e.steps_to_steady for e in plain.episodes
-        ]
+        assert plain.stats["shards"] == 1
+        for field in CAMPAIGN_FIELDS:
+            assert np.array_equal(getattr(plain, field), getattr(sharded, field)), field
 
     def test_metrics_package_matches_batched_conventions(self):
         env = make_environment("pendulum")
-        result = _campaign(env, 8, 10, seed=1, policy=_linear_policy(env))
-        metrics = result.metrics()
-        assert len(metrics.episodes) == 8
-        assert metrics.failures == result.failures
-        summary = result.summary()
+        metrics = _campaign(env, 8, 10, seed=1, policy=_linear_policy(env))
+        assert metrics.num_episodes == 8
+        assert metrics.total_decisions == 80
+        assert metrics.failures == int(np.sum(metrics.unsafe_counts > 0))
+        summary = metrics.summary()
         assert summary["episodes"] == 8
-        assert summary["shard_stats"]["shards"] == len(summary["shard_stats"]["shard_episodes"])
+        assert metrics.stats["shards"] == len(metrics.stats["shard_episodes"])
 
 
 # -------------------------------------------------------------- moment merging
@@ -354,28 +343,6 @@ class TestMomentMerging:
         assert disturbance_estimate_from_moments(1, np.ones(2), np.eye(2)) is None
 
 
-# ------------------------------------------------------------ float32 fleets
-class TestFloat32Workspaces:
-    def test_float32_counters_match_float64_on_stable_fleets(self):
-        env = make_environment("pendulum")
-        policy = _linear_policy(env)
-        f64 = _campaign(env, 13, 12, seed=6, policy=policy, workers=2, shards=4)
-        f32 = _campaign(
-            env, 13, 12, seed=6, policy=policy, workers=2, shards=4, dtype=np.float32
-        )
-        assert f32.stats["dtype"] == "float32"
-        for field in ("unsafe_counts", "interventions", "steady_at"):
-            assert np.array_equal(getattr(f64, field), getattr(f32, field))
-        np.testing.assert_allclose(f32.total_rewards, f64.total_rewards, rtol=1e-4, atol=1e-3)
-
-    def test_non_float_dtype_rejected(self):
-        from repro.compile import compile_stepper
-
-        env = make_environment("pendulum")
-        with pytest.raises(ValueError, match="float type"):
-            compile_stepper(env, policy=_linear_policy(env), dtype=np.int64)
-
-
 # -------------------------------------------------------- workspace buffering
 class TestRolloutWorkspaceBuffers:
     def test_same_shape_reuses_the_same_buffer(self):
@@ -395,18 +362,13 @@ class TestRolloutWorkspaceBuffers:
         assert big_again.base is big.base
         assert len(ws) == 1
 
-    def test_distinct_dtypes_get_distinct_buffers(self):
+    def test_distinct_names_get_distinct_float64_buffers(self):
         ws = RolloutWorkspace()
-        doubles = ws.array("states", (8, 2))
-        floats = ws.array("states", (8, 2), dtype=np.float32)
-        assert doubles.dtype == np.float64
-        assert floats.dtype == np.float32
-        assert doubles.base is not floats.base
+        states = ws.array("states", (8, 2))
+        scratch = ws.array("scratch", (8, 2))
+        assert states.dtype == scratch.dtype == np.float64
+        assert states.base is not scratch.base
         assert len(ws) == 2
-
-    def test_default_dtype_follows_the_workspace(self):
-        ws = RolloutWorkspace(default_dtype=np.float32)
-        assert ws.array("scratch", (4,)).dtype == np.float32
 
 
 # ------------------------------------------------------------------ CLI knobs
@@ -414,12 +376,9 @@ class TestCLIWorkersKnob:
     def test_run_and_monitor_accept_worker_flags(self):
         parser = build_parser()
         for command in ("run", "monitor"):
-            args = parser.parse_args(
-                [command, "pendulum", "--workers", "2", "--shards", "3", "--float32"]
-            )
+            args = parser.parse_args([command, "pendulum", "--workers", "2", "--shards", "3"])
             assert args.workers == 2
             assert args.shards == 3
-            assert args.float32 is True
 
     def test_experiments_accept_workers(self):
         parser = build_parser()

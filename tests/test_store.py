@@ -235,3 +235,47 @@ class TestConfigHash:
         digest = config_hash(CEGISConfig())
         assert len(digest) == 16
         int(digest, 16)  # must be valid hex
+
+
+# ------------------------------------------------------- service reuse key
+class TestServiceReuseKey:
+    def test_oracle_method_is_part_of_the_reuse_key(self, tmp_path, monkeypatch):
+        import repro.store.service as service_module
+        from repro.baselines import make_lqr_policy
+        from repro.core.distance import DistanceConfig
+        from repro.envs import make_environment
+        from repro.store import SynthesisService
+
+        env = make_environment("satellite")
+        oracle = make_lqr_policy(env)
+        config = CEGISConfig(
+            synthesis=SynthesisConfig(
+                iterations=5,
+                distance=DistanceConfig(num_trajectories=2, trajectory_length=50),
+                seed=0,
+            ),
+            verification=VerificationConfig(backend="lyapunov"),
+            max_counterexamples=4,
+        )
+        service = SynthesisService(store=ShieldStore(tmp_path / "store"))
+        stored = service.synthesize(
+            env, oracle, config=config, environment="satellite", oracle_method="ars"
+        )
+        assert not stored.from_store
+        assert stored.artifact.metadata["oracle"] == "ars"
+
+        class Missed(Exception):
+            pass
+
+        def synthesize_shield(*args, **kwargs):
+            raise Missed
+
+        monkeypatch.setattr(service_module, "synthesize_shield", synthesize_shield)
+        with pytest.raises(Missed):
+            service.synthesize(
+                env, oracle, config=config, environment="satellite", oracle_method="ddpg"
+            )
+        reused = service.synthesize(
+            env, oracle, config=config, environment="satellite", oracle_method="ars"
+        )
+        assert reused.from_store and reused.key == stored.key
